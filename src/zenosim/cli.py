@@ -83,6 +83,7 @@ def _cmd_sweep(args) -> int:
     for row in result.rows:
         if row.failed:
             print(f"n={row.n}: FAILED")
+            print(f"n={row.n}: {row.error}", file=sys.stderr)
         else:
             print(
                 f"n={row.n}: survival={row.survival_probability:.9f} "

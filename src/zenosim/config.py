@@ -120,8 +120,8 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"key 'mu' must match the length of 'lambda' ({len(lam)}), got {len(mu)}")
 
     total_time = values["total_time"]
-    if not math.isfinite(total_time) or total_time < 0:
-        raise ConfigError(f"key 'total_time' must be finite and >= 0, got {total_time!r}")
+    if total_time < 0:
+        raise ConfigError(f"key 'total_time' must be >= 0, got {total_time!r}")
 
     n_values = values["n_values"]
     if len(n_values) == 0:
@@ -179,7 +179,7 @@ def _convert(key: str, text_value: str):
     if key in _STRING_KEYS:
         return text_value
     if key in _FLOAT_KEYS:
-        return float(text_value)
+        return _parse_float(text_value)
     if key in _INT_KEYS:
         return _parse_int(text_value)
     items = text_value.strip()
@@ -187,8 +187,15 @@ def _convert(key: str, text_value: str):
         items = items[1:-1]
     parts = [p.strip() for p in items.split(",") if p.strip()]
     if key in _FLOAT_LIST_KEYS:
-        return tuple(float(p) for p in parts)
+        return tuple(_parse_float(p) for p in parts)
     return tuple(_parse_int(p) for p in parts)
+
+
+def _parse_float(text_value: str) -> float:
+    value = float(text_value)
+    if not math.isfinite(value):
+        raise ValueError(f"values must be finite, got {text_value!r}")
+    return value
 
 
 def _parse_int(text_value: str) -> int:

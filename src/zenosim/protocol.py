@@ -16,9 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .states import (
+    _MIN_BRANCH_PROB,
     PAULI_X,
     StateVector,
     ZeroProbabilityError,
+    _cnot_permutation,
+    _outcome_indices,
     append_aux,
     apply_cnot,
     apply_single,
@@ -107,13 +110,20 @@ class CycleOutcome:
 class ProtocolResult:
     """Aggregate of a full run.
 
-    survival_probability is the product of no-error branch probabilities in
-    post-selected mode, and the 0/1 all-outcomes-zero indicator in stochastic
-    mode. final_fidelity compares the terminal register state against the
-    ideal noiseless encoded state.
+    survival_probability is the probability of the all-no-error record in
+    post-selected mode, computed as 1 minus the mass the cycles leaked, and
+    the 0/1 all-outcomes-zero indicator in stochastic mode.
+    loss_probability is 1 - survival_probability, kept as computed: near
+    survival 1 a float survival holds 1 - survival only to within 1.1e-16
+    absolute, which at large n is far coarser than the leaked mass itself.
+    final_fidelity compares the terminal register state against the ideal
+    noiseless encoded state. cycle_log holds the per-cycle outcomes of a
+    stochastic run; it is empty in post-selected mode, which does not step
+    cycle by cycle.
     """
 
     survival_probability: float
+    loss_probability: float
     final_fidelity: float
     detected: bool
     cycle_log: list[CycleOutcome] = field(default_factory=list)
@@ -175,8 +185,18 @@ def run_protocol(data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule) ->
 
     The register evolves under the noise Hamiltonian for total_time / cycles
     between cycles. With the dual-alternating strategy, cycles address the
-    two auxiliaries in turn so the idle one stays entangled throughout. A
-    measured 1 (or an impossible no-error branch in post-selected mode) sets
+    two auxiliaries in turn so the idle one stays entangled throughout.
+
+    Post-selected runs are computed in closed form rather than cycle by
+    cycle: the no-error branch of one cycle is a linear map, so the whole run
+    is its n-th power, taken by repeated squaring in O(log n) matrix
+    products together with the mass the cycles leak. Survival is 1 minus
+    that leaked mass, which keeps 1 - survival accurate at large n, and
+    cycle_log stays empty. A no-error branch below the ZeroProbabilityError
+    threshold in some cycle means detection is certain: survival is 0 and
+    the final state is the register just after that cycle's noise slice.
+
+    Stochastic runs sample each cycle's auxiliary. A measured 1 sets
     ``detected``; abort-on-detect stops the loop, reset-and-continue re-zeros
     the auxiliary, re-entangles, and keeps going.
     """
@@ -190,31 +210,32 @@ def run_protocol(data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule) ->
     encoded = encode(data, aux_count)
     hamiltonian = build_hamiltonian(noise, register_size)
     step = propagator(hamiltonian, schedule.interval)
-    rng = (
-        np.random.default_rng(schedule.seed)
-        if schedule.measurement_mode == MODE_STOCHASTIC
-        else None
-    )
+    if schedule.measurement_mode == MODE_POST_SELECTED:
+        survival, loss, detected, state = _post_selected(encoded, step, schedule.cycles)
+        return ProtocolResult(
+            survival_probability=survival,
+            loss_probability=loss,
+            final_fidelity=fidelity(state, encoded),
+            detected=detected,
+            final_state=state,
+        )
 
+    rng = np.random.default_rng(schedule.seed)
     state = encoded
-    survival = 1.0
     detected = False
     cycle_log: list[CycleOutcome] = []
     for k in range(schedule.cycles):
         state = apply_propagator(state, step)
         aux_q = 1 if aux_count == 1 else 1 + (k % 2)
         try:
-            outcome = zeno_cycle(state, 0, aux_q, schedule.measurement_mode, rng)
+            outcome = zeno_cycle(state, 0, aux_q, MODE_STOCHASTIC, rng)
         except ZeroProbabilityError:
-            # the no-error branch is impossible: detection is certain
-            survival = 0.0
+            # the sampled branch carries no probability: detection is certain
             detected = True
             break
         cycle_log.append(outcome)
         state = outcome.state_after
-        if schedule.measurement_mode == MODE_POST_SELECTED:
-            survival *= outcome.branch_probability
-        elif outcome.aux_outcome == 1:
+        if outcome.aux_outcome == 1:
             detected = True
             if schedule.abort_policy == ABORT_ON_DETECT:
                 break
@@ -222,15 +243,103 @@ def run_protocol(data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule) ->
             state = apply_single(state, PAULI_X, aux_q)
             state = apply_cnot(state, 0, aux_q)
 
-    if schedule.measurement_mode == MODE_STOCHASTIC:
-        survival = 0.0 if detected else 1.0
     return ProtocolResult(
-        survival_probability=survival,
+        survival_probability=0.0 if detected else 1.0,
+        loss_probability=1.0 if detected else 0.0,
         final_fidelity=fidelity(state, encoded),
         detected=detected,
         cycle_log=cycle_log,
         final_state=state,
     )
+
+
+def _post_selected(
+    encoded: StateVector, step: np.ndarray, cycles: int
+) -> tuple[float, float, bool, StateVector]:
+    """(survival, loss, detected, final state) of the no-error branch over
+    all cycles.
+
+    One cycle on auxiliary a is the pair (M, G): M = keep_a U maps the
+    register onto the no-error branch, and G = (Q_a U)^+ (Q_a U), with
+    Q_a = I - keep_a, is the Gram matrix of the mass it leaks, so a cycle
+    takes ||psi||^2 to ||M psi||^2 = ||psi||^2 - psi^+ G psi.
+    """
+    num_qubits = encoded.num_qubits
+    keeps = [_keep_mask(num_qubits, aux_q) for aux_q in range(1, num_qubits)]
+    pairs = []
+    for keep in keeps:
+        leaked = (1.0 - keep)[:, None] * step
+        pairs.append((keep[:, None] * step, leaked.conj().T @ leaked))
+    if len(pairs) == 1:
+        m, g = _pair_power(pairs[0], cycles)
+    else:
+        first, second = pairs
+        m, g = _pair_power(_compose(first, second), cycles // 2)
+        if cycles % 2:
+            m, g = _compose((m, g), first)
+
+    psi = encoded.amplitudes
+    kept_amps = m @ psi
+    kept = float(np.vdot(kept_amps, kept_amps).real)
+    if kept < _MIN_BRANCH_PROB:
+        # only here can a single cycle's branch have fallen below the
+        # threshold; replay the cycles to find out and to reproduce them
+        return _replay(encoded, step, keeps, cycles)
+    # the leaked mass keeps its relative precision where 1 - kept would not;
+    # past 1/2 the kept mass is the more precise of the two
+    loss = max(float(np.vdot(psi, g @ psi).real), 0.0)
+    survival = 1.0 - loss
+    if loss >= 0.5:
+        survival, loss = kept, 1.0 - kept
+    final = StateVector._checked(num_qubits, kept_amps / math.sqrt(kept))
+    return survival, loss, False, final
+
+
+def _keep_mask(num_qubits: int, aux_q: int) -> np.ndarray:
+    """Diagonal of CNOT(0, aux_q) P0(aux_q) CNOT(0, aux_q): 1 on the basis
+    states whose data and auxiliary bits agree, 0 elsewhere."""
+    p0 = np.zeros(1 << num_qubits)
+    p0[_outcome_indices(num_qubits, aux_q, 0)] = 1.0
+    return p0[_cnot_permutation(num_qubits, 0, aux_q)]
+
+
+def _compose(first, second):
+    """The pair of ``first`` followed by ``second``: the maps multiply, and
+    the second map's leak is seen through the first map."""
+    m1, g1 = first
+    m2, g2 = second
+    return m2 @ m1, g1 + m1.conj().T @ g2 @ m1
+
+
+def _pair_power(pair, power: int):
+    """``pair`` composed with itself ``power`` times, by repeated squaring."""
+    dim = pair[0].shape[0]
+    result = (np.eye(dim, dtype=complex), np.zeros((dim, dim), dtype=complex))
+    while power:
+        if power & 1:
+            result = _compose(result, pair)
+        power >>= 1
+        if power:
+            pair = _compose(pair, pair)
+    return result
+
+
+def _replay(
+    encoded: StateVector, step: np.ndarray, keeps: list[np.ndarray], cycles: int
+) -> tuple[float, float, bool, StateVector]:
+    """The no-error branch cycle by cycle with raw matvecs, renormalizing
+    after each projection as the per-cycle circuit does."""
+    psi = encoded.amplitudes
+    survival = 1.0
+    for k in range(cycles):
+        psi = step @ psi
+        kept_amps = keeps[k % len(keeps)] * psi
+        prob = float(np.vdot(kept_amps, kept_amps).real)
+        if prob < _MIN_BRANCH_PROB:
+            return 0.0, 1.0, True, StateVector._checked(encoded.num_qubits, psi)
+        survival *= min(prob, 1.0)
+        psi = kept_amps / math.sqrt(prob)
+    return survival, 1.0 - survival, False, StateVector._checked(encoded.num_qubits, psi)
 
 
 def decode(state: StateVector, aux_count: int) -> StateVector:

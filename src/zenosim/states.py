@@ -55,7 +55,7 @@ class StateVector:
             amps = np.zeros(dim, dtype=complex)
             amps[0] = 1.0
         else:
-            amps = np.array(amplitudes, dtype=complex).reshape(-1)
+            amps = _finite_amplitudes(amplitudes)
             if amps.size != dim:
                 raise ValueError(
                     f"expected {dim} amplitudes for {num_qubits} qubit(s), got {amps.size}"
@@ -73,9 +73,10 @@ class StateVector:
     def unit(cls, num_qubits: int, amplitudes) -> "StateVector":
         """Wrap amplitudes that must already have unit norm (no rescaling).
 
-        Raises NormDriftError if the norm is off by more than NORM_TOL.
+        Raises ValueError on non-finite amplitudes and NormDriftError if the
+        norm is off by more than NORM_TOL.
         """
-        return cls._checked(num_qubits, np.array(amplitudes, dtype=complex).reshape(-1))
+        return cls._checked(num_qubits, _finite_amplitudes(amplitudes))
 
     @classmethod
     def unnormalized(cls, num_qubits: int, amplitudes) -> "StateVector":
@@ -87,7 +88,7 @@ class StateVector:
     def _checked(cls, num_qubits: int, amps: np.ndarray) -> "StateVector":
         # fresh array, norm verified: the path for gate and evolution outputs
         drift = abs(np.linalg.norm(amps) - 1.0)
-        if drift > NORM_TOL:
+        if not drift <= NORM_TOL:  # a NaN drift fails too
             raise NormDriftError(f"norm drifted by {drift:.3e} (tolerance {NORM_TOL})")
         return cls._wrap(num_qubits, amps, normalized=True)
 
@@ -155,6 +156,13 @@ class MeasurementRecord:
     qubit_index: int
     outcome: int
     probability: float
+
+
+def _finite_amplitudes(amplitudes) -> np.ndarray:
+    amps = np.array(amplitudes, dtype=complex).reshape(-1)
+    if not np.isfinite(amps).all():
+        raise ValueError(f"amplitudes must be finite, got {amps}")
+    return amps
 
 
 def _check_num_qubits(num_qubits: int) -> None:

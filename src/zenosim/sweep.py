@@ -51,7 +51,8 @@ def derive_trial_seed(master_seed: int, n: int, trial: int) -> int:
 @dataclass
 class SweepRow:
     """One sweep point. wall_time_ms is measured and not reproducible; every
-    other field is a pure function of (config, seed)."""
+    other field is a pure function of (config, seed). A failed row has NaN
+    results and ``error`` says why, as "<ExceptionType>: <message>"."""
 
     n: int
     survival_probability: float
@@ -60,6 +61,7 @@ class SweepRow:
     analytic_reference: float
     wall_time_ms: float
     failed: bool = False
+    error: str | None = None
 
 
 @dataclass
@@ -99,7 +101,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
                 analytic_reference=reference,
                 wall_time_ms=(time.perf_counter() - start) * 1e3,
             )
-        except Exception:
+        except Exception as exc:
             row = SweepRow(
                 n=n,
                 survival_probability=math.nan,
@@ -108,6 +110,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
                 analytic_reference=reference,
                 wall_time_ms=(time.perf_counter() - start) * 1e3,
                 failed=True,
+                error=f"{type(exc).__name__}: {exc}",
             )
         rows.append(row)
     return SweepResult(rows=rows)

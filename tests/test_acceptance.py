@@ -3,12 +3,15 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 report. Every tolerance is pinned here; nothing is calibrated at runtime.
 """
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import zenosim
 from zenosim import (
     AUX_DUAL_ALTERNATING,
     ConvergencePoint,
@@ -235,12 +238,17 @@ def test_criterion_8_sweep_determinism(tmp_path):
         "seed = 20240811\n"
         f"output = {output}\n"
     )
+    # the child runs in tmp_path, so a relative PYTHONPATH would not find
+    # the package: point it at the directory zenosim was imported from
+    package_root = Path(zenosim.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(package_root)}
     captured = []
     for _ in range(2):
         proc = subprocess.run(
             [sys.executable, "-m", "zenosim", "sweep", str(config)],
             capture_output=True,
             cwd=tmp_path,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr.decode()
         captured.append(output.read_bytes())

@@ -36,6 +36,14 @@ class TestSweepCommand:
         path.write_text("lambda = 0.1, 0.1\ntotal_time = 1.0\nn_values = 8, 4\n")
         assert main(["sweep", str(path)]) == 1
         assert "strictly increasing" in capsys.readouterr().err
+        # non-finite values are configuration errors, named by their key
+        for key, lines in (
+            ("lambda", "lambda = nan, 0.1\n"),
+            ("alpha0_re", "lambda = 0.1, 0.1\nalpha0_re = nan\n"),
+        ):
+            path.write_text("total_time = 1.0\nn_values = 8\n" + lines)
+            assert main(["sweep", str(path)]) == 1
+            assert f"key '{key}'" in capsys.readouterr().err
 
     def test_unknown_key_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -54,6 +62,20 @@ class TestSweepCommand:
             f"output = {tmp_path}/no/such/dir/out.csv\n"
         )
         assert main(["sweep", str(config_path)]) == 2
+
+    def test_failed_row_reason_on_stderr(self, tmp_path, capsys, monkeypatch):
+        import zenosim.sweep as sweep_module
+
+        def failing(data, noise, schedule):
+            raise RuntimeError("synthetic protocol failure")
+
+        monkeypatch.setattr(sweep_module, "run_protocol", failing)
+        config_path, _ = write_config(tmp_path)
+        assert main(["sweep", str(config_path)]) == 2
+        captured = capsys.readouterr()
+        assert "n=4: FAILED" in captured.out
+        assert "synthetic" not in captured.out
+        assert "n=4: RuntimeError: synthetic protocol failure" in captured.err
 
     def test_keep_timings_flag(self, tmp_path):
         config_path, output = write_config(tmp_path)

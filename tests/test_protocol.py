@@ -1,9 +1,16 @@
 """Encoder, measurement cycle, scheduler, and decoder contracts."""
+import math
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zenosim import (
     AUX_DUAL_ALTERNATING,
+    AUX_SINGLE,
+    ConvergencePoint,
     MODE_POST_SELECTED,
     MODE_STOCHASTIC,
     RESET_AND_CONTINUE,
@@ -11,13 +18,17 @@ from zenosim import (
     StateVector,
     ZenoSchedule,
     ZeroProbabilityError,
+    apply_propagator,
     build_hamiltonian,
     decode,
     encode,
     evolve_exact,
     fidelity,
+    fit_inverse_n,
     new_state,
+    propagator,
     run_protocol,
+    single_qubit_survival,
     zeno_cycle,
 )
 import brute_force
@@ -241,6 +252,102 @@ class TestRunProtocol:
         expected = abs(0.36 * np.exp(-1j * phase) + 0.64) ** 2
         assert result.final_fidelity == pytest.approx(expected, abs=1e-12)
         assert result.final_fidelity < 1.0
+
+
+def per_cycle_reference(data, noise, schedule):
+    """The post-selected run stepped cycle by cycle through the public gates.
+
+    Returns (survival, detected, final state, encoded state, cycles completed).
+    """
+    aux_count = schedule.aux_count
+    encoded = encode(data, aux_count)
+    step = propagator(build_hamiltonian(noise, 1 + aux_count), schedule.interval)
+    state, survival = encoded, 1.0
+    for k in range(schedule.cycles):
+        state = apply_propagator(state, step)
+        try:
+            outcome = zeno_cycle(state, 0, 1 + k % aux_count)
+        except ZeroProbabilityError:
+            return 0.0, True, state, encoded, k
+        survival *= outcome.branch_probability
+        state = outcome.state_after
+    return survival, False, state, encoded, schedule.cycles
+
+
+class TestFusedPostSelectedEngine:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        strategy=st.sampled_from([AUX_SINGLE, AUX_DUAL_ALTERNATING]),
+        lam=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+        mu=st.lists(st.floats(0.0, 0.5), min_size=3, max_size=3),
+        amps=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+            lambda a: np.hypot.reduce(a) > 1e-3
+        ),
+        n=st.integers(1, 64),
+    )
+    def test_matches_per_cycle_reference(self, strategy, lam, mu, amps, n):
+        size = 2 if strategy == AUX_SINGLE else 3
+        data = new_state(1, [complex(amps[0], amps[1]), complex(amps[2], amps[3])])
+        noise = NoiseSpec(lam=tuple(lam[:size]), mu=tuple(mu[:size]))
+        schedule = ZenoSchedule(1.0, n, aux_strategy=strategy)
+        survival, detected, state, encoded, _ = per_cycle_reference(data, noise, schedule)
+        result = run_protocol(data, noise, schedule)
+        assert result.detected == detected
+        assert result.survival_probability == pytest.approx(survival, abs=1e-12)
+        assert result.loss_probability == pytest.approx(1.0 - survival, abs=1e-12)
+        assert result.final_fidelity == pytest.approx(fidelity(state, encoded), abs=1e-12)
+        overlap = np.vdot(result.final_state.amplitudes, state.amplitudes)
+        aligned = result.final_state.amplitudes * overlap / abs(overlap)
+        np.testing.assert_allclose(aligned, state.amplitudes, atol=1e-12)
+        assert result.cycle_log == []
+
+    @pytest.mark.parametrize(
+        "strategy, lam, total_time, cycles, failing_cycle",
+        [
+            # a quarter flip rotation of the data qubit before the only cycle
+            (AUX_SINGLE, (np.pi / 2, 0.0), 1.0, 1, 0),
+            # the second auxiliary's flip angle grows by pi/4 per slice; cycle
+            # 1 checks it first, when it has flipped completely
+            (AUX_DUAL_ALTERNATING, (0.0, 0.0, np.pi / 4), 4.0, 4, 1),
+        ],
+    )
+    def test_zero_branch_detects_like_the_per_cycle_loop(
+        self, strategy, lam, total_time, cycles, failing_cycle
+    ):
+        data = new_state(1, [0.6, 0.8])
+        noise = NoiseSpec(lam=lam)
+        schedule = ZenoSchedule(total_time, cycles, aux_strategy=strategy)
+        _, _, state, encoded, completed = per_cycle_reference(data, noise, schedule)
+        assert completed == failing_cycle
+        result = run_protocol(data, noise, schedule)
+        assert result.detected
+        assert result.survival_probability == 0.0
+        assert result.final_fidelity == pytest.approx(fidelity(state, encoded), abs=1e-15)
+        assert fidelity(result.final_state, state) == pytest.approx(1.0, abs=1e-12)
+
+    def test_large_n_loss_and_inverse_n_law(self):
+        start = time.perf_counter()
+        lam, total_time = 0.1, 1.0
+        data = new_state(1, [0.6, 0.8])
+        noise = NoiseSpec(lam=(lam, 0.0))
+
+        def exact_loss(n):
+            return -math.expm1(n * math.log1p(-math.sin(lam * total_time / n) ** 2))
+
+        for n in (2**20, 10**6):
+            result = run_protocol(data, noise, ZenoSchedule(total_time, n))
+            assert result.loss_probability == pytest.approx(exact_loss(n), rel=1e-9)
+            # a float survival this close to 1 holds its loss to half an ulp
+            assert 1.0 - result.survival_probability == pytest.approx(
+                exact_loss(n), abs=2.0**-53
+            )
+        points = []
+        for n in (2**k for k in range(10, 21)):
+            survival = run_protocol(data, noise, ZenoSchedule(total_time, n)).survival_probability
+            points.append(ConvergencePoint(n, survival, single_qubit_survival(lam, total_time, n)))
+        slope, _ = fit_inverse_n(points)
+        assert -1.001 <= slope <= -0.999
+        assert time.perf_counter() - start < 1.0
 
 
 class TestDecode:

@@ -6,10 +6,12 @@ from zenosim import (
     HADAMARD,
     PAULI_X,
     Gate2x2,
+    NormDriftError,
     StateVector,
     ZeroProbabilityError,
     append_aux,
     apply_cnot,
+    apply_propagator,
     apply_single,
     fidelity,
     measure_qubit,
@@ -46,6 +48,18 @@ class TestNewState:
     def test_capacity(self):
         with pytest.raises(ValueError, match="num_qubits"):
             new_state(5)
+
+    def test_non_finite_amplitudes_rejected(self):
+        for bad in ([np.nan, 1], [np.inf, 0], [1, complex(0, np.nan)]):
+            with pytest.raises(ValueError, match="finite"):
+                StateVector(1, bad)
+            with pytest.raises(ValueError, match="finite"):
+                StateVector.unit(1, bad)
+
+    def test_nan_norm_is_drift(self):
+        # a NaN norm fails the drift check instead of passing it
+        with pytest.raises(NormDriftError, match="nan"):
+            apply_propagator(new_state(1), np.full((2, 2), np.nan))
 
     def test_amplitudes_are_read_only(self):
         state = new_state(1, [1, 0])

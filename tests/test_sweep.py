@@ -110,6 +110,7 @@ class TestRunSweep:
         result = run_sweep(make_config())
         assert [row.n for row in result.rows] == [8, 16, 32]
         assert [row.failed for row in result.rows] == [False, True, False]
+        assert result.rows[1].error == "RuntimeError: synthetic protocol failure"
         assert np.isnan(result.rows[1].survival_probability)
         # the reference column is independent of the protocol and survives
         assert result.rows[1].analytic_reference == single_qubit_survival(0.1, 1.0, 16)
