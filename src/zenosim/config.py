@@ -14,7 +14,10 @@ Schema (one line per key, `#` starts a comment, lists are comma-separated):
     mode                    string  post-selected | stochastic (default post-selected)
     abort_policy            string  abort-on-detect | reset-and-continue
                                     (default abort-on-detect)
-    trials                  int     >= 1, used in stochastic mode (default 1)
+    trials                  int     >= 1, used in stochastic mode (default 1);
+                                    a stochastic sweep asks for at most
+                                    MAX_STOCHASTIC_CYCLES cycles in all
+                                    (the sum of n over n_values, times trials)
     seed                    int     unsigned 64-bit master seed (default 0)
     output                  string  CSV destination (default sweep.csv)
 
@@ -29,12 +32,18 @@ from .protocol import (
     ABORT_POLICIES,
     AUX_STRATEGIES,
     MEASUREMENT_MODES,
+    MODE_STOCHASTIC,
     AUX_SINGLE,
 )
 from .noise import NoiseSpec
 from .states import StateVector
 
 _MAX_SEED = (1 << 64) - 1
+
+#: cycles a stochastic sweep may ask for, sum(n_values) * trials: about 60
+#: times the 20 000-trial, 8-cycle consistency check. Post-selected runs cost
+#: O(log n) and are not bounded.
+MAX_STOCHASTIC_CYCLES = 10_000_000
 
 _FLOAT_KEYS = {"alpha0_re", "alpha0_im", "alpha1_re", "alpha1_im", "total_time"}
 _INT_KEYS = {"trials", "seed"}
@@ -134,6 +143,11 @@ def parse_config(text: str) -> ExperimentConfig:
     trials = values.get("trials", 1)
     if trials < 1:
         raise ConfigError(f"key 'trials' must be >= 1, got {trials}")
+    if mode == MODE_STOCHASTIC and sum(n_values) * trials > MAX_STOCHASTIC_CYCLES:
+        raise ConfigError(
+            f"keys 'n_values' and 'trials' ask for {sum(n_values) * trials} stochastic cycles "
+            f"(sum of n times trials), more than {MAX_STOCHASTIC_CYCLES}"
+        )
     seed = values.get("seed", 0)
     if not 0 <= seed <= _MAX_SEED:
         raise ConfigError(f"key 'seed' must be an unsigned 64-bit integer, got {seed}")

@@ -75,7 +75,7 @@ class HermitianOperator:
         if dim < 2 or dim & (dim - 1) != 0:
             raise ValueError(f"dimension must be a power of two >= 2, got {dim}")
         defect = np.max(np.abs(m - m.conj().T))
-        if defect > HERMITIAN_TOL:
+        if not defect <= HERMITIAN_TOL:  # a NaN defect fails too
             raise ValueError(f"matrix is not Hermitian (deviation {defect:.3e})")
         m.flags.writeable = False
         self.matrix = m

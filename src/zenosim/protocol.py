@@ -11,6 +11,7 @@ that the protection failed.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,7 @@ from .states import (
     ZeroProbabilityError,
     _cnot_permutation,
     _outcome_indices,
+    _outcome_probability,
     append_aux,
     apply_cnot,
     apply_single,
@@ -45,6 +47,12 @@ ABORT_POLICIES = (ABORT_ON_DETECT, RESET_AND_CONTINUE)
 
 #: residual auxiliary amplitude tolerated when decoding
 DECODE_TOL = 1e-9
+
+#: nodes an outcome tree keeps, about 1.3 KiB each for a 3-qubit register
+MAX_TREE_NODES = 1 << 14
+#: uniforms a stochastic trial draws at a time, so a long trial holds no
+#: O(n) array of them
+DRAW_BLOCK = 256
 
 
 @dataclass
@@ -196,10 +204,150 @@ def run_protocol(data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule) ->
     threshold in some cycle means detection is certain: survival is 0 and
     the final state is the register just after that cycle's noise slice.
 
-    Stochastic runs sample each cycle's auxiliary. A measured 1 sets
-    ``detected``; abort-on-detect stops the loop, reset-and-continue re-zeros
-    the auxiliary, re-entangles, and keeps going.
+    A stochastic run is one trial of :func:`sample_trials`, seeded with
+    ``schedule.seed``: each cycle's auxiliary is sampled, and a measured 1
+    sets ``detected``. Abort-on-detect stops there; reset-and-continue
+    re-zeros the auxiliary, re-entangles, and keeps going. cycle_log holds
+    the outcome of every cycle the trial completed. A sampled branch below
+    the ZeroProbabilityError threshold also detects, and ends the run with
+    the register just after that cycle's noise slice.
     """
+    if schedule.measurement_mode == MODE_STOCHASTIC:
+        steps: list[CycleOutcome | None] = []
+        trial = _OutcomeTree(data, noise, schedule).sample(schedule.seed, steps)
+        return ProtocolResult(
+            survival_probability=0.0 if trial.detected else 1.0,
+            loss_probability=1.0 if trial.detected else 0.0,
+            final_fidelity=trial.final_fidelity,
+            detected=trial.detected,
+            cycle_log=[cycle for cycle in steps if cycle is not None],
+            final_state=trial.state,
+        )
+    encoded, step = _prepare(data, noise, schedule)
+    survival, loss, detected, state = _post_selected(encoded, step, schedule.cycles)
+    return ProtocolResult(
+        survival_probability=survival,
+        loss_probability=loss,
+        final_fidelity=fidelity(state, encoded),
+        detected=detected,
+        final_state=state,
+    )
+
+
+def sample_trials(
+    data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule, seeds: Iterable[int]
+) -> Iterator[HistoryNode]:
+    """Run one stochastic trial per seed; yield each trial's final node.
+
+    Trial t draws one uniform per cycle from ``default_rng(seeds[t])``
+    (``schedule.seed`` is not used) and measures 1 in a cycle when its draw
+    is below that cycle's Born probability of 1, exactly as
+    :func:`zeno_cycle` samples. A trial's register depends only on its
+    outcome history, so all trials walk one shared tree of histories whose
+    nodes are built, with the same gate calls as the per-cycle circuit, the
+    first time a trial reaches them. Encoding and the propagator are built
+    once. Under abort-on-detect every running trial sits on the single
+    no-error path; under reset-and-continue trials share history prefixes.
+    The tree holds at most MAX_TREE_NODES nodes; past that, nodes are built
+    for the trial at hand and dropped after it.
+    """
+    if schedule.measurement_mode != MODE_STOCHASTIC:
+        raise ValueError("sample_trials needs a stochastic schedule")
+    tree = _OutcomeTree(data, noise, schedule)
+    return map(tree.sample, seeds)
+
+
+class HistoryNode:
+    """A node of the outcome tree: the register after a history of cycle
+    outcomes, as the per-cycle circuit leaves it.
+
+    A trial ends on a node that has completed every cycle, that measured 1
+    under abort-on-detect, or that a zero-probability branch ended (its
+    ``cycle`` is None and ``state`` is the register after that cycle's noise
+    slice); such a node also holds ``final_fidelity``, the fidelity of
+    ``state`` with the noiseless encoded register. A running node holds what
+    the next cycle needs: the register after the noise slice, the
+    disentangled register, and its Born probability of measuring 1.
+    """
+
+    __slots__ = (
+        "state", "cycle", "depth", "detected", "done", "final_fidelity",
+        "noisy", "disentangled", "aux_q", "p_one", "children",
+    )
+
+    def __init__(self, state, cycle, depth, detected, done):
+        self.state = state
+        self.cycle = cycle
+        self.depth = depth
+        self.detected = detected
+        self.done = done
+        self.children = [None, None]
+
+
+class _OutcomeTree:
+    """The shared tree of outcome histories for one (data, noise, schedule)."""
+
+    def __init__(self, data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule):
+        self.encoded, self.step = _prepare(data, noise, schedule)
+        self.cycles = schedule.cycles
+        self.aux_count = schedule.aux_count
+        self.reset = schedule.abort_policy == RESET_AND_CONTINUE
+        self.size = 0
+        self.root = self._node(self.encoded, None, 0, False)
+
+    def sample(self, seed: int, steps: list | None = None) -> HistoryNode:
+        """Walk one trial's draws down the tree to the node it ends on. If
+        ``steps`` is given, append the ``cycle`` of every node passed."""
+        rng = np.random.default_rng(seed)
+        node = self.root
+        while not node.done:
+            for u in rng.random(min(self.cycles - node.depth, DRAW_BLOCK)).tolist():
+                outcome = 1 if u < node.p_one else 0
+                node = node.children[outcome] or self._child(node, outcome)
+                if steps is not None:
+                    steps.append(node.cycle)
+                if node.done:
+                    break
+        return node
+
+    def _node(self, state, cycle, depth, detected, done=False) -> HistoryNode:
+        node = HistoryNode(state, cycle, depth, detected, done or depth == self.cycles)
+        if node.done:
+            node.final_fidelity = fidelity(state, self.encoded)
+        else:
+            node.noisy = apply_propagator(state, self.step)
+            node.aux_q = 1 if self.aux_count == 1 else 1 + (depth % 2)
+            node.disentangled = apply_cnot(node.noisy, 0, node.aux_q)
+            node.p_one = _outcome_probability(node.disentangled, node.aux_q, 1)
+        return node
+
+    def _child(self, node: HistoryNode, outcome: int) -> HistoryNode:
+        """Build the node one cycle below ``node`` for ``outcome``, and keep
+        it while the tree has room."""
+        aux_q, depth = node.aux_q, node.depth + 1
+        try:
+            prob, collapsed = project_qubit(node.disentangled, aux_q, outcome)
+        except ZeroProbabilityError:
+            # the sampled branch carries no probability: detection is certain
+            child = self._node(node.noisy, None, depth, True, done=True)
+        else:
+            if outcome == 0:
+                cycle = CycleOutcome(0, prob, apply_cnot(collapsed, 0, aux_q))
+                child = self._node(cycle.state_after, cycle, depth, node.detected)
+            elif self.reset:
+                # re-zero the measured auxiliary, re-entangle, keep going
+                state = apply_cnot(apply_single(collapsed, PAULI_X, aux_q), 0, aux_q)
+                child = self._node(state, CycleOutcome(1, prob, collapsed), depth, True)
+            else:
+                child = self._node(collapsed, CycleOutcome(1, prob, collapsed), depth, True, done=True)
+        if self.size < MAX_TREE_NODES:
+            node.children[outcome] = child
+            self.size += 1
+        return child
+
+
+def _prepare(data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule):
+    """(encoded register, propagator of one noise slice) for a run."""
     aux_count = schedule.aux_count
     register_size = 1 + aux_count
     if noise.num_qubits != register_size:
@@ -209,48 +357,7 @@ def run_protocol(data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule) ->
         )
     encoded = encode(data, aux_count)
     hamiltonian = build_hamiltonian(noise, register_size)
-    step = propagator(hamiltonian, schedule.interval)
-    if schedule.measurement_mode == MODE_POST_SELECTED:
-        survival, loss, detected, state = _post_selected(encoded, step, schedule.cycles)
-        return ProtocolResult(
-            survival_probability=survival,
-            loss_probability=loss,
-            final_fidelity=fidelity(state, encoded),
-            detected=detected,
-            final_state=state,
-        )
-
-    rng = np.random.default_rng(schedule.seed)
-    state = encoded
-    detected = False
-    cycle_log: list[CycleOutcome] = []
-    for k in range(schedule.cycles):
-        state = apply_propagator(state, step)
-        aux_q = 1 if aux_count == 1 else 1 + (k % 2)
-        try:
-            outcome = zeno_cycle(state, 0, aux_q, MODE_STOCHASTIC, rng)
-        except ZeroProbabilityError:
-            # the sampled branch carries no probability: detection is certain
-            detected = True
-            break
-        cycle_log.append(outcome)
-        state = outcome.state_after
-        if outcome.aux_outcome == 1:
-            detected = True
-            if schedule.abort_policy == ABORT_ON_DETECT:
-                break
-            # reset-and-continue: re-zero the measured auxiliary, re-entangle
-            state = apply_single(state, PAULI_X, aux_q)
-            state = apply_cnot(state, 0, aux_q)
-
-    return ProtocolResult(
-        survival_probability=0.0 if detected else 1.0,
-        loss_probability=1.0 if detected else 0.0,
-        final_fidelity=fidelity(state, encoded),
-        detected=detected,
-        cycle_log=cycle_log,
-        final_state=state,
-    )
+    return encoded, propagator(hamiltonian, schedule.interval)
 
 
 def _post_selected(

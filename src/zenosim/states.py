@@ -134,7 +134,7 @@ class Gate2x2:
         if m.shape != (2, 2):
             raise ValueError(f"gate must be a 2x2 matrix, got shape {m.shape}")
         defect = np.max(np.abs(m @ m.conj().T - np.eye(2)))
-        if defect > GATE_TOL:
+        if not defect <= GATE_TOL:  # a NaN defect fails too
             raise ValueError(f"gate is not unitary (G G+ deviates from I by {defect:.3e})")
         m.flags.writeable = False
         self.matrix = m
@@ -248,6 +248,13 @@ def project_qubit(state: StateVector, target: int, outcome: int) -> tuple[float,
     return min(prob, 1.0), StateVector._trusted(n, collapsed)
 
 
+def _outcome_probability(state: StateVector, target: int, outcome: int) -> float:
+    """Born probability of one outcome, without collapsing: the value
+    project_qubit reports for the same branch."""
+    branch = state.amplitudes[_outcome_indices(state.num_qubits, int(target), int(outcome))]
+    return float(np.real(np.vdot(branch, branch)))
+
+
 def measure_qubit(
     state: StateVector, target: int, rng: np.random.Generator
 ) -> tuple[MeasurementRecord, StateVector]:
@@ -257,9 +264,7 @@ def measure_qubit(
     identical outcome sequences.
     """
     _check_target(state, target)
-    ones = state.amplitudes[_outcome_indices(state.num_qubits, int(target), 1)]
-    p_one = float(np.real(np.vdot(ones, ones)))
-    outcome = 1 if rng.random() < p_one else 0
+    outcome = 1 if rng.random() < _outcome_probability(state, target, 1) else 0
     prob, collapsed = project_qubit(state, target, outcome)
     return MeasurementRecord(int(target), outcome, prob), collapsed
 

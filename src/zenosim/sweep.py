@@ -1,9 +1,13 @@
 """Sweep runner and CSV writer.
 
-One row per cycle count n. Post-selected mode runs the protocol once per n;
-stochastic mode runs `trials` independent protocol executions per n, each
-with a seed derived from (master seed, n, trial) through a splitmix64-style
-mixer, so any single trial can be reproduced without replaying the others.
+One row per cycle count n. Post-selected mode runs the protocol once per n.
+Stochastic mode samples `trials` independent trials per n, each drawing
+from a seed derived from (master seed, n, trial) through a splitmix64-style
+mixer, so any single trial can be reproduced without replaying the others:
+`run_protocol` with that seed gives the same outcome. The trials of one n
+share a single encoding, propagator and tree of outcome histories
+(`protocol.sample_trials`), so each register state along a history is
+computed once, however many trials pass through it.
 
 The CSV is a byte-reproducible artifact: (config, seed) determines every
 written byte. Because measured wall time cannot satisfy that, the
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .analysis import single_qubit_survival
 from .config import ExperimentConfig
-from .protocol import MODE_STOCHASTIC, ZenoSchedule, run_protocol
+from .protocol import MODE_STOCHASTIC, ZenoSchedule, run_protocol, sample_trials
 
 CSV_COLUMNS = (
     "n",
@@ -79,16 +83,17 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
         reference = single_qubit_survival(config.lam[0], config.total_time, n)
         start = time.perf_counter()
         try:
+            schedule = ZenoSchedule(
+                total_time=config.total_time,
+                cycles=n,
+                aux_strategy=config.aux_strategy,
+                measurement_mode=config.mode,
+                seed=config.seed,
+                abort_policy=config.abort_policy,
+            )
             if config.mode == MODE_STOCHASTIC:
-                survival, fidelity_mean, detection = _stochastic_point(config, data, noise, n)
+                survival, fidelity_mean, detection = _stochastic_point(config, data, noise, schedule)
             else:
-                schedule = ZenoSchedule(
-                    total_time=config.total_time,
-                    cycles=n,
-                    aux_strategy=config.aux_strategy,
-                    measurement_mode=config.mode,
-                    abort_policy=config.abort_policy,
-                )
                 result = run_protocol(data, noise, schedule)
                 survival = result.survival_probability
                 fidelity_mean = result.final_fidelity
@@ -116,25 +121,19 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     return SweepResult(rows=rows)
 
 
-def _stochastic_point(config, data, noise, n) -> tuple[float, float, float]:
+def _stochastic_point(config, data, noise, schedule) -> tuple[float, float, float]:
+    """(survival rate, mean fidelity of the survivors, detection rate) over
+    config.trials trials, all sampled against one outcome tree."""
+    seeds = (derive_trial_seed(config.seed, schedule.cycles, t) for t in range(config.trials))
     survivors = 0
     detections = 0
     fidelity_sum = 0.0
-    for trial in range(config.trials):
-        schedule = ZenoSchedule(
-            total_time=config.total_time,
-            cycles=n,
-            aux_strategy=config.aux_strategy,
-            measurement_mode=config.mode,
-            seed=derive_trial_seed(config.seed, n, trial),
-            abort_policy=config.abort_policy,
-        )
-        result = run_protocol(data, noise, schedule)
-        if result.detected:
+    for trial in sample_trials(data, noise, schedule, seeds):
+        if trial.detected:
             detections += 1
-        if result.survival_probability == 1.0:
+        else:
             survivors += 1
-            fidelity_sum += result.final_fidelity
+            fidelity_sum += trial.final_fidelity
     survival = survivors / config.trials
     fidelity_mean = fidelity_sum / survivors if survivors else math.nan
     return survival, fidelity_mean, detections / config.trials

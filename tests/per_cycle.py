@@ -1,0 +1,101 @@
+"""The per-cycle stochastic engine, kept as the reference the shared-tree
+engine (``zenosim.protocol.sample_trials``) is checked against.
+
+``run_stochastic`` steps one trial cycle by cycle through ``zeno_cycle``,
+drawing one scalar uniform per cycle; ``stochastic_point`` runs a sweep
+row's trials one by one through it, each with its own schedule. Both are
+the engine zenosim used before trials shared an outcome tree, and the new
+engine must reproduce them exactly, float for float.
+"""
+import math
+
+import numpy as np
+
+from zenosim import (
+    ABORT_ON_DETECT,
+    PAULI_X,
+    MODE_STOCHASTIC,
+    ProtocolResult,
+    ZenoSchedule,
+    ZeroProbabilityError,
+    apply_cnot,
+    apply_propagator,
+    apply_single,
+    build_hamiltonian,
+    derive_trial_seed,
+    encode,
+    fidelity,
+    propagator,
+    zeno_cycle,
+)
+
+
+def run_stochastic(data, noise, schedule) -> ProtocolResult:
+    """One stochastic run of ``schedule``, seeded with ``schedule.seed``."""
+    aux_count = schedule.aux_count
+    register_size = 1 + aux_count
+    if noise.num_qubits != register_size:
+        raise ValueError(
+            f"noise spec covers {noise.num_qubits} qubit(s) but the encoded register has "
+            f"{register_size} ({aux_count} auxiliaries)"
+        )
+    encoded = encode(data, aux_count)
+    hamiltonian = build_hamiltonian(noise, register_size)
+    step = propagator(hamiltonian, schedule.interval)
+
+    rng = np.random.default_rng(schedule.seed)
+    state = encoded
+    detected = False
+    cycle_log = []
+    for k in range(schedule.cycles):
+        state = apply_propagator(state, step)
+        aux_q = 1 if aux_count == 1 else 1 + (k % 2)
+        try:
+            outcome = zeno_cycle(state, 0, aux_q, MODE_STOCHASTIC, rng)
+        except ZeroProbabilityError:
+            # the sampled branch carries no probability: detection is certain
+            detected = True
+            break
+        cycle_log.append(outcome)
+        state = outcome.state_after
+        if outcome.aux_outcome == 1:
+            detected = True
+            if schedule.abort_policy == ABORT_ON_DETECT:
+                break
+            # reset-and-continue: re-zero the measured auxiliary, re-entangle
+            state = apply_single(state, PAULI_X, aux_q)
+            state = apply_cnot(state, 0, aux_q)
+
+    return ProtocolResult(
+        survival_probability=0.0 if detected else 1.0,
+        loss_probability=1.0 if detected else 0.0,
+        final_fidelity=fidelity(state, encoded),
+        detected=detected,
+        cycle_log=cycle_log,
+        final_state=state,
+    )
+
+
+def stochastic_point(config, data, noise, n) -> tuple[float, float, float]:
+    """(survival rate, mean survivor fidelity, detection rate) of one sweep row."""
+    survivors = 0
+    detections = 0
+    fidelity_sum = 0.0
+    for trial in range(config.trials):
+        schedule = ZenoSchedule(
+            total_time=config.total_time,
+            cycles=n,
+            aux_strategy=config.aux_strategy,
+            measurement_mode=config.mode,
+            seed=derive_trial_seed(config.seed, n, trial),
+            abort_policy=config.abort_policy,
+        )
+        result = run_stochastic(data, noise, schedule)
+        if result.detected:
+            detections += 1
+        if result.survival_probability == 1.0:
+            survivors += 1
+            fidelity_sum += result.final_fidelity
+    survival = survivors / config.trials
+    fidelity_mean = fidelity_sum / survivors if survivors else math.nan
+    return survival, fidelity_mean, detections / config.trials

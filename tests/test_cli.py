@@ -1,4 +1,6 @@
 """Command-line surface: subcommands, exit codes, output artifacts."""
+import time
+
 import pytest
 
 from zenosim.cli import main
@@ -44,6 +46,26 @@ class TestSweepCommand:
             path.write_text("total_time = 1.0\nn_values = 8\n" + lines)
             assert main(["sweep", str(path)]) == 1
             assert f"key '{key}'" in capsys.readouterr().err
+
+    def test_unbounded_stochastic_sweep_exits_at_once(self, tmp_path, capsys, monkeypatch):
+        import zenosim.cli as cli_module
+
+        def never(config):
+            raise AssertionError("the sweep must not start")
+
+        # were the bound missing, the sweep would run for hours
+        monkeypatch.setattr(cli_module, "run_sweep", never)
+        path = tmp_path / "huge.cfg"
+        path.write_text(
+            "lambda = 0.1, 0.1\ntotal_time = 1.0\nn_values = 1000000000\nmode = stochastic\n"
+            f"output = {tmp_path / 'huge.csv'}\n"
+        )
+        start = time.perf_counter()
+        assert main(["sweep", str(path)]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "'n_values'" in err and "'trials'" in err
+        assert not (tmp_path / "huge.csv").exists()
 
     def test_unknown_key_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

@@ -2,6 +2,7 @@
 import pytest
 
 from zenosim import ConfigError, parse_config
+from zenosim.config import MAX_STOCHASTIC_CYCLES
 
 MINIMAL = """
 lambda = 0.1, 0.1
@@ -107,6 +108,17 @@ class TestRejections:
     def test_zero_trials(self):
         with pytest.raises(ConfigError, match="trials"):
             parse_config(MINIMAL + "trials = 0\n")
+
+    def test_stochastic_cycles_bounded(self):
+        # sum(n_values) * trials = (8 + 16) * 416667 is one trial over the bound
+        assert 24 * 416_666 <= MAX_STOCHASTIC_CYCLES < 24 * 416_667
+        parse_config(MINIMAL + "mode = stochastic\ntrials = 416666\n")
+        with pytest.raises(ConfigError, match="'n_values' and 'trials'"):
+            parse_config(MINIMAL + "mode = stochastic\ntrials = 416667\n")
+
+    def test_post_selected_cycles_unbounded(self):
+        big = MINIMAL.replace("n_values = 8, 16", "n_values = 1000000000")
+        assert parse_config(big).n_values == (1_000_000_000,)
 
     def test_seed_range(self):
         with pytest.raises(ConfigError, match="seed"):

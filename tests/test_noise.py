@@ -66,6 +66,11 @@ class TestBuildHamiltonian:
         with pytest.raises(ValueError, match="not Hermitian"):
             HermitianOperator([[0, 1], [0, 0]])
 
+    def test_nan_operator_rejected(self):
+        # a NaN Hermiticity defect compares False against any tolerance
+        with pytest.raises(ValueError, match="not Hermitian"):
+            HermitianOperator([[np.nan, 0], [0, 1]])
+
 
 class TestEvolveExact:
     def test_flip_generator_closed_form(self):

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zenosim.protocol as protocol_module
 from zenosim import (
+    ABORT_ON_DETECT,
     AUX_DUAL_ALTERNATING,
     AUX_SINGLE,
     ConvergencePoint,
@@ -16,22 +18,30 @@ from zenosim import (
     RESET_AND_CONTINUE,
     NoiseSpec,
     StateVector,
+    SweepResult,
+    SweepRow,
     ZenoSchedule,
     ZeroProbabilityError,
     apply_propagator,
     build_hamiltonian,
     decode,
+    derive_trial_seed,
     encode,
     evolve_exact,
     fidelity,
     fit_inverse_n,
     new_state,
+    parse_config,
     propagator,
     run_protocol,
+    run_sweep,
     single_qubit_survival,
+    write_csv,
     zeno_cycle,
 )
+from zenosim.protocol import DRAW_BLOCK, sample_trials
 import brute_force
+import per_cycle
 from conftest import random_state
 
 
@@ -348,6 +358,206 @@ class TestFusedPostSelectedEngine:
         slope, _ = fit_inverse_n(points)
         assert -1.001 <= slope <= -0.999
         assert time.perf_counter() - start < 1.0
+
+
+class ScriptedGenerator:
+    """Stands in for ``np.random.default_rng(seed)``: hands out fixed
+    uniforms in order, one at a time or in blocks."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def random(self, size=None):
+        if size is None:
+            return self.draws.pop(0)
+        block, self.draws = self.draws[:size], self.draws[size:]
+        return np.array(block)
+
+
+def script_draws(monkeypatch, draws):
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: ScriptedGenerator(draws))
+
+
+def assert_same_run(result, reference):
+    """Exact equality of two protocol results, cycle log included."""
+    assert result.detected == reference.detected
+    assert result.survival_probability == reference.survival_probability
+    assert result.loss_probability == reference.loss_probability
+    assert result.final_fidelity == reference.final_fidelity
+    assert np.array_equal(result.final_state.amplitudes, reference.final_state.amplitudes)
+    assert len(result.cycle_log) == len(reference.cycle_log)
+    for got, want in zip(result.cycle_log, reference.cycle_log):
+        assert got.aux_outcome == want.aux_outcome
+        assert got.branch_probability == want.branch_probability
+        assert np.array_equal(got.state_after.amplitudes, want.state_after.amplitudes)
+
+
+def stochastic_config(strategy, policy, lam, mu, amps, n_values, trials, seed, total_time=1.0):
+    size = 2 if strategy == AUX_SINGLE else 3
+    return parse_config(
+        f"alpha0_re = {amps[0]!r}\nalpha0_im = {amps[1]!r}\n"
+        f"alpha1_re = {amps[2]!r}\nalpha1_im = {amps[3]!r}\n"
+        "lambda = " + ", ".join(repr(x) for x in lam[:size]) + "\n"
+        "mu = " + ", ".join(repr(x) for x in mu[:size]) + "\n"
+        f"total_time = {total_time!r}\n"
+        "n_values = " + ", ".join(str(n) for n in n_values) + "\n"
+        f"aux_strategy = {strategy}\nmode = stochastic\nabort_policy = {policy}\n"
+        f"trials = {trials}\nseed = {seed}\n"
+    )
+
+
+def assert_matches_per_cycle_engine(config):
+    """The sweep rows, and run_protocol on every trial seed, equal the
+    per-cycle engine's float for float."""
+    data, noise = config.data_state(), config.noise_spec()
+    for row, n in zip(run_sweep(config).rows, config.n_values):
+        assert not row.failed, row.error
+        want = per_cycle.stochastic_point(config, data, noise, n)
+        got = (row.survival_probability, row.mean_post_selected_fidelity, row.detection_rate)
+        assert np.array_equal(got, want, equal_nan=True)
+        for trial in range(config.trials):
+            schedule = ZenoSchedule(
+                config.total_time,
+                n,
+                aux_strategy=config.aux_strategy,
+                measurement_mode=MODE_STOCHASTIC,
+                seed=derive_trial_seed(config.seed, n, trial),
+                abort_policy=config.abort_policy,
+            )
+            assert_same_run(
+                run_protocol(data, noise, schedule), per_cycle.run_stochastic(data, noise, schedule)
+            )
+
+
+class TestSharedTreeEngine:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        strategy=st.sampled_from([AUX_SINGLE, AUX_DUAL_ALTERNATING]),
+        policy=st.sampled_from([ABORT_ON_DETECT, RESET_AND_CONTINUE]),
+        lam=st.lists(st.floats(0.0, 1.5), min_size=3, max_size=3),
+        mu=st.lists(st.floats(0.0, 0.5), min_size=3, max_size=3),
+        amps=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+            lambda a: np.hypot.reduce(a) > 1e-3
+        ),
+        n=st.integers(1, 32),
+        trials=st.integers(1, 50),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_matches_per_cycle_engine(self, strategy, policy, lam, mu, amps, n, trials, seed):
+        config = stochastic_config(strategy, policy, lam, mu, amps, (n,), trials, seed)
+        assert_matches_per_cycle_engine(config)
+
+    @pytest.mark.parametrize("policy", [ABORT_ON_DETECT, RESET_AND_CONTINUE])
+    def test_certain_detection(self, policy):
+        # a quarter flip rotation of the data qubit before the only cycle:
+        # the auxiliary reads 1 with probability 1 - 4e-16
+        config = stochastic_config(
+            AUX_SINGLE, policy, (np.pi / 2, 0.0), (0.0, 0.0), (0.6, 0.0, 0.8, 0.0), (1,), 20, 5
+        )
+        assert run_sweep(config).rows[0].detection_rate == 1.0
+        assert_matches_per_cycle_engine(config)
+
+    def test_draws_cross_block_boundaries(self):
+        # more cycles than one block of draws holds, with an auxiliary
+        # reading 1 in about one cycle of ten throughout
+        n = DRAW_BLOCK + 44
+        config = stochastic_config(
+            AUX_DUAL_ALTERNATING, RESET_AND_CONTINUE, (0.9, 0.6, 0.3), (0.1, 0.2, 0.0),
+            (0.6, 0.0, 0.0, 0.8), (n,), 3, 11, total_time=100.0,
+        )
+        assert_matches_per_cycle_engine(config)
+        schedule = ZenoSchedule(100.0, n, aux_strategy=AUX_DUAL_ALTERNATING,
+                                measurement_mode=MODE_STOCHASTIC, seed=11,
+                                abort_policy=RESET_AND_CONTINUE)
+        late = [c.aux_outcome for c in run_protocol(config.data_state(), config.noise_spec(),
+                                                    schedule).cycle_log[DRAW_BLOCK:]]
+        assert 1 in late
+
+    def test_block_draws_equal_scalar_draws(self):
+        for seed in (0, 42, 2**64 - 1):
+            block, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn = block.random(7).tolist() + block.random(DRAW_BLOCK).tolist()
+            assert drawn == [scalar.random() for _ in range(7 + DRAW_BLOCK)]
+
+    def test_full_tree_drops_nodes_but_not_results(self, monkeypatch):
+        monkeypatch.setattr(protocol_module, "MAX_TREE_NODES", 3)
+        config = stochastic_config(
+            AUX_SINGLE, RESET_AND_CONTINUE, (1.2, 0.4), (0.0, 0.0), (0.6, 0.0, 0.8, 0.0),
+            (16,), 20, 3,
+        )
+        assert_matches_per_cycle_engine(config)
+        schedule = ZenoSchedule(1.0, 16, measurement_mode=MODE_STOCHASTIC, seed=0,
+                                abort_policy=RESET_AND_CONTINUE)
+        tree = protocol_module._OutcomeTree(config.data_state(), config.noise_spec(), schedule)
+        for seed in range(20):
+            tree.sample(seed)
+        assert tree.size == 3
+
+    @pytest.mark.parametrize(
+        "lam, draws, failing_cycle",
+        [
+            # measured 0 although the no-error branch holds ~1e-33
+            ((np.pi / 2, 0.0), [1.0 - 2.0**-53], 0),
+            # measured 1 although the failure branch holds ~1e-17
+            ((1e-8, 0.0), [0.5, 0.0, 0.5], 1),
+        ],
+    )
+    def test_zero_probability_branch_detects(self, monkeypatch, lam, draws, failing_cycle):
+        data = new_state(1, [0.6, 0.8])
+        noise = NoiseSpec(lam=lam)
+        schedule = ZenoSchedule(1.0, len(draws), measurement_mode=MODE_STOCHASTIC, seed=0)
+        script_draws(monkeypatch, draws)
+        reference = per_cycle.run_stochastic(data, noise, schedule)
+        assert reference.detected and len(reference.cycle_log) == failing_cycle
+        script_draws(monkeypatch, draws)
+        assert_same_run(run_protocol(data, noise, schedule), reference)
+
+    def test_draw_equal_to_born_probability_measures_zero(self, monkeypatch):
+        data = new_state(1, [0.6, 0.8])
+        noise = NoiseSpec.flip(0.3, 2)
+        schedule = ZenoSchedule(1.0, 2, measurement_mode=MODE_STOCHASTIC, seed=0)
+        script_draws(monkeypatch, [0.0, 0.0])
+        p_one = per_cycle.run_stochastic(data, noise, schedule).cycle_log[0].branch_probability
+        script_draws(monkeypatch, [p_one, 0.5])
+        reference = per_cycle.run_stochastic(data, noise, schedule)
+        assert [c.aux_outcome for c in reference.cycle_log] == [0, 0]
+        script_draws(monkeypatch, [p_one, 0.5])
+        assert_same_run(run_protocol(data, noise, schedule), reference)
+
+    def test_criterion_8_csv_is_byte_identical(self, tmp_path):
+        # the configuration of acceptance criterion 8
+        config = stochastic_config(
+            AUX_SINGLE, ABORT_ON_DETECT, (0.1, 0.1), (0.0, 0.0), (0.6, 0.0, 0.8, 0.0),
+            (4, 8), 150, 20240811,
+        )
+        data, noise = config.data_state(), config.noise_spec()
+        reference = SweepResult(
+            rows=[
+                SweepRow(n, *per_cycle.stochastic_point(config, data, noise, n),
+                         single_qubit_survival(0.1, 1.0, n), 0.0)
+                for n in config.n_values
+            ]
+        )
+        paths = [tmp_path / name for name in ("engine-a.csv", "engine-b.csv", "reference.csv")]
+        write_csv(run_sweep(config), paths[0])
+        write_csv(run_sweep(config), paths[1])
+        write_csv(reference, paths[2])
+        assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+
+    def test_engine_builds_the_propagator_once(self, monkeypatch):
+        calls = []
+        real = protocol_module.propagator
+        monkeypatch.setattr(
+            protocol_module, "propagator", lambda *a: calls.append(a) or real(*a)
+        )
+        schedule = ZenoSchedule(1.0, 8, measurement_mode=MODE_STOCHASTIC, seed=0)
+        trials = list(sample_trials(new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.3, 2), schedule,
+                                    range(100)))
+        assert len(trials) == 100 and len(calls) == 1
+
+    def test_rejects_post_selected_schedule(self):
+        with pytest.raises(ValueError, match="stochastic"):
+            sample_trials(new_state(1), NoiseSpec.zero(2), ZenoSchedule(1.0, 2), [0])
 
 
 class TestDecode:

@@ -85,6 +85,11 @@ class TestGates:
         with pytest.raises(ValueError, match="not unitary"):
             Gate2x2([[1, 0], [0, 2]])
 
+    def test_nan_gate_rejected(self):
+        # a NaN unitarity defect compares False against any tolerance
+        with pytest.raises(ValueError, match="not unitary"):
+            Gate2x2([[np.nan, 0], [0, 1]])
+
     def test_target_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             apply_single(new_state(1), PAULI_X, 1)
