@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from .sweep import run_sweep, write_csv
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for every subcommand; ``main`` keeps its own."""
     parser = argparse.ArgumentParser(
         prog="zenosim",
         description="Measurement-based qubit error avoidance: simulator and experiment harness.",
@@ -165,9 +167,15 @@ def _cmd_limit(args) -> int:
     return 0
 
 
+@cache
+def _main_parser() -> argparse.ArgumentParser:
+    # building the parser costs about as much as a sweep of eight small
+    # rows; parse_args leaves it unchanged, and no caller can reach this copy
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _main_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -102,7 +102,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
     alpha0 = complex(values.get("alpha0_re", 1.0), values.get("alpha0_im", 0.0))
     alpha1 = complex(values.get("alpha1_re", 0.0), values.get("alpha1_im", 0.0))
-    if abs(alpha0) ** 2 + abs(alpha1) ** 2 < 1e-12:
+    # hypot cannot overflow where squaring the amplitudes would
+    if math.hypot(alpha0.real, alpha0.imag, alpha1.real, alpha1.imag) < 1e-6:
         raise ConfigError(
             "amplitudes alpha0_re/alpha0_im/alpha1_re/alpha1_im are not normalizable (all zero)"
         )

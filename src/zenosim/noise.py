@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,6 +23,10 @@ HERMITIAN_TOL = 1e-12
 
 #: truncation bound for the series fallback of the propagator
 SERIES_TOL = 1e-12
+
+#: Hamiltonians build_hamiltonian keeps: the rows of one sweep share one
+#: entry, and callers that interleave a few noise specs keep theirs too
+HAMILTONIAN_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -63,9 +68,14 @@ class NoiseSpec:
 
 
 class HermitianOperator:
-    """A 2**k x 2**k complex matrix equal to its conjugate transpose."""
+    """A 2**k x 2**k complex matrix equal to its conjugate transpose.
 
-    __slots__ = ("matrix",)
+    The operator is immutable: ``matrix`` is a read-only array that cannot be
+    rebound, so its eigendecomposition, computed on first use, never goes
+    stale.
+    """
+
+    __slots__ = ("_matrix", "_spectrum")
 
     def __init__(self, matrix):
         m = np.array(matrix, dtype=complex)
@@ -78,11 +88,28 @@ class HermitianOperator:
         if not defect <= HERMITIAN_TOL:  # a NaN defect fails too
             raise ValueError(f"matrix is not Hermitian (deviation {defect:.3e})")
         m.flags.writeable = False
-        self.matrix = m
+        self._matrix = m
+        self._spectrum = None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self._matrix
+
+    @property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(w, v, v^+) with H = v diag(w) v^+, from one ``eigh`` on first
+        use; the arrays are read-only."""
+        if self._spectrum is None:
+            w, v = np.linalg.eigh(self._matrix)
+            vh = v.conj().T
+            for a in (w, v, vh):
+                a.flags.writeable = False
+            self._spectrum = (w, v, vh)
+        return self._spectrum
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self._matrix.shape[0]
 
     @property
     def num_qubits(self) -> int:
@@ -92,8 +119,16 @@ class HermitianOperator:
         return f"HermitianOperator(dim={self.dim})"
 
 
+@lru_cache(maxsize=HAMILTONIAN_CACHE_SIZE)
 def build_hamiltonian(spec: NoiseSpec, num_qubits: int) -> HermitianOperator:
-    """Assemble H = sum_i (lam_i X_i + mu_i P0_i) on ``num_qubits`` qubits."""
+    """Assemble H = sum_i (lam_i X_i + mu_i P0_i) on ``num_qubits`` qubits.
+
+    Results are cached per (spec, num_qubits), so repeated calls with one
+    spec share one operator and one eigendecomposition. NoiseSpec is frozen
+    and holds finite floats only; the one pair of distinct specs that compare
+    equal, +0.0 against -0.0 in an entry, builds the same matrix, because
+    every entry is accumulated onto a +0.0.
+    """
     if spec.num_qubits != num_qubits:
         raise ValueError(
             f"noise spec covers {spec.num_qubits} qubit(s) but the register has {num_qubits}"
@@ -121,8 +156,8 @@ def propagator(h: HermitianOperator, t: float, method: str = "eigh") -> np.ndarr
     if t == 0.0:
         return np.eye(h.dim, dtype=complex)
     if method == "eigh":
-        w, v = np.linalg.eigh(h.matrix)
-        return (v * np.exp(-1j * w * t)) @ v.conj().T
+        w, v, vh = h.spectrum
+        return (v * np.exp(-1j * w * t)) @ vh
     if method == "series":
         return _series_propagator(h.matrix, t)
     raise ValueError(f"unknown method {method!r} (expected 'eigh' or 'series')")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -214,7 +215,8 @@ def run_protocol(data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule) ->
     """
     if schedule.measurement_mode == MODE_STOCHASTIC:
         steps: list[CycleOutcome | None] = []
-        trial = _OutcomeTree(data, noise, schedule).sample(schedule.seed, steps)
+        # one trial never revisits a node, so the tree links none
+        trial = _OutcomeTree(data, noise, schedule, capacity=0).sample(schedule.seed, steps)
         return ProtocolResult(
             survival_probability=0.0 if trial.detected else 1.0,
             loss_probability=1.0 if trial.detected else 0.0,
@@ -285,13 +287,24 @@ class HistoryNode:
 
 
 class _OutcomeTree:
-    """The shared tree of outcome histories for one (data, noise, schedule)."""
+    """The shared tree of outcome histories for one (data, noise, schedule).
 
-    def __init__(self, data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule):
+    It links at most ``capacity`` nodes below the root (MAX_TREE_NODES when
+    None); the others are built for the trial at hand and dropped after it.
+    """
+
+    def __init__(
+        self,
+        data: StateVector,
+        noise: NoiseSpec,
+        schedule: ZenoSchedule,
+        capacity: int | None = None,
+    ):
         self.encoded, self.step = _prepare(data, noise, schedule)
         self.cycles = schedule.cycles
         self.aux_count = schedule.aux_count
         self.reset = schedule.abort_policy == RESET_AND_CONTINUE
+        self.capacity = MAX_TREE_NODES if capacity is None else capacity
         self.size = 0
         self.root = self._node(self.encoded, None, 0, False)
 
@@ -340,7 +353,7 @@ class _OutcomeTree:
                 child = self._node(state, CycleOutcome(1, prob, collapsed), depth, True)
             else:
                 child = self._node(collapsed, CycleOutcome(1, prob, collapsed), depth, True, done=True)
-        if self.size < MAX_TREE_NODES:
+        if self.size < self.capacity:
             node.children[outcome] = child
             self.size += 1
         return child
@@ -372,18 +385,21 @@ def _post_selected(
     takes ||psi||^2 to ||M psi||^2 = ||psi||^2 - psi^+ G psi.
     """
     num_qubits = encoded.num_qubits
-    keeps = [_keep_mask(num_qubits, aux_q) for aux_q in range(1, num_qubits)]
+    masks = _cycle_masks(num_qubits)
     pairs = []
-    for keep in keeps:
-        leaked = (1.0 - keep)[:, None] * step
+    for keep, leak in masks:
+        leaked = leak[:, None] * step
         pairs.append((keep[:, None] * step, leaked.conj().T @ leaked))
     if len(pairs) == 1:
         m, g = _pair_power(pairs[0], cycles)
     else:
         first, second = pairs
-        m, g = _pair_power(_compose(first, second), cycles // 2)
-        if cycles % 2:
-            m, g = _compose((m, g), first)
+        if cycles == 1:
+            m, g = first
+        else:
+            m, g = _pair_power(_compose(first, second), cycles // 2)
+            if cycles % 2:
+                m, g = _compose((m, g), first)
 
     psi = encoded.amplitudes
     kept_amps = m @ psi
@@ -391,7 +407,7 @@ def _post_selected(
     if kept < _MIN_BRANCH_PROB:
         # only here can a single cycle's branch have fallen below the
         # threshold; replay the cycles to find out and to reproduce them
-        return _replay(encoded, step, keeps, cycles)
+        return _replay(encoded, step, [keep for keep, _ in masks], cycles)
     # the leaked mass keeps its relative precision where 1 - kept would not;
     # past 1/2 the kept mass is the more precise of the two
     loss = max(float(np.vdot(psi, g @ psi).real), 0.0)
@@ -402,12 +418,22 @@ def _post_selected(
     return survival, loss, False, final
 
 
-def _keep_mask(num_qubits: int, aux_q: int) -> np.ndarray:
-    """Diagonal of CNOT(0, aux_q) P0(aux_q) CNOT(0, aux_q): 1 on the basis
-    states whose data and auxiliary bits agree, 0 elsewhere."""
-    p0 = np.zeros(1 << num_qubits)
-    p0[_outcome_indices(num_qubits, aux_q, 0)] = 1.0
-    return p0[_cnot_permutation(num_qubits, 0, aux_q)]
+@lru_cache(maxsize=None)
+def _cycle_masks(num_qubits: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(keep, leak) diagonals of the cycle on each auxiliary 1..num_qubits-1,
+    read-only. keep is the diagonal of CNOT(0, a) P0(a) CNOT(0, a): 1 on the
+    basis states whose data and auxiliary bits agree, 0 elsewhere; leak is
+    1 - keep."""
+    masks = []
+    for aux_q in range(1, num_qubits):
+        p0 = np.zeros(1 << num_qubits)
+        p0[_outcome_indices(num_qubits, aux_q, 0)] = 1.0
+        keep = p0[_cnot_permutation(num_qubits, 0, aux_q)]
+        leak = 1.0 - keep
+        keep.flags.writeable = False
+        leak.flags.writeable = False
+        masks.append((keep, leak))
+    return tuple(masks)
 
 
 def _compose(first, second):
@@ -419,16 +445,16 @@ def _compose(first, second):
 
 
 def _pair_power(pair, power: int):
-    """``pair`` composed with itself ``power`` times, by repeated squaring."""
-    dim = pair[0].shape[0]
-    result = (np.eye(dim, dtype=complex), np.zeros((dim, dim), dtype=complex))
-    while power:
+    """``pair`` composed with itself ``power`` >= 1 times, by repeated
+    squaring."""
+    result = None  # the first factor is taken as is, not composed with (I, 0)
+    while True:
         if power & 1:
-            result = _compose(result, pair)
+            result = pair if result is None else _compose(result, pair)
         power >>= 1
-        if power:
-            pair = _compose(pair, pair)
-    return result
+        if not power:
+            return result
+        pair = _compose(pair, pair)
 
 
 def _replay(

@@ -60,7 +60,13 @@ class StateVector:
                 raise ValueError(
                     f"expected {dim} amplitudes for {num_qubits} qubit(s), got {amps.size}"
                 )
-            norm = np.linalg.norm(amps)
+            with np.errstate(over="ignore"):
+                norm = np.linalg.norm(amps)
+            if not np.isfinite(norm):
+                # the squares overflowed: scale by the largest component
+                # first, which leaves ordinary inputs' floats untouched
+                amps = amps / np.max(np.abs(amps.view(float)))
+                norm = np.linalg.norm(amps)
             if norm < _ZERO_NORM:
                 raise ValueError("cannot normalize a zero-norm amplitude vector")
             amps = amps / norm

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from zenosim.cli import main
+from zenosim.cli import build_parser, main
 
 GOOD_CONFIG = """
 alpha0_re = 0.6
@@ -104,6 +104,31 @@ class TestSweepCommand:
         assert main(["sweep", str(config_path), "--keep-timings"]) == 0
         last_field = output.read_text().splitlines()[1].split(",")[-1]
         assert float(last_field) > 0.0
+
+    def test_calls_carry_no_state(self, tmp_path):
+        config_path, output = write_config(tmp_path)
+        assert main(["sweep", str(config_path), "--keep-timings"]) == 0
+        assert main(["sweep", str(config_path)]) == 0
+        rows = output.read_text().splitlines()[1:]
+        assert len(rows) == 2 and all(row.endswith(",0") for row in rows)
+
+    def test_changing_a_built_parser_does_not_reach_main(self, tmp_path, capsys):
+        parser = build_parser()
+        assert parser is not build_parser()
+        parser.add_argument("--extra", required=True)
+        parser.set_defaults(func=lambda args: 99)
+        config_path, _ = write_config(tmp_path)
+        assert main(["sweep", str(config_path)]) == 0
+        assert "wrote" in capsys.readouterr().out
+
+    def test_huge_amplitudes_are_normalised(self, tmp_path):
+        csv = []
+        for value in ("1", "1e308"):
+            text = GOOD_CONFIG.replace("0.6", value).replace("0.8", value)
+            config_path, output = write_config(tmp_path, text, name=f"{value}.cfg")
+            assert main(["sweep", str(config_path)]) == 0
+            csv.append(output.read_bytes())
+        assert csv[0] == csv[1]
 
 
 class TestDemos:

@@ -1,5 +1,7 @@
 """Configuration document parsing and validation."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zenosim import ConfigError, parse_config
 from zenosim.config import MAX_STOCHASTIC_CYCLES
@@ -137,3 +139,55 @@ class TestRejections:
     def test_comments_and_blank_lines_ignored(self):
         config = parse_config("# comment\n\n" + MINIMAL + "seed = 3  # inline\n")
         assert config.seed == 3
+
+
+# value text for the property test: mostly well-formed values, so documents
+# get past the early checks, else extreme or non-finite floats, integers too
+# long for int(), or junk
+_EDGE_TEXT = st.sampled_from(
+    ["nan", "-inf", "1e999", "-1e308", "5e-324", "-1", "0", "18446744073709551616"]
+) | st.integers(4000, 5000).map(lambda digits: "9" * digits) | st.text(max_size=12)
+
+
+def _mostly(valid):
+    # hypothesis draws 0 far more often than 1/16, so 0 must not pick the edge
+    return st.integers(0, 15).flatmap(lambda k: _EDGE_TEXT if k == 15 else valid)
+
+
+_FLOAT_TEXT = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_FLOATS_TEXT = st.lists(_FLOAT_TEXT, min_size=2, max_size=3).map(", ".join)
+_VALUE_TEXT = {
+    "lambda": _mostly(_FLOATS_TEXT),
+    "mu": _mostly(_FLOATS_TEXT),
+    "n_values": _mostly(
+        st.lists(st.integers(1, 10**6), min_size=1, max_size=4, unique=True)
+        .map(lambda ns: ", ".join(map(str, sorted(ns))))
+    ),
+    "total_time": _mostly(st.floats(min_value=0.0, allow_infinity=False).map(repr)),
+    "aux_strategy": _mostly(st.sampled_from(["single", "dual-alternating"])),
+    "mode": _mostly(st.sampled_from(["post-selected", "stochastic"])),
+    "abort_policy": _mostly(st.sampled_from(["abort-on-detect", "reset-and-continue"])),
+    "trials": _mostly(st.integers(1, 100).map(str)),
+    "seed": _mostly(st.integers(0, 2**64 - 1).map(str)),
+    "output": _mostly(st.text("ab/._-", min_size=1, max_size=12)),
+    **{key: _mostly(_FLOAT_TEXT) for key in ("alpha0_re", "alpha0_im", "alpha1_re", "alpha1_im")},
+}
+_REQUIRED = ("lambda", "total_time", "n_values")
+_DOCUMENTS = st.builds(
+    lambda values, last_line: "\n".join([f"{k} = {v}" for k, v in values.items()] + [last_line]),
+    st.fixed_dictionaries(
+        {key: _VALUE_TEXT[key] for key in _REQUIRED},
+        optional={key: text for key, text in _VALUE_TEXT.items() if key not in _REQUIRED},
+    ),
+    _mostly(st.just("")),
+)
+
+
+class TestArbitraryDocuments:
+    @settings(max_examples=200, deadline=None)
+    @given(_DOCUMENTS)
+    def test_only_config_errors(self, text):
+        try:
+            parse_config(text)
+        except ConfigError:
+            pass

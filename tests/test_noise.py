@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+import zenosim.noise as noise_module
+
 from zenosim import (
     HermitianOperator,
     NoiseSpec,
@@ -70,6 +72,44 @@ class TestBuildHamiltonian:
         # a NaN Hermiticity defect compares False against any tolerance
         with pytest.raises(ValueError, match="not Hermitian"):
             HermitianOperator([[np.nan, 0], [0, 1]])
+
+
+class TestComputedOnce:
+    def test_spectrum_is_computed_once_and_read_only(self, monkeypatch, rng):
+        calls = []
+        real = noise_module.np.linalg.eigh
+        monkeypatch.setattr(
+            noise_module.np.linalg, "eigh", lambda m: calls.append(m) or real(m)
+        )
+        h = build_hamiltonian.__wrapped__(random_spec(3, rng), 3)  # a fresh operator
+        first = propagator(h, 0.25)
+        second = propagator(h, 0.5)
+        assert len(calls) == 1
+        w, v = real(h.matrix)
+        assert np.array_equal(first, (v * np.exp(-0.25j * w)) @ v.conj().T)
+        assert np.array_equal(second, (v * np.exp(-0.5j * w)) @ v.conj().T)
+        for array in (h.matrix, *h.spectrum):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        with pytest.raises(AttributeError):
+            h.matrix = np.zeros((8, 8))
+
+    def test_equal_specs_share_one_operator(self, rng):
+        spec = random_spec(2, rng)
+        h = build_hamiltonian(spec, 2)
+        assert build_hamiltonian(NoiseSpec(lam=spec.lam, mu=spec.mu), 2) is h
+        for k in range(2 * build_hamiltonian.cache_info().maxsize):
+            build_hamiltonian(NoiseSpec.flip(0.01 * k, 2), 2)
+        info = build_hamiltonian.cache_info()
+        assert info.currsize == info.maxsize == noise_module.HAMILTONIAN_CACHE_SIZE
+
+    def test_signed_zero_specs_build_the_same_matrix(self):
+        # +0.0 == -0.0, so the cache hands either spec the other's operator
+        plus, minus = NoiseSpec((0.0, 0.3), (0.2, 0.0)), NoiseSpec((-0.0, 0.3), (0.2, -0.0))
+        assert plus == minus
+        built = [build_hamiltonian.__wrapped__(spec, 2).matrix.tobytes() for spec in (plus, minus)]
+        assert built[0] == built[1]
 
 
 class TestEvolveExact:

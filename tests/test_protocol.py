@@ -559,6 +559,61 @@ class TestSharedTreeEngine:
         with pytest.raises(ValueError, match="stochastic"):
             sample_trials(new_state(1), NoiseSpec.zero(2), ZenoSchedule(1.0, 2), [0])
 
+    def test_single_trial_links_no_nodes(self, monkeypatch):
+        trees = []
+
+        class RecordingTree(protocol_module._OutcomeTree):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                trees.append(self)
+
+        monkeypatch.setattr(protocol_module, "_OutcomeTree", RecordingTree)
+        schedule = ZenoSchedule(4.0, 500, aux_strategy=AUX_DUAL_ALTERNATING,
+                                measurement_mode=MODE_STOCHASTIC, seed=3,
+                                abort_policy=RESET_AND_CONTINUE)
+        noise = NoiseSpec((0.4, 0.3, 0.2), (0.2, 0.1, 0.0))
+        result = run_protocol(new_state(1, [0.6, 0.8]), noise, schedule)
+        assert len(result.cycle_log) == 500
+        (tree,) = trees
+        assert tree.size == 0 and tree.root.children == [None, None]
+
+
+class TestInvariantsComputedOnce:
+    def test_cycle_masks_are_cached_and_read_only(self):
+        for num_qubits in (2, 3):
+            masks = protocol_module._cycle_masks(num_qubits)
+            assert protocol_module._cycle_masks(num_qubits) is masks
+            assert len(masks) == num_qubits - 1
+            for keep, leak in masks:
+                assert np.array_equal(keep + leak, np.ones(1 << num_qubits))
+                for mask in (keep, leak):
+                    with pytest.raises(ValueError):
+                        mask[0] = 0.5
+
+    @pytest.mark.parametrize(
+        "strategy, mode, n",
+        [
+            (AUX_SINGLE, MODE_POST_SELECTED, 1),
+            (AUX_SINGLE, MODE_POST_SELECTED, 37),
+            (AUX_DUAL_ALTERNATING, MODE_POST_SELECTED, 1),
+            (AUX_DUAL_ALTERNATING, MODE_POST_SELECTED, 64),
+            (AUX_DUAL_ALTERNATING, MODE_POST_SELECTED, 65),
+            (AUX_DUAL_ALTERNATING, MODE_STOCHASTIC, 40),
+        ],
+    )
+    def test_warm_cache_matches_cold(self, strategy, mode, n):
+        size = 2 if strategy == AUX_SINGLE else 3
+        noise = NoiseSpec((0.7, 0.5, 0.3)[:size], (0.2, 0.0, 0.1)[:size])
+        schedule = ZenoSchedule(2.0, n, aux_strategy=strategy, measurement_mode=mode, seed=9,
+                                abort_policy=RESET_AND_CONTINUE)
+        data = new_state(1, [0.6, 0.8j])
+        build_hamiltonian.cache_clear()
+        cold = run_protocol(data, noise, schedule)
+        warm = run_protocol(data, noise, schedule)
+        build_hamiltonian.cache_clear()
+        assert_same_run(warm, cold)
+        assert_same_run(run_protocol(data, noise, schedule), cold)
+
 
 class TestDecode:
     def test_round_trip_random(self, rng):

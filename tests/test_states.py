@@ -56,6 +56,14 @@ class TestNewState:
             with pytest.raises(ValueError, match="finite"):
                 StateVector.unit(1, bad)
 
+    def test_overflowing_norm_is_rescaled(self):
+        # the squares overflow to inf; without rescaling the state reads 0
+        state = StateVector(1, [1e308, 1e308])
+        assert np.array_equal(state.amplitudes, StateVector(1, [1, 1]).amplitudes)
+        extreme = StateVector(2, [1.7e308 + 1.7e308j, -1.7e308, 0, 1e-300])
+        assert extreme.norm == pytest.approx(1.0, abs=1e-15)
+        assert abs(extreme.amplitudes[0]) == pytest.approx(np.sqrt(2 / 3))
+
     def test_nan_norm_is_drift(self):
         # a NaN norm fails the drift check instead of passing it
         with pytest.raises(NormDriftError, match="nan"):

@@ -96,6 +96,24 @@ class TestRunSweep:
             assert a.mean_post_selected_fidelity == b.mean_post_selected_fidelity
             assert a.detection_rate == b.detection_rate
 
+    def test_one_eigendecomposition_per_config(self, monkeypatch):
+        import zenosim.noise as noise_module
+
+        calls = []
+        real = noise_module.np.linalg.eigh
+        monkeypatch.setattr(
+            noise_module.np.linalg, "eigh", lambda m: calls.append(m) or real(m)
+        )
+        noise_module.build_hamiltonian.cache_clear()
+        config = make_config(
+            **{"lambda": "0.3, 0.2, 0.1", "mu": "0.1, 0.0, 0.2",
+               "aux_strategy": "dual-alternating", "n_values": "1, 2, 3, 4, 5, 6, 7, 8"}
+        )
+        for _ in range(2):
+            rows = run_sweep(config).rows
+            assert len(rows) == 8 and not any(row.failed for row in rows)
+        assert len(calls) == 1
+
     def test_protocol_failure_marks_row_but_keeps_the_rest(self, monkeypatch):
         import zenosim.sweep as sweep_module
 
