@@ -6,135 +6,24 @@ coherent-drift noise with rapid auxiliary measurements, and checks the
 resulting survival and fidelity against closed-form references and a
 repetition-code baseline.
 """
-from .states import (
-    HADAMARD,
-    IDENTITY,
-    MAX_QUBITS,
-    PAULI_X,
-    PAULI_Z,
-    Gate2x2,
-    MeasurementRecord,
-    NormDriftError,
-    StateVector,
-    ZeroProbabilityError,
-    append_aux,
-    apply_cnot,
-    apply_single,
-    fidelity,
-    ket_string,
-    measure_qubit,
-    new_state,
-    project_qubit,
-)
-from .noise import (
-    HermitianOperator,
-    NoiseSpec,
-    apply_propagator,
-    build_hamiltonian,
-    evolve_exact,
-    evolve_first_order,
-    expansion_defect,
-    propagator,
-)
-from .protocol import (
-    ABORT_ON_DETECT,
-    AUX_DUAL_ALTERNATING,
-    AUX_SINGLE,
-    MODE_POST_SELECTED,
-    MODE_STOCHASTIC,
-    RESET_AND_CONTINUE,
-    CycleOutcome,
-    ProtocolResult,
-    ZenoSchedule,
-    decode,
-    encode,
-    run_protocol,
-    zeno_cycle,
-)
-from .analysis import (
-    ConvergencePoint,
-    OutOfRegimeWarning,
-    fit_inverse_n,
-    single_qubit_survival,
-    zeno_limit_formula,
-)
-from .repetition import (
-    EpsilonReport,
-    evolve_repetition,
-    majority_vote_round,
-    syndrome_branches,
-)
-from .config import ConfigError, ExperimentConfig, parse_config
-from .sweep import (
-    CSV_COLUMNS,
-    SweepResult,
-    SweepRow,
-    derive_trial_seed,
-    mix64,
-    run_sweep,
-    write_csv,
-)
+from .states import *
+from .noise import *
+from .protocol import *
+from .analysis import *
+from .repetition import *
+from .config import *
+from .sweep import *
+from . import analysis, config, noise, protocol, repetition, states, sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "HADAMARD",
-    "IDENTITY",
-    "MAX_QUBITS",
-    "PAULI_X",
-    "PAULI_Z",
-    "Gate2x2",
-    "MeasurementRecord",
-    "NormDriftError",
-    "StateVector",
-    "ZeroProbabilityError",
-    "append_aux",
-    "apply_cnot",
-    "apply_single",
-    "fidelity",
-    "ket_string",
-    "measure_qubit",
-    "new_state",
-    "project_qubit",
-    "HermitianOperator",
-    "NoiseSpec",
-    "apply_propagator",
-    "build_hamiltonian",
-    "evolve_exact",
-    "evolve_first_order",
-    "expansion_defect",
-    "propagator",
-    "ABORT_ON_DETECT",
-    "AUX_DUAL_ALTERNATING",
-    "AUX_SINGLE",
-    "MODE_POST_SELECTED",
-    "MODE_STOCHASTIC",
-    "RESET_AND_CONTINUE",
-    "CycleOutcome",
-    "ProtocolResult",
-    "ZenoSchedule",
-    "decode",
-    "encode",
-    "run_protocol",
-    "zeno_cycle",
-    "ConvergencePoint",
-    "OutOfRegimeWarning",
-    "fit_inverse_n",
-    "single_qubit_survival",
-    "zeno_limit_formula",
-    "EpsilonReport",
-    "evolve_repetition",
-    "majority_vote_round",
-    "syndrome_branches",
-    "ConfigError",
-    "ExperimentConfig",
-    "parse_config",
-    "CSV_COLUMNS",
-    "SweepResult",
-    "SweepRow",
-    "derive_trial_seed",
-    "mix64",
-    "run_sweep",
-    "write_csv",
+    *states.__all__,
+    *noise.__all__,
+    *protocol.__all__,
+    *analysis.__all__,
+    *repetition.__all__,
+    *config.__all__,
+    *sweep.__all__,
     "__version__",
 ]

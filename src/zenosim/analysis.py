@@ -7,6 +7,11 @@ limit law into a measurable 1/n rate.
 """
 from __future__ import annotations
 
+__all__ = [
+    "ConvergencePoint", "OutOfRegimeWarning", "fit_inverse_n", "single_qubit_survival",
+    "zeno_limit_formula",
+]
+
 import math
 import warnings
 from dataclasses import dataclass
@@ -41,7 +46,7 @@ def zeno_limit_formula(c: float, n: int) -> float:
     Requires c >= 0 and c/n^2 < 1; out-of-regime input is clamped to 0 and
     flagged with OutOfRegimeWarning.
     """
-    if c < 0:
+    if not c >= 0:  # a NaN c fails too
         raise ValueError(f"c must be >= 0, got {c!r}")
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")

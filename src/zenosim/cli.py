@@ -115,9 +115,14 @@ def _cmd_zeno_demo(args) -> int:
 
 
 def _cmd_repetition_demo(args) -> int:
-    data = StateVector(1)  # |0>
-    noise = NoiseSpec.flip(args.lam, 3)
-    _, report = evolve_repetition(data, noise, args.t)
+    try:
+        noise = NoiseSpec.flip(args.lam, 3)
+    except ValueError as exc:
+        raise ConfigError(f"--lambda: {exc}") from None
+    try:
+        _, report = evolve_repetition(StateVector(1), noise, args.t)  # data |0>
+    except ValueError as exc:
+        raise ConfigError(f"--t: {exc}") from None
     print(f"repetition register after flip drift lambda={args.lam:g}, t={args.t:g}:")
     for pattern, amplitude in report.as_dict().items():
         kind = "code word" if pattern in ("000", "111") else "leakage  "
@@ -128,7 +133,10 @@ def _cmd_repetition_demo(args) -> int:
 
 
 def _cmd_expansion_check(args) -> int:
-    rng = np.random.default_rng(args.seed)
+    try:
+        rng = np.random.default_rng(args.seed)
+    except ValueError as exc:
+        raise ConfigError(f"--seed: {exc}") from None
     spec = NoiseSpec(lam=tuple(rng.uniform(0.3, 1.5, 2)), mu=tuple(rng.uniform(0.3, 1.5, 2)))
     h = build_hamiltonian(spec, 2)
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -150,10 +158,7 @@ def _cmd_limit(args) -> int:
     except ValueError:
         print(f"config error: --n expects comma-separated integers, got '{args.n}'", file=sys.stderr)
         return 1
-    if args.c < 0:
-        print(f"config error: --c must be >= 0, got {args.c}", file=sys.stderr)
-        return 1
-    print(f"{'n':>8}  {'(1 - c/n^2)^n':>16}")
+    lines = [f"{'n':>8}  {'(1 - c/n^2)^n':>16}"]
     for n in ns:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", OutOfRegimeWarning)
@@ -163,7 +168,8 @@ def _cmd_limit(args) -> int:
                 print(f"config error: {exc}", file=sys.stderr)
                 return 1
             flag = "  (out of regime, clamped)" if caught else ""
-        print(f"{n:>8}  {value:>16.12f}{flag}")
+        lines.append(f"{n:>8}  {value:>16.12f}{flag}")
+    print("\n".join(lines))
     return 0
 
 

@@ -1,6 +1,7 @@
 """Experiment configuration: a flat `key = value` document.
 
-Schema (one line per key, `#` starts a comment, lists are comma-separated):
+Schema (one line per key, `#` starts a comment, lists are comma-separated
+and nonempty):
 
     alpha0_re, alpha0_im    float   data amplitude on |0>   (default 1, 0)
     alpha1_re, alpha1_im    float   data amplitude on |1>   (default 0, 0)
@@ -9,7 +10,7 @@ Schema (one line per key, `#` starts a comment, lists are comma-separated):
                                     (2 for single, 3 for dual-alternating)
     mu                      floats  per-qubit diagonal energy (default zeros)
     total_time              float   required, >= 0
-    n_values                ints    required, nonempty, strictly increasing
+    n_values                ints    required, >= 1, strictly increasing
     aux_strategy            string  single | dual-alternating (default single)
     mode                    string  post-selected | stochastic (default post-selected)
     abort_policy            string  abort-on-detect | reset-and-continue
@@ -25,16 +26,12 @@ Unknown keys are always fatal, as are duplicates.
 """
 from __future__ import annotations
 
+__all__ = ["ConfigError", "ExperimentConfig", "parse_config"]
+
 import math
 from dataclasses import dataclass
 
-from .protocol import (
-    ABORT_POLICIES,
-    AUX_STRATEGIES,
-    MEASUREMENT_MODES,
-    MODE_STOCHASTIC,
-    AUX_SINGLE,
-)
+from .protocol import ABORT_ON_DETECT, AUX_SINGLE, MODE_POST_SELECTED, MODE_STOCHASTIC, ZenoSchedule
 from .noise import NoiseSpec
 from .states import StateVector
 
@@ -62,10 +59,8 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Validated sweep parameters; see the module docstring for the schema."""
 
-    alpha0: complex
-    alpha1: complex
-    lam: tuple[float, ...]
-    mu: tuple[float, ...]
+    data: StateVector
+    noise: NoiseSpec
     total_time: float
     n_values: tuple[int, ...]
     aux_strategy: str
@@ -75,19 +70,13 @@ class ExperimentConfig:
     seed: int
     output: str
 
-    def data_state(self) -> StateVector:
-        return StateVector(1, [self.alpha0, self.alpha1])
-
-    def noise_spec(self) -> NoiseSpec:
-        return NoiseSpec(lam=self.lam, mu=self.mu)
-
-    @property
-    def register_size(self) -> int:
-        return 2 if self.aux_strategy == AUX_SINGLE else 3
-
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and fully validate a configuration document."""
+    """Parse and fully validate a configuration document.
+
+    The data state, the noise spec and a schedule for the first n are built
+    here, so their constructors are the only checks of the values they take.
+    """
     raw = _parse_pairs(text)
     for key in _REQUIRED_KEYS:
         if key not in raw:
@@ -99,74 +88,72 @@ def parse_config(text: str) -> ExperimentConfig:
             values[key] = _convert(key, text_value)
         except ValueError as exc:
             raise ConfigError(f"key '{key}' (line {line_no}): {exc}") from None
+    get = values.get
 
-    alpha0 = complex(values.get("alpha0_re", 1.0), values.get("alpha0_im", 0.0))
-    alpha1 = complex(values.get("alpha1_re", 0.0), values.get("alpha1_im", 0.0))
-    # hypot cannot overflow where squaring the amplitudes would
-    if math.hypot(alpha0.real, alpha0.imag, alpha1.real, alpha1.imag) < 1e-6:
-        raise ConfigError(
-            "amplitudes alpha0_re/alpha0_im/alpha1_re/alpha1_im are not normalizable (all zero)"
-        )
-
-    aux_strategy = values.get("aux_strategy", AUX_SINGLE)
-    if aux_strategy not in AUX_STRATEGIES:
-        raise ConfigError(f"key 'aux_strategy' must be one of {AUX_STRATEGIES}, got '{aux_strategy}'")
-    mode = values.get("mode", MEASUREMENT_MODES[0])
-    if mode not in MEASUREMENT_MODES:
-        raise ConfigError(f"key 'mode' must be one of {MEASUREMENT_MODES}, got '{mode}'")
-    abort_policy = values.get("abort_policy", ABORT_POLICIES[0])
-    if abort_policy not in ABORT_POLICIES:
-        raise ConfigError(f"key 'abort_policy' must be one of {ABORT_POLICIES}, got '{abort_policy}'")
-
-    register = 2 if aux_strategy == AUX_SINGLE else 3
-    lam = values["lambda"]
-    if len(lam) != register:
-        raise ConfigError(
-            f"key 'lambda' must list {register} per-qubit values for aux_strategy={aux_strategy}, "
-            f"got {len(lam)}"
-        )
-    mu = values.get("mu", (0.0,) * register)
-    if len(mu) != len(lam):
-        raise ConfigError(f"key 'mu' must match the length of 'lambda' ({len(lam)}), got {len(mu)}")
-
-    total_time = values["total_time"]
-    if total_time < 0:
-        raise ConfigError(f"key 'total_time' must be >= 0, got {total_time!r}")
+    data = _build(
+        ("alpha0_re", "alpha0_im", "alpha1_re", "alpha1_im"),
+        StateVector,
+        1,
+        [complex(get("alpha0_re", 1.0), get("alpha0_im", 0.0)),
+         complex(get("alpha1_re", 0.0), get("alpha1_im", 0.0))],
+    )
 
     n_values = values["n_values"]
-    if len(n_values) == 0:
-        raise ConfigError("key 'n_values' must not be empty")
-    if any(n < 1 for n in n_values):
-        raise ConfigError("key 'n_values': n values must be positive integers")
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ConfigError("key 'n_values': n values must be strictly increasing")
+    seed = get("seed", 0)
+    if not 0 <= seed <= _MAX_SEED:
+        raise ConfigError(f"key 'seed' must be an unsigned 64-bit integer, got {seed}")
+    # n_values increase, so the first n is the one that can be out of range
+    schedule = _build(
+        ("total_time", "n_values", "aux_strategy", "mode", "abort_policy"),
+        ZenoSchedule,
+        total_time=values["total_time"],
+        cycles=n_values[0],
+        aux_strategy=get("aux_strategy", AUX_SINGLE),
+        measurement_mode=get("mode", MODE_POST_SELECTED),
+        seed=seed,
+        abort_policy=get("abort_policy", ABORT_ON_DETECT),
+    )
 
-    trials = values.get("trials", 1)
+    lam = values["lambda"]
+    if len(lam) != schedule.register_size:
+        raise ConfigError(
+            f"key 'lambda' must list {schedule.register_size} per-qubit values for "
+            f"aux_strategy={schedule.aux_strategy}, got {len(lam)}"
+        )
+    noise = _build(("lambda", "mu"), NoiseSpec, lam, get("mu", ()))
+
+    trials = get("trials", 1)
     if trials < 1:
         raise ConfigError(f"key 'trials' must be >= 1, got {trials}")
-    if mode == MODE_STOCHASTIC and sum(n_values) * trials > MAX_STOCHASTIC_CYCLES:
+    if schedule.measurement_mode == MODE_STOCHASTIC and sum(n_values) * trials > MAX_STOCHASTIC_CYCLES:
         raise ConfigError(
             f"keys 'n_values' and 'trials' ask for {sum(n_values) * trials} stochastic cycles "
             f"(sum of n times trials), more than {MAX_STOCHASTIC_CYCLES}"
         )
-    seed = values.get("seed", 0)
-    if not 0 <= seed <= _MAX_SEED:
-        raise ConfigError(f"key 'seed' must be an unsigned 64-bit integer, got {seed}")
 
     return ExperimentConfig(
-        alpha0=alpha0,
-        alpha1=alpha1,
-        lam=lam,
-        mu=mu,
-        total_time=total_time,
+        data=data,
+        noise=noise,
+        total_time=schedule.total_time,
         n_values=n_values,
-        aux_strategy=aux_strategy,
-        mode=mode,
-        abort_policy=abort_policy,
+        aux_strategy=schedule.aux_strategy,
+        mode=schedule.measurement_mode,
+        abort_policy=schedule.abort_policy,
         trials=trials,
         seed=seed,
-        output=values.get("output", "sweep.csv"),
+        output=get("output", "sweep.csv"),
     )
+
+
+def _build(keys: tuple[str, ...], factory, *args, **kwargs):
+    """``factory(*args, **kwargs)``, with its ValueError reported as a
+    ConfigError that names the config keys the arguments came from."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"keys {', '.join(repr(k) for k in keys)}: {exc}") from None
 
 
 def _parse_pairs(text: str) -> dict[str, tuple[str, int]]:
@@ -201,6 +188,8 @@ def _convert(key: str, text_value: str):
     if items.startswith("[") and items.endswith("]"):
         items = items[1:-1]
     parts = [p.strip() for p in items.split(",") if p.strip()]
+    if not parts:
+        raise ValueError("the list must not be empty")
     if key in _FLOAT_LIST_KEYS:
         return tuple(_parse_float(p) for p in parts)
     return tuple(_parse_int(p) for p in parts)

@@ -11,6 +11,11 @@ double-flip transitions appear at second order.
 """
 from __future__ import annotations
 
+__all__ = [
+    "HermitianOperator", "NoiseSpec", "apply_propagator", "build_hamiltonian",
+    "evolve_exact", "evolve_first_order", "expansion_defect", "propagator",
+]
+
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -20,9 +25,6 @@ import numpy as np
 from .states import StateVector
 
 HERMITIAN_TOL = 1e-12
-
-#: truncation bound for the series fallback of the propagator
-SERIES_TOL = 1e-12
 
 #: Hamiltonians build_hamiltonian keeps: the rows of one sweep share one
 #: entry, and callers that interleave a few noise specs keep theirs too
@@ -46,7 +48,9 @@ class NoiseSpec:
         if len(lam) == 0:
             raise ValueError("noise spec needs at least one qubit entry")
         if len(mu) != len(lam):
-            raise ValueError(f"lam has {len(lam)} entries but mu has {len(mu)}")
+            raise ValueError(
+                f"'mu' must match the length of 'lam': lam has {len(lam)} entries but mu has {len(mu)}"
+            )
         for name, values in (("lam", lam), ("mu", mu)):
             if not all(math.isfinite(v) for v in values):
                 raise ValueError(f"{name} entries must be finite, got {values}")
@@ -144,48 +148,15 @@ def build_hamiltonian(spec: NoiseSpec, num_qubits: int) -> HermitianOperator:
     return HermitianOperator(h)
 
 
-def propagator(h: HermitianOperator, t: float, method: str = "eigh") -> np.ndarray:
-    """Unitary exp(-i H t).
-
-    ``method`` selects the route: "eigh" diagonalizes (exact at these
-    dimensions); "series" sums the Taylor expansion with its truncation
-    error bounded below SERIES_TOL, as an independent cross-check.
-    """
+def propagator(h: HermitianOperator, t: float) -> np.ndarray:
+    """Unitary exp(-i H t), from the eigendecomposition of H (exact at these
+    dimensions)."""
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t!r}")
     if t == 0.0:
         return np.eye(h.dim, dtype=complex)
-    if method == "eigh":
-        w, v, vh = h.spectrum
-        return (v * np.exp(-1j * w * t)) @ vh
-    if method == "series":
-        return _series_propagator(h.matrix, t)
-    raise ValueError(f"unknown method {method!r} (expected 'eigh' or 'series')")
-
-
-def _series_propagator(m: np.ndarray, t: float) -> np.ndarray:
-    # scale so the series converges fast, then square back up
-    theta = float(np.linalg.norm(m, 2)) * abs(t)
-    squarings = 0
-    while theta > 0.5:
-        theta /= 2.0
-        squarings += 1
-    a = m * (-1j * t / (1 << squarings))
-    tol = SERIES_TOL / (1 << (squarings + 1))
-    dim = m.shape[0]
-    term = np.eye(dim, dtype=complex)
-    total = term.copy()
-    for k in range(1, 60):
-        term = term @ a / k
-        total += term
-        tail = theta ** (k + 1) / math.factorial(k + 1) / (1.0 - theta / (k + 2))
-        if tail < tol:
-            break
-    else:
-        raise RuntimeError("series propagator failed to converge")
-    for _ in range(squarings):
-        total = total @ total
-    return total
+    w, v, vh = h.spectrum
+    return (v * np.exp(-1j * w * t)) @ vh
 
 
 def apply_propagator(state: StateVector, u: np.ndarray) -> StateVector:
@@ -197,13 +168,11 @@ def apply_propagator(state: StateVector, u: np.ndarray) -> StateVector:
     return StateVector._checked(state.num_qubits, u @ state.amplitudes)
 
 
-def evolve_exact(
-    state: StateVector, h: HermitianOperator, t: float, method: str = "eigh"
-) -> StateVector:
+def evolve_exact(state: StateVector, h: HermitianOperator, t: float) -> StateVector:
     """Evolve by exp(-i H t); unitary, composes additively in t."""
     if h.dim != state.amplitudes.size:
         raise ValueError(f"operator dim {h.dim} does not match state dim {state.amplitudes.size}")
-    return apply_propagator(state, propagator(h, t, method))
+    return apply_propagator(state, propagator(h, t))
 
 
 def evolve_first_order(state: StateVector, h: HermitianOperator, t: float) -> StateVector:
@@ -217,7 +186,7 @@ def evolve_first_order(state: StateVector, h: HermitianOperator, t: float) -> St
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t!r}")
     amps = state.amplitudes - 1j * t * (h.matrix @ state.amplitudes)
-    return StateVector.unnormalized(state.num_qubits, amps)
+    return StateVector._wrap(state.num_qubits, amps, normalized=False)
 
 
 def expansion_defect(state: StateVector, h: HermitianOperator, t: float) -> float:

@@ -10,6 +10,12 @@ that the protection failed.
 """
 from __future__ import annotations
 
+__all__ = [
+    "ABORT_ON_DETECT", "AUX_DUAL_ALTERNATING", "AUX_SINGLE", "MODE_POST_SELECTED",
+    "MODE_STOCHASTIC", "RESET_AND_CONTINUE", "CycleOutcome", "ProtocolResult",
+    "ZenoSchedule", "decode", "encode", "run_protocol", "zeno_cycle",
+]
+
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -103,6 +109,11 @@ class ZenoSchedule:
     @property
     def aux_count(self) -> int:
         return 1 if self.aux_strategy == AUX_SINGLE else 2
+
+    @property
+    def register_size(self) -> int:
+        """Qubits of the encoded register: the data qubit and the auxiliaries."""
+        return 1 + self.aux_count
 
 
 @dataclass(frozen=True)
@@ -361,15 +372,8 @@ class _OutcomeTree:
 
 def _prepare(data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule):
     """(encoded register, propagator of one noise slice) for a run."""
-    aux_count = schedule.aux_count
-    register_size = 1 + aux_count
-    if noise.num_qubits != register_size:
-        raise ValueError(
-            f"noise spec covers {noise.num_qubits} qubit(s) but the encoded register has "
-            f"{register_size} ({aux_count} auxiliaries)"
-        )
-    encoded = encode(data, aux_count)
-    hamiltonian = build_hamiltonian(noise, register_size)
+    encoded = encode(data, schedule.aux_count)
+    hamiltonian = build_hamiltonian(noise, schedule.register_size)
     return encoded, propagator(hamiltonian, schedule.interval)
 
 

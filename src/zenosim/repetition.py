@@ -10,15 +10,19 @@ compared against, not a contribution in itself.
 """
 from __future__ import annotations
 
+__all__ = ["EpsilonReport", "evolve_repetition", "majority_vote_round", "syndrome_branches"]
+
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .states import (
+    _MIN_BRANCH_PROB,
     PAULI_X,
     StateVector,
     ZeroProbabilityError,
+    _bit_mask,
     apply_single,
 )
 from .noise import NoiseSpec, build_hamiltonian, evolve_exact
@@ -99,22 +103,18 @@ def evolve_repetition(
     return evolved, EpsilonReport.from_state(evolved)
 
 
-def _parity_values(dim: int, i: int, j: int) -> np.ndarray:
-    idx = np.arange(dim)
-    bit_i = (idx >> (2 - i)) & 1
-    bit_j = (idx >> (2 - j)) & 1
-    return bit_i ^ bit_j
+def _odd_parity(num_qubits: int, i: int, j: int) -> np.ndarray:
+    """True on the basis states whose qubits i and j differ."""
+    idx = np.arange(1 << num_qubits)
+    return ((idx & _bit_mask(num_qubits, i)) != 0) ^ ((idx & _bit_mask(num_qubits, j)) != 0)
 
 
-def _project_parity(
-    state: StateVector, i: int, j: int, parity: int
-) -> tuple[float, StateVector]:
-    keep = _parity_values(state.amplitudes.size, i, j) == parity
+def _project(state: StateVector, keep: np.ndarray) -> tuple[float, StateVector | None]:
+    """(Born probability, renormalized state) of the basis states ``keep``
+    selects; the state is None for a branch below _MIN_BRANCH_PROB."""
     prob = float(np.sum(np.abs(state.amplitudes[keep]) ** 2))
-    if prob < 1e-14:
-        raise ZeroProbabilityError(
-            f"parity {parity} on qubits ({i},{j}) has zero probability"
-        )
+    if prob < _MIN_BRANCH_PROB:
+        return prob, None
     collapsed = np.where(keep, state.amplitudes, 0.0) / np.sqrt(prob)
     return min(prob, 1.0), StateVector.unit(state.num_qubits, collapsed)
 
@@ -138,15 +138,19 @@ def majority_vote_round(
     syndrome = []
     joint_prob = 1.0
     for (i, j) in ((0, 1), (1, 2)):
+        odd = _odd_parity(state.num_qubits, i, j)
         if mode == MODE_POST_SELECTED:
             outcome = 0
         else:
             if rng is None:
                 raise ValueError("stochastic mode requires an rng")
-            parities = _parity_values(state.amplitudes.size, i, j)
-            p_odd = float(np.sum(np.abs(state.amplitudes[parities == 1]) ** 2))
+            p_odd = float(np.sum(np.abs(state.amplitudes[odd]) ** 2))
             outcome = 1 if rng.random() < p_odd else 0
-        prob, state = _project_parity(state, i, j, outcome)
+        prob, state = _project(state, odd if outcome else ~odd)
+        if state is None:
+            raise ZeroProbabilityError(
+                f"parity {outcome} on qubits ({i},{j}) has zero probability"
+            )
         syndrome.append(outcome)
         joint_prob *= prob
     flip = SYNDROME_TO_FLIP[tuple(syndrome)]
@@ -163,20 +167,12 @@ def syndrome_branches(
     if state.num_qubits != 3:
         raise ValueError(f"majority vote needs a 3-qubit register, got {state.num_qubits}")
     branches = []
-    dim = state.amplitudes.size
-    p01 = _parity_values(dim, 0, 1)
-    p12 = _parity_values(dim, 1, 2)
+    p01 = _odd_parity(state.num_qubits, 0, 1)
+    p12 = _odd_parity(state.num_qubits, 1, 2)
     for s in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        keep = (p01 == s[0]) & (p12 == s[1])
-        prob = float(np.sum(np.abs(state.amplitudes[keep]) ** 2))
-        if prob < 1e-14:
-            branches.append((s, prob, None))
-            continue
-        collapsed = StateVector.unit(
-            3, np.where(keep, state.amplitudes, 0.0) / np.sqrt(prob)
-        )
+        prob, collapsed = _project(state, (p01 == s[0]) & (p12 == s[1]))
         flip = SYNDROME_TO_FLIP[s]
-        if flip is not None:
+        if collapsed is not None and flip is not None:
             collapsed = apply_single(collapsed, PAULI_X, flip)
-        branches.append((s, min(prob, 1.0), collapsed))
+        branches.append((s, prob, collapsed))
     return branches

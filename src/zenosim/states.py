@@ -9,6 +9,13 @@ All operations return new values; an existing state is never mutated.
 """
 from __future__ import annotations
 
+__all__ = [
+    "HADAMARD", "IDENTITY", "MAX_QUBITS", "PAULI_X", "PAULI_Z", "Gate2x2",
+    "MeasurementRecord", "NormDriftError", "StateVector", "ZeroProbabilityError",
+    "append_aux", "apply_cnot", "apply_single", "fidelity", "ket_string",
+    "measure_qubit", "new_state", "project_qubit",
+]
+
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -62,13 +69,16 @@ class StateVector:
                 )
             with np.errstate(over="ignore"):
                 norm = np.linalg.norm(amps)
-            if not np.isfinite(norm):
-                # the squares overflowed: scale by the largest component
-                # first, which leaves ordinary inputs' floats untouched
-                amps = amps / np.max(np.abs(amps.view(float)))
+            if not _ZERO_NORM <= norm < np.inf:
+                # the squares overflowed or underflowed: scale by the largest
+                # component first, which leaves ordinary inputs' floats
+                # untouched; real division, as 1/peak may overflow
+                parts = amps.view(float)
+                peak = np.max(np.abs(parts))
+                if peak == 0.0:
+                    raise ValueError("cannot normalize a zero-norm amplitude vector")
+                amps = (parts / peak).view(complex)
                 norm = np.linalg.norm(amps)
-            if norm < _ZERO_NORM:
-                raise ValueError("cannot normalize a zero-norm amplitude vector")
             amps = amps / norm
         amps.flags.writeable = False
         self.num_qubits = num_qubits
@@ -85,27 +95,18 @@ class StateVector:
         return cls._checked(num_qubits, _finite_amplitudes(amplitudes))
 
     @classmethod
-    def unnormalized(cls, num_qubits: int, amplitudes) -> "StateVector":
-        """Wrap amplitudes without any norm check, marked is_normalized=False."""
-        amps = np.array(amplitudes, dtype=complex).reshape(-1)
-        return cls._wrap(num_qubits, amps, normalized=False)
-
-    @classmethod
     def _checked(cls, num_qubits: int, amps: np.ndarray) -> "StateVector":
         # fresh array, norm verified: the path for gate and evolution outputs
         drift = abs(np.linalg.norm(amps) - 1.0)
         if not drift <= NORM_TOL:  # a NaN drift fails too
             raise NormDriftError(f"norm drifted by {drift:.3e} (tolerance {NORM_TOL})")
-        return cls._wrap(num_qubits, amps, normalized=True)
+        return cls._wrap(num_qubits, amps)
 
     @classmethod
-    def _trusted(cls, num_qubits: int, amps: np.ndarray) -> "StateVector":
-        # fresh array whose unit norm is guaranteed by construction
-        # (permutations, explicit renormalizations, tensoring with |0>)
-        return cls._wrap(num_qubits, amps, normalized=True)
-
-    @classmethod
-    def _wrap(cls, num_qubits: int, amps: np.ndarray, normalized: bool) -> "StateVector":
+    def _wrap(cls, num_qubits: int, amps: np.ndarray, normalized: bool = True) -> "StateVector":
+        # a fresh array, taken as is: with the default, one whose unit norm
+        # is guaranteed by construction (permutations, explicit
+        # renormalizations, tensoring with |0>)
         _check_num_qubits(num_qubits)
         if amps.size != 1 << num_qubits:
             raise ValueError(
@@ -229,7 +230,7 @@ def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
         raise ValueError("control and target must be distinct qubits")
     perm = _cnot_permutation(state.num_qubits, int(control), int(target))
     # a permutation of the amplitudes preserves the norm exactly
-    return StateVector._trusted(state.num_qubits, state.amplitudes[perm])
+    return StateVector._wrap(state.num_qubits, state.amplitudes[perm])
 
 
 def project_qubit(state: StateVector, target: int, outcome: int) -> tuple[float, StateVector]:
@@ -251,7 +252,7 @@ def project_qubit(state: StateVector, target: int, outcome: int) -> tuple[float,
         )
     collapsed = np.zeros(state.amplitudes.size, dtype=complex)
     collapsed[sel] = branch / np.sqrt(prob)
-    return min(prob, 1.0), StateVector._trusted(n, collapsed)
+    return min(prob, 1.0), StateVector._wrap(n, collapsed)
 
 
 def _outcome_probability(state: StateVector, target: int, outcome: int) -> float:
@@ -293,10 +294,10 @@ def append_aux(state: StateVector, count: int) -> StateVector:
     if total > MAX_QUBITS:
         raise ValueError(f"register capacity exceeded: {total} > {MAX_QUBITS} qubits")
     if count == 0:
-        return StateVector._trusted(state.num_qubits, state.amplitudes.copy())
+        return StateVector._wrap(state.num_qubits, state.amplitudes.copy())
     out = np.zeros(1 << total, dtype=complex)
     out[:: 1 << count] = state.amplitudes
-    return StateVector._trusted(total, out)
+    return StateVector._wrap(total, out)
 
 
 def ket_string(state: StateVector, precision: int = 6, tol: float = 1e-9) -> str:

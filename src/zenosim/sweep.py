@@ -16,6 +16,11 @@ into keeping timings; measured values stay available on the in-memory rows.
 """
 from __future__ import annotations
 
+__all__ = [
+    "CSV_COLUMNS", "SweepResult", "SweepRow", "derive_trial_seed", "mix64", "run_sweep",
+    "write_csv",
+]
+
 import csv
 import math
 import time
@@ -76,11 +81,10 @@ class SweepResult:
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Execute the configured protocol for every n; never returns a short
     result — a row that raises is marked failed (NaN fields) instead."""
-    data = config.data_state()
-    noise = config.noise_spec()
+    data, noise = config.data, config.noise
     rows = []
     for n in config.n_values:
-        reference = single_qubit_survival(config.lam[0], config.total_time, n)
+        reference = single_qubit_survival(noise.lam[0], config.total_time, n)
         start = time.perf_counter()
         try:
             schedule = ZenoSchedule(

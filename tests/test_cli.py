@@ -123,12 +123,12 @@ class TestSweepCommand:
 
     def test_huge_amplitudes_are_normalised(self, tmp_path):
         csv = []
-        for value in ("1", "1e308"):
+        for value in ("1", "1e308", "1e-7"):
             text = GOOD_CONFIG.replace("0.6", value).replace("0.8", value)
             config_path, output = write_config(tmp_path, text, name=f"{value}.cfg")
             assert main(["sweep", str(config_path)]) == 0
             csv.append(output.read_bytes())
-        assert csv[0] == csv[1]
+        assert csv[0] == csv[1] == csv[2]
 
 
 class TestDemos:
@@ -163,3 +163,17 @@ class TestDemos:
     def test_limit_bad_list(self, capsys):
         assert main(["limit", "--c", "1", "--n", "ten"]) == 1
         assert "comma-separated integers" in capsys.readouterr().err
+
+    def test_input_faults_are_config_errors(self, capsys):
+        for argv, message in (
+            (["limit", "--c", "nan", "--n", "8"], "c must be >= 0"),
+            (["limit", "--c", "-1", "--n", "8"], "c must be >= 0"),
+            (["repetition-demo", "--lambda", "nan", "--t", "0.5"], "--lambda:"),
+            (["repetition-demo", "--lambda", "0.1", "--t", "nan"], "--t:"),
+            (["repetition-demo", "--lambda", "0.1", "--t", "-1"], "--t:"),
+            (["expansion-check", "--seed", "-1"], "--seed:"),
+        ):
+            assert main(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert f"config error: {message}" in captured.err
+            assert captured.out == ""

@@ -37,15 +37,15 @@ class TestDefaults:
         assert config.aux_strategy == "single"
         assert config.mode == "post-selected"
         assert config.abort_policy == "abort-on-detect"
-        assert config.alpha0 == 1.0 and config.alpha1 == 0.0
-        assert config.mu == (0.0, 0.0)
+        assert tuple(config.data.amplitudes) == (1.0, 0.0)
+        assert config.noise.mu == (0.0, 0.0)
         assert config.trials == 1 and config.seed == 0
         assert config.output == "sweep.csv"
 
     def test_full_document(self):
         config = parse_config(FULL)
-        assert config.alpha0 == 0.6 and config.alpha1 == 0.8
-        assert config.lam == (0.1, 0.2) and config.mu == (0.05, 0.0)
+        assert tuple(config.data.amplitudes) == (0.6, 0.8)
+        assert config.noise.lam == (0.1, 0.2) and config.noise.mu == (0.05, 0.0)
         assert config.n_values == (4, 8, 16)
         assert config.mode == "stochastic"
         assert config.trials == 50 and config.seed == 12345
@@ -53,9 +53,9 @@ class TestDefaults:
 
     def test_helpers(self):
         config = parse_config(FULL)
-        assert config.register_size == 2
-        assert config.noise_spec().lam == (0.1, 0.2)
-        assert abs(config.data_state().amplitudes[1] - 0.8) < 1e-12
+        assert config.noise.num_qubits == 2
+        assert config.noise.lam == (0.1, 0.2)
+        assert abs(config.data.amplitudes[1] - 0.8) < 1e-12
 
 
 class TestRejections:

@@ -409,7 +409,7 @@ def stochastic_config(strategy, policy, lam, mu, amps, n_values, trials, seed, t
 def assert_matches_per_cycle_engine(config):
     """The sweep rows, and run_protocol on every trial seed, equal the
     per-cycle engine's float for float."""
-    data, noise = config.data_state(), config.noise_spec()
+    data, noise = config.data, config.noise
     for row, n in zip(run_sweep(config).rows, config.n_values):
         assert not row.failed, row.error
         want = per_cycle.stochastic_point(config, data, noise, n)
@@ -469,7 +469,7 @@ class TestSharedTreeEngine:
         schedule = ZenoSchedule(100.0, n, aux_strategy=AUX_DUAL_ALTERNATING,
                                 measurement_mode=MODE_STOCHASTIC, seed=11,
                                 abort_policy=RESET_AND_CONTINUE)
-        late = [c.aux_outcome for c in run_protocol(config.data_state(), config.noise_spec(),
+        late = [c.aux_outcome for c in run_protocol(config.data, config.noise,
                                                     schedule).cycle_log[DRAW_BLOCK:]]
         assert 1 in late
 
@@ -488,7 +488,7 @@ class TestSharedTreeEngine:
         assert_matches_per_cycle_engine(config)
         schedule = ZenoSchedule(1.0, 16, measurement_mode=MODE_STOCHASTIC, seed=0,
                                 abort_policy=RESET_AND_CONTINUE)
-        tree = protocol_module._OutcomeTree(config.data_state(), config.noise_spec(), schedule)
+        tree = protocol_module._OutcomeTree(config.data, config.noise, schedule)
         for seed in range(20):
             tree.sample(seed)
         assert tree.size == 3
@@ -530,7 +530,7 @@ class TestSharedTreeEngine:
             AUX_SINGLE, ABORT_ON_DETECT, (0.1, 0.1), (0.0, 0.0), (0.6, 0.0, 0.8, 0.0),
             (4, 8), 150, 20240811,
         )
-        data, noise = config.data_state(), config.noise_spec()
+        data, noise = config.data, config.noise
         reference = SweepResult(
             rows=[
                 SweepRow(n, *per_cycle.stochastic_point(config, data, noise, n),

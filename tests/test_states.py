@@ -63,6 +63,11 @@ class TestNewState:
         extreme = StateVector(2, [1.7e308 + 1.7e308j, -1.7e308, 0, 1e-300])
         assert extreme.norm == pytest.approx(1.0, abs=1e-15)
         assert abs(extreme.amplitudes[0]) == pytest.approx(np.sqrt(2 / 3))
+        # the squares underflow: a tiny vector is no zero vector
+        for tiny in (1e-13, 5e-324):
+            state = StateVector(1, [tiny, tiny])
+            assert np.array_equal(state.amplitudes, StateVector(1, [1, 1]).amplitudes)
+        assert np.array_equal(StateVector(2, [0, 5e-324j, 0, 0]).amplitudes, [0, 1j, 0, 0])
 
     def test_nan_norm_is_drift(self):
         # a NaN norm fails the drift check instead of passing it
