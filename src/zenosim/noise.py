@@ -88,6 +88,8 @@ class HermitianOperator:
         dim = m.shape[0]
         if dim < 2 or dim & (dim - 1) != 0:
             raise ValueError(f"dimension must be a power of two >= 2, got {dim}")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix is not Hermitian (non-finite entries)")
         defect = np.max(np.abs(m - m.conj().T))
         if not defect <= HERMITIAN_TOL:  # a NaN defect fails too
             raise ValueError(f"matrix is not Hermitian (deviation {defect:.3e})")

@@ -23,22 +23,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .states import (
-    _MIN_BRANCH_PROB,
-    PAULI_X,
-    StateVector,
-    ZeroProbabilityError,
-    _cnot_permutation,
-    _outcome_indices,
-    _outcome_probability,
-    append_aux,
-    apply_cnot,
-    apply_single,
-    fidelity,
-    measure_qubit,
-    project_qubit,
+# apply_propagator and apply_single stay importable here: perfbench/spans.py traces them
+from .states import (  # noqa: F401
+    _MIN_BRANCH_PROB, NORM_TOL, NormDriftError, StateVector, _bit_mask, _cnot_permutation,
+    _outcome_indices, append_aux, apply_cnot, apply_single, fidelity, measure_qubit, project_qubit,
 )
-from .noise import NoiseSpec, apply_propagator, build_hamiltonian, propagator
+from .noise import NoiseSpec, apply_propagator, build_hamiltonian, propagator  # noqa: F401
 
 AUX_SINGLE = "single"
 AUX_DUAL_ALTERNATING = "dual-alternating"
@@ -55,7 +45,7 @@ ABORT_POLICIES = (ABORT_ON_DETECT, RESET_AND_CONTINUE)
 #: residual auxiliary amplitude tolerated when decoding
 DECODE_TOL = 1e-9
 
-#: nodes an outcome tree keeps, about 1.3 KiB each for a 3-qubit register
+#: nodes an outcome tree keeps, about 0.95 KiB each for a 3-qubit register
 MAX_TREE_NODES = 1 << 14
 #: uniforms a stochastic trial draws at a time, so a long trial holds no
 #: O(n) array of them
@@ -84,18 +74,13 @@ class ZenoSchedule:
         self.total_time = float(self.total_time)
         if not math.isfinite(self.total_time) or self.total_time < 0:
             raise ValueError(f"total_time must be finite and >= 0, got {self.total_time!r}")
-        if self.aux_strategy not in AUX_STRATEGIES:
-            raise ValueError(
-                f"aux_strategy must be one of {AUX_STRATEGIES}, got {self.aux_strategy!r}"
-            )
-        if self.measurement_mode not in MEASUREMENT_MODES:
-            raise ValueError(
-                f"measurement_mode must be one of {MEASUREMENT_MODES}, got {self.measurement_mode!r}"
-            )
-        if self.abort_policy not in ABORT_POLICIES:
-            raise ValueError(
-                f"abort_policy must be one of {ABORT_POLICIES}, got {self.abort_policy!r}"
-            )
+        for name, allowed in (
+            ("aux_strategy", AUX_STRATEGIES),
+            ("measurement_mode", MEASUREMENT_MODES),
+            ("abort_policy", ABORT_POLICIES),
+        ):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         if self.measurement_mode == MODE_STOCHASTIC:
             if self.seed is None or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
                 raise ValueError("stochastic mode requires a non-negative integer seed")
@@ -113,7 +98,7 @@ class ZenoSchedule:
     @property
     def register_size(self) -> int:
         """Qubits of the encoded register: the data qubit and the auxiliaries."""
-        return 1 + self.aux_count
+        return _register_size(self.aux_count)
 
 
 @dataclass(frozen=True)
@@ -131,11 +116,10 @@ class ProtocolResult:
     """Aggregate of a full run.
 
     survival_probability is the probability of the all-no-error record in
-    post-selected mode, computed as 1 minus the mass the cycles leaked, and
-    the 0/1 all-outcomes-zero indicator in stochastic mode.
-    loss_probability is 1 - survival_probability, kept as computed: near
-    survival 1 a float survival holds 1 - survival only to within 1.1e-16
-    absolute, which at large n is far coarser than the leaked mass itself.
+    post-selected mode and the 0/1 all-outcomes-zero indicator in stochastic
+    mode. loss_probability is 1 - survival_probability, kept as computed:
+    near survival 1 a float survival holds 1 - survival only to within
+    1.1e-16 absolute, far coarser at large n than the leaked mass itself.
     final_fidelity compares the terminal register state against the ideal
     noiseless encoded state. cycle_log holds the per-cycle outcomes of a
     stochastic run; it is empty in post-selected mode, which does not step
@@ -150,6 +134,13 @@ class ProtocolResult:
     final_state: StateVector | None = None
 
 
+def _register_size(aux_count: int) -> int:
+    """Qubits of a register encoded with ``aux_count`` (1 or 2) auxiliaries."""
+    if aux_count not in (1, 2):
+        raise ValueError(f"aux_count must be 1 or 2, got {aux_count!r}")
+    return 1 + aux_count
+
+
 def encode(data: StateVector, aux_count: int) -> StateVector:
     """Entangle a one-qubit state with aux_count fresh |0> auxiliaries.
 
@@ -160,8 +151,7 @@ def encode(data: StateVector, aux_count: int) -> StateVector:
         raise ValueError(f"data must be a single qubit, got {data.num_qubits}")
     if not data.is_normalized:
         raise ValueError("data state must be normalized")
-    if aux_count not in (1, 2):
-        raise ValueError(f"aux_count must be 1 or 2, got {aux_count!r}")
+    _register_size(aux_count)
     state = append_aux(data, aux_count)
     for aux in range(1, aux_count + 1):
         state = apply_cnot(state, 0, aux)
@@ -219,22 +209,27 @@ def run_protocol(data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule) ->
     A stochastic run is one trial of :func:`sample_trials`, seeded with
     ``schedule.seed``: each cycle's auxiliary is sampled, and a measured 1
     sets ``detected``. Abort-on-detect stops there; reset-and-continue
-    re-zeros the auxiliary, re-entangles, and keeps going. cycle_log holds
-    the outcome of every cycle the trial completed. A sampled branch below
-    the ZeroProbabilityError threshold also detects, and ends the run with
-    the register just after that cycle's noise slice.
+    re-zeros the auxiliary, re-entangles, and keeps going. A sampled branch
+    below the ZeroProbabilityError threshold also detects, and ends the run
+    with the register just after that cycle's noise slice. The trial's raw
+    arrays are wrapped only here: cycle_log holds a CycleOutcome for every
+    cycle the trial completed, and final_state its last register.
     """
     if schedule.measurement_mode == MODE_STOCHASTIC:
-        steps: list[CycleOutcome | None] = []
+        steps: list[tuple[int, float, np.ndarray] | None] = []
         # one trial never revisits a node, so the tree links none
         trial = _OutcomeTree(data, noise, schedule, capacity=0).sample(schedule.seed, steps)
+        size = schedule.register_size
         return ProtocolResult(
             survival_probability=0.0 if trial.detected else 1.0,
             loss_probability=1.0 if trial.detected else 0.0,
             final_fidelity=trial.final_fidelity,
             detected=trial.detected,
-            cycle_log=[cycle for cycle in steps if cycle is not None],
-            final_state=trial.state,
+            cycle_log=[
+                CycleOutcome(outcome, prob, StateVector._wrap(size, amps))
+                for outcome, prob, amps in filter(None, steps)
+            ],
+            final_state=StateVector._wrap(size, trial.amps),
         )
     encoded, step = _prepare(data, noise, schedule)
     survival, loss, detected, state = _post_selected(encoded, step, schedule.cycles)
@@ -256,13 +251,12 @@ def sample_trials(
     (``schedule.seed`` is not used) and measures 1 in a cycle when its draw
     is below that cycle's Born probability of 1, exactly as
     :func:`zeno_cycle` samples. A trial's register depends only on its
-    outcome history, so all trials walk one shared tree of histories whose
-    nodes are built, with the same gate calls as the per-cycle circuit, the
-    first time a trial reaches them. Encoding and the propagator are built
-    once. Under abort-on-detect every running trial sits on the single
-    no-error path; under reset-and-continue trials share history prefixes.
-    The tree holds at most MAX_TREE_NODES nodes; past that, nodes are built
-    for the trial at hand and dropped after it.
+    outcome history, so all trials walk one shared tree of histories, built
+    once per (data, noise, schedule), whose nodes are computed the first time
+    a trial reaches them. Under abort-on-detect every running trial sits on
+    the single no-error path; under reset-and-continue trials share history
+    prefixes. The tree holds at most MAX_TREE_NODES nodes; past that, nodes
+    are built for the trial at hand and dropped after it.
     """
     if schedule.measurement_mode != MODE_STOCHASTIC:
         raise ValueError("sample_trials needs a stochastic schedule")
@@ -271,25 +265,26 @@ def sample_trials(
 
 
 class HistoryNode:
-    """A node of the outcome tree: the register after a history of cycle
-    outcomes, as the per-cycle circuit leaves it.
+    """A node of the outcome tree: ``amps``, the read-only register after a
+    history of cycle outcomes, and ``cycle``, the ``(outcome, Born
+    probability, read-only amplitudes after)`` of its last cycle.
 
     A trial ends on a node that has completed every cycle, that measured 1
     under abort-on-detect, or that a zero-probability branch ended (its
-    ``cycle`` is None and ``state`` is the register after that cycle's noise
-    slice); such a node also holds ``final_fidelity``, the fidelity of
-    ``state`` with the noiseless encoded register. A running node holds what
-    the next cycle needs: the register after the noise slice, the
-    disentangled register, and its Born probability of measuring 1.
+    ``cycle`` is None and ``amps`` is the register after that cycle's noise
+    slice); such a node also holds ``final_fidelity``, against the noiseless
+    encoded register. A running node holds the register after the next noise
+    slice and the disentangling CNOT, and its Born probability of 1.
     """
 
     __slots__ = (
-        "state", "cycle", "depth", "detected", "done", "final_fidelity",
-        "noisy", "disentangled", "aux_q", "p_one", "children",
+        "amps", "cycle", "depth", "detected", "done", "final_fidelity",
+        "disentangled", "aux_q", "p_one", "children",
     )
 
-    def __init__(self, state, cycle, depth, detected, done):
-        self.state = state
+    def __init__(self, amps, cycle, depth, detected, done):
+        amps.flags.writeable = False
+        self.amps = amps
         self.cycle = cycle
         self.depth = depth
         self.detected = detected
@@ -300,18 +295,22 @@ class HistoryNode:
 class _OutcomeTree:
     """The shared tree of outcome histories for one (data, noise, schedule).
 
-    It links at most ``capacity`` nodes below the root (MAX_TREE_NODES when
+    Nodes are stepped on raw arrays with the numpy operations of the
+    per-cycle gate calls, in their order, so every float is theirs; the
+    reset's Pauli-X is an index permutation. The norm those calls checked at
+    every node is checked once, as the propagator's unitarity. The tree
+    links at most ``capacity`` nodes below the root (MAX_TREE_NODES when
     None); the others are built for the trial at hand and dropped after it.
     """
 
-    def __init__(
-        self,
-        data: StateVector,
-        noise: NoiseSpec,
-        schedule: ZenoSchedule,
-        capacity: int | None = None,
-    ):
-        self.encoded, self.step = _prepare(data, noise, schedule)
+    def __init__(self, data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule,
+                 capacity: int | None = None):
+        encoded, self.step = _prepare(data, noise, schedule)
+        defect = np.abs(self.step.conj().T @ self.step - np.eye(len(self.step))).max()
+        if not defect <= NORM_TOL:  # a NaN defect fails too
+            raise NormDriftError(f"propagator is not unitary (U+U - I up to {defect:.3e})")
+        self.encoded = encoded.amplitudes
+        self.num_qubits = schedule.register_size
         self.cycles = schedule.cycles
         self.aux_count = schedule.aux_count
         self.reset = schedule.abort_policy == RESET_AND_CONTINUE
@@ -334,36 +333,41 @@ class _OutcomeTree:
                     break
         return node
 
-    def _node(self, state, cycle, depth, detected, done=False) -> HistoryNode:
-        node = HistoryNode(state, cycle, depth, detected, done or depth == self.cycles)
+    def _node(self, amps, cycle, depth, detected, done=False) -> HistoryNode:
+        node = HistoryNode(amps, cycle, depth, detected, done or depth == self.cycles)
         if node.done:
-            node.final_fidelity = fidelity(state, self.encoded)
+            node.final_fidelity = float(min(abs(np.vdot(amps, self.encoded)) ** 2, 1.0))
         else:
-            node.noisy = apply_propagator(state, self.step)
-            node.aux_q = 1 if self.aux_count == 1 else 1 + (depth % 2)
-            node.disentangled = apply_cnot(node.noisy, 0, node.aux_q)
-            node.p_one = _outcome_probability(node.disentangled, node.aux_q, 1)
+            node.aux_q = aux_q = 1 + depth % self.aux_count
+            node.disentangled = (self.step @ amps)[_cnot_permutation(self.num_qubits, 0, aux_q)]
+            branch = node.disentangled[_outcome_indices(self.num_qubits, aux_q, 1)]
+            node.p_one = float(np.vdot(branch, branch).real)
         return node
 
     def _child(self, node: HistoryNode, outcome: int) -> HistoryNode:
         """Build the node one cycle below ``node`` for ``outcome``, and keep
         it while the tree has room."""
-        aux_q, depth = node.aux_q, node.depth + 1
-        try:
-            prob, collapsed = project_qubit(node.disentangled, aux_q, outcome)
-        except ZeroProbabilityError:
-            # the sampled branch carries no probability: detection is certain
-            child = self._node(node.noisy, None, depth, True, done=True)
+        num_qubits, aux_q, depth = self.num_qubits, node.aux_q, node.depth + 1
+        cnot = _cnot_permutation(num_qubits, 0, aux_q)
+        sel = _outcome_indices(num_qubits, aux_q, outcome)
+        branch = node.disentangled[sel]
+        prob = float(np.vdot(branch, branch).real)
+        if prob < _MIN_BRANCH_PROB:
+            # the sampled branch carries no probability: detection is certain;
+            # the CNOT is its own inverse, so this is the register after the noise
+            child = self._node(node.disentangled[cnot], None, depth, True, done=True)
         else:
+            collapsed = np.zeros(node.disentangled.size, dtype=complex)
+            collapsed[sel] = branch / np.sqrt(prob)
             if outcome == 0:
-                cycle = CycleOutcome(0, prob, apply_cnot(collapsed, 0, aux_q))
-                child = self._node(cycle.state_after, cycle, depth, node.detected)
-            elif self.reset:
-                # re-zero the measured auxiliary, re-entangle, keep going
-                state = apply_cnot(apply_single(collapsed, PAULI_X, aux_q), 0, aux_q)
-                child = self._node(state, CycleOutcome(1, prob, collapsed), depth, True)
+                after = collapsed[cnot]
+                child = self._node(after, (0, min(prob, 1.0), after), depth, node.detected)
             else:
-                child = self._node(collapsed, CycleOutcome(1, prob, collapsed), depth, True, done=True)
+                collapsed.flags.writeable = False
+                cycle, stop = (1, min(prob, 1.0), collapsed), not self.reset
+                # a reset re-zeros the measured auxiliary (Pauli-X) and re-entangles
+                state = collapsed if stop else collapsed[cnot ^ _bit_mask(num_qubits, aux_q)]
+                child = self._node(state, cycle, depth, True, stop)
         if self.size < self.capacity:
             node.children[outcome] = child
             self.size += 1
@@ -486,21 +490,18 @@ def decode(state: StateVector, aux_count: int) -> StateVector:
     residual amplitude on a non-zero auxiliary pattern above DECODE_TOL is an
     error.
     """
-    if aux_count not in (1, 2):
-        raise ValueError(f"aux_count must be 1 or 2, got {aux_count!r}")
-    if state.num_qubits != 1 + aux_count:
+    size = _register_size(aux_count)
+    if state.num_qubits != size:
         raise ValueError(
-            f"expected a {1 + aux_count}-qubit register for {aux_count} auxiliaries, "
-            f"got {state.num_qubits}"
+            f"expected a {size}-qubit register for {aux_count} auxiliaries, got {state.num_qubits}"
         )
     for aux in range(1, aux_count + 1):
         state = apply_cnot(state, 0, aux)
-    amps = state.amplitudes
-    aux_mask = (1 << aux_count) - 1  # auxiliaries occupy the low index bits
-    residual_idx = (np.arange(amps.size) & aux_mask) != 0
-    residual = float(np.linalg.norm(amps[residual_idx]))
+    # one row per data bit, one column per auxiliary pattern (the low index bits)
+    amps = state.amplitudes.reshape(2, -1)
+    residual = float(np.linalg.norm(amps[:, 1:]))
     if residual > DECODE_TOL:
         raise ValueError(
             f"residual auxiliary amplitude {residual:.3e} exceeds tolerance {DECODE_TOL}"
         )
-    return StateVector(1, [amps[0], amps[1 << aux_count]])
+    return StateVector(1, amps[:, 0])

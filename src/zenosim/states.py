@@ -140,6 +140,8 @@ class Gate2x2:
         m = np.array(entries, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"gate must be a 2x2 matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("gate is not unitary (non-finite entries)")
         defect = np.max(np.abs(m @ m.conj().T - np.eye(2)))
         if not defect <= GATE_TOL:  # a NaN defect fails too
             raise ValueError(f"gate is not unitary (G G+ deviates from I by {defect:.3e})")
@@ -255,13 +257,6 @@ def project_qubit(state: StateVector, target: int, outcome: int) -> tuple[float,
     return min(prob, 1.0), StateVector._wrap(n, collapsed)
 
 
-def _outcome_probability(state: StateVector, target: int, outcome: int) -> float:
-    """Born probability of one outcome, without collapsing: the value
-    project_qubit reports for the same branch."""
-    branch = state.amplitudes[_outcome_indices(state.num_qubits, int(target), int(outcome))]
-    return float(np.real(np.vdot(branch, branch)))
-
-
 def measure_qubit(
     state: StateVector, target: int, rng: np.random.Generator
 ) -> tuple[MeasurementRecord, StateVector]:
@@ -271,7 +266,8 @@ def measure_qubit(
     identical outcome sequences.
     """
     _check_target(state, target)
-    outcome = 1 if rng.random() < _outcome_probability(state, target, 1) else 0
+    branch = state.amplitudes[_outcome_indices(state.num_qubits, int(target), 1)]
+    outcome = 1 if rng.random() < float(np.real(np.vdot(branch, branch))) else 0
     prob, collapsed = project_qubit(state, target, outcome)
     return MeasurementRecord(int(target), outcome, prob), collapsed
 

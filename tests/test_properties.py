@@ -1,6 +1,7 @@
 """Properties over generated inputs: gates and exact evolution keep the norm,
 and every constructor at the boundary rejects non-finite input."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,16 @@ class TestNonFiniteRejected:
         m[col, row] = np.conj(bad)
         with pytest.raises(ValueError, match="not Hermitian"):
             HermitianOperator(m)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_matrices_rejected_before_any_arithmetic(self, bad):
+        # numpy would warn on the products of a non-finite entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not unitary"):
+                Gate2x2([[bad, 0], [0, 1]])
+            with pytest.raises(ValueError, match="not Hermitian"):
+                HermitianOperator([[bad, 0], [0, 1]])
 
     @FEW
     @given(st.lists(_REAL, min_size=1, max_size=4), st.integers(0, 7), _NON_FINITE)

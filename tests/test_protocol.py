@@ -16,7 +16,9 @@ from zenosim import (
     MODE_POST_SELECTED,
     MODE_STOCHASTIC,
     RESET_AND_CONTINUE,
+    CycleOutcome,
     NoiseSpec,
+    NormDriftError,
     StateVector,
     SweepResult,
     SweepRow,
@@ -576,6 +578,33 @@ class TestSharedTreeEngine:
         assert len(result.cycle_log) == 500
         (tree,) = trees
         assert tree.size == 0 and tree.root.children == [None, None]
+
+
+    def test_non_unitary_propagator_raises_norm_drift(self, monkeypatch):
+        real = protocol_module.propagator
+        monkeypatch.setattr(protocol_module, "propagator", lambda *a: 1.01 * real(*a))
+        data, noise = new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.3, 2)
+        schedule = ZenoSchedule(1.0, 8, measurement_mode=MODE_STOCHASTIC, seed=0)
+        with pytest.raises(NormDriftError):
+            list(sample_trials(data, noise, schedule, range(10)))
+        with pytest.raises(NormDriftError):
+            run_protocol(data, noise, schedule)
+
+    def test_nodes_are_built_without_state_objects(self, monkeypatch):
+        schedule = ZenoSchedule(4.0, 64, aux_strategy=AUX_DUAL_ALTERNATING,
+                                measurement_mode=MODE_STOCHASTIC, seed=0,
+                                abort_policy=RESET_AND_CONTINUE)
+        tree = protocol_module._OutcomeTree(new_state(1, [0.6, 0.8]),
+                                            NoiseSpec((0.9, 0.6, 0.3)), schedule)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a tree node built a state object")
+
+        monkeypatch.setattr(StateVector, "__init__", refuse)
+        monkeypatch.setattr(StateVector, "_wrap", classmethod(refuse))
+        monkeypatch.setattr(CycleOutcome, "__init__", refuse)
+        trials = [tree.sample(seed) for seed in range(50)]
+        assert tree.size > 64 and any(trial.detected for trial in trials)
 
 
 class TestInvariantsComputedOnce:
