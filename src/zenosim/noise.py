@@ -150,15 +150,19 @@ def build_hamiltonian(spec: NoiseSpec, num_qubits: int) -> HermitianOperator:
     return HermitianOperator(h)
 
 
-def propagator(h: HermitianOperator, t: float) -> np.ndarray:
+def propagator(h: HermitianOperator, t: float | np.ndarray) -> np.ndarray:
     """Unitary exp(-i H t), from the eigendecomposition of H (exact at these
-    dimensions)."""
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t!r}")
-    if t == 0.0:
-        return np.eye(h.dim, dtype=complex)
-    w, v, vh = h.spectrum
-    return (v * np.exp(-1j * w * t)) @ vh
+    dimensions). For a 1-D array of times, the (len(t), d, d) stack of their
+    propagators, each row equal to the one a single time gives."""
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1 or not np.isfinite(times).all():
+        raise ValueError(f"time must be finite, a number or a 1-D array, got {t!r}")
+    stack = np.tile(np.eye(h.dim, dtype=complex), (times.size, 1, 1))
+    moving = times.reshape(-1) != 0.0  # a zero time stays the exact identity
+    if moving.any():
+        w, v, vh = h.spectrum
+        stack[moving] = (v * np.exp(-1j * w * times.reshape(-1)[moving, None])[:, None, :]) @ vh
+    return stack if times.ndim else stack[0]
 
 
 def apply_propagator(state: StateVector, u: np.ndarray) -> StateVector:

@@ -50,6 +50,8 @@ MAX_TREE_NODES = 1 << 14
 #: uniforms a stochastic trial draws at a time, so a long trial holds no
 #: O(n) array of them
 DRAW_BLOCK = 256
+#: cycles a post-selected zero-branch replay may step, as in config.MAX_STOCHASTIC_CYCLES
+MAX_REPLAY_CYCLES = 10_000_000
 
 
 @dataclass
@@ -197,14 +199,16 @@ def run_protocol(data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule) ->
     between cycles. With the dual-alternating strategy, cycles address the
     two auxiliaries in turn so the idle one stays entangled throughout.
 
-    Post-selected runs are computed in closed form rather than cycle by
-    cycle: the no-error branch of one cycle is a linear map, so the whole run
-    is its n-th power, taken by repeated squaring in O(log n) matrix
-    products together with the mass the cycles leak. Survival is 1 minus
-    that leaked mass, which keeps 1 - survival accurate at large n, and
-    cycle_log stays empty. A no-error branch below the ZeroProbabilityError
-    threshold in some cycle means detection is certain: survival is 0 and
-    the final state is the register just after that cycle's noise slice.
+    A post-selected run is the one-row case of :func:`run_post_selected`
+    and raises what its row raised. It is computed in closed form: the
+    no-error branch of one cycle is a linear map, so the whole run is its
+    n-th power, taken by repeated squaring in O(log n) matrix products
+    together with the mass the cycles leak. Survival is 1 minus that leaked
+    mass, which keeps 1 - survival accurate at large n, and cycle_log stays
+    empty. A no-error branch below the ZeroProbabilityError threshold in
+    some cycle means detection is certain: survival is 0 and the final state
+    is the register just after that cycle's noise slice. Finding that cycle
+    replays at most MAX_REPLAY_CYCLES cycles, and raises ValueError past it.
 
     A stochastic run is one trial of :func:`sample_trials`, seeded with
     ``schedule.seed``: each cycle's auxiliary is sampled, and a measured 1
@@ -231,15 +235,24 @@ def run_protocol(data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule) ->
             ],
             final_state=StateVector._wrap(size, trial.amps),
         )
-    encoded, step = _prepare(data, noise, schedule)
-    survival, loss, detected, state = _post_selected(encoded, step, schedule.cycles)
-    return ProtocolResult(
-        survival_probability=survival,
-        loss_probability=loss,
-        final_fidelity=fidelity(state, encoded),
-        detected=detected,
-        final_state=state,
-    )
+    (result,) = run_post_selected(data, noise, [schedule])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def run_post_selected(
+    data: StateVector, noise: NoiseSpec, schedules: list[ZenoSchedule]
+) -> list[ProtocolResult | Exception]:
+    """One post-selected run per schedule, all of one aux strategy: its
+    ProtocolResult, or the exception its row raised. The rows share one
+    encoding, one Hamiltonian, one propagator stack and one squaring ladder
+    (:func:`_post_selected`); each row's floats are those of its run alone."""
+    aux_counts = {s.aux_count for s in schedules}
+    if len(aux_counts) != 1 or any(s.measurement_mode != MODE_POST_SELECTED for s in schedules):
+        raise ValueError("run_post_selected needs post-selected schedules of one aux strategy")
+    encoded, steps = _prepare(data, noise, aux_counts.pop(), [s.interval for s in schedules])
+    return _post_selected(encoded, steps, [s.cycles for s in schedules])
 
 
 def sample_trials(
@@ -305,7 +318,7 @@ class _OutcomeTree:
 
     def __init__(self, data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule,
                  capacity: int | None = None):
-        encoded, self.step = _prepare(data, noise, schedule)
+        encoded, self.step = _prepare(data, noise, schedule.aux_count, schedule.interval)
         defect = np.abs(self.step.conj().T @ self.step - np.eye(len(self.step))).max()
         if not defect <= NORM_TOL:  # a NaN defect fails too
             raise NormDriftError(f"propagator is not unitary (U+U - I up to {defect:.3e})")
@@ -374,56 +387,69 @@ class _OutcomeTree:
         return child
 
 
-def _prepare(data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule):
-    """(encoded register, propagator of one noise slice) for a run."""
-    encoded = encode(data, schedule.aux_count)
-    hamiltonian = build_hamiltonian(noise, schedule.register_size)
-    return encoded, propagator(hamiltonian, schedule.interval)
+def _prepare(data: StateVector, noise: NoiseSpec, aux_count: int, times: float | list[float]):
+    """(encoded register, noise-slice propagators for ``times``, a number or a 1-D array)."""
+    encoded = encode(data, aux_count)
+    return encoded, propagator(build_hamiltonian(noise, encoded.num_qubits), times)
 
 
 def _post_selected(
-    encoded: StateVector, step: np.ndarray, cycles: int
-) -> tuple[float, float, bool, StateVector]:
-    """(survival, loss, detected, final state) of the no-error branch over
-    all cycles.
+    encoded: StateVector, steps: np.ndarray, cycles: list[int]
+) -> list[ProtocolResult | Exception]:
+    """The no-error branch of each row i: cycles[i] cycles, each after the
+    noise slice steps[i] of the (N, d, d) stack. Its entry is its
+    ProtocolResult, or the ValueError or NormDriftError it raised.
 
     One cycle on auxiliary a is the pair (M, G): M = keep_a U maps the
     register onto the no-error branch, and G = (Q_a U)^+ (Q_a U), with
     Q_a = I - keep_a, is the Gram matrix of the mass it leaks, so a cycle
-    takes ||psi||^2 to ||M psi||^2 = ||psi||^2 - psi^+ G psi.
+    takes ||psi||^2 to ||M psi||^2 = ||psi||^2 - psi^+ G psi. One stacked
+    ladder raises every row's pair; each row is then finished on its own.
     """
-    num_qubits = encoded.num_qubits
-    masks = _cycle_masks(num_qubits)
+    masks = _cycle_masks(encoded.num_qubits)
     pairs = []
     for keep, leak in masks:
-        leaked = leak[:, None] * step
-        pairs.append((keep[:, None] * step, leaked.conj().T @ leaked))
+        leaked = leak[:, None] * steps
+        pairs.append((keep[:, None] * steps, np.swapaxes(leaked.conj(), -1, -2) @ leaked))
     if len(pairs) == 1:
         m, g = _pair_power(pairs[0], cycles)
     else:
         first, second = pairs
-        if cycles == 1:
-            m, g = first
-        else:
-            m, g = _pair_power(_compose(first, second), cycles // 2)
-            if cycles % 2:
-                m, g = _compose((m, g), first)
+        m, g = _pair_power(_compose(first, second), [max(n // 2, 1) for n in cycles])
+        # an odd count ends with the first pair; a single cycle is that pair as it is
+        odd = [i for i, n in enumerate(cycles) if n % 2 and n > 1]
+        if odd:
+            m[odd], g[odd] = _compose((m[odd], g[odd]), (first[0][odd], first[1][odd]))
+        one = [i for i, n in enumerate(cycles) if n == 1]
+        m[one], g[one] = first[0][one], first[1][one]
+    keeps = [keep for keep, _ in masks]
+    results = []
+    for i, n in enumerate(cycles):
+        try:
+            results.append(_row_result(encoded, m[i], g[i], steps[i], keeps, n))
+        except (ValueError, NormDriftError) as exc:
+            results.append(exc)
+    return results
 
+
+def _row_result(encoded, m, g, step, keeps, cycles) -> ProtocolResult:
+    """One row's result, from its pair (m, g) raised to ``cycles``."""
     psi = encoded.amplitudes
     kept_amps = m @ psi
     kept = float(np.vdot(kept_amps, kept_amps).real)
     if kept < _MIN_BRANCH_PROB:
         # only here can a single cycle's branch have fallen below the
         # threshold; replay the cycles to find out and to reproduce them
-        return _replay(encoded, step, [keep for keep, _ in masks], cycles)
-    # the leaked mass keeps its relative precision where 1 - kept would not;
-    # past 1/2 the kept mass is the more precise of the two
-    loss = max(float(np.vdot(psi, g @ psi).real), 0.0)
-    survival = 1.0 - loss
-    if loss >= 0.5:
-        survival, loss = kept, 1.0 - kept
-    final = StateVector._checked(num_qubits, kept_amps / math.sqrt(kept))
-    return survival, loss, False, final
+        survival, loss, detected, state = _replay(encoded, step, keeps, cycles)
+    else:
+        # the leaked mass keeps its relative precision where 1 - kept would
+        # not; past 1/2 the kept mass is the more precise of the two
+        loss = max(float(np.vdot(psi, g @ psi).real), 0.0)
+        survival, detected = 1.0 - loss, False
+        if loss >= 0.5:
+            survival, loss = kept, 1.0 - kept
+        state = StateVector._checked(encoded.num_qubits, kept_amps / math.sqrt(kept))
+    return ProtocolResult(survival, loss, fidelity(state, encoded), detected, final_state=state)
 
 
 @lru_cache(maxsize=None)
@@ -445,23 +471,29 @@ def _cycle_masks(num_qubits: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 
 def _compose(first, second):
-    """The pair of ``first`` followed by ``second``: the maps multiply, and
-    the second map's leak is seen through the first map."""
+    """The pair of ``first`` followed by ``second``, row by row: the maps
+    multiply, and the second map's leak is seen through the first map."""
     m1, g1 = first
     m2, g2 = second
-    return m2 @ m1, g1 + m1.conj().T @ g2 @ m1
+    return m2 @ m1, g1 + np.swapaxes(m1.conj(), -1, -2) @ g2 @ m1
 
 
-def _pair_power(pair, power: int):
-    """``pair`` composed with itself ``power`` >= 1 times, by repeated
-    squaring."""
-    result = None  # the first factor is taken as is, not composed with (I, 0)
+def _pair_power(pair, powers: list[int]):
+    """Row i of the stacked ``pair`` composed with itself ``powers[i]`` >= 1
+    times by repeated squaring, with exactly a one-row ladder's products: its
+    first factor is taken as it is (composing with (I, 0) makes -0.0 +0.0)."""
+    m, g = (np.empty_like(a) for a in pair)
+    started = [False] * len(powers)
     while True:
-        if power & 1:
-            result = pair if result is None else _compose(result, pair)
-        power >>= 1
-        if not power:
-            return result
+        again = [i for i, p in enumerate(powers) if p & 1 and started[i]]
+        if again:
+            m[again], g[again] = _compose((m[again], g[again]), (pair[0][again], pair[1][again]))
+        for i, p in enumerate(powers):
+            if p & 1 and not started[i]:
+                m[i], g[i], started[i] = pair[0][i], pair[1][i], True
+        powers = [p >> 1 for p in powers]
+        if not any(powers):
+            return m, g
         pair = _compose(pair, pair)
 
 
@@ -469,7 +501,11 @@ def _replay(
     encoded: StateVector, step: np.ndarray, keeps: list[np.ndarray], cycles: int
 ) -> tuple[float, float, bool, StateVector]:
     """The no-error branch cycle by cycle with raw matvecs, renormalizing
-    after each projection as the per-cycle circuit does."""
+    after each projection as the per-cycle circuit does; a ValueError past
+    MAX_REPLAY_CYCLES cycles."""
+    if cycles > MAX_REPLAY_CYCLES:
+        raise ValueError(f"{cycles} cycles need a cycle-by-cycle replay of the no-error "
+                         f"branch, longer than MAX_REPLAY_CYCLES = {MAX_REPLAY_CYCLES}")
     psi = encoded.amplitudes
     survival = 1.0
     for k in range(cycles):

@@ -1,6 +1,8 @@
 """Sweep runner and CSV writer.
 
-One row per cycle count n. Post-selected mode runs the protocol once per n.
+One row per cycle count n. Post-selected mode computes all rows in one
+stacked pass (`protocol.run_post_selected`); a row that fails there fails
+alone, and each row's wall_time_ms is an even share of the pass's time.
 Stochastic mode samples `trials` independent trials per n, each drawing
 from a seed derived from (master seed, n, trial) through a splitmix64-style
 mixer, so any single trial can be reproduced without replaying the others:
@@ -28,7 +30,10 @@ from dataclasses import dataclass, field
 
 from .analysis import single_qubit_survival
 from .config import ExperimentConfig
-from .protocol import MODE_STOCHASTIC, ZenoSchedule, run_protocol, sample_trials
+# run_protocol stays importable here: perfbench/spans.py traces it
+from .protocol import (  # noqa: F401
+    MODE_STOCHASTIC, ZenoSchedule, run_post_selected, run_protocol, sample_trials,
+)
 
 CSV_COLUMNS = (
     "n",
@@ -82,46 +87,41 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Execute the configured protocol for every n; never returns a short
     result — a row that raises is marked failed (NaN fields) instead."""
     data, noise = config.data, config.noise
-    rows = []
+    outcomes = {}  # n -> ((survival, fidelity, detection) or the exception, wall ms)
+    schedules = {}  # n -> schedule of a post-selected row, for the one stacked pass
     for n in config.n_values:
-        reference = single_qubit_survival(noise.lam[0], config.total_time, n)
         start = time.perf_counter()
         try:
-            schedule = ZenoSchedule(
-                total_time=config.total_time,
-                cycles=n,
-                aux_strategy=config.aux_strategy,
-                measurement_mode=config.mode,
-                seed=config.seed,
-                abort_policy=config.abort_policy,
-            )
-            if config.mode == MODE_STOCHASTIC:
-                survival, fidelity_mean, detection = _stochastic_point(config, data, noise, schedule)
-            else:
-                result = run_protocol(data, noise, schedule)
-                survival = result.survival_probability
-                fidelity_mean = result.final_fidelity
-                detection = 1.0 if result.detected else 0.0
-            row = SweepRow(
-                n=n,
-                survival_probability=survival,
-                mean_post_selected_fidelity=fidelity_mean,
-                detection_rate=detection,
-                analytic_reference=reference,
-                wall_time_ms=(time.perf_counter() - start) * 1e3,
-            )
+            schedule = ZenoSchedule(config.total_time, n, aux_strategy=config.aux_strategy,
+                                    measurement_mode=config.mode, seed=config.seed,
+                                    abort_policy=config.abort_policy)
+            if config.mode != MODE_STOCHASTIC:
+                schedules[n] = schedule
+                continue
+            outcome = _stochastic_point(config, data, noise, schedule)
         except Exception as exc:
-            row = SweepRow(
-                n=n,
-                survival_probability=math.nan,
-                mean_post_selected_fidelity=math.nan,
-                detection_rate=math.nan,
-                analytic_reference=reference,
-                wall_time_ms=(time.perf_counter() - start) * 1e3,
-                failed=True,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        rows.append(row)
+            outcome = exc
+        outcomes[n] = outcome, (time.perf_counter() - start) * 1e3
+    if schedules:
+        start = time.perf_counter()
+        try:
+            results = run_post_selected(data, noise, list(schedules.values()))
+        except Exception as exc:
+            results = [exc] * len(schedules)
+        share = (time.perf_counter() - start) * 1e3 / len(schedules)
+        for n, result in zip(schedules, results):
+            if not isinstance(result, Exception):
+                result = result.survival_probability, result.final_fidelity, float(result.detected)
+            outcomes[n] = result, share
+    rows = []
+    for n in config.n_values:
+        outcome, wall_ms = outcomes[n]
+        reference = single_qubit_survival(noise.lam[0], config.total_time, n)
+        if isinstance(outcome, Exception):
+            rows.append(SweepRow(n, math.nan, math.nan, math.nan, reference, wall_ms, failed=True,
+                                 error=f"{type(outcome).__name__}: {outcome}"))
+        else:
+            rows.append(SweepRow(n, *outcome, reference, wall_ms))
     return SweepResult(rows=rows)
 
 

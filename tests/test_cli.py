@@ -91,7 +91,7 @@ class TestSweepCommand:
         def failing(data, noise, schedule):
             raise RuntimeError("synthetic protocol failure")
 
-        monkeypatch.setattr(sweep_module, "run_protocol", failing)
+        monkeypatch.setattr(sweep_module, "run_post_selected", failing)
         config_path, _ = write_config(tmp_path)
         assert main(["sweep", str(config_path)]) == 2
         captured = capsys.readouterr()

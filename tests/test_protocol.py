@@ -41,7 +41,7 @@ from zenosim import (
     write_csv,
     zeno_cycle,
 )
-from zenosim.protocol import DRAW_BLOCK, sample_trials
+from zenosim.protocol import DRAW_BLOCK, MAX_REPLAY_CYCLES, run_post_selected, sample_trials
 import brute_force
 import per_cycle
 from conftest import random_state
@@ -360,6 +360,56 @@ class TestFusedPostSelectedEngine:
         slope, _ = fit_inverse_n(points)
         assert -1.001 <= slope <= -0.999
         assert time.perf_counter() - start < 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        strategy=st.sampled_from([AUX_SINGLE, AUX_DUAL_ALTERNATING]),
+        lam=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+        mu=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+        amps=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+            lambda a: np.hypot.reduce(a) > 1e-3
+        ),
+        total_time=st.floats(0.0, 3.0),
+        n_values=st.lists(st.integers(2, 300), max_size=7, unique=True),
+    )
+    def test_stacked_rows_equal_one_row_runs(self, strategy, lam, mu, amps, total_time, n_values):
+        size = 2 if strategy == AUX_SINGLE else 3
+        data = new_state(1, [complex(amps[0], amps[1]), complex(amps[2], amps[3])])
+        noise = NoiseSpec(lam=tuple(lam[:size]), mu=tuple(mu[:size]))
+        # every stack holds the one-cycle row, which takes no squaring
+        schedules = [ZenoSchedule(total_time, n, aux_strategy=strategy) for n in [*n_values, 1]]
+        for schedule, result in zip(schedules, run_post_selected(data, noise, schedules)):
+            assert_same_run(result, run_protocol(data, noise, schedule))
+
+    def test_replay_past_the_bound_fails_only_its_row(self):
+        # lambda T = 3e5: both rows keep a mass below the zero-branch threshold
+        # and replay; n = 10**9 would replay for about 100 minutes
+        config = parse_config(
+            "alpha0_re = 0.6\nalpha1_re = 0.8\nlambda = 30000.0, 0.0\ntotal_time = 10.0\n"
+            "n_values = 328, 1000000000\n"
+        )
+        start = time.perf_counter()
+        rows = run_sweep(config).rows
+        assert time.perf_counter() - start < 1.0
+        assert [row.failed for row in rows] == [False, True]
+        assert rows[1].error == (
+            "ValueError: 1000000000 cycles need a cycle-by-cycle replay of the no-error branch, "
+            f"longer than MAX_REPLAY_CYCLES = {MAX_REPLAY_CYCLES}"
+        )
+        data, noise = config.data, config.noise
+        schedule = ZenoSchedule(10.0, 328)
+        with pytest.raises(ValueError, match="MAX_REPLAY_CYCLES"):
+            run_protocol(data, noise, ZenoSchedule(10.0, 10**9))
+        result, failure = run_post_selected(data, noise, [schedule, ZenoSchedule(10.0, 10**9)])
+        assert isinstance(failure, ValueError)
+        assert_same_run(result, run_protocol(data, noise, schedule))
+        assert rows[0].survival_probability == result.survival_probability
+        survival, detected, state, encoded, _ = per_cycle_reference(data, noise, schedule)
+        assert not result.detected and not detected
+        assert 0.0 < result.survival_probability < 1e-14
+        assert result.survival_probability == pytest.approx(survival, rel=1e-12)
+        assert result.final_fidelity == pytest.approx(fidelity(state, encoded), abs=1e-15)
+        assert fidelity(result.final_state, state) == pytest.approx(1.0, abs=1e-12)
 
 
 class ScriptedGenerator:

@@ -117,14 +117,14 @@ class TestRunSweep:
     def test_protocol_failure_marks_row_but_keeps_the_rest(self, monkeypatch):
         import zenosim.sweep as sweep_module
 
-        real_run = sweep_module.run_protocol
+        real_run = sweep_module.run_post_selected
 
-        def flaky(data, noise, schedule):
-            if schedule.cycles == 16:
-                raise RuntimeError("synthetic protocol failure")
-            return real_run(data, noise, schedule)
+        def flaky(data, noise, schedules):
+            results = real_run(data, noise, schedules)
+            return [RuntimeError("synthetic protocol failure") if schedule.cycles == 16 else result
+                    for schedule, result in zip(schedules, results)]
 
-        monkeypatch.setattr(sweep_module, "run_protocol", flaky)
+        monkeypatch.setattr(sweep_module, "run_post_selected", flaky)
         result = run_sweep(make_config())
         assert [row.n for row in result.rows] == [8, 16, 32]
         assert [row.failed for row in result.rows] == [False, True, False]
