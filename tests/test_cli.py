@@ -1,4 +1,5 @@
 """Command-line surface: subcommands, exit codes, output artifacts."""
+import os
 import time
 
 import pytest
@@ -84,6 +85,23 @@ class TestSweepCommand:
             f"output = {tmp_path}/no/such/dir/out.csv\n"
         )
         assert main(["sweep", str(config_path)]) == 2
+
+    def test_directory_output_exit_code(self, tmp_path, capsys):
+        config_path = tmp_path / "sweep.cfg"
+        config_path.write_text(
+            f"lambda = 0.1, 0.1\ntotal_time = 1.0\nn_values = 4\noutput = {tmp_path}\n"
+        )
+        assert main(["sweep", str(config_path)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+    def test_null_device_output(self, tmp_path, capsys):
+        # a non-regular target is written but never cut to length
+        config_path = tmp_path / "sweep.cfg"
+        config_path.write_text(GOOD_CONFIG.format(output=os.devnull))
+        assert main(["sweep", str(config_path)]) == 0
+        out = capsys.readouterr().out
+        assert "n=4: survival=" in out and "n=8: survival=" in out
 
     def test_failed_row_reason_on_stderr(self, tmp_path, capsys, monkeypatch):
         import zenosim.sweep as sweep_module

@@ -1,4 +1,7 @@
 """Sweep execution, seed derivation, and CSV determinism."""
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -175,3 +178,91 @@ class TestWriteCsv:
         path = tmp_path / "failed.csv"
         write_csv(SweepResult(rows=[row]), path)
         assert path.read_text().splitlines()[1] == "8,nan,nan,nan,0.9987,0"
+
+    @pytest.mark.parametrize("old", ["junk", "longer_csv"])
+    def test_overwrite_leaves_no_old_tail(self, tmp_path, old):
+        rows = [SweepRow(n, 0.9, 0.99, 0.1, 0.9, 1.0) for n in (4, 8, 16)]
+        fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+        if old == "junk":
+            reused.write_bytes(b"x" * 5000)
+        else:
+            write_csv(SweepResult(rows=rows), reused)
+        before = reused.stat()
+        write_csv(SweepResult(rows=rows[:1]), fresh)
+        write_csv(SweepResult(rows=rows[:1]), reused)
+        assert fresh.read_text() == ",".join(CSV_COLUMNS) + "\n4,0.9,0.99,0.1,0.9,0\n"
+        assert fresh.stat().st_size < before.st_size
+        assert reused.read_bytes() == fresh.read_bytes()
+        # written over in place, as open(path, "w") does: the same file
+        assert reused.stat().st_ino == before.st_ino
+
+    @pytest.mark.parametrize("fault_row", [1, 400])
+    def test_failed_overwrite_leaves_no_old_tail(self, tmp_path, monkeypatch, fault_row):
+        import zenosim.sweep as sweep_module
+
+        # 500 rows overflow the write buffer: at row 400 part of the new
+        # content has reached the file, at row 1 none has
+        result = SweepResult(rows=[SweepRow(n, 0.9, 0.99, 0.1, 0.9, 1.0) for n in range(500)])
+        fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+        write_csv(result, fresh)
+        reused.write_bytes(b"x" * 100_000)
+        calls, real_fmt = [], sweep_module._fmt
+
+        def failing_fmt(value):
+            calls.append(value)
+            if len(calls) > 5 * fault_row:
+                raise RuntimeError("synthetic write failure")
+            return real_fmt(value)
+
+        monkeypatch.setattr(sweep_module, "_fmt", failing_fmt)
+        with pytest.raises(RuntimeError):
+            write_csv(result, reused)
+        written = reused.read_bytes()
+        assert b"x" not in written
+        assert fresh.read_bytes().startswith(written)
+        assert written.count(b"\n") == 1 + fault_row
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="no file size limit")
+    def test_write_error_leaves_no_old_tail(self, tmp_path):
+        import resource
+
+        # a file size limit makes the flush fail with OSError (EFBIG) part way
+        # through, as a full disk would
+        result = SweepResult(rows=[SweepRow(n, 0.9, 0.99, 0.1, 0.9, 1.0) for n in range(500)])
+        fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+        write_csv(result, fresh)
+        reused.write_bytes(b"x" * 100_000)
+        limits = resource.getrlimit(resource.RLIMIT_FSIZE)
+        handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (10_000, limits[1]))
+        try:
+            with pytest.raises(OSError):
+                write_csv(result, reused)
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, limits)
+            signal.signal(signal.SIGXFSZ, handler)
+        written = reused.read_bytes()
+        assert 0 < len(written) <= 10_000
+        assert fresh.read_bytes().startswith(written)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_target_is_written_not_cut(self, tmp_path):
+        # a pipe can neither be cut nor asked for its position
+        result = SweepResult(rows=[SweepRow(4, 0.9, 0.99, 0.1, 0.9, 1.0)])
+        fresh, fifo = tmp_path / "fresh.csv", tmp_path / "pipe"
+        write_csv(result, fresh)
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            write_csv(result, fifo)
+            assert os.read(reader, 65536) == fresh.read_bytes()
+        finally:
+            os.close(reader)
+
+    def test_new_file_mode_matches_open_for_writing(self, tmp_path):
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w"):
+            pass
+        path = tmp_path / "new.csv"
+        write_csv(SweepResult(rows=[]), path)
+        assert path.stat().st_mode == reference.stat().st_mode
