@@ -54,12 +54,13 @@ DRAW_BLOCK = 256
 MAX_REPLAY_CYCLES = 10_000_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class ZenoSchedule:
     """How a protocol run is sliced: total time, cycle count, strategy, mode.
 
-    The per-cycle interval total_time / cycles is always recomputed from the
-    current fields, never stored.
+    Frozen, so every schedule has passed its validation:
+    ``dataclasses.replace`` builds a changed copy and validates it again.
+    The per-cycle interval total_time / cycles is computed, never stored.
     """
 
     total_time: float
@@ -72,8 +73,8 @@ class ZenoSchedule:
     def __post_init__(self):
         if not isinstance(self.cycles, (int, np.integer)) or self.cycles < 1:
             raise ValueError(f"cycles must be a positive integer, got {self.cycles!r}")
-        self.cycles = int(self.cycles)
-        self.total_time = float(self.total_time)
+        object.__setattr__(self, "cycles", int(self.cycles))
+        object.__setattr__(self, "total_time", float(self.total_time))
         if not math.isfinite(self.total_time) or self.total_time < 0:
             raise ValueError(f"total_time must be finite and >= 0, got {self.total_time!r}")
         for name, allowed in (
@@ -86,7 +87,7 @@ class ZenoSchedule:
         if self.measurement_mode == MODE_STOCHASTIC:
             if self.seed is None or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
                 raise ValueError("stochastic mode requires a non-negative integer seed")
-            self.seed = int(self.seed)
+            object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def interval(self) -> float:
@@ -124,8 +125,8 @@ class ProtocolResult:
     1.1e-16 absolute, far coarser at large n than the leaked mass itself.
     final_fidelity compares the terminal register state against the ideal
     noiseless encoded state. cycle_log holds the per-cycle outcomes of a
-    stochastic run; it is empty in post-selected mode, which does not step
-    cycle by cycle.
+    stochastic run; it is empty in post-selected mode, replayed rows
+    included.
     """
 
     survival_probability: float
@@ -207,8 +208,11 @@ def run_protocol(data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule) ->
     mass, which keeps 1 - survival accurate at large n, and cycle_log stays
     empty. A no-error branch below the ZeroProbabilityError threshold in
     some cycle means detection is certain: survival is 0 and the final state
-    is the register just after that cycle's noise slice. Finding that cycle
-    replays at most MAX_REPLAY_CYCLES cycles, and raises ValueError past it.
+    is the register just after that cycle's noise slice. So a run that keeps
+    less mass than that threshold is replayed: it walks the no-error path of
+    the stochastic engine's outcome tree, cycle by cycle, which reproduces
+    the per-cycle circuit float for float. The walk steps at most
+    MAX_REPLAY_CYCLES cycles, and raises ValueError past it.
 
     A stochastic run is one trial of :func:`sample_trials`, seeded with
     ``schedule.seed``: each cycle's auxiliary is sampled, and a measured 1
@@ -245,14 +249,43 @@ def run_post_selected(
     data: StateVector, noise: NoiseSpec, schedules: list[ZenoSchedule]
 ) -> list[ProtocolResult | Exception]:
     """One post-selected run per schedule, all of one aux strategy: its
-    ProtocolResult, or the exception its row raised. The rows share one
-    encoding, one Hamiltonian, one propagator stack and one squaring ladder
-    (:func:`_post_selected`); each row's floats are those of its run alone."""
+    ProtocolResult, or the ValueError or NormDriftError its row raised. The
+    rows share one encoding, one Hamiltonian, one propagator stack and one
+    squaring ladder; each row's floats are those of its run alone.
+
+    One cycle on auxiliary a is the pair (M, G): M = keep_a U maps the
+    register onto the no-error branch, and G = (Q_a U)^+ (Q_a U), with
+    Q_a = I - keep_a, is the Gram matrix of the mass it leaks, so a cycle
+    takes ||psi||^2 to ||M psi||^2 = ||psi||^2 - psi^+ G psi. One stacked
+    ladder raises every row's pair; each row is then finished on its own.
+    """
     aux_counts = {s.aux_count for s in schedules}
     if len(aux_counts) != 1 or any(s.measurement_mode != MODE_POST_SELECTED for s in schedules):
         raise ValueError("run_post_selected needs post-selected schedules of one aux strategy")
     encoded, steps = _prepare(data, noise, aux_counts.pop(), [s.interval for s in schedules])
-    return _post_selected(encoded, steps, [s.cycles for s in schedules])
+    cycles = [s.cycles for s in schedules]
+    pairs = []
+    for keep, leak in _cycle_masks(encoded.num_qubits):
+        leaked = leak[:, None] * steps
+        pairs.append((keep[:, None] * steps, np.swapaxes(leaked.conj(), -1, -2) @ leaked))
+    if len(pairs) == 1:
+        m, g = _pair_power(pairs[0], cycles)
+    else:
+        first, second = pairs
+        m, g = _pair_power(_compose(first, second), [max(n // 2, 1) for n in cycles])
+        # an odd count ends with the first pair; a single cycle is that pair as it is
+        odd = [i for i, n in enumerate(cycles) if n % 2 and n > 1]
+        if odd:
+            m[odd], g[odd] = _compose((m[odd], g[odd]), (first[0][odd], first[1][odd]))
+        one = [i for i, n in enumerate(cycles) if n == 1]
+        m[one], g[one] = first[0][one], first[1][one]
+    results = []
+    for i, schedule in enumerate(schedules):
+        try:
+            results.append(_row_result(data, noise, schedule, encoded, m[i], g[i]))
+        except (ValueError, NormDriftError) as exc:
+            results.append(exc)
+    return results
 
 
 def sample_trials(
@@ -282,7 +315,8 @@ class HistoryNode:
     history of cycle outcomes, and ``cycle``, the ``(outcome, Born
     probability, read-only amplitudes after)`` of its last cycle.
 
-    A trial ends on a node that has completed every cycle, that measured 1
+    A stochastic trial, or a post-selected replay walking the outcome-0
+    children, ends on a node that has completed every cycle, that measured 1
     under abort-on-detect, or that a zero-probability branch ended (its
     ``cycle`` is None and ``amps`` is the register after that cycle's noise
     slice); such a node also holds ``final_fidelity``, against the noiseless
@@ -308,12 +342,14 @@ class HistoryNode:
 class _OutcomeTree:
     """The shared tree of outcome histories for one (data, noise, schedule).
 
-    Nodes are stepped on raw arrays with the numpy operations of the
-    per-cycle gate calls, in their order, so every float is theirs; the
-    reset's Pauli-X is an index permutation. The norm those calls checked at
-    every node is checked once, as the propagator's unitarity. The tree
-    links at most ``capacity`` nodes below the root (MAX_TREE_NODES when
-    None); the others are built for the trial at hand and dropped after it.
+    Stochastic trials sample their way down it; a post-selected replay walks
+    its no-error path, the outcome-0 child of every node. Nodes are stepped
+    on raw arrays with the numpy operations of the per-cycle gate calls, in
+    their order, so every float is theirs; the reset's Pauli-X is an index
+    permutation. The norm those calls checked at every node is checked once,
+    as the propagator's unitarity. The tree links at most ``capacity`` nodes
+    below the root (MAX_TREE_NODES when None); the others are built for the
+    walk at hand and dropped after it.
     """
 
     def __init__(self, data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule,
@@ -393,63 +429,35 @@ def _prepare(data: StateVector, noise: NoiseSpec, aux_count: int, times: float |
     return encoded, propagator(build_hamiltonian(noise, encoded.num_qubits), times)
 
 
-def _post_selected(
-    encoded: StateVector, steps: np.ndarray, cycles: list[int]
-) -> list[ProtocolResult | Exception]:
-    """The no-error branch of each row i: cycles[i] cycles, each after the
-    noise slice steps[i] of the (N, d, d) stack. Its entry is its
-    ProtocolResult, or the ValueError or NormDriftError it raised.
-
-    One cycle on auxiliary a is the pair (M, G): M = keep_a U maps the
-    register onto the no-error branch, and G = (Q_a U)^+ (Q_a U), with
-    Q_a = I - keep_a, is the Gram matrix of the mass it leaks, so a cycle
-    takes ||psi||^2 to ||M psi||^2 = ||psi||^2 - psi^+ G psi. One stacked
-    ladder raises every row's pair; each row is then finished on its own.
-    """
-    masks = _cycle_masks(encoded.num_qubits)
-    pairs = []
-    for keep, leak in masks:
-        leaked = leak[:, None] * steps
-        pairs.append((keep[:, None] * steps, np.swapaxes(leaked.conj(), -1, -2) @ leaked))
-    if len(pairs) == 1:
-        m, g = _pair_power(pairs[0], cycles)
-    else:
-        first, second = pairs
-        m, g = _pair_power(_compose(first, second), [max(n // 2, 1) for n in cycles])
-        # an odd count ends with the first pair; a single cycle is that pair as it is
-        odd = [i for i, n in enumerate(cycles) if n % 2 and n > 1]
-        if odd:
-            m[odd], g[odd] = _compose((m[odd], g[odd]), (first[0][odd], first[1][odd]))
-        one = [i for i, n in enumerate(cycles) if n == 1]
-        m[one], g[one] = first[0][one], first[1][one]
-    keeps = [keep for keep, _ in masks]
-    results = []
-    for i, n in enumerate(cycles):
-        try:
-            results.append(_row_result(encoded, m[i], g[i], steps[i], keeps, n))
-        except (ValueError, NormDriftError) as exc:
-            results.append(exc)
-    return results
-
-
-def _row_result(encoded, m, g, step, keeps, cycles) -> ProtocolResult:
-    """One row's result, from its pair (m, g) raised to ``cycles``."""
+def _row_result(data, noise, schedule, encoded, m, g) -> ProtocolResult:
+    """One row's result, from its pair (m, g) raised to ``schedule.cycles``."""
     psi = encoded.amplitudes
     kept_amps = m @ psi
     kept = float(np.vdot(kept_amps, kept_amps).real)
     if kept < _MIN_BRANCH_PROB:
         # only here can a single cycle's branch have fallen below the
-        # threshold; replay the cycles to find out and to reproduce them
-        survival, loss, detected, state = _replay(encoded, step, keeps, cycles)
-    else:
-        # the leaked mass keeps its relative precision where 1 - kept would
-        # not; past 1/2 the kept mass is the more precise of the two
-        loss = max(float(np.vdot(psi, g @ psi).real), 0.0)
-        survival, detected = 1.0 - loss, False
-        if loss >= 0.5:
-            survival, loss = kept, 1.0 - kept
-        state = StateVector._checked(encoded.num_qubits, kept_amps / math.sqrt(kept))
-    return ProtocolResult(survival, loss, fidelity(state, encoded), detected, final_state=state)
+        # threshold: walk the no-error path of the outcome tree, cycle by
+        # cycle, to find out and to reproduce the per-cycle circuit
+        if schedule.cycles > MAX_REPLAY_CYCLES:
+            raise ValueError(f"{schedule.cycles} cycles need a cycle-by-cycle replay of the "
+                             f"no-error branch, longer than MAX_REPLAY_CYCLES = {MAX_REPLAY_CYCLES}")
+        tree = _OutcomeTree(data, noise, schedule, capacity=0)
+        node, survival = tree.root, 1.0
+        while not node.done:
+            node = tree._child(node, 0)
+            # a node that detects carries no cycle: its branch held no probability
+            survival = survival * node.cycle[1] if node.cycle else 0.0
+        state = StateVector._wrap(tree.num_qubits, node.amps)
+        return ProtocolResult(survival, 1.0 - survival, node.final_fidelity, node.detected,
+                              final_state=state)
+    # the leaked mass keeps its relative precision where 1 - kept would
+    # not; past 1/2 the kept mass is the more precise of the two
+    loss = max(float(np.vdot(psi, g @ psi).real), 0.0)
+    survival = 1.0 - loss
+    if loss >= 0.5:
+        survival, loss = kept, 1.0 - kept
+    state = StateVector._checked(encoded.num_qubits, kept_amps / math.sqrt(kept))
+    return ProtocolResult(survival, loss, fidelity(state, encoded), False, final_state=state)
 
 
 @lru_cache(maxsize=None)
@@ -495,28 +503,6 @@ def _pair_power(pair, powers: list[int]):
         if not any(powers):
             return m, g
         pair = _compose(pair, pair)
-
-
-def _replay(
-    encoded: StateVector, step: np.ndarray, keeps: list[np.ndarray], cycles: int
-) -> tuple[float, float, bool, StateVector]:
-    """The no-error branch cycle by cycle with raw matvecs, renormalizing
-    after each projection as the per-cycle circuit does; a ValueError past
-    MAX_REPLAY_CYCLES cycles."""
-    if cycles > MAX_REPLAY_CYCLES:
-        raise ValueError(f"{cycles} cycles need a cycle-by-cycle replay of the no-error "
-                         f"branch, longer than MAX_REPLAY_CYCLES = {MAX_REPLAY_CYCLES}")
-    psi = encoded.amplitudes
-    survival = 1.0
-    for k in range(cycles):
-        psi = step @ psi
-        kept_amps = keeps[k % len(keeps)] * psi
-        prob = float(np.vdot(kept_amps, kept_amps).real)
-        if prob < _MIN_BRANCH_PROB:
-            return 0.0, 1.0, True, StateVector._checked(encoded.num_qubits, psi)
-        survival *= min(prob, 1.0)
-        psi = kept_amps / math.sqrt(prob)
-    return survival, 1.0 - survival, False, StateVector._checked(encoded.num_qubits, psi)
 
 
 def decode(state: StateVector, aux_count: int) -> StateVector:

@@ -1,10 +1,11 @@
 """Encoder, measurement cycle, scheduler, and decoder contracts."""
+import dataclasses
 import math
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import zenosim.protocol as protocol_module
@@ -145,8 +146,13 @@ class TestZenoSchedule:
     def test_interval_recomputed(self):
         schedule = ZenoSchedule(total_time=2.0, cycles=4)
         assert schedule.interval == 0.5
-        schedule.cycles = 8
-        assert schedule.interval == 0.25
+        assert dataclasses.replace(schedule, cycles=8).interval == 0.25
+        # assigning a field would skip the validation: cycles = -3 never ends
+        # the squaring ladder, cycles = 0 divides by zero
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            schedule.cycles = -3
+        with pytest.raises(ValueError, match="cycles"):
+            dataclasses.replace(schedule, cycles=-3)
 
     def test_invalid_cycles(self):
         with pytest.raises(ValueError, match="cycles"):
@@ -337,6 +343,36 @@ class TestFusedPostSelectedEngine:
         assert result.final_fidelity == pytest.approx(fidelity(state, encoded), abs=1e-15)
         assert fidelity(result.final_state, state) == pytest.approx(1.0, abs=1e-12)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        strategy=st.sampled_from([AUX_SINGLE, AUX_DUAL_ALTERNATING]),
+        lam=st.lists(st.floats(0.0, 40.0), min_size=3, max_size=3),
+        mu=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+        amps=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+            lambda a: np.hypot.reduce(a) > 1e-3
+        ),
+        total_time=st.floats(0.5, 20.0),
+        n=st.integers(1, 300),
+    )
+    def test_replayed_rows_equal_the_per_cycle_reference(
+        self, strategy, lam, mu, amps, total_time, n
+    ):
+        size = 2 if strategy == AUX_SINGLE else 3
+        data = new_state(1, [complex(amps[0], amps[1]), complex(amps[2], amps[3])])
+        noise = NoiseSpec(lam=tuple(lam[:size]), mu=tuple(mu[:size]))
+        schedule = ZenoSchedule(total_time, n, aux_strategy=strategy)
+        survival, detected, state, encoded, _ = per_cycle_reference(data, noise, schedule)
+        # the row keeps less than the 1e-14 zero-branch threshold of its mass
+        # and is replayed cycle by cycle; a tenth of it leaves room for the
+        # closed form's rounding of the kept mass
+        assume(detected or survival < 1e-15)
+        result = run_protocol(data, noise, schedule)
+        assert result.detected == detected
+        assert result.survival_probability == survival
+        assert result.loss_probability == 1.0 - survival
+        assert result.final_fidelity == fidelity(state, encoded)
+        assert np.array_equal(result.final_state.amplitudes, state.amplitudes)
+
     def test_large_n_loss_and_inverse_n_law(self):
         start = time.perf_counter()
         lam, total_time = 0.1, 1.0
@@ -383,7 +419,7 @@ class TestFusedPostSelectedEngine:
 
     def test_replay_past_the_bound_fails_only_its_row(self):
         # lambda T = 3e5: both rows keep a mass below the zero-branch threshold
-        # and replay; n = 10**9 would replay for about 100 minutes
+        # and replay; at about 10 us a cycle, n = 10**9 would replay for about 3 hours
         config = parse_config(
             "alpha0_re = 0.6\nalpha1_re = 0.8\nlambda = 30000.0, 0.0\ntotal_time = 10.0\n"
             "n_values = 328, 1000000000\n"
