@@ -31,11 +31,11 @@ __all__ = ["ConfigError", "ExperimentConfig", "parse_config"]
 import math
 from dataclasses import dataclass
 
-from .protocol import ABORT_ON_DETECT, AUX_SINGLE, MODE_POST_SELECTED, MODE_STOCHASTIC, ZenoSchedule
+from .protocol import (
+    ABORT_ON_DETECT, AUX_SINGLE, MAX_SEED, MODE_POST_SELECTED, MODE_STOCHASTIC, ZenoSchedule,
+)
 from .noise import NoiseSpec
 from .states import StateVector
-
-_MAX_SEED = (1 << 64) - 1
 
 #: cycles a stochastic sweep may ask for, sum(n_values) * trials: about 60
 #: times the 20 000-trial, 8-cycle consistency check. Post-selected runs cost
@@ -102,7 +102,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ConfigError("key 'n_values': n values must be strictly increasing")
     seed = get("seed", 0)
-    if not 0 <= seed <= _MAX_SEED:
+    if not 0 <= seed <= MAX_SEED:
         raise ConfigError(f"key 'seed' must be an unsigned 64-bit integer, got {seed}")
     # n_values increase, so the first n is the one that can be out of range
     schedule = _build(

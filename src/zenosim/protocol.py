@@ -16,6 +16,7 @@ __all__ = [
     "ZenoSchedule", "decode", "encode", "run_protocol", "zeno_cycle",
 ]
 
+import itertools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -52,6 +53,18 @@ MAX_TREE_NODES = 1 << 14
 DRAW_BLOCK = 256
 #: cycles a post-selected zero-branch replay may step, as in config.MAX_STOCHASTIC_CYCLES
 MAX_REPLAY_CYCLES = 10_000_000
+#: trial seeds turned into generator states at a time, so a row of many
+#: trials holds no array that grows with their count
+SEED_BATCH = 4096
+#: a stochastic seed is an unsigned 64-bit integer, as config's master seed
+MAX_SEED = (1 << 64) - 1
+
+# numpy.random.SeedSequence's hash and mixing constants (NEP 19), for _seed_words
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -85,8 +98,10 @@ class ZenoSchedule:
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         if self.measurement_mode == MODE_STOCHASTIC:
-            if self.seed is None or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-                raise ValueError("stochastic mode requires a non-negative integer seed")
+            if not _is_seed(self.seed):
+                raise ValueError(
+                    f"stochastic mode requires an integer seed in [0, 2**64), got {self.seed!r}"
+                )
             object.__setattr__(self, "seed", int(self.seed))
 
     @property
@@ -226,7 +241,8 @@ def run_protocol(data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule) ->
     if schedule.measurement_mode == MODE_STOCHASTIC:
         steps: list[tuple[int, float, np.ndarray] | None] = []
         # one trial never revisits a node, so the tree links none
-        trial = _OutcomeTree(data, noise, schedule, capacity=0).sample(schedule.seed, steps)
+        rng = np.random.default_rng(schedule.seed)
+        trial = _OutcomeTree(data, noise, schedule, capacity=0).sample(rng, steps)
         size = schedule.register_size
         return ProtocolResult(
             survival_probability=0.0 if trial.detected else 1.0,
@@ -293,21 +309,114 @@ def sample_trials(
 ) -> Iterator[HistoryNode]:
     """Run one stochastic trial per seed; yield each trial's final node.
 
-    Trial t draws one uniform per cycle from ``default_rng(seeds[t])``
-    (``schedule.seed`` is not used) and measures 1 in a cycle when its draw
-    is below that cycle's Born probability of 1, exactly as
-    :func:`zeno_cycle` samples. A trial's register depends only on its
-    outcome history, so all trials walk one shared tree of histories, built
-    once per (data, noise, schedule), whose nodes are computed the first time
-    a trial reaches them. Under abort-on-detect every running trial sits on
-    the single no-error path; under reset-and-continue trials share history
-    prefixes. The tree holds at most MAX_TREE_NODES nodes; past that, nodes
-    are built for the trial at hand and dropped after it.
+    Trial t draws one uniform per cycle from a generator in the state of
+    ``default_rng(seeds[t])`` (``schedule.seed`` is not used) and measures 1
+    in a cycle when its draw is below that cycle's Born probability of 1,
+    exactly as :func:`zeno_cycle` samples. A trial's register depends only
+    on its outcome history, so all trials walk one shared tree of histories,
+    built once per (data, noise, schedule), whose nodes are computed the
+    first time a trial reaches them. Under abort-on-detect every running
+    trial sits on the single no-error path; under reset-and-continue trials
+    share history prefixes. The tree holds at most MAX_TREE_NODES nodes;
+    past that, nodes are built for the trial at hand and dropped after it.
+
+    Seeds are read lazily, SEED_BATCH at a time: each batch's generator
+    states are computed in one vectorized pass (:func:`_seed_words`), not
+    by a ``default_rng`` per trial, and every draw is the same. A seed that
+    is not an integer in [0, 2**64) raises ValueError when its batch is
+    read, as ZenoSchedule rejects it for :func:`run_protocol`.
     """
     if schedule.measurement_mode != MODE_STOCHASTIC:
         raise ValueError("sample_trials needs a stochastic schedule")
-    tree = _OutcomeTree(data, noise, schedule)
-    return map(tree.sample, seeds)
+    return _sample_batches(_OutcomeTree(data, noise, schedule), iter(seeds))
+
+
+def _sample_batches(tree: _OutcomeTree, seeds: Iterator[int]) -> Iterator[HistoryNode]:
+    seed_words = _seed_words_class()
+    while batch := list(itertools.islice(seeds, SEED_BATCH)):
+        for words in _seed_words(_seed_array(batch)):
+            yield tree.sample(np.random.Generator(np.random.PCG64(seed_words(words))))
+
+
+def _is_seed(seed) -> bool:
+    return isinstance(seed, (int, np.integer)) and 0 <= seed <= MAX_SEED
+
+
+def _seed_array(seeds: list) -> np.ndarray:
+    """``seeds`` as a uint64 array; ValueError names the first that is not
+    an integer in [0, 2**64). A list of plain ints in range, the common
+    case, is checked in C loops."""
+    if not (set(map(type, seeds)) == {int} and min(seeds) >= 0 and max(seeds) <= MAX_SEED):
+        for seed in seeds:
+            if not _is_seed(seed):
+                raise ValueError(f"a seed must be an integer in [0, 2**64), got {seed!r}")
+        seeds = [int(seed) for seed in seeds]
+    return np.array(seeds, dtype=np.uint64)
+
+
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """Row i is ``SeedSequence(seeds[i]).generate_state(4, np.uint64)``.
+
+    SeedSequence's entropy pool and output hash, on uint32 arrays of one
+    entry per seed; its hash constants do not depend on the seed, so every
+    seed steps in lockstep. A seed's entropy is its 32-bit words, low word
+    first, and the pool pads them with hashed zeros: a seed below 2**32 has
+    one word and the pool of [s, 0], so every seed takes the same path.
+    """
+
+    def hasher(const, mult):
+        def hashmix(value):
+            nonlocal const
+            value = value ^ const
+            const = const * mult & _MASK32
+            value = value * const
+            return value ^ (value >> 16)
+        return hashmix
+
+    hashmix = hasher(_INIT_A, _MULT_A)
+    zeros = np.zeros(len(seeds), dtype=np.uint32)
+    entropy = [(seeds & _MASK32).astype(np.uint32), (seeds >> 32).astype(np.uint32)]
+    pool = [hashmix(word) for word in entropy + [zeros] * (_POOL_SIZE - len(entropy))]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> 16)
+    hashmix = hasher(_INIT_B, _MULT_B)
+    words = np.empty((len(seeds), 4), dtype=np.uint64)
+    for i in range(4):
+        # uint32 state words 2i and 2i + 1 read as one little-endian uint64,
+        # whatever the host's order
+        low = hashmix(pool[2 * i % _POOL_SIZE]).astype(np.uint64)
+        words[:, i] = low | hashmix(pool[(2 * i + 1) % _POOL_SIZE]).astype(np.uint64) << 32
+    return words
+
+
+@lru_cache(maxsize=None)
+def _seed_words_class() -> type:
+    """The seed sequence that hands ``np.random.PCG64`` a row of
+    :func:`_seed_words`. Built on first use: it subclasses a numpy.random
+    class, and importing numpy.random adds about 5 MiB to the peak RSS of a
+    post-selected run, which never draws."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        """PCG64 asks its seed sequence for 4 uint64 words, and these are the
+        words ``SeedSequence(seed)`` would give, so
+        ``Generator(PCG64(SeedWords(row)))`` is in the state of
+        ``default_rng(seed)``. It can give nothing else."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(
+                    f"only 4 uint64 words are held, not {n_words} of {np.dtype(dtype)}"
+                )
+            return self.words
+
+    return SeedWords
 
 
 class HistoryNode:
@@ -367,10 +476,10 @@ class _OutcomeTree:
         self.size = 0
         self.root = self._node(self.encoded, None, 0, False)
 
-    def sample(self, seed: int, steps: list | None = None) -> HistoryNode:
-        """Walk one trial's draws down the tree to the node it ends on. If
+    def sample(self, rng: np.random.Generator, steps: list | None = None) -> HistoryNode:
+        """Walk one trial down the tree to the node it ends on, drawing one
+        uniform per cycle from ``rng``, a fresh generator of that trial. If
         ``steps`` is given, append the ``cycle`` of every node passed."""
-        rng = np.random.default_rng(seed)
         node = self.root
         while not node.done:
             for u in rng.random(min(self.cycles - node.depth, DRAW_BLOCK)).tolist():

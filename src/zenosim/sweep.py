@@ -6,10 +6,13 @@ alone, and each row's wall_time_ms is an even share of the pass's time.
 Stochastic mode samples `trials` independent trials per n, each drawing
 from a seed derived from (master seed, n, trial) through a splitmix64-style
 mixer, so any single trial can be reproduced without replaying the others:
-`run_protocol` with that seed gives the same outcome. The trials of one n
-share a single encoding, propagator and tree of outcome histories
-(`protocol.sample_trials`), so each register state along a history is
-computed once, however many trials pass through it.
+`run_protocol` with that seed gives the same outcome. The seeds of a row
+are derived a batch of trial indices at a time, on uint64 arrays, and
+`protocol.sample_trials` seeds each batch's generators in one vectorized
+pass, in exactly the state `default_rng` gives them. The trials of one n
+share a single encoding, propagator and tree of outcome histories, so each
+register state along a history is computed once, however many trials pass
+through it.
 
 The CSV is a byte-reproducible artifact: (config, seed) determines every
 written byte. Because measured wall time cannot satisfy that, the
@@ -25,17 +28,20 @@ __all__ = [
 ]
 
 import csv
+import itertools
 import math
 import os
 import stat
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .analysis import single_qubit_survival
 from .config import ExperimentConfig
 # run_protocol stays importable here: perfbench/spans.py traces it
 from .protocol import (  # noqa: F401
-    MODE_STOCHASTIC, ZenoSchedule, run_post_selected, run_protocol, sample_trials,
+    MODE_STOCHASTIC, SEED_BATCH, ZenoSchedule, run_post_selected, run_protocol, sample_trials,
 )
 
 CSV_COLUMNS = (
@@ -50,16 +56,18 @@ CSV_COLUMNS = (
 _MASK64 = (1 << 64) - 1
 
 
-def mix64(x: int) -> int:
-    """splitmix64 finalizer: one-round avalanche of a 64-bit value."""
+def mix64(x):
+    """splitmix64 finalizer: one-round avalanche of a 64-bit value, an int or
+    a uint64 array (whose arithmetic wraps mod 2**64 as the masks do)."""
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
 
 
-def derive_trial_seed(master_seed: int, n: int, trial: int) -> int:
-    """Order-independent per-trial seed: mix64 chained over (seed, n, trial)."""
+def derive_trial_seed(master_seed: int, n: int, trial):
+    """Order-independent per-trial seed: mix64 chained over (seed, n, trial).
+    ``trial`` may be a uint64 array of trial indices, for one seed each."""
     s = mix64(master_seed & _MASK64)
     s = mix64(s ^ (n & _MASK64))
     return mix64(s ^ (trial & _MASK64))
@@ -131,7 +139,13 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 def _stochastic_point(config, data, noise, schedule) -> tuple[float, float, float]:
     """(survival rate, mean fidelity of the survivors, detection rate) over
     config.trials trials, all sampled against one outcome tree."""
-    seeds = (derive_trial_seed(config.seed, schedule.cycles, t) for t in range(config.trials))
+    seeds = itertools.chain.from_iterable(
+        derive_trial_seed(
+            config.seed, schedule.cycles,
+            np.arange(start, min(start + SEED_BATCH, config.trials), dtype=np.uint64),
+        ).tolist()
+        for start in range(0, config.trials, SEED_BATCH)
+    )
     survivors = 0
     detections = 0
     fidelity_sum = 0.0

@@ -1,7 +1,13 @@
 """Encoder, measurement cycle, scheduler, and decoder contracts."""
 import dataclasses
+import itertools
 import math
+import os
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import zenosim.protocol as protocol_module
+import zenosim.sweep as sweep_module
 from zenosim import (
     ABORT_ON_DETECT,
     AUX_DUAL_ALTERNATING,
@@ -165,6 +172,12 @@ class TestZenoSchedule:
     def test_stochastic_needs_seed(self):
         with pytest.raises(ValueError, match="seed"):
             ZenoSchedule(total_time=1.0, cycles=1, measurement_mode=MODE_STOCHASTIC)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.5])
+    def test_stochastic_seed_is_unsigned_64_bit(self, seed):
+        with pytest.raises(ValueError, match=re.escape("[0, 2**64)")):
+            ZenoSchedule(1.0, 1, measurement_mode=MODE_STOCHASTIC, seed=seed)
+        assert ZenoSchedule(1.0, 1, measurement_mode=MODE_STOCHASTIC, seed=2**64 - 1).seed == 2**64 - 1
 
 
 class TestRunProtocol:
@@ -578,7 +591,7 @@ class TestSharedTreeEngine:
                                 abort_policy=RESET_AND_CONTINUE)
         tree = protocol_module._OutcomeTree(config.data, config.noise, schedule)
         for seed in range(20):
-            tree.sample(seed)
+            tree.sample(np.random.default_rng(seed))
         assert tree.size == 3
 
     @pytest.mark.parametrize(
@@ -643,6 +656,45 @@ class TestSharedTreeEngine:
                                     range(100)))
         assert len(trials) == 100 and len(calls) == 1
 
+    def test_batch_boundaries_do_not_move_a_row(self, monkeypatch):
+        # ten trials a row in batches of 3, 3, 3 and 1, for the seeds the
+        # sweep derives and the generators sample_trials seeds
+        monkeypatch.setattr(protocol_module, "SEED_BATCH", 3)
+        monkeypatch.setattr(sweep_module, "SEED_BATCH", 3)
+        config = stochastic_config(
+            AUX_DUAL_ALTERNATING, RESET_AND_CONTINUE, (0.9, 0.6, 0.3), (0.1, 0.2, 0.0),
+            (0.6, 0.0, 0.0, 0.8), (3, 6), 10, 2**64 - 1,
+        )
+        assert_matches_per_cycle_engine(config)
+
+    def test_seeds_are_read_lazily(self):
+        data, noise = new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.6, 2)
+        schedule = ZenoSchedule(1.0, 8, measurement_mode=MODE_STOCHASTIC, seed=0)
+        trials = itertools.islice(sample_trials(data, noise, schedule, itertools.count()), 5)
+        for seed, trial in enumerate(trials):
+            result = run_protocol(data, noise, dataclasses.replace(schedule, seed=seed))
+            assert trial.detected == result.detected
+            assert trial.final_fidelity == result.final_fidelity
+        assert seed == 4
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.5, np.int64(-1)])
+    def test_bad_seed_is_named(self, seed):
+        schedule = ZenoSchedule(1.0, 2, measurement_mode=MODE_STOCHASTIC, seed=0)
+        trials = sample_trials(new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.3, 2), schedule,
+                               [0, 2**64 - 1, seed])
+        with pytest.raises(ValueError, match=re.escape(f"got {seed!r}")):
+            list(trials)
+
+    def test_run_protocol_takes_the_seeds_sample_trials_takes(self):
+        data, noise = new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.9, 2)
+        schedule = ZenoSchedule(1.0, 8, measurement_mode=MODE_STOCHASTIC, seed=0)
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, np.uint64(2**64 - 1), True]
+        for seed, trial in zip(seeds, sample_trials(data, noise, schedule, seeds), strict=True):
+            result = run_protocol(data, noise, dataclasses.replace(schedule, seed=seed))
+            assert trial.detected == result.detected
+            assert trial.final_fidelity == result.final_fidelity
+            assert np.array_equal(trial.amps, result.final_state.amplitudes)
+
     def test_rejects_post_selected_schedule(self):
         with pytest.raises(ValueError, match="stochastic"):
             sample_trials(new_state(1), NoiseSpec.zero(2), ZenoSchedule(1.0, 2), [0])
@@ -689,8 +741,54 @@ class TestSharedTreeEngine:
         monkeypatch.setattr(StateVector, "__init__", refuse)
         monkeypatch.setattr(StateVector, "_wrap", classmethod(refuse))
         monkeypatch.setattr(CycleOutcome, "__init__", refuse)
-        trials = [tree.sample(seed) for seed in range(50)]
+        trials = [tree.sample(np.random.default_rng(seed)) for seed in range(50)]
         assert tree.size > 64 and any(trial.detected for trial in trials)
+
+
+class TestSeedWords:
+    """Batched generator seeding reproduces numpy's SeedSequence word for
+    word, and only stochastic runs load numpy.random for it."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_edge_seeds(self, seed):
+        (words,) = protocol_module._seed_words(np.array([seed], dtype=np.uint64))
+        assert words.dtype == np.uint64
+        assert np.array_equal(words, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    def test_random_seeds(self, seeds):
+        words = protocol_module._seed_words(np.array(seeds, dtype=np.uint64))
+        want = [np.random.SeedSequence(seed).generate_state(4, np.uint64) for seed in seeds]
+        assert np.array_equal(words, want)
+
+    def test_generators_are_in_the_default_rng_state(self):
+        seeds = [0, 2**32, 2**64 - 1]
+        for seed, words in zip(seeds, protocol_module._seed_words(np.array(seeds, dtype=np.uint64))):
+            bit_generator = np.random.PCG64(protocol_module._seed_words_class()(words))
+            assert bit_generator.state == np.random.PCG64(seed).state
+            rng = np.random.Generator(bit_generator)
+            assert rng.random(9).tolist() == np.random.default_rng(seed).random(9).tolist()
+
+    @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (2, np.uint64), (8, np.uint64)])
+    def test_seed_words_give_nothing_else(self, n_words, dtype):
+        (words,) = protocol_module._seed_words(np.array([7], dtype=np.uint64))
+        with pytest.raises(ValueError, match="4 uint64"):
+            protocol_module._seed_words_class()(words).generate_state(n_words, dtype)
+
+    def test_post_selected_runs_do_not_load_numpy_random(self):
+        # only stochastic trials draw; numpy.random adds about 5 MiB of peak RSS
+        code = (
+            "import sys, zenosim as z\n"
+            "z.run_protocol(z.new_state(1, [0.6, 0.8]), z.NoiseSpec.flip(0.1, 2), z.ZenoSchedule(1.0, 8))\n"
+            "assert 'numpy.random' not in sys.modules\n"
+            "z.run_protocol(z.new_state(1, [0.6, 0.8]), z.NoiseSpec.flip(0.1, 2),\n"
+            "               z.ZenoSchedule(1.0, 8, measurement_mode='stochastic', seed=0))\n"
+            "assert 'numpy.random' in sys.modules\n"
+        )
+        package_root = Path(protocol_module.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(package_root)}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 class TestInvariantsComputedOnce:

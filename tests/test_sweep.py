@@ -46,6 +46,13 @@ class TestSeedDerivation:
         assert derive_trial_seed(42, 8, 1) == 13895902861327221692
         assert derive_trial_seed(123456789, 64, 19999) == 210409020115696613
 
+    @pytest.mark.parametrize("master", [0, 42, 2**64 - 1])
+    def test_array_trials_equal_scalar_calls(self, master):
+        trials = np.array([*range(300), 2**32 - 1, 2**32, 2**63, 2**64 - 1], dtype=np.uint64)
+        seeds = derive_trial_seed(master, 8, trials)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [derive_trial_seed(master, 8, int(t)) for t in trials]
+
     def test_trial_seeds_distinct(self):
         seeds = {
             derive_trial_seed(7, n, trial) for n in (1, 2, 4) for trial in range(200)
