@@ -18,7 +18,7 @@ __all__ = [
 
 import itertools
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -56,6 +56,10 @@ MAX_REPLAY_CYCLES = 10_000_000
 #: trial seeds turned into generator states at a time, so a row of many
 #: trials holds no array that grows with their count
 SEED_BATCH = 4096
+#: seeds a batch needs before they are seeded in one vectorized pass rather
+#: than by a default_rng each: the break-even measured with timeit, seed
+#: derivation included
+SEED_WORDS_MIN = 14
 #: a stochastic seed is an unsigned 64-bit integer, as config's master seed
 MAX_SEED = (1 << 64) - 1
 
@@ -240,8 +244,8 @@ def run_protocol(data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule) ->
     """
     if schedule.measurement_mode == MODE_STOCHASTIC:
         steps: list[tuple[int, float, np.ndarray] | None] = []
+        (rng,) = _generators([schedule.seed])
         # one trial never revisits a node, so the tree links none
-        rng = np.random.default_rng(schedule.seed)
         trial = _OutcomeTree(data, noise, schedule, capacity=0).sample(rng, steps)
         size = schedule.register_size
         return ProtocolResult(
@@ -320,38 +324,84 @@ def sample_trials(
     share history prefixes. The tree holds at most MAX_TREE_NODES nodes;
     past that, nodes are built for the trial at hand and dropped after it.
 
-    Seeds are read lazily, SEED_BATCH at a time: each batch's generator
-    states are computed in one vectorized pass (:func:`_seed_words`), not
-    by a ``default_rng`` per trial, and every draw is the same. A seed that
-    is not an integer in [0, 2**64) raises ValueError when its batch is
-    read, as ZenoSchedule rejects it for :func:`run_protocol`.
+    Seeds are read lazily, SEED_BATCH at a time, and each batch's
+    generators are seeded as :func:`_generators` says; every draw is the
+    same. A seed that is not an integer in [0, 2**64) raises ValueError when
+    its batch is read, as ZenoSchedule rejects it for :func:`run_protocol`.
     """
+    _require_stochastic(schedule)
+    seeds = iter(seeds)
+    batches = iter(lambda: list(itertools.islice(seeds, SEED_BATCH)), [])
+    return _sample_batches(_OutcomeTree(data, noise, schedule), batches)
+
+
+def sample_trial_range(
+    data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule, trials: int,
+    seed_of: Callable,
+) -> Iterator[HistoryNode]:
+    """Trials 0, ..., trials - 1 of :func:`sample_trials`, trial t seeded
+    with ``seed_of(t)``.
+
+    ``seed_of`` maps an int trial index to its seed, and a uint64 array of
+    indices to the uint64 array of their seeds. The indices are taken
+    SEED_BATCH at a time: a batch of at least SEED_WORDS_MIN indices is
+    mapped in one call on an array, a smaller one index by index.
+    """
+    _require_stochastic(schedule)
+
+    def batches():
+        for start in range(0, trials, SEED_BATCH):
+            stop = min(start + SEED_BATCH, trials)
+            if stop - start < SEED_WORDS_MIN:
+                yield [seed_of(t) for t in range(start, stop)]
+            else:
+                yield seed_of(np.arange(start, stop, dtype=np.uint64))
+
+    return _sample_batches(_OutcomeTree(data, noise, schedule), batches())
+
+
+def _require_stochastic(schedule: ZenoSchedule) -> None:
     if schedule.measurement_mode != MODE_STOCHASTIC:
-        raise ValueError("sample_trials needs a stochastic schedule")
-    return _sample_batches(_OutcomeTree(data, noise, schedule), iter(seeds))
+        raise ValueError("sampling trials needs a stochastic schedule")
 
 
-def _sample_batches(tree: _OutcomeTree, seeds: Iterator[int]) -> Iterator[HistoryNode]:
-    seed_words = _seed_words_class()
-    while batch := list(itertools.islice(seeds, SEED_BATCH)):
-        for words in _seed_words(_seed_array(batch)):
-            yield tree.sample(np.random.Generator(np.random.PCG64(seed_words(words))))
+def _sample_batches(tree: _OutcomeTree, batches: Iterator) -> Iterator[HistoryNode]:
+    for batch in batches:
+        for rng in _generators(_check_seeds(batch)):
+            yield tree.sample(rng)
 
 
 def _is_seed(seed) -> bool:
     return isinstance(seed, (int, np.integer)) and 0 <= seed <= MAX_SEED
 
 
-def _seed_array(seeds: list) -> np.ndarray:
-    """``seeds`` as a uint64 array; ValueError names the first that is not
-    an integer in [0, 2**64). A list of plain ints in range, the common
-    case, is checked in C loops."""
-    if not (set(map(type, seeds)) == {int} and min(seeds) >= 0 and max(seeds) <= MAX_SEED):
-        for seed in seeds:
-            if not _is_seed(seed):
-                raise ValueError(f"a seed must be an integer in [0, 2**64), got {seed!r}")
-        seeds = [int(seed) for seed in seeds]
-    return np.array(seeds, dtype=np.uint64)
+def _check_seeds(seeds: list | np.ndarray) -> list | np.ndarray:
+    """``seeds``, a uint64 array or a list of integers in [0, 2**64);
+    ValueError names the first list entry that is not."""
+    if isinstance(seeds, np.ndarray):
+        if seeds.dtype != np.uint64:
+            raise ValueError(f"a seed array must be uint64, got {seeds.dtype}")
+        return seeds
+    for seed in seeds:
+        if not _is_seed(seed):
+            raise ValueError(f"a seed must be an integer in [0, 2**64), got {seed!r}")
+    return seeds
+
+
+def _generators(seeds: list | np.ndarray) -> Iterator[np.random.Generator]:
+    """A generator in the state of ``default_rng(seed)`` for each of the
+    checked ``seeds``. A batch of at least SEED_WORDS_MIN seeds is seeded
+    through :func:`_seed_words` in one pass, whose fixed cost is more than
+    it saves on fewer seeds: a smaller batch, a single trial of
+    :func:`run_protocol` among them, gets default_rng.
+    """
+    if len(seeds) < SEED_WORDS_MIN:
+        return map(np.random.default_rng, seeds)
+    seed_words = _seed_words_class()
+    return (
+        np.random.Generator(np.random.PCG64(seed_words(words)))
+        for words in _seed_words(np.asarray(seeds, dtype=np.uint64))
+    )
 
 
 def _seed_words(seeds: np.ndarray) -> np.ndarray:
@@ -397,7 +447,8 @@ def _seed_words_class() -> type:
     """The seed sequence that hands ``np.random.PCG64`` a row of
     :func:`_seed_words`. Built on first use: it subclasses a numpy.random
     class, and importing numpy.random adds about 5 MiB to the peak RSS of a
-    post-selected run, which never draws."""
+    post-selected run, which never draws. That saving holds on NumPy 2,
+    which loads numpy.random lazily; NumPy 1 imports it with numpy."""
     from numpy.random.bit_generator import ISeedSequence
 
     class SeedWords(ISeedSequence):

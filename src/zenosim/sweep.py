@@ -6,10 +6,11 @@ alone, and each row's wall_time_ms is an even share of the pass's time.
 Stochastic mode samples `trials` independent trials per n, each drawing
 from a seed derived from (master seed, n, trial) through a splitmix64-style
 mixer, so any single trial can be reproduced without replaying the others:
-`run_protocol` with that seed gives the same outcome. The seeds of a row
-are derived a batch of trial indices at a time, on uint64 arrays, and
-`protocol.sample_trials` seeds each batch's generators in one vectorized
-pass, in exactly the state `default_rng` gives them. The trials of one n
+`run_protocol` with that seed gives the same outcome. A row's trials are
+sampled by `protocol.sample_trial_range`, which derives their seeds a batch
+of trial indices at a time, on uint64 arrays, and seeds each batch's
+generators in one vectorized pass, in exactly the state `default_rng` gives
+them; a row of few trials takes both one trial at a time. The trials of one n
 share a single encoding, propagator and tree of outcome histories, so each
 register state along a history is computed once, however many trials pass
 through it.
@@ -28,20 +29,18 @@ __all__ = [
 ]
 
 import csv
-import itertools
+import functools
 import math
 import os
 import stat
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .analysis import single_qubit_survival
 from .config import ExperimentConfig
 # run_protocol stays importable here: perfbench/spans.py traces it
 from .protocol import (  # noqa: F401
-    MODE_STOCHASTIC, SEED_BATCH, ZenoSchedule, run_post_selected, run_protocol, sample_trials,
+    MODE_STOCHASTIC, ZenoSchedule, run_post_selected, run_protocol, sample_trial_range,
 )
 
 CSV_COLUMNS = (
@@ -139,17 +138,11 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 def _stochastic_point(config, data, noise, schedule) -> tuple[float, float, float]:
     """(survival rate, mean fidelity of the survivors, detection rate) over
     config.trials trials, all sampled against one outcome tree."""
-    seeds = itertools.chain.from_iterable(
-        derive_trial_seed(
-            config.seed, schedule.cycles,
-            np.arange(start, min(start + SEED_BATCH, config.trials), dtype=np.uint64),
-        ).tolist()
-        for start in range(0, config.trials, SEED_BATCH)
-    )
+    seed_of = functools.partial(derive_trial_seed, config.seed, schedule.cycles)
     survivors = 0
     detections = 0
     fidelity_sum = 0.0
-    for trial in sample_trials(data, noise, schedule, seeds):
+    for trial in sample_trial_range(data, noise, schedule, config.trials, seed_of):
         if trial.detected:
             detections += 1
         else:

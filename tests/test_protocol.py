@@ -15,7 +15,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import zenosim.protocol as protocol_module
-import zenosim.sweep as sweep_module
 from zenosim import (
     ABORT_ON_DETECT,
     AUX_DUAL_ALTERNATING,
@@ -657,10 +656,10 @@ class TestSharedTreeEngine:
         assert len(trials) == 100 and len(calls) == 1
 
     def test_batch_boundaries_do_not_move_a_row(self, monkeypatch):
-        # ten trials a row in batches of 3, 3, 3 and 1, for the seeds the
-        # sweep derives and the generators sample_trials seeds
+        # ten trials a row in batches of 3, 3, 3 and 1: the batches of 3 are
+        # derived and seeded on arrays, the last one trial by trial
         monkeypatch.setattr(protocol_module, "SEED_BATCH", 3)
-        monkeypatch.setattr(sweep_module, "SEED_BATCH", 3)
+        monkeypatch.setattr(protocol_module, "SEED_WORDS_MIN", 2)
         config = stochastic_config(
             AUX_DUAL_ALTERNATING, RESET_AND_CONTINUE, (0.9, 0.6, 0.3), (0.1, 0.2, 0.0),
             (0.6, 0.0, 0.0, 0.8), (3, 6), 10, 2**64 - 1,
@@ -685,7 +684,10 @@ class TestSharedTreeEngine:
         with pytest.raises(ValueError, match=re.escape(f"got {seed!r}")):
             list(trials)
 
-    def test_run_protocol_takes_the_seeds_sample_trials_takes(self):
+    @pytest.mark.parametrize("words_min", [1, protocol_module.SEED_WORDS_MIN])
+    def test_run_protocol_takes_the_seeds_sample_trials_takes(self, monkeypatch, words_min):
+        # the eight seeds are seeded by _seed_words, then by default_rng
+        monkeypatch.setattr(protocol_module, "SEED_WORDS_MIN", words_min)
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.9, 2)
         schedule = ZenoSchedule(1.0, 8, measurement_mode=MODE_STOCHASTIC, seed=0)
         seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, np.uint64(2**64 - 1), True]
@@ -698,6 +700,40 @@ class TestSharedTreeEngine:
     def test_rejects_post_selected_schedule(self):
         with pytest.raises(ValueError, match="stochastic"):
             sample_trials(new_state(1), NoiseSpec.zero(2), ZenoSchedule(1.0, 2), [0])
+
+    def test_trial_range_takes_stochastic_schedules_and_uint64_seeds(self):
+        with pytest.raises(ValueError, match="stochastic"):
+            protocol_module.sample_trial_range(new_state(1), NoiseSpec.zero(2),
+                                               ZenoSchedule(1.0, 2), 1, int)
+        schedule = ZenoSchedule(1.0, 2, measurement_mode=MODE_STOCHASTIC, seed=0)
+        trials = protocol_module.sample_trial_range(
+            new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.3, 2), schedule,
+            protocol_module.SEED_WORDS_MIN, lambda t: t.astype(np.int64),
+        )
+        with pytest.raises(ValueError, match="uint64, got int64"):
+            list(trials)
+
+    def test_few_seeds_take_default_rng(self, monkeypatch):
+        # below SEED_WORDS_MIN seeds _seed_words costs more than it saves
+        data, noise = new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.6, 2)
+        schedule = ZenoSchedule(1.0, 8, measurement_mode=MODE_STOCHASTIC, seed=5)
+        words_min = protocol_module.SEED_WORDS_MIN
+        seed_words = protocol_module._seed_words
+        want = [trial.detected for trial in sample_trials(data, noise, schedule, range(words_min))]
+
+        def refuse(*args):
+            raise AssertionError("few seeds went through _seed_words")
+
+        monkeypatch.setattr(protocol_module, "_seed_words", refuse)
+        few = list(sample_trials(data, noise, schedule, range(words_min - 1)))
+        assert [trial.detected for trial in few] == want[:-1]
+        assert run_protocol(data, noise, schedule).detected == want[5]
+        ranged = protocol_module.sample_trial_range(data, noise, schedule, words_min - 1, int)
+        assert [trial.detected for trial in ranged] == want[:-1]
+        monkeypatch.setattr(protocol_module, "_seed_words", seed_words)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        many = sample_trials(data, noise, schedule, range(words_min))
+        assert [trial.detected for trial in many] == want
 
     def test_single_trial_links_no_nodes(self, monkeypatch):
         trees = []
@@ -776,6 +812,8 @@ class TestSeedWords:
         with pytest.raises(ValueError, match="4 uint64"):
             protocol_module._seed_words_class()(words).generate_state(n_words, dtype)
 
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                        reason="NumPy 1 imports numpy.random with numpy")
     def test_post_selected_runs_do_not_load_numpy_random(self):
         # only stochastic trials draw; numpy.random adds about 5 MiB of peak RSS
         code = (
