@@ -43,11 +43,11 @@ class ConvergencePoint:
 def zeno_limit_formula(c: float, n: int) -> float:
     """(1 - c/n^2)^n, the survival of n ideal short-interval measurements.
 
-    Requires c >= 0 and c/n^2 < 1; out-of-regime input is clamped to 0 and
-    flagged with OutOfRegimeWarning.
+    Requires a finite c >= 0 and c/n^2 < 1; out-of-regime input is clamped
+    to 0 and flagged with OutOfRegimeWarning.
     """
-    if not c >= 0:  # a NaN c fails too
-        raise ValueError(f"c must be >= 0, got {c!r}")
+    if not 0 <= c < math.inf:  # a NaN c fails too
+        raise ValueError(f"c must be >= 0 and finite, got {c!r}")
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     ratio = c / (n * n)
@@ -66,6 +66,9 @@ def single_qubit_survival(lam: float, total_time: float, n: int) -> float:
     succeed for a single qubit driven by a pure flip generator."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
+    for name, value in (("lam", lam), ("total_time", total_time)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     return math.cos(lam * total_time / n) ** (2 * n)
 
 

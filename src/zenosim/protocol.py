@@ -16,9 +16,8 @@ __all__ = [
     "ZenoSchedule", "decode", "encode", "run_protocol", "zeno_cycle",
 ]
 
-import itertools
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -233,19 +232,22 @@ def run_protocol(data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule) ->
     the per-cycle circuit float for float. The walk steps at most
     MAX_REPLAY_CYCLES cycles, and raises ValueError past it.
 
-    A stochastic run is one trial of :func:`sample_trials`, seeded with
-    ``schedule.seed``: each cycle's auxiliary is sampled, and a measured 1
-    sets ``detected``. Abort-on-detect stops there; reset-and-continue
-    re-zeros the auxiliary, re-entangles, and keeps going. A sampled branch
-    below the ZeroProbabilityError threshold also detects, and ends the run
-    with the register just after that cycle's noise slice. The trial's raw
-    arrays are wrapped only here: cycle_log holds a CycleOutcome for every
-    cycle the trial completed, and final_state its last register.
+    A stochastic run walks one trial as :func:`sample_trials` does, on a
+    generator in the state of ``default_rng(schedule.seed)``, so it equals
+    the trial whose ``seed_of`` gives that seed. Each cycle's auxiliary is
+    sampled, and a measured 1 sets ``detected``. Abort-on-detect stops
+    there; reset-and-continue re-zeros the auxiliary, re-entangles, and
+    keeps going. A sampled branch below the ZeroProbabilityError threshold
+    also detects, and ends the run with the register just after that
+    cycle's noise slice. The trial's raw arrays are wrapped only here:
+    cycle_log holds a CycleOutcome for every cycle the trial completed, and
+    final_state its last register.
     """
     if schedule.measurement_mode == MODE_STOCHASTIC:
         steps: list[tuple[int, float, np.ndarray] | None] = []
-        (rng,) = _generators([schedule.seed])
-        # one trial never revisits a node, so the tree links none
+        # ZenoSchedule has checked the seed; one trial never revisits a node,
+        # so the tree links none
+        rng = np.random.default_rng(schedule.seed)
         trial = _OutcomeTree(data, noise, schedule, capacity=0).sample(rng, steps)
         size = schedule.register_size
         return ProtocolResult(
@@ -309,13 +311,13 @@ def run_post_selected(
 
 
 def sample_trials(
-    data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule, seeds: Iterable[int]
+    data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule, trials: int, seed_of: Callable
 ) -> Iterator[HistoryNode]:
-    """Run one stochastic trial per seed; yield each trial's final node.
+    """Run stochastic trials 0, ..., trials - 1; yield each trial's final node.
 
     Trial t draws one uniform per cycle from a generator in the state of
-    ``default_rng(seeds[t])`` (``schedule.seed`` is not used) and measures 1
-    in a cycle when its draw is below that cycle's Born probability of 1,
+    ``default_rng(seed_of(t))`` (``schedule.seed`` is not used) and measures
+    1 in a cycle when its draw is below that cycle's Born probability of 1,
     exactly as :func:`zeno_cycle` samples. A trial's register depends only
     on its outcome history, so all trials walk one shared tree of histories,
     built once per (data, noise, schedule), whose nodes are computed the
@@ -324,83 +326,48 @@ def sample_trials(
     share history prefixes. The tree holds at most MAX_TREE_NODES nodes;
     past that, nodes are built for the trial at hand and dropped after it.
 
-    Seeds are read lazily, SEED_BATCH at a time, and each batch's
-    generators are seeded as :func:`_generators` says; every draw is the
-    same. A seed that is not an integer in [0, 2**64) raises ValueError when
-    its batch is read, as ZenoSchedule rejects it for :func:`run_protocol`.
-    """
-    _require_stochastic(schedule)
-    seeds = iter(seeds)
-    batches = iter(lambda: list(itertools.islice(seeds, SEED_BATCH)), [])
-    return _sample_batches(_OutcomeTree(data, noise, schedule), batches)
-
-
-def sample_trial_range(
-    data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule, trials: int,
-    seed_of: Callable,
-) -> Iterator[HistoryNode]:
-    """Trials 0, ..., trials - 1 of :func:`sample_trials`, trial t seeded
-    with ``seed_of(t)``.
-
     ``seed_of`` maps an int trial index to its seed, and a uint64 array of
-    indices to the uint64 array of their seeds. The indices are taken
-    SEED_BATCH at a time: a batch of at least SEED_WORDS_MIN indices is
-    mapped in one call on an array, a smaller one index by index.
+    indices to the uint64 array of their seeds. Seeds are derived lazily,
+    SEED_BATCH trials at a time, as :func:`_generators` says; every draw is
+    the same whichever route a batch takes.
     """
-    _require_stochastic(schedule)
-
-    def batches():
-        for start in range(0, trials, SEED_BATCH):
-            stop = min(start + SEED_BATCH, trials)
-            if stop - start < SEED_WORDS_MIN:
-                yield [seed_of(t) for t in range(start, stop)]
-            else:
-                yield seed_of(np.arange(start, stop, dtype=np.uint64))
-
-    return _sample_batches(_OutcomeTree(data, noise, schedule), batches())
-
-
-def _require_stochastic(schedule: ZenoSchedule) -> None:
     if schedule.measurement_mode != MODE_STOCHASTIC:
         raise ValueError("sampling trials needs a stochastic schedule")
-
-
-def _sample_batches(tree: _OutcomeTree, batches: Iterator) -> Iterator[HistoryNode]:
-    for batch in batches:
-        for rng in _generators(_check_seeds(batch)):
-            yield tree.sample(rng)
+    tree = _OutcomeTree(data, noise, schedule)
+    return (
+        tree.sample(rng)
+        for start in range(0, trials, SEED_BATCH)
+        for rng in _generators(seed_of, start, min(start + SEED_BATCH, trials))
+    )
 
 
 def _is_seed(seed) -> bool:
     return isinstance(seed, (int, np.integer)) and 0 <= seed <= MAX_SEED
 
 
-def _check_seeds(seeds: list | np.ndarray) -> list | np.ndarray:
-    """``seeds``, a uint64 array or a list of integers in [0, 2**64);
-    ValueError names the first list entry that is not."""
-    if isinstance(seeds, np.ndarray):
-        if seeds.dtype != np.uint64:
-            raise ValueError(f"a seed array must be uint64, got {seeds.dtype}")
-        return seeds
-    for seed in seeds:
-        if not _is_seed(seed):
-            raise ValueError(f"a seed must be an integer in [0, 2**64), got {seed!r}")
-    return seeds
-
-
-def _generators(seeds: list | np.ndarray) -> Iterator[np.random.Generator]:
-    """A generator in the state of ``default_rng(seed)`` for each of the
-    checked ``seeds``. A batch of at least SEED_WORDS_MIN seeds is seeded
-    through :func:`_seed_words` in one pass, whose fixed cost is more than
-    it saves on fewer seeds: a smaller batch, a single trial of
-    :func:`run_protocol` among them, gets default_rng.
+def _generators(seed_of: Callable, start: int, stop: int) -> Iterator[np.random.Generator]:
+    """A generator in the state of ``default_rng(seed_of(t))`` for each trial
+    t in [start, stop). Fewer than SEED_WORDS_MIN trials are mapped index by
+    index and seeded by default_rng, since the fixed cost of
+    :func:`_seed_words` is more than it saves on them; more are mapped in one
+    call on a uint64 array of indices and seeded through _seed_words in one
+    pass. A seed that is not an integer in [0, 2**64), or an array of seeds
+    that is not uint64, raises ValueError naming it, as ZenoSchedule rejects
+    a seed for :func:`run_protocol`.
     """
-    if len(seeds) < SEED_WORDS_MIN:
+    if stop - start < SEED_WORDS_MIN:
+        seeds = [seed_of(t) for t in range(start, stop)]
+        for seed in seeds:
+            if not _is_seed(seed):
+                raise ValueError(f"a seed must be an integer in [0, 2**64), got {seed!r}")
         return map(np.random.default_rng, seeds)
+    seeds = seed_of(np.arange(start, stop, dtype=np.uint64))
+    if seeds.dtype != np.uint64:
+        raise ValueError(f"a seed array must be uint64, got {seeds.dtype}")
     seed_words = _seed_words_class()
     return (
         np.random.Generator(np.random.PCG64(seed_words(words)))
-        for words in _seed_words(np.asarray(seeds, dtype=np.uint64))
+        for words in _seed_words(seeds)
     )
 
 

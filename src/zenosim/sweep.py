@@ -7,10 +7,10 @@ Stochastic mode samples `trials` independent trials per n, each drawing
 from a seed derived from (master seed, n, trial) through a splitmix64-style
 mixer, so any single trial can be reproduced without replaying the others:
 `run_protocol` with that seed gives the same outcome. A row's trials are
-sampled by `protocol.sample_trial_range`, which derives their seeds a batch
-of trial indices at a time, on uint64 arrays, and seeds each batch's
-generators in one vectorized pass, in exactly the state `default_rng` gives
-them; a row of few trials takes both one trial at a time. The trials of one n
+sampled by `protocol.sample_trials`, which derives their seeds a batch of
+trial indices at a time, on uint64 arrays, and seeds each batch's generators
+in one vectorized pass, in exactly the state `default_rng` gives them; a
+batch of few trials takes both one trial at a time. The trials of one n
 share a single encoding, propagator and tree of outcome histories, so each
 register state along a history is computed once, however many trials pass
 through it.
@@ -40,7 +40,7 @@ from .analysis import single_qubit_survival
 from .config import ExperimentConfig
 # run_protocol stays importable here: perfbench/spans.py traces it
 from .protocol import (  # noqa: F401
-    MODE_STOCHASTIC, ZenoSchedule, run_post_selected, run_protocol, sample_trial_range,
+    MODE_STOCHASTIC, ZenoSchedule, run_post_selected, run_protocol, sample_trials,
 )
 
 CSV_COLUMNS = (
@@ -142,7 +142,7 @@ def _stochastic_point(config, data, noise, schedule) -> tuple[float, float, floa
     survivors = 0
     detections = 0
     fidelity_sum = 0.0
-    for trial in sample_trial_range(data, noise, schedule, config.trials, seed_of):
+    for trial in sample_trials(data, noise, schedule, config.trials, seed_of):
         if trial.detected:
             detections += 1
         else:

@@ -1,5 +1,7 @@
 """The per-cycle stochastic engine, kept as the reference the shared-tree
-engine (``zenosim.protocol.sample_trials``) is checked against.
+engine is checked against: ``zenosim.protocol.sample_trials``, the one
+sampler, which runs trials 0, ..., trials - 1 with trial t seeded by
+``seed_of(t)``.
 
 ``run_stochastic`` steps one trial cycle by cycle through ``zeno_cycle``,
 drawing one scalar uniform per cycle; ``stochastic_point`` runs a sweep

@@ -52,11 +52,20 @@ class TestZenoLimitFormula:
                 assert zeno_limit_formula(c, n) >= 1 - c / n - 1e-12
 
     def test_negative_c_rejected(self):
-        with pytest.raises(ValueError, match="c must be"):
-            zeno_limit_formula(-0.1, 5)
+        for c in (-0.1, np.inf):
+            with pytest.raises(ValueError, match="c must be"):
+                zeno_limit_formula(c, 5)
 
 
 class TestSingleQubitSurvival:
+    @pytest.mark.parametrize("lam, total_time, name", [
+        (np.nan, 1.0, "lam"), (np.inf, 1.0, "lam"), (0.1, np.nan, "total_time"),
+        (0.1, -np.inf, "total_time"),
+    ])
+    def test_non_finite_input_rejected(self, lam, total_time, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            single_qubit_survival(lam, total_time, 4)
+
     def test_no_coupling(self):
         for n in (1, 7, 64):
             assert single_qubit_survival(0.0, 3.0, n) == 1.0

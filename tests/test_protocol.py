@@ -1,5 +1,6 @@
 """Encoder, measurement cycle, scheduler, and decoder contracts."""
 import dataclasses
+import functools
 import itertools
 import math
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -478,6 +480,24 @@ def script_draws(monkeypatch, draws):
     monkeypatch.setattr(np.random, "default_rng", lambda seed: ScriptedGenerator(draws))
 
 
+def trial_index(t):
+    """A ``seed_of`` that seeds trial t with t: an int index or a uint64
+    array of indices is its own seed."""
+    return t
+
+
+def seed_list(seeds):
+    """A ``seed_of`` over ``seeds``: an int index gives its entry as it is,
+    a uint64 array of indices the uint64 array of their entries."""
+
+    def seed_of(t):
+        if isinstance(t, np.ndarray):
+            return np.array([seeds[i] for i in t.tolist()], dtype=np.uint64)
+        return seeds[t]
+
+    return seed_of
+
+
 def assert_same_run(result, reference):
     """Exact equality of two protocol results, cycle log included."""
     assert result.detected == reference.detected
@@ -652,7 +672,7 @@ class TestSharedTreeEngine:
         )
         schedule = ZenoSchedule(1.0, 8, measurement_mode=MODE_STOCHASTIC, seed=0)
         trials = list(sample_trials(new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.3, 2), schedule,
-                                    range(100)))
+                                    100, trial_index))
         assert len(trials) == 100 and len(calls) == 1
 
     def test_batch_boundaries_do_not_move_a_row(self, monkeypatch):
@@ -669,18 +689,27 @@ class TestSharedTreeEngine:
     def test_seeds_are_read_lazily(self):
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.6, 2)
         schedule = ZenoSchedule(1.0, 8, measurement_mode=MODE_STOCHASTIC, seed=0)
-        trials = itertools.islice(sample_trials(data, noise, schedule, itertools.count()), 5)
+        calls = []
+
+        def seed_of(t):
+            calls.append(t)
+            return t
+
+        trials = itertools.islice(sample_trials(data, noise, schedule, 10**12, seed_of), 5)
         for seed, trial in enumerate(trials):
             result = run_protocol(data, noise, dataclasses.replace(schedule, seed=seed))
             assert trial.detected == result.detected
             assert trial.final_fidelity == result.final_fidelity
         assert seed == 4
+        (indices,) = calls
+        assert indices.dtype == np.uint64
+        assert np.array_equal(indices, np.arange(protocol_module.SEED_BATCH))
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.5, np.int64(-1)])
     def test_bad_seed_is_named(self, seed):
         schedule = ZenoSchedule(1.0, 2, measurement_mode=MODE_STOCHASTIC, seed=0)
         trials = sample_trials(new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.3, 2), schedule,
-                               [0, 2**64 - 1, seed])
+                               3, seed_list([0, 2**64 - 1, seed]))
         with pytest.raises(ValueError, match=re.escape(f"got {seed!r}")):
             list(trials)
 
@@ -691,7 +720,8 @@ class TestSharedTreeEngine:
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.9, 2)
         schedule = ZenoSchedule(1.0, 8, measurement_mode=MODE_STOCHASTIC, seed=0)
         seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, np.uint64(2**64 - 1), True]
-        for seed, trial in zip(seeds, sample_trials(data, noise, schedule, seeds), strict=True):
+        trials = sample_trials(data, noise, schedule, len(seeds), seed_list(seeds))
+        for seed, trial in zip(seeds, trials, strict=True):
             result = run_protocol(data, noise, dataclasses.replace(schedule, seed=seed))
             assert trial.detected == result.detected
             assert trial.final_fidelity == result.final_fidelity
@@ -699,14 +729,13 @@ class TestSharedTreeEngine:
 
     def test_rejects_post_selected_schedule(self):
         with pytest.raises(ValueError, match="stochastic"):
-            sample_trials(new_state(1), NoiseSpec.zero(2), ZenoSchedule(1.0, 2), [0])
+            sample_trials(new_state(1), NoiseSpec.zero(2), ZenoSchedule(1.0, 2), 1, int)
 
     def test_trial_range_takes_stochastic_schedules_and_uint64_seeds(self):
         with pytest.raises(ValueError, match="stochastic"):
-            protocol_module.sample_trial_range(new_state(1), NoiseSpec.zero(2),
-                                               ZenoSchedule(1.0, 2), 1, int)
+            sample_trials(new_state(1), NoiseSpec.zero(2), ZenoSchedule(1.0, 2), 1, int)
         schedule = ZenoSchedule(1.0, 2, measurement_mode=MODE_STOCHASTIC, seed=0)
-        trials = protocol_module.sample_trial_range(
+        trials = sample_trials(
             new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.3, 2), schedule,
             protocol_module.SEED_WORDS_MIN, lambda t: t.astype(np.int64),
         )
@@ -719,21 +748,50 @@ class TestSharedTreeEngine:
         schedule = ZenoSchedule(1.0, 8, measurement_mode=MODE_STOCHASTIC, seed=5)
         words_min = protocol_module.SEED_WORDS_MIN
         seed_words = protocol_module._seed_words
-        want = [trial.detected for trial in sample_trials(data, noise, schedule, range(words_min))]
+        want = [trial.detected
+                for trial in sample_trials(data, noise, schedule, words_min, trial_index)]
 
         def refuse(*args):
             raise AssertionError("few seeds went through _seed_words")
 
         monkeypatch.setattr(protocol_module, "_seed_words", refuse)
-        few = list(sample_trials(data, noise, schedule, range(words_min - 1)))
+        few = list(sample_trials(data, noise, schedule, words_min - 1, trial_index))
         assert [trial.detected for trial in few] == want[:-1]
         assert run_protocol(data, noise, schedule).detected == want[5]
-        ranged = protocol_module.sample_trial_range(data, noise, schedule, words_min - 1, int)
-        assert [trial.detected for trial in ranged] == want[:-1]
         monkeypatch.setattr(protocol_module, "_seed_words", seed_words)
         monkeypatch.setattr(np.random, "default_rng", refuse)
-        many = sample_trials(data, noise, schedule, range(words_min))
+        many = sample_trials(data, noise, schedule, words_min, trial_index)
         assert [trial.detected for trial in many] == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        strategy=st.sampled_from([AUX_SINGLE, AUX_DUAL_ALTERNATING]),
+        policy=st.sampled_from([ABORT_ON_DETECT, RESET_AND_CONTINUE]),
+        trials=st.integers(1, 40),
+        batch=st.sampled_from([3, 5, 16]),
+        words_min=st.sampled_from([1, 2, 14]),
+        master=st.integers(0, 2**64 - 1),
+    )
+    def test_every_trial_is_run_protocol_on_its_seed(self, strategy, policy, trials, batch,
+                                                     words_min, master):
+        # batches of arrays, of single indices and of both, for every cut
+        # of the trials into batches; hypothesis rejects function-scoped
+        # monkeypatch, so the constants are patched here
+        size = 2 if strategy == AUX_SINGLE else 3
+        data = new_state(1, [0.6, 0.8])
+        noise = NoiseSpec((0.9, 0.6, 0.3)[:size], (0.1, 0.2, 0.0)[:size])
+        schedule = ZenoSchedule(2.0, 6, aux_strategy=strategy, measurement_mode=MODE_STOCHASTIC,
+                                seed=0, abort_policy=policy)
+        seed_of = functools.partial(derive_trial_seed, master, schedule.cycles)
+        with mock.patch.object(protocol_module, "SEED_BATCH", batch), \
+                mock.patch.object(protocol_module, "SEED_WORDS_MIN", words_min):
+            sampled = list(sample_trials(data, noise, schedule, trials, seed_of))
+        assert len(sampled) == trials
+        for t, trial in enumerate(sampled):
+            result = run_protocol(data, noise, dataclasses.replace(schedule, seed=seed_of(t)))
+            assert trial.detected == result.detected
+            assert trial.final_fidelity == result.final_fidelity
+            assert np.array_equal(trial.amps, result.final_state.amplitudes)
 
     def test_single_trial_links_no_nodes(self, monkeypatch):
         trees = []
@@ -760,7 +818,7 @@ class TestSharedTreeEngine:
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.3, 2)
         schedule = ZenoSchedule(1.0, 8, measurement_mode=MODE_STOCHASTIC, seed=0)
         with pytest.raises(NormDriftError):
-            list(sample_trials(data, noise, schedule, range(10)))
+            list(sample_trials(data, noise, schedule, 10, trial_index))
         with pytest.raises(NormDriftError):
             run_protocol(data, noise, schedule)
 
