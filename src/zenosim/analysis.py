@@ -63,13 +63,17 @@ def zeno_limit_formula(c: float, n: int) -> float:
 
 def single_qubit_survival(lam: float, total_time: float, n: int) -> float:
     """cos(lam T / n)^(2n): probability that n projections onto |0> all
-    succeed for a single qubit driven by a pure flip generator."""
+    succeed for a single qubit driven by a pure flip generator. A finite lam
+    and T whose angle lam T / n overflows raise ValueError naming it."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     for name, value in (("lam", lam), ("total_time", total_time)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
-    return math.cos(lam * total_time / n) ** (2 * n)
+    angle = lam * total_time / n
+    if not math.isfinite(angle):
+        raise ValueError(f"lam*total_time/n must be finite, got {angle!r}")
+    return math.cos(angle) ** (2 * n)
 
 
 def fit_inverse_n(points: list[ConvergencePoint]) -> tuple[float, float]:

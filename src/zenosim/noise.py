@@ -153,7 +153,8 @@ def build_hamiltonian(spec: NoiseSpec, num_qubits: int) -> HermitianOperator:
 def propagator(h: HermitianOperator, t: float | np.ndarray) -> np.ndarray:
     """Unitary exp(-i H t), from the eigendecomposition of H (exact at these
     dimensions). For a 1-D array of times, the (len(t), d, d) stack of their
-    propagators, each row equal to the one a single time gives."""
+    propagators, each row equal to the one a single time gives. A phase w t
+    of an eigenvalue w that overflows raises ValueError naming it."""
     times = np.asarray(t, dtype=float)
     if times.ndim > 1 or not np.isfinite(times).all():
         raise ValueError(f"time must be finite, a number or a 1-D array, got {t!r}")
@@ -161,7 +162,14 @@ def propagator(h: HermitianOperator, t: float | np.ndarray) -> np.ndarray:
     moving = times.reshape(-1) != 0.0  # a zero time stays the exact identity
     if moving.any():
         w, v, vh = h.spectrum
-        stack[moving] = (v * np.exp(-1j * w * times.reshape(-1)[moving, None])[:, None, :]) @ vh
+        moving_times = times.reshape(-1)[moving, None]
+        with np.errstate(over="ignore"):
+            phase = w * moving_times
+        if not np.isfinite(phase).all():
+            row, col = np.argwhere(~np.isfinite(phase))[0]
+            raise ValueError(f"noise phase w*t must be finite, got {float(phase[row, col])!r} "
+                             f"(w = {float(w[col])!r}, t = {float(moving_times[row, 0])!r})")
+        stack[moving] = (v * np.exp(-1j * w * moving_times)[:, None, :]) @ vh
     return stack if times.ndim else stack[0]
 
 

@@ -17,7 +17,7 @@ __all__ = [
 ]
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -56,18 +56,49 @@ MAX_REPLAY_CYCLES = 10_000_000
 #: trials holds no array that grows with their count
 SEED_BATCH = 4096
 #: seeds a batch needs before they are seeded in one vectorized pass rather
-#: than by a default_rng each: the break-even measured with timeit, seed
-#: derivation included
-SEED_WORDS_MIN = 14
+#: than by a default_rng each: the break-even measured route against route
+#: on a warm tree, seed derivation included
+SEED_WORDS_MIN = 10
+#: a batch of trials at most ARRAY_MAX_CYCLES cycles long draws its uniforms
+#: on uint64 arrays, rather than by a generator per trial, once it holds
+#: ARRAY_TRIALS_PER_CYCLE trials per cycle plus ARRAY_MIN_TRIALS: each
+#: generator costs a fixed set-up, each drawn column a fixed numpy overhead
+#: and each array draw more than a generator's. The break-even measured
+#: with timeit, route against route on a warm tree
+ARRAY_MAX_CYCLES = 32
+ARRAY_TRIALS_PER_CYCLE = 8
+ARRAY_MIN_TRIALS = 16
+#: uniforms one array draw holds at most, so a batch's block of draws does
+#: not grow with its cycle count
+ARRAY_DRAW_BLOCK = 1 << 15
 #: a stochastic seed is an unsigned 64-bit integer, as config's master seed
 MAX_SEED = (1 << 64) - 1
-
-# numpy.random.SeedSequence's hash and mixing constants (NEP 19), for _seed_words
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
 _MASK32 = 0xFFFFFFFF
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """The constant of each of ``calls`` successive SeedSequence hashmix
+    calls, and the one after: call k xors with entry k, multiplies by k + 1."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)
+
+
+# numpy.random.SeedSequence's hash and mixing constants (NEP 19), for
+# _seed_words: hash A hashes the 4 pool words, then mixes each into the 3
+# others; hash B hashes the 8 output words
+_POOL_SIZE = 4
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, _POOL_SIZE * _POOL_SIZE)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 2 * _POOL_SIZE)
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+# numpy.random.PCG64's 128-bit LCG multiplier (O'Neill 2014; NEP 19) as its
+# high and low uint64 words, and the 32-bit limbs of the low word, for _pcg64_step
+_PCG_MULT_HI = np.uint64(2549297995355413924)
+_PCG_MULT_LO = np.uint64(4865540595714422341)
+_PCG_LIMB_0, _PCG_LIMB_1 = _PCG_MULT_LO & np.uint64(_MASK32), _PCG_MULT_LO >> np.uint64(32)
+_LOW32 = np.uint64(_MASK32)
 
 
 @dataclass(frozen=True)
@@ -280,11 +311,25 @@ def run_post_selected(
     Q_a = I - keep_a, is the Gram matrix of the mass it leaks, so a cycle
     takes ||psi||^2 to ||M psi||^2 = ||psi||^2 - psi^+ G psi. One stacked
     ladder raises every row's pair; each row is then finished on its own.
+    A ValueError in building the shared propagators, such as a noise phase
+    that overflows at one row's interval, is each row's own: the rows are
+    then run one by one, and one row's ValueError is raised.
     """
     aux_counts = {s.aux_count for s in schedules}
     if len(aux_counts) != 1 or any(s.measurement_mode != MODE_POST_SELECTED for s in schedules):
         raise ValueError("run_post_selected needs post-selected schedules of one aux strategy")
-    encoded, steps = _prepare(data, noise, aux_counts.pop(), [s.interval for s in schedules])
+    try:
+        encoded, steps = _prepare(data, noise, aux_counts.pop(), [s.interval for s in schedules])
+    except ValueError:
+        if len(schedules) == 1:
+            raise
+        results = []
+        for schedule in schedules:
+            try:
+                results += run_post_selected(data, noise, [schedule])
+            except ValueError as exc:
+                results.append(exc)
+        return results
     cycles = [s.cycles for s in schedules]
     pairs = []
     for keep, leak in _cycle_masks(encoded.num_qubits):
@@ -315,29 +360,31 @@ def sample_trials(
 ) -> Iterator[HistoryNode]:
     """Run stochastic trials 0, ..., trials - 1; yield each trial's final node.
 
-    Trial t draws one uniform per cycle from a generator in the state of
-    ``default_rng(seed_of(t))`` (``schedule.seed`` is not used) and measures
-    1 in a cycle when its draw is below that cycle's Born probability of 1,
-    exactly as :func:`zeno_cycle` samples. A trial's register depends only
-    on its outcome history, so all trials walk one shared tree of histories,
-    built once per (data, noise, schedule), whose nodes are computed the
-    first time a trial reaches them. Under abort-on-detect every running
-    trial sits on the single no-error path; under reset-and-continue trials
-    share history prefixes. The tree holds at most MAX_TREE_NODES nodes;
-    past that, nodes are built for the trial at hand and dropped after it.
+    Trial t draws one uniform per cycle, the uniforms
+    ``default_rng(seed_of(t)).random`` gives (``schedule.seed`` is not
+    used), and measures 1 in a cycle when its draw is below that cycle's
+    Born probability of 1, exactly as :func:`zeno_cycle` samples. A trial's
+    register depends only on its outcome history, so all trials walk one
+    shared tree of histories, built once per (data, noise, schedule), whose
+    nodes are computed the first time a trial reaches them. Under
+    abort-on-detect every running trial sits on the single no-error path;
+    under reset-and-continue trials share history prefixes. The tree holds
+    at most MAX_TREE_NODES nodes; past that, nodes are built for the trial at
+    hand and dropped after it.
 
     ``seed_of`` maps an int trial index to its seed, and a uint64 array of
     indices to the uint64 array of their seeds. Seeds are derived lazily,
-    SEED_BATCH trials at a time, as :func:`_generators` says; every draw is
-    the same whichever route a batch takes.
+    SEED_BATCH trials at a time, and each batch is seeded and drawn by one
+    of three routes, as :func:`_batch_trials` says; every draw is the same
+    whichever route a batch takes.
     """
     if schedule.measurement_mode != MODE_STOCHASTIC:
         raise ValueError("sampling trials needs a stochastic schedule")
     tree = _OutcomeTree(data, noise, schedule)
     return (
-        tree.sample(rng)
+        trial
         for start in range(0, trials, SEED_BATCH)
-        for rng in _generators(seed_of, start, min(start + SEED_BATCH, trials))
+        for trial in _batch_trials(tree, seed_of, start, min(start + SEED_BATCH, trials))
     )
 
 
@@ -345,30 +392,69 @@ def _is_seed(seed) -> bool:
     return isinstance(seed, (int, np.integer)) and 0 <= seed <= MAX_SEED
 
 
-def _generators(seed_of: Callable, start: int, stop: int) -> Iterator[np.random.Generator]:
-    """A generator in the state of ``default_rng(seed_of(t))`` for each trial
-    t in [start, stop). Fewer than SEED_WORDS_MIN trials are mapped index by
-    index and seeded by default_rng, since the fixed cost of
-    :func:`_seed_words` is more than it saves on them; more are mapped in one
-    call on a uint64 array of indices and seeded through _seed_words in one
-    pass. A seed that is not an integer in [0, 2**64), or an array of seeds
-    that is not uint64, raises ValueError naming it, as ZenoSchedule rejects
-    a seed for :func:`run_protocol`.
+def _batch_trials(tree: _OutcomeTree, seed_of: Callable, start: int, stop: int
+                  ) -> Iterable[HistoryNode]:
+    """The final node of each trial t in [start, stop), walked on the
+    uniforms of ``default_rng(seed_of(t))``. A batch takes one of three
+    routes, by the fixed costs measured for each:
+
+    - fewer than SEED_WORDS_MIN trials are mapped index by index and seeded
+      by default_rng, since the fixed cost of :func:`_seed_words` is more
+      than it saves on them;
+    - more are mapped in one call on a uint64 array of indices and seeded
+      through _seed_words in one pass. A batch of trials at most
+      ARRAY_MAX_CYCLES cycles long, and of at least ARRAY_TRIALS_PER_CYCLE
+      trials per cycle plus ARRAY_MIN_TRIALS, then draws every uniform on
+      uint64 arrays (:func:`_array_trials`), with no generator built;
+    - any other batch, of long trials or of few trials per cycle, hands
+      each trial a PCG64 generator in the state of its seed's words: every
+      array column costs a fixed numpy overhead however few trials it
+      holds, and every array draw more than a generator's.
+
+    A seed that is not an integer in [0, 2**64), or an array of seeds that
+    is not uint64, raises ValueError naming it, as ZenoSchedule rejects a
+    seed for :func:`run_protocol`.
     """
     if stop - start < SEED_WORDS_MIN:
         seeds = [seed_of(t) for t in range(start, stop)]
         for seed in seeds:
             if not _is_seed(seed):
                 raise ValueError(f"a seed must be an integer in [0, 2**64), got {seed!r}")
-        return map(np.random.default_rng, seeds)
+        return (tree.sample(rng) for rng in map(np.random.default_rng, seeds))
     seeds = seed_of(np.arange(start, stop, dtype=np.uint64))
     if seeds.dtype != np.uint64:
         raise ValueError(f"a seed array must be uint64, got {seeds.dtype}")
+    words = _seed_words(seeds)
+    cycles = tree.cycles
+    if (cycles <= ARRAY_MAX_CYCLES
+            and stop - start >= ARRAY_TRIALS_PER_CYCLE * cycles + ARRAY_MIN_TRIALS):
+        return _array_trials(tree, words)
     seed_words = _seed_words_class()
-    return (
-        np.random.Generator(np.random.PCG64(seed_words(words)))
-        for words in _seed_words(seeds)
-    )
+    return (tree.sample(np.random.Generator(np.random.PCG64(seed_words(row)))) for row in words)
+
+
+def _array_trials(tree: _OutcomeTree, words: np.ndarray) -> list[HistoryNode]:
+    """The final node of the trial seeded by each row of ``words``, as
+    :func:`_seed_words` gives them, walked on uniforms drawn for the whole
+    batch at once by :func:`_pcg64_random`. The draws come in column blocks
+    of at most ARRAY_DRAW_BLOCK uniforms; a trial still running after a
+    block carries its PCG64 state into the next, and a finished one draws no
+    more."""
+    state = _pcg64_state(words)
+    nodes = [tree.root] * len(words)
+    running = np.arange(len(words))
+    drawn = 0
+    while running.size:
+        width = min(tree.cycles - drawn, max(ARRAY_DRAW_BLOCK // running.size, 1))
+        # row by row, so no more than one trial's uniforms are Python floats at once
+        for i, uniforms in zip(running.tolist(), _pcg64_random(state, width)):
+            nodes[i] = tree.walk(nodes[i], uniforms.tolist())
+        drawn += width
+        if drawn == tree.cycles:
+            break
+        going = np.array([not nodes[i].done for i in running.tolist()], dtype=bool)
+        running, state = running[going], state[:, going]
+    return nodes
 
 
 def _seed_words(seeds: np.ndarray) -> np.ndarray:
@@ -376,37 +462,80 @@ def _seed_words(seeds: np.ndarray) -> np.ndarray:
 
     SeedSequence's entropy pool and output hash, on uint32 arrays of one
     entry per seed; its hash constants do not depend on the seed, so every
-    seed steps in lockstep. A seed's entropy is its 32-bit words, low word
-    first, and the pool pads them with hashed zeros: a seed below 2**32 has
-    one word and the pool of [s, 0], so every seed takes the same path.
+    seed steps in lockstep, and the hashmix calls that hash the same word
+    run as one call on a vector of their constants. A seed's entropy is its
+    32-bit words, low word first, and the pool pads them with hashed zeros:
+    a seed below 2**32 has one word and the pool of [s, 0], so every seed
+    takes the same path.
     """
 
-    def hasher(const, mult):
-        def hashmix(value):
-            nonlocal const
-            value = value ^ const
-            const = const * mult & _MASK32
-            value = value * const
-            return value ^ (value >> 16)
-        return hashmix
+    def hashmix(values, consts):
+        # one hashmix call per entry of consts but the last, on the rows of
+        # values: xor with the entry, multiply by the next
+        value = (values ^ consts[:-1, None]) * consts[1:, None]
+        return value ^ (value >> 16)
 
-    hashmix = hasher(_INIT_A, _MULT_A)
-    zeros = np.zeros(len(seeds), dtype=np.uint32)
-    entropy = [(seeds & _MASK32).astype(np.uint32), (seeds >> 32).astype(np.uint32)]
-    pool = [hashmix(word) for word in entropy + [zeros] * (_POOL_SIZE - len(entropy))]
+    pool = np.zeros((_POOL_SIZE, len(seeds)), dtype=np.uint32)
+    pool[0], pool[1] = (seeds & _MASK32).astype(np.uint32), (seeds >> 32).astype(np.uint32)
+    pool = hashmix(pool, _HASH_A[:_POOL_SIZE + 1])
     for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])
-                pool[dst] = mixed ^ (mixed >> 16)
-    hashmix = hasher(_INIT_B, _MULT_B)
-    words = np.empty((len(seeds), 4), dtype=np.uint64)
-    for i in range(4):
-        # uint32 state words 2i and 2i + 1 read as one little-endian uint64,
-        # whatever the host's order
-        low = hashmix(pool[2 * i % _POOL_SIZE]).astype(np.uint64)
-        words[:, i] = low | hashmix(pool[(2 * i + 1) % _POOL_SIZE]).astype(np.uint64) << 32
-    return words
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        k = _POOL_SIZE + len(dst) * src
+        hashed = hashmix(pool[src], _HASH_A[k:k + len(dst) + 1])
+        mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed
+        pool[dst] = mixed ^ (mixed >> 16)
+    state = hashmix(pool[[i % _POOL_SIZE for i in range(2 * _POOL_SIZE)]], _HASH_B)
+    # uint32 state words 2i and 2i + 1 read as one little-endian uint64,
+    # whatever the host's order
+    words = state[0::2].astype(np.uint64) | state[1::2].astype(np.uint64) << 32
+    return np.ascontiguousarray(words.T)
+
+
+def _pcg64_state(words: np.ndarray) -> np.ndarray:
+    """The (4, len(words)) uint64 rows state high, state low, increment
+    high, increment low of ``PCG64`` seeded with each row of
+    :func:`_seed_words`, as numpy seeds it: the state is words 0 and 1, the
+    increment source words 2 and 3, ``inc = (initseq << 1) | 1`` and
+    ``state = MULT (inc + initstate) + inc`` mod 2**128."""
+    init_hi, init_lo, seq_hi, seq_lo = words.T
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    low = init_lo + inc_lo
+    with np.errstate(over="ignore"):
+        hi, lo = _pcg64_step(init_hi + inc_hi + (low < inc_lo), low, inc_hi, inc_lo)
+    return np.stack([hi, lo, inc_hi, inc_lo])
+
+
+def _pcg64_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 LCG step, ``state MULT + inc`` mod 2**128, of each state
+    (hi, lo) on uint64 arrays, which wrap mod 2**64. The high word of
+    ``lo * MULT_LO`` is summed from 32-bit limbs, none of whose partial
+    sums reaches 2**64."""
+    lo_0, lo_1 = lo & _LOW32, lo >> 32
+    cross = lo_1 * _PCG_LIMB_0 + (lo_0 * _PCG_LIMB_0 >> 32)
+    mid = (cross & _LOW32) + lo_0 * _PCG_LIMB_1
+    carry = lo_1 * _PCG_LIMB_1 + (cross >> 32) + (mid >> 32)
+    low = lo * _PCG_MULT_LO + inc_lo
+    high = carry + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO + inc_hi + (low < inc_lo)
+    return high, low
+
+
+def _pcg64_random(state: np.ndarray, k: int) -> np.ndarray:
+    """The next ``k`` uniforms of each PCG64 state column of
+    :func:`_pcg64_state`, as a (columns, k) float array, and the state
+    advanced past them in place. A draw steps the state, outputs the 64-bit
+    ``rotr(hi ^ lo, hi >> 58)`` (PCG XSL-RR) and returns its top 53 bits
+    times 2**-53, as ``Generator.random`` does."""
+    his = np.empty((k, state.shape[1]), dtype=np.uint64)
+    los = np.empty_like(his)
+    hi, lo, inc_hi, inc_lo = state
+    with np.errstate(over="ignore"):
+        for j in range(k):
+            hi, lo = his[j], los[j] = _pcg64_step(hi, lo, inc_hi, inc_lo)
+    state[0], state[1] = hi, lo
+    out = his ^ los
+    rot = his >> 58
+    out = out >> rot | out << ((64 - rot) & 63)
+    return ((out >> 11) * 2.0**-53).T
 
 
 @lru_cache(maxsize=None)
@@ -495,18 +624,28 @@ class _OutcomeTree:
         self.root = self._node(self.encoded, None, 0, False)
 
     def sample(self, rng: np.random.Generator, steps: list | None = None) -> HistoryNode:
-        """Walk one trial down the tree to the node it ends on, drawing one
-        uniform per cycle from ``rng``, a fresh generator of that trial. If
-        ``steps`` is given, append the ``cycle`` of every node passed."""
+        """Walk one trial down the tree to the node it ends on, on uniforms
+        drawn from ``rng``, a fresh generator of that trial, at most
+        DRAW_BLOCK at a time. If ``steps`` is given, append the ``cycle`` of
+        every node passed."""
         node = self.root
         while not node.done:
-            for u in rng.random(min(self.cycles - node.depth, DRAW_BLOCK)).tolist():
-                outcome = 1 if u < node.p_one else 0
-                node = node.children[outcome] or self._child(node, outcome)
-                if steps is not None:
-                    steps.append(node.cycle)
-                if node.done:
-                    break
+            node = self.walk(node, rng.random(min(self.cycles - node.depth, DRAW_BLOCK)).tolist(),
+                             steps)
+        return node
+
+    def walk(self, node: HistoryNode, uniforms: list[float], steps: list | None = None
+             ) -> HistoryNode:
+        """Walk a trial on from ``node``, one cycle per uniform, measuring 1
+        where the uniform is below the cycle's Born probability of 1; return
+        the node it stops on, done or where the uniforms ran out."""
+        for u in uniforms:
+            outcome = 1 if u < node.p_one else 0
+            node = node.children[outcome] or self._child(node, outcome)
+            if steps is not None:
+                steps.append(node.cycle)
+            if node.done:
+                break
         return node
 
     def _node(self, amps, cycle, depth, detected, done=False) -> HistoryNode:

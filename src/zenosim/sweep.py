@@ -8,12 +8,16 @@ from a seed derived from (master seed, n, trial) through a splitmix64-style
 mixer, so any single trial can be reproduced without replaying the others:
 `run_protocol` with that seed gives the same outcome. A row's trials are
 sampled by `protocol.sample_trials`, which derives their seeds a batch of
-trial indices at a time, on uint64 arrays, and seeds each batch's generators
-in one vectorized pass, in exactly the state `default_rng` gives them; a
-batch of few trials takes both one trial at a time. The trials of one n
-share a single encoding, propagator and tree of outcome histories, so each
-register state along a history is computed once, however many trials pass
-through it.
+trial indices at a time, on uint64 arrays, and takes each batch by one of
+three routes, all drawing exactly the uniforms `default_rng` gives: a batch
+of few trials is derived and seeded one trial at a time by `default_rng`; a
+batch of many short trials, by the measured rule `protocol._batch_trials`
+states, draws every uniform on uint64 arrays, with no generator built; any
+other batch seeds one PCG64 generator per trial in one vectorized pass. The
+trials of one n share a single encoding, propagator and tree of outcome
+histories, so each register state along a history is computed once, however
+many trials pass through it. A row whose analytic reference cannot be
+computed fails alone.
 
 The CSV is a byte-reproducible artifact: (config, seed) determines every
 written byte. Because measured wall time cannot satisfy that, the
@@ -95,13 +99,17 @@ class SweepResult:
 
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Execute the configured protocol for every n; never returns a short
-    result — a row that raises is marked failed (NaN fields) instead."""
+    result — a row that raises is marked failed (NaN fields) instead. A row
+    whose analytic reference raises fails with that error and a NaN
+    reference, and is not run."""
     data, noise = config.data, config.noise
     outcomes = {}  # n -> ((survival, fidelity, detection) or the exception, wall ms)
     schedules = {}  # n -> schedule of a post-selected row, for the one stacked pass
+    references = {}  # n -> the row's analytic reference, where it has one
     for n in config.n_values:
         start = time.perf_counter()
         try:
+            references[n] = single_qubit_survival(noise.lam[0], config.total_time, n)
             schedule = ZenoSchedule(config.total_time, n, aux_strategy=config.aux_strategy,
                                     measurement_mode=config.mode, seed=config.seed,
                                     abort_policy=config.abort_policy)
@@ -126,7 +134,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     rows = []
     for n in config.n_values:
         outcome, wall_ms = outcomes[n]
-        reference = single_qubit_survival(noise.lam[0], config.total_time, n)
+        reference = references.get(n, math.nan)
         if isinstance(outcome, Exception):
             rows.append(SweepRow(n, math.nan, math.nan, math.nan, reference, wall_ms, failed=True,
                                  error=f"{type(outcome).__name__}: {outcome}"))

@@ -66,6 +66,13 @@ class TestSingleQubitSurvival:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             single_qubit_survival(lam, total_time, 4)
 
+    @pytest.mark.parametrize("lam, total_time", [(1e160, 1e160), (-1e200, 1e200)])
+    def test_overflowing_angle_rejected(self, lam, total_time):
+        # finite inputs whose product is not: math.cos(inf) raised a bare
+        # "math domain error"
+        with pytest.raises(ValueError, match=r"^lam\*total_time/n must be finite, got -?inf"):
+            single_qubit_survival(lam, total_time, 2)
+
     def test_no_coupling(self):
         for n in (1, 7, 64):
             assert single_qubit_survival(0.0, 3.0, n) == 1.0

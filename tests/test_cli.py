@@ -117,6 +117,19 @@ class TestSweepCommand:
         assert "synthetic" not in captured.out
         assert "n=4: RuntimeError: synthetic protocol failure" in captured.err
 
+    @pytest.mark.parametrize("mode", ["post-selected", "stochastic"])
+    def test_overflowing_reference_fails_its_rows_not_the_sweep(self, tmp_path, capsys, mode):
+        # used to print "error: math domain error" and write no CSV
+        text = ("alpha0_re = 0.6\nalpha1_re = 0.8\nlambda = 1e160, 0.0\ntotal_time = 1e160\n"
+                f"n_values = 1, 2\nmode = {mode}\ntrials = 20\nseed = 3\noutput = {{output}}\n")
+        config_path, output = write_config(tmp_path, text)
+        assert main(["sweep", str(config_path)]) == 2
+        captured = capsys.readouterr()
+        for n in (1, 2):
+            assert f"n={n}: FAILED" in captured.out
+            assert f"n={n}: ValueError: lam*total_time/n must be finite, got inf" in captured.err
+        assert output.read_text().splitlines()[1:] == ["1,nan,nan,nan,nan,0", "2,nan,nan,nan,nan,0"]
+
     def test_keep_timings_flag(self, tmp_path):
         config_path, output = write_config(tmp_path)
         assert main(["sweep", str(config_path), "--keep-timings"]) == 0

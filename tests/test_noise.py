@@ -175,6 +175,21 @@ class TestEvolveExact:
         with pytest.raises(ValueError, match="dim"):
             evolve_exact(new_state(1), h, 0.1)
 
+    @pytest.mark.parametrize("t", [1e200, [0.5, 1e200]])
+    def test_overflowing_phase_is_named(self, t):
+        # w t = 1e400 is no float: it is rejected before numpy warns
+        # (pytest turns a RuntimeWarning into a failure)
+        h = build_hamiltonian(NoiseSpec((1e200, 0.0)), 2)
+        with pytest.raises(ValueError, match=r"noise phase w\*t must be finite, got -?inf "
+                                             r"\(w = -?1e\+200, t = 1e\+200\)"):
+            propagator(h, t)
+
+    def test_largest_finite_phase_is_kept(self):
+        h = build_hamiltonian(NoiseSpec((1e154, 0.0)), 2)
+        u = propagator(h, 1.25e154)
+        assert np.isfinite(u).all()
+        assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-12
+
 
 class TestFirstOrder:
     def test_zero_time_unchanged(self, rng):

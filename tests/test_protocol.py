@@ -461,6 +461,18 @@ class TestFusedPostSelectedEngine:
         assert result.final_fidelity == pytest.approx(fidelity(state, encoded), abs=1e-15)
         assert fidelity(result.final_state, state) == pytest.approx(1.0, abs=1e-12)
 
+    def test_overflowing_phase_fails_only_its_row(self):
+        # w t = 2.5e308 overflows at n = 1; at n = 2 it is 1.25e308
+        data, noise = new_state(1, [0.6, 0.8]), NoiseSpec((1e154, 0.0))
+        one, two = ZenoSchedule(2.5e154, 1), ZenoSchedule(2.5e154, 2)
+        failure, result = run_post_selected(data, noise, [one, two])
+        assert isinstance(failure, ValueError)
+        assert str(failure) == ("noise phase w*t must be finite, got -inf "
+                                "(w = -1e+154, t = 2.5e+154)")
+        assert_same_run(result, run_protocol(data, noise, two))
+        with pytest.raises(ValueError, match=r"noise phase w\*t must be finite"):
+            run_post_selected(data, noise, [one])
+
 
 class ScriptedGenerator:
     """Stands in for ``np.random.default_rng(seed)``: hands out fixed
@@ -793,6 +805,83 @@ class TestSharedTreeEngine:
             assert trial.final_fidelity == result.final_fidelity
             assert np.array_equal(trial.amps, result.final_state.amplitudes)
 
+    def test_many_short_trials_build_no_generator(self, monkeypatch):
+        # the fewest trials per cycle that the array route takes
+        data, noise = new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.6, 2)
+        schedule = ZenoSchedule(1.0, 8, measurement_mode=MODE_STOCHASTIC, seed=0)
+        trials = (protocol_module.ARRAY_TRIALS_PER_CYCLE * schedule.cycles
+                  + protocol_module.ARRAY_MIN_TRIALS)
+        seed_of = functools.partial(derive_trial_seed, 7, schedule.cycles)
+        want = [run_protocol(data, noise, dataclasses.replace(schedule, seed=seed_of(t)))
+                for t in range(trials)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a many-trial row built a generator")
+
+        for name in ("PCG64", "Generator", "default_rng"):
+            monkeypatch.setattr(np.random, name, refuse)
+        got = list(sample_trials(data, noise, schedule, trials, seed_of))
+        assert [t.detected for t in got] == [r.detected for r in want]
+        assert any(t.detected for t in got) and not all(t.detected for t in got)
+        for trial, result in zip(got, want, strict=True):
+            assert trial.final_fidelity == result.final_fidelity
+            assert np.array_equal(trial.amps, result.final_state.amplitudes)
+
+    @pytest.mark.parametrize("trials, cycles", [
+        (100, 64), (100, 256), (protocol_module.SEED_BATCH, protocol_module.ARRAY_MAX_CYCLES + 1),
+        (protocol_module.ARRAY_TRIALS_PER_CYCLE * 4 + protocol_module.ARRAY_MIN_TRIALS - 1, 4),
+    ])
+    def test_long_trials_keep_their_generators(self, monkeypatch, trials, cycles):
+        # the stochastic-reset rows, a full batch of trials one cycle past
+        # ARRAY_MAX_CYCLES, and a batch one trial short of the array route
+        def refuse(*args):
+            raise AssertionError("a long-trial row drew on arrays")
+
+        monkeypatch.setattr(protocol_module, "_pcg64_random", refuse)
+        schedule = ZenoSchedule(4.0, cycles, aux_strategy=AUX_DUAL_ALTERNATING,
+                                measurement_mode=MODE_STOCHASTIC, seed=0,
+                                abort_policy=RESET_AND_CONTINUE)
+        data, noise = new_state(1, [0.6, 0.8]), NoiseSpec((0.4, 0.3, 0.2), (0.2, 0.1, 0.0))
+        sampled = list(sample_trials(data, noise, schedule, trials, trial_index))
+        assert len(sampled) == trials
+        for t in (0, trials - 1):
+            result = run_protocol(data, noise, dataclasses.replace(schedule, seed=t))
+            assert sampled[t].detected == result.detected
+            assert np.array_equal(sampled[t].amps, result.final_state.amplitudes)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        strategy=st.sampled_from([AUX_SINGLE, AUX_DUAL_ALTERNATING]),
+        policy=st.sampled_from([ABORT_ON_DETECT, RESET_AND_CONTINUE]),
+        trials=st.integers(1, 40),
+        cycles=st.integers(1, 12),
+        per_cycle=st.sampled_from([0, 1, 3, 8]),
+        batch=st.sampled_from([3, 7, 16, 4096]),
+        draw_block=st.sampled_from([1, 5, 16, 1 << 15]),
+        master=st.integers(0, 2**64 - 1),
+    )
+    def test_every_route_gives_run_protocol_on_its_seed(self, strategy, policy, trials, cycles,
+                                                        per_cycle, batch, draw_block, master):
+        # 0 trials per cycle sends every batch of 2 or more trials to the
+        # array route, 8 only batches of short trials; draw blocks of few
+        # uniforms make trials carry their state from block to block
+        size = 2 if strategy == AUX_SINGLE else 3
+        data = new_state(1, [0.6, 0.8])
+        noise = NoiseSpec((0.9, 0.6, 0.3)[:size], (0.1, 0.2, 0.0)[:size])
+        schedule = ZenoSchedule(2.0, cycles, aux_strategy=strategy,
+                                measurement_mode=MODE_STOCHASTIC, seed=0, abort_policy=policy)
+        seed_of = functools.partial(derive_trial_seed, master, cycles)
+        with mock.patch.multiple(protocol_module, ARRAY_TRIALS_PER_CYCLE=per_cycle,
+                                 ARRAY_MIN_TRIALS=0, SEED_WORDS_MIN=2, SEED_BATCH=batch,
+                                 ARRAY_DRAW_BLOCK=draw_block):
+            sampled = list(sample_trials(data, noise, schedule, trials, seed_of))
+        assert len(sampled) == trials
+        for t, trial in enumerate(sampled):
+            result = run_protocol(data, noise, dataclasses.replace(schedule, seed=seed_of(t)))
+            assert trial.detected == result.detected
+            assert trial.final_fidelity == result.final_fidelity
+            assert np.array_equal(trial.amps, result.final_state.amplitudes)
+
     def test_single_trial_links_no_nodes(self, monkeypatch):
         trees = []
 
@@ -885,6 +974,42 @@ class TestSeedWords:
         package_root = Path(protocol_module.__file__).resolve().parent.parent
         env = {**os.environ, "PYTHONPATH": str(package_root)}
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def array_draws(seeds, widths):
+    """The uniforms _pcg64_random draws for ``seeds`` in blocks of ``widths``
+    columns, each block going on from the state the last one left."""
+    state = protocol_module._pcg64_state(
+        protocol_module._seed_words(np.array(seeds, dtype=np.uint64)))
+    return np.hstack([protocol_module._pcg64_random(state, k) for k in widths])
+
+
+class TestArrayDraws:
+    """Uniforms drawn on uint64 arrays equal default_rng(seed).random bit for
+    bit, in one block or carried across several."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_edge_seeds(self, seed):
+        # across the walk's DRAW_BLOCK edge, in blocks of 1, 255 and 44
+        (drawn,) = array_draws([seed], [1, DRAW_BLOCK - 1, 44])
+        assert drawn.tolist() == np.random.default_rng(seed).random(DRAW_BLOCK + 44).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20),
+           widths=st.lists(st.integers(1, 2 * DRAW_BLOCK), min_size=1, max_size=4))
+    def test_random_seeds(self, seeds, widths):
+        drawn = array_draws(seeds, widths)
+        want = [np.random.default_rng(seed).random(sum(widths)) for seed in seeds]
+        assert drawn.dtype == np.float64
+        assert np.array_equal(drawn.view(np.uint64), np.array(want).view(np.uint64))
+
+    def test_state_is_pcg64s(self):
+        seeds = [0, 2**32, 2**64 - 1]
+        state = protocol_module._pcg64_state(
+            protocol_module._seed_words(np.array(seeds, dtype=np.uint64)))
+        for seed, (hi, lo, inc_hi, inc_lo) in zip(seeds, state.T.tolist()):
+            want = np.random.PCG64(seed).state["state"]
+            assert (hi << 64 | lo, inc_hi << 64 | inc_lo) == (want["state"], want["inc"])
 
 
 class TestInvariantsComputedOnce:

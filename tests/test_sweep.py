@@ -143,6 +143,29 @@ class TestRunSweep:
         # the reference column is independent of the protocol and survives
         assert result.rows[1].analytic_reference == single_qubit_survival(0.1, 1.0, 16)
 
+    @pytest.mark.parametrize("mode", ["post-selected", "stochastic"])
+    def test_overflowing_reference_fails_only_its_rows(self, mode):
+        # lambda T overflows, so neither row has a reference value
+        config = make_config(**{"lambda": "1e160, 0.0", "total_time": 1e160,
+                                "n_values": "1, 2", "mode": mode, "trials": 20})
+        rows = run_sweep(config).rows
+        assert [row.failed for row in rows] == [True, True]
+        for row in rows:
+            assert row.error == "ValueError: lam*total_time/n must be finite, got inf"
+            assert np.isnan(row.analytic_reference) and np.isnan(row.survival_probability)
+
+    @pytest.mark.parametrize("mode", ["post-selected", "stochastic"])
+    def test_overflowing_noise_phase_fails_its_row_by_name(self, mode):
+        # only the auxiliary is noisy, so the reference is 1; its phase
+        # w T / n overflows at n = 1 alone
+        config = make_config(**{"lambda": "0.0, 1e154", "total_time": 2.5e154,
+                                "n_values": "1, 2", "mode": mode, "trials": 20})
+        first, second = run_sweep(config).rows
+        assert first.failed and first.analytic_reference == 1.0
+        assert first.error == ("ValueError: noise phase w*t must be finite, got -inf "
+                               "(w = -1e+154, t = 2.5e+154)")
+        assert not second.failed, second.error
+
 
 class TestWriteCsv:
     def test_header_only_for_empty_result(self, tmp_path):
