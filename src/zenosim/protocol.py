@@ -17,8 +17,9 @@ __all__ = [
 ]
 
 import math
+import sys
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -68,9 +69,6 @@ SEED_WORDS_MIN = 10
 ARRAY_MAX_CYCLES = 32
 ARRAY_TRIALS_PER_CYCLE = 8
 ARRAY_MIN_TRIALS = 16
-#: uniforms one array draw holds at most, so a batch's block of draws does
-#: not grow with its cycle count
-ARRAY_DRAW_BLOCK = 1 << 15
 #: a stochastic seed is an unsigned 64-bit integer, as config's master seed
 MAX_SEED = (1 << 64) - 1
 _MASK32 = 0xFFFFFFFF
@@ -292,19 +290,21 @@ def run_protocol(data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule) ->
             ],
             final_state=StateVector._wrap(size, trial.amps),
         )
-    (result,) = run_post_selected(data, noise, [schedule])
+    (result,) = run_post_selected(data, noise, schedule, [schedule.cycles])
     if isinstance(result, Exception):
         raise result
     return result
 
 
 def run_post_selected(
-    data: StateVector, noise: NoiseSpec, schedules: list[ZenoSchedule]
+    data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule, cycles: list[int]
 ) -> list[ProtocolResult | Exception]:
-    """One post-selected run per schedule, all of one aux strategy: its
-    ProtocolResult, or the ValueError or NormDriftError its row raised. The
-    rows share one encoding, one Hamiltonian, one propagator stack and one
-    squaring ladder; each row's floats are those of its run alone.
+    """One post-selected run of ``schedule`` per cycle count in ``cycles``
+    (``schedule.cycles`` is not read): its ProtocolResult, or the ValueError
+    or NormDriftError its row raised. ``cycles`` is checked once: it must
+    be a non-empty list of positive integers. The rows share one encoding,
+    one Hamiltonian, one propagator stack and one squaring ladder; each
+    row's floats are those of its run alone.
 
     One cycle on auxiliary a is the pair (M, G): M = keep_a U maps the
     register onto the no-error branch, and G = (Q_a U)^+ (Q_a U), with
@@ -315,22 +315,23 @@ def run_post_selected(
     that overflows at one row's interval, is each row's own: the rows are
     then run one by one, and one row's ValueError is raised.
     """
-    aux_counts = {s.aux_count for s in schedules}
-    if len(aux_counts) != 1 or any(s.measurement_mode != MODE_POST_SELECTED for s in schedules):
-        raise ValueError("run_post_selected needs post-selected schedules of one aux strategy")
+    if schedule.measurement_mode != MODE_POST_SELECTED:
+        raise ValueError("run_post_selected needs a post-selected schedule")
+    if not cycles or not all(isinstance(n, (int, np.integer)) and n >= 1 for n in cycles):
+        raise ValueError(f"cycles must be a non-empty list of positive integers, got {cycles!r}")
     try:
-        encoded, steps = _prepare(data, noise, aux_counts.pop(), [s.interval for s in schedules])
+        encoded, steps = _prepare(data, noise, schedule.aux_count,
+                                  [schedule.total_time / n for n in cycles])
     except ValueError:
-        if len(schedules) == 1:
+        if len(cycles) == 1:
             raise
         results = []
-        for schedule in schedules:
+        for n in cycles:
             try:
-                results += run_post_selected(data, noise, [schedule])
+                results += run_post_selected(data, noise, schedule, [n])
             except ValueError as exc:
                 results.append(exc)
         return results
-    cycles = [s.cycles for s in schedules]
     pairs = []
     for keep, leak in _cycle_masks(encoded.num_qubits):
         leaked = leak[:, None] * steps
@@ -347,9 +348,9 @@ def run_post_selected(
         one = [i for i, n in enumerate(cycles) if n == 1]
         m[one], g[one] = first[0][one], first[1][one]
     results = []
-    for i, schedule in enumerate(schedules):
+    for i, n in enumerate(cycles):
         try:
-            results.append(_row_result(data, noise, schedule, encoded, m[i], g[i]))
+            results.append(_row_result(data, noise, schedule, n, encoded, m[i], g[i]))
         except (ValueError, NormDriftError) as exc:
             results.append(exc)
     return results
@@ -405,7 +406,10 @@ def _batch_trials(tree: _OutcomeTree, seed_of: Callable, start: int, stop: int
       through _seed_words in one pass. A batch of trials at most
       ARRAY_MAX_CYCLES cycles long, and of at least ARRAY_TRIALS_PER_CYCLE
       trials per cycle plus ARRAY_MIN_TRIALS, then draws every uniform on
-      uint64 arrays (:func:`_array_trials`), with no generator built;
+      uint64 arrays in one pass (:func:`_pcg64_random`), with no generator
+      built, and walks each trial's row of them: a batch holds at most
+      SEED_BATCH trials, so it draws at most SEED_BATCH * ARRAY_MAX_CYCLES
+      uniforms;
     - any other batch, of long trials or of few trials per cycle, hands
       each trial a PCG64 generator in the state of its seed's words: every
       array column costs a fixed numpy overhead however few trials it
@@ -428,33 +432,11 @@ def _batch_trials(tree: _OutcomeTree, seed_of: Callable, start: int, stop: int
     cycles = tree.cycles
     if (cycles <= ARRAY_MAX_CYCLES
             and stop - start >= ARRAY_TRIALS_PER_CYCLE * cycles + ARRAY_MIN_TRIALS):
-        return _array_trials(tree, words)
+        # row by row, so no more than one trial's uniforms are Python floats at once
+        draws = _pcg64_random(_pcg64_state(words), cycles)
+        return (tree.walk(tree.root, row.tolist()) for row in draws)
     seed_words = _seed_words_class()
     return (tree.sample(np.random.Generator(np.random.PCG64(seed_words(row)))) for row in words)
-
-
-def _array_trials(tree: _OutcomeTree, words: np.ndarray) -> list[HistoryNode]:
-    """The final node of the trial seeded by each row of ``words``, as
-    :func:`_seed_words` gives them, walked on uniforms drawn for the whole
-    batch at once by :func:`_pcg64_random`. The draws come in column blocks
-    of at most ARRAY_DRAW_BLOCK uniforms; a trial still running after a
-    block carries its PCG64 state into the next, and a finished one draws no
-    more."""
-    state = _pcg64_state(words)
-    nodes = [tree.root] * len(words)
-    running = np.arange(len(words))
-    drawn = 0
-    while running.size:
-        width = min(tree.cycles - drawn, max(ARRAY_DRAW_BLOCK // running.size, 1))
-        # row by row, so no more than one trial's uniforms are Python floats at once
-        for i, uniforms in zip(running.tolist(), _pcg64_random(state, width)):
-            nodes[i] = tree.walk(nodes[i], uniforms.tolist())
-        drawn += width
-        if drawn == tree.cycles:
-            break
-        going = np.array([not nodes[i].done for i in running.tolist()], dtype=bool)
-        running, state = running[going], state[:, going]
-    return nodes
 
 
 def _seed_words(seeds: np.ndarray) -> np.ndarray:
@@ -520,22 +502,26 @@ def _pcg64_step(hi, lo, inc_hi, inc_lo):
 
 
 def _pcg64_random(state: np.ndarray, k: int) -> np.ndarray:
-    """The next ``k`` uniforms of each PCG64 state column of
-    :func:`_pcg64_state`, as a (columns, k) float array, and the state
-    advanced past them in place. A draw steps the state, outputs the 64-bit
+    """The first ``k`` uniforms of each PCG64 state column of
+    :func:`_pcg64_state`, as a (columns, k) float array; ``state`` is left
+    as it is. A draw steps the state, outputs the 64-bit
     ``rotr(hi ^ lo, hi >> 58)`` (PCG XSL-RR) and returns its top 53 bits
-    times 2**-53, as ``Generator.random`` does."""
+    times 2**-53, as ``Generator.random`` does, formed in place on the
+    stepped words, so the draw holds three (k, columns) arrays at most."""
     his = np.empty((k, state.shape[1]), dtype=np.uint64)
     los = np.empty_like(his)
     hi, lo, inc_hi, inc_lo = state
     with np.errstate(over="ignore"):
         for j in range(k):
             hi, lo = his[j], los[j] = _pcg64_step(hi, lo, inc_hi, inc_lo)
-    state[0], state[1] = hi, lo
-    out = his ^ los
-    rot = his >> 58
-    out = out >> rot | out << ((64 - rot) & 63)
-    return ((out >> 11) * 2.0**-53).T
+    rot = his >> 58  # read before the xor overwrites his
+    out = np.bitwise_xor(his, los, out=his)
+    rotated = np.right_shift(out, rot, out=los)
+    np.bitwise_and(np.subtract(64, rot, out=rot), 63, out=rot)
+    rotated |= np.left_shift(out, rot, out=out)
+    rotated >>= 11
+    # the floats take the buffer of out, which is no longer read
+    return np.multiply(rotated, 2.0**-53, out=out.view(np.float64)).T
 
 
 @lru_cache(maxsize=None)
@@ -695,8 +681,11 @@ def _prepare(data: StateVector, noise: NoiseSpec, aux_count: int, times: float |
     return encoded, propagator(build_hamiltonian(noise, encoded.num_qubits), times)
 
 
-def _row_result(data, noise, schedule, encoded, m, g) -> ProtocolResult:
-    """One row's result, from its pair (m, g) raised to ``schedule.cycles``."""
+def _row_result(data, noise, schedule, n, encoded, m, g) -> ProtocolResult:
+    """``schedule`` run for ``n`` cycles, from its pair (m, g) raised to n.
+    A replayed survival is the product of the cycles' probabilities while
+    that is a normal float, else the exp of their summed logs: 0.0 where it
+    underflows, with ``detected`` False, as no branch fell below threshold."""
     psi = encoded.amplitudes
     kept_amps = m @ psi
     kept = float(np.vdot(kept_amps, kept_amps).real)
@@ -704,15 +693,19 @@ def _row_result(data, noise, schedule, encoded, m, g) -> ProtocolResult:
         # only here can a single cycle's branch have fallen below the
         # threshold: walk the no-error path of the outcome tree, cycle by
         # cycle, to find out and to reproduce the per-cycle circuit
-        if schedule.cycles > MAX_REPLAY_CYCLES:
-            raise ValueError(f"{schedule.cycles} cycles need a cycle-by-cycle replay of the "
-                             f"no-error branch, longer than MAX_REPLAY_CYCLES = {MAX_REPLAY_CYCLES}")
-        tree = _OutcomeTree(data, noise, schedule, capacity=0)
-        node, survival = tree.root, 1.0
+        if n > MAX_REPLAY_CYCLES:
+            raise ValueError(f"{n} cycles need a cycle-by-cycle replay of the no-error "
+                             f"branch, longer than MAX_REPLAY_CYCLES = {MAX_REPLAY_CYCLES}")
+        tree = _OutcomeTree(data, noise, replace(schedule, cycles=n), capacity=0)
+        node, survival, log_survival = tree.root, 1.0, 0.0
         while not node.done:
             node = tree._child(node, 0)
             # a node that detects carries no cycle: its branch held no probability
-            survival = survival * node.cycle[1] if node.cycle else 0.0
+            prob = node.cycle[1] if node.cycle else 0.0
+            survival *= prob
+            log_survival += math.log(prob) if prob else -math.inf
+        if survival < sys.float_info.min:
+            survival = math.exp(log_survival)
         state = StateVector._wrap(tree.num_qubits, node.amps)
         return ProtocolResult(survival, 1.0 - survival, node.final_fidelity, node.detected,
                               final_state=state)

@@ -1,23 +1,24 @@
 """Sweep runner and CSV writer.
 
-One row per cycle count n. Post-selected mode computes all rows in one
-stacked pass (`protocol.run_post_selected`); a row that fails there fails
-alone, and each row's wall_time_ms is an even share of the pass's time.
-Stochastic mode samples `trials` independent trials per n, each drawing
-from a seed derived from (master seed, n, trial) through a splitmix64-style
-mixer, so any single trial can be reproduced without replaying the others:
-`run_protocol` with that seed gives the same outcome. A row's trials are
-sampled by `protocol.sample_trials`, which derives their seeds a batch of
-trial indices at a time, on uint64 arrays, and takes each batch by one of
-three routes, all drawing exactly the uniforms `default_rng` gives: a batch
-of few trials is derived and seeded one trial at a time by `default_rng`; a
-batch of many short trials, by the measured rule `protocol._batch_trials`
-states, draws every uniform on uint64 arrays, with no generator built; any
-other batch seeds one PCG64 generator per trial in one vectorized pass. The
-trials of one n share a single encoding, propagator and tree of outcome
-histories, so each register state along a history is computed once, however
-many trials pass through it. A row whose analytic reference cannot be
-computed fails alone.
+One row per cycle count n. Post-selected mode builds one schedule per
+config and computes all rows in one stacked pass,
+`protocol.run_post_selected(data, noise, schedule, cycles)` over the list
+of n; a row that fails there fails alone, and each row's wall_time_ms is an
+even share of the pass's time. Stochastic mode samples `trials` independent
+trials per n, each drawing from a seed derived from (master seed, n, trial)
+through a splitmix64-style mixer, so any single trial can be reproduced
+without replaying the others: `run_protocol` with that seed gives the same
+outcome. A row's trials are sampled by `protocol.sample_trials`, which
+derives their seeds a batch of trial indices at a time, on uint64 arrays,
+and takes each batch by one of three routes, all drawing exactly the
+uniforms `default_rng` gives: a batch of few trials is derived and seeded
+one trial at a time by `default_rng`; a batch of many short trials, by the
+measured rule `protocol._batch_trials` states, draws all its uniforms on
+uint64 arrays in one pass, with no generator built; any other batch seeds
+one PCG64 generator per trial in one vectorized pass. The trials of one n
+share a single encoding, propagator and tree of outcome histories, so each
+register state along a history is computed once, however many trials pass
+through it. A row whose analytic reference cannot be computed fails alone.
 
 The CSV is a byte-reproducible artifact: (config, seed) determines every
 written byte. Because measured wall time cannot satisfy that, the
@@ -103,31 +104,32 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     whose analytic reference raises fails with that error and a NaN
     reference, and is not run."""
     data, noise = config.data, config.noise
+    schedule_of = functools.partial(
+        ZenoSchedule, config.total_time, aux_strategy=config.aux_strategy,
+        measurement_mode=config.mode, seed=config.seed, abort_policy=config.abort_policy)
     outcomes = {}  # n -> ((survival, fidelity, detection) or the exception, wall ms)
-    schedules = {}  # n -> schedule of a post-selected row, for the one stacked pass
+    cycles = []  # n of each post-selected row, for the one stacked pass
     references = {}  # n -> the row's analytic reference, where it has one
     for n in config.n_values:
         start = time.perf_counter()
         try:
+            # this also rejects an n that is not a positive integer, on its own row
             references[n] = single_qubit_survival(noise.lam[0], config.total_time, n)
-            schedule = ZenoSchedule(config.total_time, n, aux_strategy=config.aux_strategy,
-                                    measurement_mode=config.mode, seed=config.seed,
-                                    abort_policy=config.abort_policy)
             if config.mode != MODE_STOCHASTIC:
-                schedules[n] = schedule
+                cycles.append(n)
                 continue
-            outcome = _stochastic_point(config, data, noise, schedule)
+            outcome = _stochastic_point(config, data, noise, schedule_of(n))
         except Exception as exc:
             outcome = exc
         outcomes[n] = outcome, (time.perf_counter() - start) * 1e3
-    if schedules:
+    if cycles:
         start = time.perf_counter()
         try:
-            results = run_post_selected(data, noise, list(schedules.values()))
+            results = run_post_selected(data, noise, schedule_of(cycles[0]), cycles)
         except Exception as exc:
-            results = [exc] * len(schedules)
-        share = (time.perf_counter() - start) * 1e3 / len(schedules)
-        for n, result in zip(schedules, results):
+            results = [exc] * len(cycles)
+        share = (time.perf_counter() - start) * 1e3 / len(cycles)
+        for n, result in zip(cycles, results):
             if not isinstance(result, Exception):
                 result = result.survival_probability, result.final_fidelity, float(result.detected)
             outcomes[n] = result, share

@@ -106,7 +106,7 @@ class TestSweepCommand:
     def test_failed_row_reason_on_stderr(self, tmp_path, capsys, monkeypatch):
         import zenosim.sweep as sweep_module
 
-        def failing(data, noise, schedule):
+        def failing(data, noise, schedule, cycles):
             raise RuntimeError("synthetic protocol failure")
 
         monkeypatch.setattr(sweep_module, "run_post_selected", failing)

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -290,11 +291,13 @@ def per_cycle_reference(data, noise, schedule):
     """The post-selected run stepped cycle by cycle through the public gates.
 
     Returns (survival, detected, final state, encoded state, cycles completed).
+    A survival below the normal floats is the exp of the cycles' summed
+    log-probabilities, as run_protocol reports it.
     """
     aux_count = schedule.aux_count
     encoded = encode(data, aux_count)
     step = propagator(build_hamiltonian(noise, 1 + aux_count), schedule.interval)
-    state, survival = encoded, 1.0
+    state, survival, log_survival = encoded, 1.0, 0.0
     for k in range(schedule.cycles):
         state = apply_propagator(state, step)
         try:
@@ -302,7 +305,10 @@ def per_cycle_reference(data, noise, schedule):
         except ZeroProbabilityError:
             return 0.0, True, state, encoded, k
         survival *= outcome.branch_probability
+        log_survival += math.log(outcome.branch_probability)
         state = outcome.state_after
+    if survival < sys.float_info.min:
+        survival = math.exp(log_survival)
     return survival, False, state, encoded, schedule.cycles
 
 
@@ -427,9 +433,12 @@ class TestFusedPostSelectedEngine:
         data = new_state(1, [complex(amps[0], amps[1]), complex(amps[2], amps[3])])
         noise = NoiseSpec(lam=tuple(lam[:size]), mu=tuple(mu[:size]))
         # every stack holds the one-cycle row, which takes no squaring
-        schedules = [ZenoSchedule(total_time, n, aux_strategy=strategy) for n in [*n_values, 1]]
-        for schedule, result in zip(schedules, run_post_selected(data, noise, schedules)):
-            assert_same_run(result, run_protocol(data, noise, schedule))
+        schedule, cycles = ZenoSchedule(total_time, 1, aux_strategy=strategy), [*n_values, 1]
+        results = run_post_selected(data, noise, schedule, cycles)
+        assert len(results) == len(cycles)
+        for n, result in zip(cycles, results):
+            one_row = dataclasses.replace(schedule, cycles=n)
+            assert_same_run(result, run_protocol(data, noise, one_row))
 
     def test_replay_past_the_bound_fails_only_its_row(self):
         # lambda T = 3e5: both rows keep a mass below the zero-branch threshold
@@ -450,7 +459,7 @@ class TestFusedPostSelectedEngine:
         schedule = ZenoSchedule(10.0, 328)
         with pytest.raises(ValueError, match="MAX_REPLAY_CYCLES"):
             run_protocol(data, noise, ZenoSchedule(10.0, 10**9))
-        result, failure = run_post_selected(data, noise, [schedule, ZenoSchedule(10.0, 10**9)])
+        result, failure = run_post_selected(data, noise, schedule, [328, 10**9])
         assert isinstance(failure, ValueError)
         assert_same_run(result, run_protocol(data, noise, schedule))
         assert rows[0].survival_probability == result.survival_probability
@@ -461,17 +470,39 @@ class TestFusedPostSelectedEngine:
         assert result.final_fidelity == pytest.approx(fidelity(state, encoded), abs=1e-15)
         assert fidelity(result.final_state, state) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("strategy, lam", [
+        (AUX_SINGLE, (3e4, 0.0)), (AUX_DUAL_ALTERNATING, (3e4, 0.0, 0.0)),
+    ])
+    def test_replayed_survival_that_underflows_is_zero(self, strategy, lam):
+        # the true survival is exp(-9068); a plain product of the cycles'
+        # probabilities would end in denormals, near 2.5e-323
+        schedule = ZenoSchedule(1.0, 10**5, aux_strategy=strategy)
+        result = run_protocol(new_state(1, [0.6, 0.8]), NoiseSpec(lam), schedule)
+        assert result.survival_probability == single_qubit_survival(3e4, 1.0, 10**5) == 0.0
+        assert result.loss_probability == 1.0
+        assert not result.detected
+
+    @pytest.mark.parametrize("schedule, cycles", [
+        (ZenoSchedule(1.0, 4), []),
+        (ZenoSchedule(1.0, 4), [4, 0]),
+        (ZenoSchedule(1.0, 4), [4, 2.0]),
+        (ZenoSchedule(1.0, 4, measurement_mode=MODE_STOCHASTIC, seed=0), [4]),
+    ])
+    def test_bad_cycle_lists_are_rejected(self, schedule, cycles):
+        with pytest.raises(ValueError, match="post-selected schedule|positive integers"):
+            run_post_selected(new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.1, 2), schedule, cycles)
+
     def test_overflowing_phase_fails_only_its_row(self):
         # w t = 2.5e308 overflows at n = 1; at n = 2 it is 1.25e308
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec((1e154, 0.0))
         one, two = ZenoSchedule(2.5e154, 1), ZenoSchedule(2.5e154, 2)
-        failure, result = run_post_selected(data, noise, [one, two])
+        failure, result = run_post_selected(data, noise, one, [1, 2])
         assert isinstance(failure, ValueError)
         assert str(failure) == ("noise phase w*t must be finite, got -inf "
                                 "(w = -1e+154, t = 2.5e+154)")
         assert_same_run(result, run_protocol(data, noise, two))
         with pytest.raises(ValueError, match=r"noise phase w\*t must be finite"):
-            run_post_selected(data, noise, [one])
+            run_post_selected(data, noise, one, [1])
 
 
 class ScriptedGenerator:
@@ -849,6 +880,49 @@ class TestSharedTreeEngine:
             assert sampled[t].detected == result.detected
             assert np.array_equal(sampled[t].amps, result.final_state.amplitudes)
 
+    @pytest.mark.parametrize("trials, cycles", [
+        (protocol_module.ARRAY_TRIALS_PER_CYCLE * 8 + protocol_module.ARRAY_MIN_TRIALS, 8),
+        (protocol_module.SEED_BATCH + 100, 8),
+        (protocol_module.SEED_BATCH, protocol_module.ARRAY_MAX_CYCLES),
+    ])
+    def test_an_array_batch_draws_in_one_call(self, monkeypatch, trials, cycles):
+        # the smallest array batch, a full batch and the 100 trials after it,
+        # and the longest trials the array route takes
+        calls = []
+        real = protocol_module._pcg64_random
+
+        def spy(state, k):
+            calls.append((state.shape[1], k))
+            return real(state, k)
+
+        monkeypatch.setattr(protocol_module, "_pcg64_random", spy)
+        schedule = ZenoSchedule(1.0, cycles, measurement_mode=MODE_STOCHASTIC, seed=0)
+        data, noise = new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.6, 2)
+        seed_of = functools.partial(derive_trial_seed, 7, cycles)
+        sampled = list(sample_trials(data, noise, schedule, trials, seed_of))
+        assert len(sampled) == trials and all(trial.done for trial in sampled)
+        batches = [min(protocol_module.SEED_BATCH, trials - start)
+                   for start in range(0, trials, protocol_module.SEED_BATCH)]
+        assert calls == [(batch, cycles) for batch in batches]
+
+    def test_an_array_batch_holds_a_bounded_draw(self):
+        # a full batch of the longest trials the array route takes draws
+        # SEED_BATCH * ARRAY_MAX_CYCLES uniforms; stepping and rotating them
+        # in place holds about three such uint64 arrays at once
+        batch, cycles = protocol_module.SEED_BATCH, protocol_module.ARRAY_MAX_CYCLES
+        schedule = ZenoSchedule(1.0, cycles, measurement_mode=MODE_STOCHASTIC, seed=0)
+        tree = protocol_module._OutcomeTree(new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.6, 2),
+                                            schedule)
+        seed_of = functools.partial(derive_trial_seed, 7, cycles)
+        tracemalloc.start()
+        try:
+            sampled = list(protocol_module._batch_trials(tree, seed_of, 0, batch))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(sampled) == batch and any(trial.detected for trial in sampled)
+        assert peak <= 5 * batch * cycles * 8
+
     @settings(max_examples=50, deadline=None)
     @given(
         strategy=st.sampled_from([AUX_SINGLE, AUX_DUAL_ALTERNATING]),
@@ -857,14 +931,12 @@ class TestSharedTreeEngine:
         cycles=st.integers(1, 12),
         per_cycle=st.sampled_from([0, 1, 3, 8]),
         batch=st.sampled_from([3, 7, 16, 4096]),
-        draw_block=st.sampled_from([1, 5, 16, 1 << 15]),
         master=st.integers(0, 2**64 - 1),
     )
     def test_every_route_gives_run_protocol_on_its_seed(self, strategy, policy, trials, cycles,
-                                                        per_cycle, batch, draw_block, master):
+                                                        per_cycle, batch, master):
         # 0 trials per cycle sends every batch of 2 or more trials to the
-        # array route, 8 only batches of short trials; draw blocks of few
-        # uniforms make trials carry their state from block to block
+        # array route, 8 only batches of short trials
         size = 2 if strategy == AUX_SINGLE else 3
         data = new_state(1, [0.6, 0.8])
         noise = NoiseSpec((0.9, 0.6, 0.3)[:size], (0.1, 0.2, 0.0)[:size])
@@ -872,8 +944,7 @@ class TestSharedTreeEngine:
                                 measurement_mode=MODE_STOCHASTIC, seed=0, abort_policy=policy)
         seed_of = functools.partial(derive_trial_seed, master, cycles)
         with mock.patch.multiple(protocol_module, ARRAY_TRIALS_PER_CYCLE=per_cycle,
-                                 ARRAY_MIN_TRIALS=0, SEED_WORDS_MIN=2, SEED_BATCH=batch,
-                                 ARRAY_DRAW_BLOCK=draw_block):
+                                 ARRAY_MIN_TRIALS=0, SEED_WORDS_MIN=2, SEED_BATCH=batch):
             sampled = list(sample_trials(data, noise, schedule, trials, seed_of))
         assert len(sampled) == trials
         for t, trial in enumerate(sampled):
@@ -976,31 +1047,50 @@ class TestSeedWords:
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
-def array_draws(seeds, widths):
-    """The uniforms _pcg64_random draws for ``seeds`` in blocks of ``widths``
-    columns, each block going on from the state the last one left."""
+def array_draws(seeds, k):
+    """The first ``k`` uniforms _pcg64_random draws for each of ``seeds``, in
+    one call; the state it draws from is left as it was."""
     state = protocol_module._pcg64_state(
         protocol_module._seed_words(np.array(seeds, dtype=np.uint64)))
-    return np.hstack([protocol_module._pcg64_random(state, k) for k in widths])
+    before = state.copy()
+    drawn = protocol_module._pcg64_random(state, k)
+    assert np.array_equal(state, before)
+    return drawn
 
 
 class TestArrayDraws:
     """Uniforms drawn on uint64 arrays equal default_rng(seed).random bit for
-    bit, in one block or carried across several."""
+    bit."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
     def test_edge_seeds(self, seed):
-        # across the walk's DRAW_BLOCK edge, in blocks of 1, 255 and 44
-        (drawn,) = array_draws([seed], [1, DRAW_BLOCK - 1, 44])
+        # past the walk's DRAW_BLOCK, in one call
+        (drawn,) = array_draws([seed], DRAW_BLOCK + 44)
         assert drawn.tolist() == np.random.default_rng(seed).random(DRAW_BLOCK + 44).tolist()
 
     @settings(max_examples=100, deadline=None)
     @given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20),
-           widths=st.lists(st.integers(1, 2 * DRAW_BLOCK), min_size=1, max_size=4))
-    def test_random_seeds(self, seeds, widths):
-        drawn = array_draws(seeds, widths)
-        want = [np.random.default_rng(seed).random(sum(widths)) for seed in seeds]
-        assert drawn.dtype == np.float64
+           k=st.integers(1, 2 * DRAW_BLOCK))
+    def test_random_seeds(self, seeds, k):
+        drawn = array_draws(seeds, k)
+        want = [np.random.default_rng(seed).random(k) for seed in seeds]
+        assert drawn.dtype == np.float64 and drawn.shape == (len(seeds), k)
+        assert np.array_equal(drawn.view(np.uint64), np.array(want).view(np.uint64))
+
+    def test_no_shift_reaches_the_word_width(self, monkeypatch):
+        # an output rotated by 0 shifts left by (64 - 0) & 63 = 0: a shift by
+        # 64 is undefined in C, and the draws must not rest on how NumPy
+        # defines it. 200 seeds x 64 draws rotate by 0 about 200 times
+        real = np.left_shift
+
+        def checked(x, shift, **kwargs):
+            assert int(np.max(shift)) < 64
+            return real(x, shift, **kwargs)
+
+        monkeypatch.setattr(np, "left_shift", checked)
+        seeds = list(range(200))
+        drawn = array_draws(seeds, 64)
+        want = [np.random.default_rng(seed).random(64) for seed in seeds]
         assert np.array_equal(drawn.view(np.uint64), np.array(want).view(np.uint64))
 
     def test_state_is_pcg64s(self):

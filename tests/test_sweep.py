@@ -129,10 +129,10 @@ class TestRunSweep:
 
         real_run = sweep_module.run_post_selected
 
-        def flaky(data, noise, schedules):
-            results = real_run(data, noise, schedules)
-            return [RuntimeError("synthetic protocol failure") if schedule.cycles == 16 else result
-                    for schedule, result in zip(schedules, results)]
+        def flaky(data, noise, schedule, cycles):
+            results = real_run(data, noise, schedule, cycles)
+            return [RuntimeError("synthetic protocol failure") if n == 16 else result
+                    for n, result in zip(cycles, results)]
 
         monkeypatch.setattr(sweep_module, "run_post_selected", flaky)
         result = run_sweep(make_config())
