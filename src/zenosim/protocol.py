@@ -370,8 +370,8 @@ def sample_trials(
     nodes are computed the first time a trial reaches them. Under
     abort-on-detect every running trial sits on the single no-error path;
     under reset-and-continue trials share history prefixes. The tree holds
-    at most MAX_TREE_NODES nodes; past that, nodes are built for the trial at
-    hand and dropped after it.
+    at most MAX_TREE_NODES nodes; past that, nodes are built for the trial,
+    or the array batch, at hand and dropped after it.
 
     ``seed_of`` maps an int trial index to its seed, and a uint64 array of
     indices to the uint64 array of their seeds. Seeds are derived lazily,
@@ -407,13 +407,13 @@ def _batch_trials(tree: _OutcomeTree, seed_of: Callable, start: int, stop: int
       ARRAY_MAX_CYCLES cycles long, and of at least ARRAY_TRIALS_PER_CYCLE
       trials per cycle plus ARRAY_MIN_TRIALS, then draws every uniform on
       uint64 arrays in one pass (:func:`_pcg64_random`), with no generator
-      built, and walks each trial's row of them: a batch holds at most
-      SEED_BATCH trials, so it draws at most SEED_BATCH * ARRAY_MAX_CYCLES
-      uniforms;
+      built, and walks all its trials on them one level at a time
+      (:meth:`_OutcomeTree.walk_levels`): a batch holds at most SEED_BATCH
+      trials, so it draws at most SEED_BATCH * ARRAY_MAX_CYCLES uniforms;
     - any other batch, of long trials or of few trials per cycle, hands
       each trial a PCG64 generator in the state of its seed's words: every
-      array column costs a fixed numpy overhead however few trials it
-      holds, and every array draw more than a generator's.
+      array column, and every level of the walk, costs a fixed numpy
+      overhead however few trials it holds.
 
     A seed that is not an integer in [0, 2**64), or an array of seeds that
     is not uint64, raises ValueError naming it, as ZenoSchedule rejects a
@@ -432,9 +432,7 @@ def _batch_trials(tree: _OutcomeTree, seed_of: Callable, start: int, stop: int
     cycles = tree.cycles
     if (cycles <= ARRAY_MAX_CYCLES
             and stop - start >= ARRAY_TRIALS_PER_CYCLE * cycles + ARRAY_MIN_TRIALS):
-        # row by row, so no more than one trial's uniforms are Python floats at once
-        draws = _pcg64_random(_pcg64_state(words), cycles)
-        return (tree.walk(tree.root, row.tolist()) for row in draws)
+        return tree.walk_levels(_pcg64_random(_pcg64_state(words), cycles))
     seed_words = _seed_words_class()
     return (tree.sample(np.random.Generator(np.random.PCG64(seed_words(row)))) for row in words)
 
@@ -612,27 +610,58 @@ class _OutcomeTree:
     def sample(self, rng: np.random.Generator, steps: list | None = None) -> HistoryNode:
         """Walk one trial down the tree to the node it ends on, on uniforms
         drawn from ``rng``, a fresh generator of that trial, at most
-        DRAW_BLOCK at a time. If ``steps`` is given, append the ``cycle`` of
-        every node passed."""
+        DRAW_BLOCK at a time: one cycle per uniform, measuring 1 where the
+        uniform is below the cycle's Born probability of 1. If ``steps`` is
+        given, append the ``cycle`` of every node passed."""
         node = self.root
         while not node.done:
-            node = self.walk(node, rng.random(min(self.cycles - node.depth, DRAW_BLOCK)).tolist(),
-                             steps)
+            for u in rng.random(min(self.cycles - node.depth, DRAW_BLOCK)).tolist():
+                outcome = 1 if u < node.p_one else 0
+                node = node.children[outcome] or self._child(node, outcome)
+                if steps is not None:
+                    steps.append(node.cycle)
+                if node.done:
+                    break
         return node
 
-    def walk(self, node: HistoryNode, uniforms: list[float], steps: list | None = None
-             ) -> HistoryNode:
-        """Walk a trial on from ``node``, one cycle per uniform, measuring 1
-        where the uniform is below the cycle's Born probability of 1; return
-        the node it stops on, done or where the uniforms ran out."""
-        for u in uniforms:
-            outcome = 1 if u < node.p_one else 0
-            node = node.children[outcome] or self._child(node, outcome)
-            if steps is not None:
-                steps.append(node.cycle)
-            if node.done:
-                break
-        return node
+    def walk_levels(self, draws: np.ndarray) -> list[HistoryNode]:
+        """The node each trial ends on, trial i walked on row i of the
+        ``(trials, cycles)`` uniforms ``draws`` as :meth:`sample` walks it,
+        all trials one level at a time. The running trials sit on a few
+        distinct nodes: at depth j each compares column j with its node's
+        ``p_one``, and the trials that share a (node, outcome) share its
+        child, built or looked up once. Under abort-on-detect at most one
+        node runs per level. A child the full tree does not link is shared
+        by its trials here and dropped after the batch; its floats are those
+        of the child a lone trial builds, as every node's depend only on its
+        history."""
+        final = np.empty(len(draws), dtype=object)
+        trials = np.arange(len(draws))  # the running trials, and the node each sits on
+        at = np.zeros(len(draws), dtype=np.intp)
+        nodes = [self.root]
+        for column in draws.T:
+            key = 2 * at + (column[trials] < np.array([node.p_one for node in nodes])[at])
+            # the (node, outcome) pairs present, found in node order with no sort
+            present = np.zeros(2 * len(nodes), dtype=bool)
+            present[key] = True
+            child_of = np.empty(len(present), dtype=object)
+            slot = [-1] * len(present)  # a pair's child's place in the next level, -1 if done
+            parents, nodes = nodes, []
+            for k in np.flatnonzero(present).tolist():
+                parent = parents[k >> 1]
+                child = child_of[k] = parent.children[k & 1] or self._child(parent, k & 1)
+                if not child.done:
+                    slot[k] = len(nodes)
+                    nodes.append(child)
+            at = np.array(slot)[key]
+            retired = at < 0
+            if retired.any():
+                final[trials[retired]] = child_of[key[retired]]
+                if not nodes:
+                    break
+                running = ~retired
+                trials, at = trials[running], at[running]
+        return final.tolist()
 
     def _node(self, amps, cycle, depth, detected, done=False) -> HistoryNode:
         node = HistoryNode(amps, cycle, depth, detected, done or depth == self.cycles)

@@ -14,11 +14,13 @@ and takes each batch by one of three routes, all drawing exactly the
 uniforms `default_rng` gives: a batch of few trials is derived and seeded
 one trial at a time by `default_rng`; a batch of many short trials, by the
 measured rule `protocol._batch_trials` states, draws all its uniforms on
-uint64 arrays in one pass, with no generator built; any other batch seeds
-one PCG64 generator per trial in one vectorized pass. The trials of one n
-share a single encoding, propagator and tree of outcome histories, so each
-register state along a history is computed once, however many trials pass
-through it. A row whose analytic reference cannot be computed fails alone.
+uint64 arrays in one pass, with no generator built, and walks its trials
+one level at a time, all of them at once; any other batch seeds one PCG64
+generator per trial in one vectorized pass and walks each trial on its
+own. The trials of one n share a single encoding, propagator and tree of
+outcome histories, so each register state along a history is computed
+once, however many trials pass through it. A row whose analytic reference
+cannot be computed fails alone.
 
 The CSV is a byte-reproducible artifact: (config, seed) determines every
 written byte. Because measured wall time cannot satisfy that, the

@@ -923,6 +923,90 @@ class TestSharedTreeEngine:
         assert len(sampled) == batch and any(trial.detected for trial in sampled)
         assert peak <= 5 * batch * cycles * 8
 
+    def test_an_array_batch_walks_level_by_level(self, monkeypatch):
+        # under abort-on-detect at most one node runs a level, so a tree that
+        # links no node builds at most two children a level for all trials
+        batch, cycles = protocol_module.SEED_BATCH, 8
+        schedule = ZenoSchedule(1.0, cycles, measurement_mode=MODE_STOCHASTIC, seed=0)
+        tree = protocol_module._OutcomeTree(new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.6, 2),
+                                            schedule, capacity=0)
+        built = []
+        child = tree._child
+        monkeypatch.setattr(tree, "_child", lambda node, outcome: built.append(node)
+                            or child(node, outcome))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an array batch walked a trial on its own")
+
+        monkeypatch.setattr(protocol_module._OutcomeTree, "sample", refuse)
+        seed_of = functools.partial(derive_trial_seed, 7, cycles)
+        sampled = list(protocol_module._batch_trials(tree, seed_of, 0, batch))
+        assert len(sampled) == batch and all(trial.done for trial in sampled)
+        assert any(trial.detected for trial in sampled) and len(built) <= 2 * cycles
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        strategy=st.sampled_from([AUX_SINGLE, AUX_DUAL_ALTERNATING]),
+        policy=st.sampled_from([ABORT_ON_DETECT, RESET_AND_CONTINUE]),
+        cycles=st.integers(1, 32),
+        offset=st.integers(-2, 2),
+        master=st.integers(0, 2**64 - 1),
+    )
+    def test_level_walk_is_the_per_trial_walk(self, strategy, policy, cycles, offset, master):
+        # trials on both sides of the array rule's edge, each on its seed's
+        # uniforms, and one more trial whose every draw is the root's Born
+        # probability of 1, which measures 0 there
+        size = 2 if strategy == AUX_SINGLE else 3
+        data = new_state(1, [0.6, 0.8])
+        noise = NoiseSpec((0.9, 0.6, 0.3)[:size], (0.1, 0.2, 0.0)[:size])
+        schedule = ZenoSchedule(2.0, cycles, aux_strategy=strategy,
+                                measurement_mode=MODE_STOCHASTIC, seed=0, abort_policy=policy)
+        trials = (protocol_module.ARRAY_TRIALS_PER_CYCLE * cycles
+                  + protocol_module.ARRAY_MIN_TRIALS + offset)
+        seed_of = functools.partial(derive_trial_seed, master, cycles)
+        level_tree, lone_tree = (protocol_module._OutcomeTree(data, noise, schedule)
+                                 for _ in range(2))
+        draws = np.array([np.random.default_rng(seed_of(t)).random(cycles) for t in range(trials)]
+                         + [[level_tree.root.p_one] * cycles])
+        levels = level_tree.walk_levels(draws)
+        lone = [lone_tree.sample(ScriptedGenerator(row)) for row in draws]
+        assert len(levels) == trials + 1
+        for got, want in zip(levels, lone, strict=True):
+            assert (got.detected, got.final_fidelity) == (want.detected, want.final_fidelity)
+            assert np.array_equal(got.amps, want.amps)
+        # lone_tree now links every node these draws reach
+        warm = lone_tree.walk_levels(draws)
+        assert all(got is want for got, want in zip(warm, lone, strict=True))
+        routed = protocol_module._batch_trials(lone_tree, seed_of, 0, trials)
+        assert all(got is want for got, want in zip(routed, lone[:trials], strict=True))
+
+    @pytest.mark.parametrize("capacity", [3, protocol_module.MAX_TREE_NODES])
+    @pytest.mark.parametrize("policy", [ABORT_ON_DETECT, RESET_AND_CONTINUE])
+    @pytest.mark.parametrize("lam, rows", [
+        # the no-error branch holds ~1e-33 in the first cycle
+        ((np.pi / 2, 0.0), [[1.0 - 2.0**-53], [0.0], [0.5]]),
+        # the failure branch holds ~1e-17 in the second cycle
+        ((1e-8, 0.0), [[0.5, 0.0, 0.5], [0.5, 0.5, 0.5], [0.0, 0.5, 0.5], [0.5, 0.0, 0.0]]),
+    ])
+    def test_level_walk_of_zero_branches_and_full_trees(self, monkeypatch, capacity, policy,
+                                                        lam, rows):
+        monkeypatch.setattr(protocol_module, "MAX_TREE_NODES", capacity)
+        schedule = ZenoSchedule(1.0, len(rows[0]), measurement_mode=MODE_STOCHASTIC, seed=0,
+                                abort_policy=policy)
+        data, noise = new_state(1, [0.6, 0.8]), NoiseSpec(lam=lam)
+        level_tree, lone_tree = (protocol_module._OutcomeTree(data, noise, schedule)
+                                 for _ in range(2))
+        # and a trial whose draws equal the root's Born probability of 1
+        draws = np.array(rows + [[level_tree.root.p_one] * len(rows[0])])
+        levels = level_tree.walk_levels(draws)
+        lone = [lone_tree.sample(ScriptedGenerator(row)) for row in draws]
+        assert any(trial.cycle is None for trial in levels)
+        for got, want in zip(levels, lone, strict=True):
+            assert (got.detected, got.cycle is None) == (want.detected, want.cycle is None)
+            assert got.final_fidelity == want.final_fidelity
+            assert np.array_equal(got.amps, want.amps)
+        assert level_tree.size == lone_tree.size <= capacity
+
     @settings(max_examples=50, deadline=None)
     @given(
         strategy=st.sampled_from([AUX_SINGLE, AUX_DUAL_ALTERNATING]),
