@@ -7,6 +7,8 @@ prints the leakage amplitudes of a noisy repetition register;
 evaluates the (1 - c/n^2)^n law.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime/protocol error.
+A subcommand raises ConfigError for a bad input; ``main`` alone prints it
+and maps it to 1.
 """
 from __future__ import annotations
 
@@ -69,13 +71,8 @@ def _cmd_sweep(args) -> int:
     try:
         text = Path(args.config).read_text()
     except OSError as exc:
-        print(f"config error: cannot read '{args.config}': {exc}", file=sys.stderr)
-        return 1
-    try:
-        config = parse_config(text)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+        raise ConfigError(f"cannot read '{args.config}': {exc}") from None
+    config = parse_config(text)
     result = run_sweep(config)
     try:
         write_csv(result, config.output, keep_timings=args.keep_timings)
@@ -156,8 +153,7 @@ def _cmd_limit(args) -> int:
         if not ns:
             raise ValueError("empty list")
     except ValueError:
-        print(f"config error: --n expects comma-separated integers, got '{args.n}'", file=sys.stderr)
-        return 1
+        raise ConfigError(f"--n expects comma-separated integers, got '{args.n}'") from None
     lines = [f"{'n':>8}  {'(1 - c/n^2)^n':>16}"]
     for n in ns:
         with warnings.catch_warnings(record=True) as caught:
@@ -165,8 +161,7 @@ def _cmd_limit(args) -> int:
             try:
                 value = zeno_limit_formula(args.c, n)
             except ValueError as exc:
-                print(f"config error: {exc}", file=sys.stderr)
-                return 1
+                raise ConfigError(str(exc)) from None
             flag = "  (out of regime, clamped)" if caught else ""
         lines.append(f"{n:>8}  {value:>16.12f}{flag}")
     print("\n".join(lines))

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 from .protocol import (
-    ABORT_ON_DETECT, AUX_SINGLE, MAX_SEED, MODE_POST_SELECTED, MODE_STOCHASTIC, ZenoSchedule,
+    ABORT_ON_DETECT, AUX_SINGLE, MODE_POST_SELECTED, MODE_STOCHASTIC, ZenoSchedule,
 )
 from .noise import NoiseSpec
 from .states import StateVector
@@ -57,17 +57,15 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    """Validated sweep parameters; see the module docstring for the schema."""
+    """Validated sweep parameters; see the module docstring for the schema.
+    ``schedule`` is the checked ZenoSchedule for the first n, and carries
+    total_time, aux_strategy, mode, abort_policy and the master seed."""
 
     data: StateVector
     noise: NoiseSpec
-    total_time: float
+    schedule: ZenoSchedule
     n_values: tuple[int, ...]
-    aux_strategy: str
-    mode: str
-    abort_policy: str
     trials: int
-    seed: int
     output: str
 
 
@@ -75,7 +73,8 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse and fully validate a configuration document.
 
     The data state, the noise spec and a schedule for the first n are built
-    here, so their constructors are the only checks of the values they take.
+    here, so their constructors are the only checks of the values they take,
+    and the config keeps what they built.
     """
     raw = _parse_pairs(text)
     for key in _REQUIRED_KEYS:
@@ -101,18 +100,15 @@ def parse_config(text: str) -> ExperimentConfig:
     n_values = values["n_values"]
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ConfigError("key 'n_values': n values must be strictly increasing")
-    seed = get("seed", 0)
-    if not 0 <= seed <= MAX_SEED:
-        raise ConfigError(f"key 'seed' must be an unsigned 64-bit integer, got {seed}")
     # n_values increase, so the first n is the one that can be out of range
     schedule = _build(
-        ("total_time", "n_values", "aux_strategy", "mode", "abort_policy"),
+        ("total_time", "n_values", "aux_strategy", "mode", "abort_policy", "seed"),
         ZenoSchedule,
         total_time=values["total_time"],
         cycles=n_values[0],
         aux_strategy=get("aux_strategy", AUX_SINGLE),
         measurement_mode=get("mode", MODE_POST_SELECTED),
-        seed=seed,
+        seed=get("seed", 0),
         abort_policy=get("abort_policy", ABORT_ON_DETECT),
     )
 
@@ -136,13 +132,9 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(
         data=data,
         noise=noise,
-        total_time=schedule.total_time,
+        schedule=schedule,
         n_values=n_values,
-        aux_strategy=schedule.aux_strategy,
-        mode=schedule.measurement_mode,
-        abort_policy=schedule.abort_policy,
         trials=trials,
-        seed=seed,
         output=get("output", "sweep.csv"),
     )
 

@@ -69,7 +69,7 @@ SEED_WORDS_MIN = 10
 ARRAY_MAX_CYCLES = 32
 ARRAY_TRIALS_PER_CYCLE = 8
 ARRAY_MIN_TRIALS = 16
-#: a stochastic seed is an unsigned 64-bit integer, as config's master seed
+#: a schedule's seed, and a stochastic trial's, is an unsigned 64-bit integer
 MAX_SEED = (1 << 64) - 1
 _MASK32 = 0xFFFFFFFF
 
@@ -106,6 +106,7 @@ class ZenoSchedule:
     Frozen, so every schedule has passed its validation:
     ``dataclasses.replace`` builds a changed copy and validates it again.
     The per-cycle interval total_time / cycles is computed, never stored.
+    A seed is checked in either mode; stochastic mode requires one.
     """
 
     total_time: float
@@ -129,11 +130,10 @@ class ZenoSchedule:
         ):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
-        if self.measurement_mode == MODE_STOCHASTIC:
+        if self.seed is not None or self.measurement_mode == MODE_STOCHASTIC:
             if not _is_seed(self.seed):
-                raise ValueError(
-                    f"stochastic mode requires an integer seed in [0, 2**64), got {self.seed!r}"
-                )
+                raise ValueError(f"seed must be an integer in [0, 2**64), and stochastic mode "
+                                 f"requires one, got {self.seed!r}")
             object.__setattr__(self, "seed", int(self.seed))
 
     @property
@@ -377,10 +377,13 @@ def sample_trials(
     indices to the uint64 array of their seeds. Seeds are derived lazily,
     SEED_BATCH trials at a time, and each batch is seeded and drawn by one
     of three routes, as :func:`_batch_trials` says; every draw is the same
-    whichever route a batch takes.
+    whichever route a batch takes. A negative or non-integer ``trials``
+    raises ValueError.
     """
     if schedule.measurement_mode != MODE_STOCHASTIC:
         raise ValueError("sampling trials needs a stochastic schedule")
+    if not isinstance(trials, (int, np.integer)) or trials < 0:
+        raise ValueError(f"trials must be a non-negative integer, got {trials!r}")
     tree = _OutcomeTree(data, noise, schedule)
     return (
         trial

@@ -1,14 +1,14 @@
 """Sweep runner and CSV writer.
 
-One row per cycle count n. Post-selected mode builds one schedule per
-config and computes all rows in one stacked pass,
+One row per cycle count n, all on the schedule `parse_config` checked.
+Post-selected mode computes all rows in one stacked pass,
 `protocol.run_post_selected(data, noise, schedule, cycles)` over the list
 of n; a row that fails there fails alone, and each row's wall_time_ms is an
-even share of the pass's time. Stochastic mode samples `trials` independent
-trials per n, each drawing from a seed derived from (master seed, n, trial)
-through a splitmix64-style mixer, so any single trial can be reproduced
-without replaying the others: `run_protocol` with that seed gives the same
-outcome. A row's trials are sampled by `protocol.sample_trials`, which
+even share of the pass's time. Stochastic mode copies the schedule for each
+n and samples `trials` independent trials per n, each drawing from a seed
+derived from (master seed, n, trial) through a splitmix64-style mixer, so
+any single trial can be reproduced without replaying the others:
+`run_protocol` with that seed gives the same outcome. A row's trials are sampled by `protocol.sample_trials`, which
 derives their seeds a batch of trial indices at a time, on uint64 arrays,
 and takes each batch by one of three routes, all drawing exactly the
 uniforms `default_rng` gives: a batch of few trials is derived and seeded
@@ -41,11 +41,11 @@ import math
 import os
 import stat
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .analysis import single_qubit_survival
 from .config import ExperimentConfig
-# run_protocol stays importable here: perfbench/spans.py traces it
+# ZenoSchedule and run_protocol stay importable here: perfbench/spans.py traces them
 from .protocol import (  # noqa: F401
     MODE_STOCHASTIC, ZenoSchedule, run_post_selected, run_protocol, sample_trials,
 )
@@ -105,10 +105,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     result — a row that raises is marked failed (NaN fields) instead. A row
     whose analytic reference raises fails with that error and a NaN
     reference, and is not run."""
-    data, noise = config.data, config.noise
-    schedule_of = functools.partial(
-        ZenoSchedule, config.total_time, aux_strategy=config.aux_strategy,
-        measurement_mode=config.mode, seed=config.seed, abort_policy=config.abort_policy)
+    data, noise, schedule = config.data, config.noise, config.schedule
     outcomes = {}  # n -> ((survival, fidelity, detection) or the exception, wall ms)
     cycles = []  # n of each post-selected row, for the one stacked pass
     references = {}  # n -> the row's analytic reference, where it has one
@@ -116,18 +113,18 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
         start = time.perf_counter()
         try:
             # this also rejects an n that is not a positive integer, on its own row
-            references[n] = single_qubit_survival(noise.lam[0], config.total_time, n)
-            if config.mode != MODE_STOCHASTIC:
+            references[n] = single_qubit_survival(noise.lam[0], schedule.total_time, n)
+            if schedule.measurement_mode != MODE_STOCHASTIC:
                 cycles.append(n)
                 continue
-            outcome = _stochastic_point(config, data, noise, schedule_of(n))
+            outcome = _stochastic_point(config, replace(schedule, cycles=n))
         except Exception as exc:
             outcome = exc
         outcomes[n] = outcome, (time.perf_counter() - start) * 1e3
     if cycles:
         start = time.perf_counter()
         try:
-            results = run_post_selected(data, noise, schedule_of(cycles[0]), cycles)
+            results = run_post_selected(data, noise, schedule, cycles)
         except Exception as exc:
             results = [exc] * len(cycles)
         share = (time.perf_counter() - start) * 1e3 / len(cycles)
@@ -147,14 +144,14 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     return SweepResult(rows=rows)
 
 
-def _stochastic_point(config, data, noise, schedule) -> tuple[float, float, float]:
+def _stochastic_point(config, schedule) -> tuple[float, float, float]:
     """(survival rate, mean fidelity of the survivors, detection rate) over
     config.trials trials, all sampled against one outcome tree."""
-    seed_of = functools.partial(derive_trial_seed, config.seed, schedule.cycles)
+    seed_of = functools.partial(derive_trial_seed, schedule.seed, schedule.cycles)
     survivors = 0
     detections = 0
     fidelity_sum = 0.0
-    for trial in sample_trials(data, noise, schedule, config.trials, seed_of):
+    for trial in sample_trials(config.data, config.noise, schedule, config.trials, seed_of):
         if trial.detected:
             detections += 1
         else:

@@ -10,6 +10,7 @@ the engine zenosim used before trials shared an outcome tree, and the new
 engine must reproduce them exactly, float for float.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,7 +19,6 @@ from zenosim import (
     PAULI_X,
     MODE_STOCHASTIC,
     ProtocolResult,
-    ZenoSchedule,
     ZeroProbabilityError,
     apply_cnot,
     apply_propagator,
@@ -84,13 +84,8 @@ def stochastic_point(config, data, noise, n) -> tuple[float, float, float]:
     detections = 0
     fidelity_sum = 0.0
     for trial in range(config.trials):
-        schedule = ZenoSchedule(
-            total_time=config.total_time,
-            cycles=n,
-            aux_strategy=config.aux_strategy,
-            measurement_mode=config.mode,
-            seed=derive_trial_seed(config.seed, n, trial),
-            abort_policy=config.abort_policy,
+        schedule = replace(
+            config.schedule, cycles=n, seed=derive_trial_seed(config.schedule.seed, n, trial)
         )
         result = run_stochastic(data, noise, schedule)
         if result.detected:

@@ -17,6 +17,16 @@ output = {output}
 """
 
 
+def config_error(capsys) -> str:
+    """The one ``config error:`` line a configuration fault leaves on
+    stderr, which must hold nothing else; stdout must stay empty."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("config error: ")
+    return line
+
+
 def write_config(tmp_path, text=GOOD_CONFIG, name="sweep.cfg"):
     output = tmp_path / "result.csv"
     path = tmp_path / name
@@ -38,7 +48,7 @@ class TestSweepCommand:
         path = tmp_path / "bad.cfg"
         path.write_text("lambda = 0.1, 0.1\ntotal_time = 1.0\nn_values = 8, 4\n")
         assert main(["sweep", str(path)]) == 1
-        assert "strictly increasing" in capsys.readouterr().err
+        assert "strictly increasing" in config_error(capsys)
         # non-finite values are configuration errors, named by their key
         for key, lines in (
             ("lambda", "lambda = nan, 0.1\n"),
@@ -46,7 +56,7 @@ class TestSweepCommand:
         ):
             path.write_text("total_time = 1.0\nn_values = 8\n" + lines)
             assert main(["sweep", str(path)]) == 1
-            assert f"key '{key}'" in capsys.readouterr().err
+            assert f"key '{key}'" in config_error(capsys)
 
     def test_unbounded_stochastic_sweep_exits_at_once(self, tmp_path, capsys, monkeypatch):
         import zenosim.cli as cli_module
@@ -64,7 +74,7 @@ class TestSweepCommand:
         start = time.perf_counter()
         assert main(["sweep", str(path)]) == 1
         assert time.perf_counter() - start < 1.0
-        err = capsys.readouterr().err
+        err = config_error(capsys)
         assert "'n_values'" in err and "'trials'" in err
         assert not (tmp_path / "huge.csv").exists()
 
@@ -72,11 +82,11 @@ class TestSweepCommand:
         path = tmp_path / "bad.cfg"
         path.write_text("lambda = 0.1, 0.1\ntotal_time = 1.0\nn_values = 8\nfoo = 1\n")
         assert main(["sweep", str(path)]) == 1
-        assert "unknown key 'foo'" in capsys.readouterr().err
+        assert "unknown key 'foo'" in config_error(capsys)
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["sweep", str(tmp_path / "nope.cfg")]) == 1
-        assert "config error" in capsys.readouterr().err
+        assert config_error(capsys).startswith(f"config error: cannot read '{tmp_path / 'nope.cfg'}': ")
 
     def test_unwritable_output_exit_code(self, tmp_path, capsys):
         config_path = tmp_path / "sweep.cfg"
@@ -193,7 +203,7 @@ class TestDemos:
 
     def test_limit_bad_list(self, capsys):
         assert main(["limit", "--c", "1", "--n", "ten"]) == 1
-        assert "comma-separated integers" in capsys.readouterr().err
+        assert config_error(capsys) == "config error: --n expects comma-separated integers, got 'ten'"
 
     def test_input_faults_are_config_errors(self, capsys):
         for argv, message in (
@@ -206,6 +216,4 @@ class TestDemos:
             (["expansion-check", "--seed", "-1"], "--seed:"),
         ):
             assert main(argv) == 1, argv
-            captured = capsys.readouterr()
-            assert f"config error: {message}" in captured.err
-            assert captured.out == ""
+            assert config_error(capsys).startswith(f"config error: {message}")

@@ -34,12 +34,12 @@ output = out.csv
 class TestDefaults:
     def test_minimal_document(self):
         config = parse_config(MINIMAL)
-        assert config.aux_strategy == "single"
-        assert config.mode == "post-selected"
-        assert config.abort_policy == "abort-on-detect"
+        assert config.schedule.aux_strategy == "single"
+        assert config.schedule.measurement_mode == "post-selected"
+        assert config.schedule.abort_policy == "abort-on-detect"
         assert tuple(config.data.amplitudes) == (1.0, 0.0)
         assert config.noise.mu == (0.0, 0.0)
-        assert config.trials == 1 and config.seed == 0
+        assert config.trials == 1 and config.schedule.seed == 0
         assert config.output == "sweep.csv"
 
     def test_full_document(self):
@@ -47,8 +47,8 @@ class TestDefaults:
         assert tuple(config.data.amplitudes) == (0.6, 0.8)
         assert config.noise.lam == (0.1, 0.2) and config.noise.mu == (0.05, 0.0)
         assert config.n_values == (4, 8, 16)
-        assert config.mode == "stochastic"
-        assert config.trials == 50 and config.seed == 12345
+        assert config.schedule.measurement_mode == "stochastic"
+        assert config.trials == 50 and config.schedule.seed == 12345
         assert config.output == "out.csv"
 
     def test_helpers(self):
@@ -123,10 +123,13 @@ class TestRejections:
         assert parse_config(big).n_values == (1_000_000_000,)
 
     def test_seed_range(self):
-        with pytest.raises(ConfigError, match="seed"):
-            parse_config(MINIMAL + "seed = -1\n")
-        with pytest.raises(ConfigError, match="seed"):
-            parse_config(MINIMAL + f"seed = {2**64}\n")
+        # ZenoSchedule checks the seed in either mode, and the error names the key
+        for mode in ("post-selected", "stochastic"):
+            for seed in (-1, 2**64):
+                with pytest.raises(ConfigError, match=r"'seed'.*\[0, 2\*\*64\)"):
+                    parse_config(MINIMAL + f"mode = {mode}\nseed = {seed}\n")
+            config = parse_config(MINIMAL + f"mode = {mode}\nseed = {2**64 - 1}\n")
+            assert config.schedule.seed == 2**64 - 1
 
     def test_missing_equals(self):
         with pytest.raises(ConfigError, match="expected 'key = value'"):
@@ -138,7 +141,7 @@ class TestRejections:
 
     def test_comments_and_blank_lines_ignored(self):
         config = parse_config("# comment\n\n" + MINIMAL + "seed = 3  # inline\n")
-        assert config.seed == 3
+        assert config.schedule.seed == 3
 
 
 # value text for the property test: mostly well-formed values, so documents

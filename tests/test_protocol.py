@@ -181,6 +181,13 @@ class TestZenoSchedule:
             ZenoSchedule(1.0, 1, measurement_mode=MODE_STOCHASTIC, seed=seed)
         assert ZenoSchedule(1.0, 1, measurement_mode=MODE_STOCHASTIC, seed=2**64 - 1).seed == 2**64 - 1
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+    def test_post_selected_seed_is_checked_too(self, seed):
+        with pytest.raises(ValueError, match=re.escape("[0, 2**64)")):
+            ZenoSchedule(1.0, 1, seed=seed)
+        assert ZenoSchedule(1.0, 1).seed is None
+        assert ZenoSchedule(1.0, 1, seed=np.uint64(7)).seed == 7
+
 
 class TestRunProtocol:
     def test_zero_noise_identity(self, rng):
@@ -579,13 +586,8 @@ def assert_matches_per_cycle_engine(config):
         got = (row.survival_probability, row.mean_post_selected_fidelity, row.detection_rate)
         assert np.array_equal(got, want, equal_nan=True)
         for trial in range(config.trials):
-            schedule = ZenoSchedule(
-                config.total_time,
-                n,
-                aux_strategy=config.aux_strategy,
-                measurement_mode=MODE_STOCHASTIC,
-                seed=derive_trial_seed(config.seed, n, trial),
-                abort_policy=config.abort_policy,
+            schedule = dataclasses.replace(
+                config.schedule, cycles=n, seed=derive_trial_seed(config.schedule.seed, n, trial)
             )
             assert_same_run(
                 run_protocol(data, noise, schedule), per_cycle.run_stochastic(data, noise, schedule)
@@ -773,6 +775,13 @@ class TestSharedTreeEngine:
     def test_rejects_post_selected_schedule(self):
         with pytest.raises(ValueError, match="stochastic"):
             sample_trials(new_state(1), NoiseSpec.zero(2), ZenoSchedule(1.0, 2), 1, int)
+
+    @pytest.mark.parametrize("trials", [-3, 2.5])
+    def test_bad_trial_count_is_named(self, trials):
+        schedule = ZenoSchedule(1.0, 2, measurement_mode=MODE_STOCHASTIC, seed=0)
+        with pytest.raises(ValueError, match=re.escape(f"trials must be a non-negative integer, "
+                                                       f"got {trials!r}")):
+            sample_trials(new_state(1), NoiseSpec.zero(2), schedule, trials, int)
 
     def test_trial_range_takes_stochastic_schedules_and_uint64_seeds(self):
         with pytest.raises(ValueError, match="stochastic"):

@@ -9,6 +9,7 @@ from zenosim import (
     CSV_COLUMNS,
     SweepResult,
     SweepRow,
+    ZenoSchedule,
     derive_trial_seed,
     mix64,
     parse_config,
@@ -123,6 +124,18 @@ class TestRunSweep:
             rows = run_sweep(config).rows
             assert len(rows) == 8 and not any(row.failed for row in rows)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("mode, rows_validated", [("post-selected", []), ("stochastic", [8, 16, 32])])
+    def test_schedule_is_validated_at_the_boundary(self, monkeypatch, mode, rows_validated):
+        # parse_config checks one schedule for the first n; a post-selected
+        # sweep runs on it, a stochastic sweep copies it once for each row
+        calls = []
+        real = ZenoSchedule.__post_init__
+        monkeypatch.setattr(ZenoSchedule, "__post_init__", lambda s: calls.append(s.cycles) or real(s))
+        config = make_config(mode=mode, trials=20)
+        assert calls == [8] and config.schedule.cycles == 8
+        assert not any(row.failed for row in run_sweep(config).rows)
+        assert calls[1:] == rows_validated
 
     def test_protocol_failure_marks_row_but_keeps_the_rest(self, monkeypatch):
         import zenosim.sweep as sweep_module
