@@ -49,6 +49,9 @@ _INT_LIST_KEYS = {"n_values"}
 _STRING_KEYS = {"aux_strategy", "mode", "abort_policy", "output"}
 _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _FLOAT_LIST_KEYS | _INT_LIST_KEYS | _STRING_KEYS
 _REQUIRED_KEYS = ("lambda", "total_time", "n_values")
+#: the config key of each ZenoSchedule field, whose name starts the field's error messages
+_SCHEDULE_KEYS = {"total_time": "total_time", "cycles": "n_values", "aux_strategy": "aux_strategy",
+                  "measurement_mode": "mode", "abort_policy": "abort_policy", "seed": "seed"}
 
 
 class ConfigError(ValueError):
@@ -101,16 +104,16 @@ def parse_config(text: str) -> ExperimentConfig:
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ConfigError("key 'n_values': n values must be strictly increasing")
     # n_values increase, so the first n is the one that can be out of range
-    schedule = _build(
-        ("total_time", "n_values", "aux_strategy", "mode", "abort_policy", "seed"),
-        ZenoSchedule,
-        total_time=values["total_time"],
-        cycles=n_values[0],
-        aux_strategy=get("aux_strategy", AUX_SINGLE),
-        measurement_mode=get("mode", MODE_POST_SELECTED),
-        seed=get("seed", 0),
-        abort_policy=get("abort_policy", ABORT_ON_DETECT),
-    )
+    try:
+        schedule = ZenoSchedule(
+            total_time=values["total_time"], cycles=n_values[0], seed=get("seed", 0),
+            aux_strategy=get("aux_strategy", AUX_SINGLE),
+            measurement_mode=get("mode", MODE_POST_SELECTED),
+            abort_policy=get("abort_policy", ABORT_ON_DETECT),
+        )
+    except ValueError as exc:
+        field, _, reason = str(exc).partition(" ")
+        raise ConfigError(f"key '{_SCHEDULE_KEYS[field]}': {reason}") from None
 
     lam = values["lambda"]
     if len(lam) != schedule.register_size:

@@ -158,18 +158,18 @@ def propagator(h: HermitianOperator, t: float | np.ndarray) -> np.ndarray:
     times = np.asarray(t, dtype=float)
     if times.ndim > 1 or not np.isfinite(times).all():
         raise ValueError(f"time must be finite, a number or a 1-D array, got {t!r}")
-    stack = np.tile(np.eye(h.dim, dtype=complex), (times.size, 1, 1))
-    moving = times.reshape(-1) != 0.0  # a zero time stays the exact identity
-    if moving.any():
-        w, v, vh = h.spectrum
-        moving_times = times.reshape(-1)[moving, None]
-        with np.errstate(over="ignore"):
-            phase = w * moving_times
-        if not np.isfinite(phase).all():
-            row, col = np.argwhere(~np.isfinite(phase))[0]
-            raise ValueError(f"noise phase w*t must be finite, got {float(phase[row, col])!r} "
-                             f"(w = {float(w[col])!r}, t = {float(moving_times[row, 0])!r})")
-        stack[moving] = (v * np.exp(-1j * w * moving_times)[:, None, :]) @ vh
+    w, v, vh = h.spectrum
+    column = times.reshape(-1, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = w * column
+    still = column[:, 0] == 0.0  # a zero time is the exact identity, even for an infinite w
+    overflow = ~(np.isfinite(phase) | still[:, None])
+    if overflow.any():
+        row, col = np.argwhere(overflow)[0]
+        raise ValueError(f"noise phase w*t must be finite, got {float(phase[row, col])!r} "
+                         f"(w = {float(w[col])!r}, t = {float(column[row, 0])!r})")
+    stack = (v * np.exp(-1j * phase)[:, None, :]) @ vh
+    stack[still] = np.eye(h.dim)
     return stack if times.ndim else stack[0]
 
 

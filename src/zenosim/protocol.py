@@ -18,13 +18,14 @@ __all__ = [
 
 import math
 import sys
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
-# apply_propagator and apply_single stay importable here: perfbench/spans.py traces them
+# apply_propagator, apply_single and fidelity stay importable here: perfbench/spans.py traces them
 from .states import (  # noqa: F401
     _MIN_BRANCH_PROB, NORM_TOL, NormDriftError, StateVector, _bit_mask, _cnot_permutation,
     _outcome_indices, append_aux, apply_cnot, apply_single, fidelity, measure_qubit, project_qubit,
@@ -184,6 +185,11 @@ class ProtocolResult:
     final_state: StateVector | None = None
 
 
+#: a row of run_post_selected: a ProtocolResult's numbers and its final read-only amplitudes
+PostSelectedRow = namedtuple(
+    "PostSelectedRow", "survival_probability loss_probability final_fidelity detected amplitudes")
+
+
 def _register_size(aux_count: int) -> int:
     """Qubits of a register encoded with ``aux_count`` (1 or 2) auxiliaries."""
     if aux_count not in (1, 2):
@@ -247,19 +253,20 @@ def run_protocol(data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule) ->
     between cycles. With the dual-alternating strategy, cycles address the
     two auxiliaries in turn so the idle one stays entangled throughout.
 
-    A post-selected run is the one-row case of :func:`run_post_selected`
-    and raises what its row raised. It is computed in closed form: the
-    no-error branch of one cycle is a linear map, so the whole run is its
-    n-th power, taken by repeated squaring in O(log n) matrix products
-    together with the mass the cycles leak. Survival is 1 minus that leaked
-    mass, which keeps 1 - survival accurate at large n, and cycle_log stays
-    empty. A no-error branch below the ZeroProbabilityError threshold in
-    some cycle means detection is certain: survival is 0 and the final state
-    is the register just after that cycle's noise slice. So a run that keeps
-    less mass than that threshold is replayed: it walks the no-error path of
-    the stochastic engine's outcome tree, cycle by cycle, which reproduces
-    the per-cycle circuit float for float. The walk steps at most
-    MAX_REPLAY_CYCLES cycles, and raises ValueError past it.
+    A post-selected run is the one-row case of :func:`run_post_selected`,
+    and raises what its row raised or wraps the row (the only ProtocolResult
+    and StateVector a post-selected run builds). It is computed in closed
+    form: the no-error branch of one cycle is a linear map, so the whole run
+    is its n-th power, taken by repeated squaring in O(log n) matrix
+    products together with the mass the cycles leak. Survival is 1 minus
+    that leaked mass, which keeps 1 - survival accurate at large n, and
+    cycle_log stays empty. A no-error branch below the ZeroProbabilityError
+    threshold in some cycle means detection is certain: survival is 0 and
+    the final state is the register just after that cycle's noise slice. So
+    a run that keeps less mass than that threshold is replayed: it walks the
+    no-error path of the stochastic engine's outcome tree, cycle by cycle,
+    which reproduces the per-cycle circuit float for float. The walk steps
+    at most MAX_REPLAY_CYCLES cycles, and raises ValueError past it.
 
     A stochastic run walks one trial as :func:`sample_trials` does, on a
     generator in the state of ``default_rng(schedule.seed)``, so it equals
@@ -290,17 +297,18 @@ def run_protocol(data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule) ->
             ],
             final_state=StateVector._wrap(size, trial.amps),
         )
-    (result,) = run_post_selected(data, noise, schedule, [schedule.cycles])
-    if isinstance(result, Exception):
-        raise result
-    return result
+    (row,) = run_post_selected(data, noise, schedule, [schedule.cycles])
+    if isinstance(row, Exception):
+        raise row
+    state = StateVector._wrap(schedule.register_size, row.amplitudes)
+    return ProtocolResult(*row[:4], final_state=state)
 
 
 def run_post_selected(
     data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule, cycles: list[int]
-) -> list[ProtocolResult | Exception]:
+) -> list[PostSelectedRow | Exception]:
     """One post-selected run of ``schedule`` per cycle count in ``cycles``
-    (``schedule.cycles`` is not read): its ProtocolResult, or the ValueError
+    (``schedule.cycles`` is not read): its PostSelectedRow, or the ValueError
     or NormDriftError its row raised. ``cycles`` is checked once: it must
     be a non-empty list of positive integers. The rows share one encoding,
     one Hamiltonian, one propagator stack and one squaring ladder; each
@@ -310,10 +318,12 @@ def run_post_selected(
     register onto the no-error branch, and G = (Q_a U)^+ (Q_a U), with
     Q_a = I - keep_a, is the Gram matrix of the mass it leaks, so a cycle
     takes ||psi||^2 to ||M psi||^2 = ||psi||^2 - psi^+ G psi. One stacked
-    ladder raises every row's pair; each row is then finished on its own.
-    A ValueError in building the shared propagators, such as a noise phase
-    that overflows at one row's interval, is each row's own: the rows are
-    then run one by one, and one row's ValueError is raised.
+    ladder raises every row's pair, one stacked pass finishes the rows in
+    forms whose floats are a one-row run's, and a row that keeps less than
+    the zero-branch threshold is replayed (:func:`_row_result`). A ValueError
+    in building the shared propagators, such as a noise phase that overflows
+    at one row's interval, is each row's own: the rows are then run one by
+    one, and one row's ValueError is raised.
     """
     if schedule.measurement_mode != MODE_POST_SELECTED:
         raise ValueError("run_post_selected needs a post-selected schedule")
@@ -325,35 +335,57 @@ def run_post_selected(
     except ValueError:
         if len(cycles) == 1:
             raise
-        results = []
+        rows = []
         for n in cycles:
             try:
-                results += run_post_selected(data, noise, schedule, [n])
+                rows += run_post_selected(data, noise, schedule, [n])
             except ValueError as exc:
-                results.append(exc)
-        return results
+                rows.append(exc)
+        return rows
+    counts = np.array(cycles, dtype=np.int64 if max(cycles) < 2**63 else object)  # or Python ints
     pairs = []
     for keep, leak in _cycle_masks(encoded.num_qubits):
         leaked = leak[:, None] * steps
-        pairs.append((keep[:, None] * steps, np.swapaxes(leaked.conj(), -1, -2) @ leaked))
+        pairs.append((keep[:, None] * steps, leaked.conj().swapaxes(-1, -2) @ leaked))
     if len(pairs) == 1:
-        m, g = _pair_power(pairs[0], cycles)
+        m, g = _pair_power(pairs[0], counts)
     else:
         first, second = pairs
-        m, g = _pair_power(_compose(first, second), [max(n // 2, 1) for n in cycles])
+        m, g = _pair_power(_compose(first, second), np.maximum(counts // 2, 1))
         # an odd count ends with the first pair; a single cycle is that pair as it is
-        odd = [i for i, n in enumerate(cycles) if n % 2 and n > 1]
-        if odd:
-            m[odd], g[odd] = _compose((m[odd], g[odd]), (first[0][odd], first[1][odd]))
-        one = [i for i, n in enumerate(cycles) if n == 1]
-        m[one], g[one] = first[0][one], first[1][one]
-    results = []
-    for i, n in enumerate(cycles):
-        try:
-            results.append(_row_result(data, noise, schedule, n, encoded, m[i], g[i]))
-        except (ValueError, NormDriftError) as exc:
-            results.append(exc)
-    return results
+        _put((counts % 2 == 1) & (counts > 1), (m, g), _compose((m, g), first))
+        _put(counts == 1, (m, g), first)
+    psi = encoded.amplitudes
+    kept_amps = m @ psi
+    kept = _vdots(kept_amps, kept_amps).real
+    # the leaked mass keeps its relative precision where 1 - kept would
+    # not; past 1/2 the kept mass is the more precise of the two
+    loss = np.maximum(_vdots(psi, g @ psi).real, 0.0)
+    high = loss >= 0.5
+    survival, loss = np.where(high, kept, 1.0 - loss), np.where(high, 1.0 - kept, loss)
+    replay = kept < _MIN_BRANCH_PROB  # the others are normalized by their own kept mass
+    with np.errstate(invalid="ignore"):  # a NaN row fails its norm check below
+        states = kept_amps / np.sqrt(np.where(replay, 1.0, kept))[:, None]
+    states.flags.writeable = False
+    # np.linalg.norm's sum of the real and the imaginary parts' dots, row by row
+    squares = sum(x[:, None, :] @ x[:, :, None] for x in (states.real, states.imag))
+    drifts = np.abs(np.sqrt(squares[:, 0, 0]) - 1.0)
+    rows = []
+    for n, replayed, drift, survived, lost, overlap, state in zip(
+        cycles, replay.tolist(), drifts.tolist(), survival.tolist(), loss.tolist(),
+        _vdots(states, psi).tolist(), states,
+    ):
+        if replayed:
+            try:
+                rows.append(_row_result(data, noise, schedule, n))
+            except (ValueError, NormDriftError) as exc:
+                rows.append(exc)
+        elif not drift <= NORM_TOL:  # a NaN drift fails too
+            rows.append(NormDriftError(f"norm drifted by {drift:.3e} (tolerance {NORM_TOL})"))
+        else:
+            value = min(max(abs(overlap) ** 2, 0.0), 1.0)
+            rows.append(PostSelectedRow(survived, lost, value, False, state))
+    return rows
 
 
 def sample_trials(
@@ -713,42 +745,30 @@ def _prepare(data: StateVector, noise: NoiseSpec, aux_count: int, times: float |
     return encoded, propagator(build_hamiltonian(noise, encoded.num_qubits), times)
 
 
-def _row_result(data, noise, schedule, n, encoded, m, g) -> ProtocolResult:
-    """``schedule`` run for ``n`` cycles, from its pair (m, g) raised to n.
-    A replayed survival is the product of the cycles' probabilities while
-    that is a normal float, else the exp of their summed logs: 0.0 where it
-    underflows, with ``detected`` False, as no branch fell below threshold."""
-    psi = encoded.amplitudes
-    kept_amps = m @ psi
-    kept = float(np.vdot(kept_amps, kept_amps).real)
-    if kept < _MIN_BRANCH_PROB:
-        # only here can a single cycle's branch have fallen below the
-        # threshold: walk the no-error path of the outcome tree, cycle by
-        # cycle, to find out and to reproduce the per-cycle circuit
-        if n > MAX_REPLAY_CYCLES:
-            raise ValueError(f"{n} cycles need a cycle-by-cycle replay of the no-error "
-                             f"branch, longer than MAX_REPLAY_CYCLES = {MAX_REPLAY_CYCLES}")
-        tree = _OutcomeTree(data, noise, replace(schedule, cycles=n), capacity=0)
-        node, survival, log_survival = tree.root, 1.0, 0.0
-        while not node.done:
-            node = tree._child(node, 0)
-            # a node that detects carries no cycle: its branch held no probability
-            prob = node.cycle[1] if node.cycle else 0.0
-            survival *= prob
-            log_survival += math.log(prob) if prob else -math.inf
-        if survival < sys.float_info.min:
-            survival = math.exp(log_survival)
-        state = StateVector._wrap(tree.num_qubits, node.amps)
-        return ProtocolResult(survival, 1.0 - survival, node.final_fidelity, node.detected,
-                              final_state=state)
-    # the leaked mass keeps its relative precision where 1 - kept would
-    # not; past 1/2 the kept mass is the more precise of the two
-    loss = max(float(np.vdot(psi, g @ psi).real), 0.0)
-    survival = 1.0 - loss
-    if loss >= 0.5:
-        survival, loss = kept, 1.0 - kept
-    state = StateVector._checked(encoded.num_qubits, kept_amps / math.sqrt(kept))
-    return ProtocolResult(survival, loss, fidelity(state, encoded), False, final_state=state)
+def _row_result(data, noise, schedule, n) -> PostSelectedRow:
+    """``schedule`` run for ``n`` cycles by walking the no-error path of the
+    outcome tree, as the per-cycle circuit does. Its survival is the product
+    of the cycles' probabilities while that is a normal float, else the exp
+    of their summed logs: 0.0 where it underflows, with ``detected`` False."""
+    if n > MAX_REPLAY_CYCLES:
+        raise ValueError(f"{n} cycles need a cycle-by-cycle replay of the no-error "
+                         f"branch, longer than MAX_REPLAY_CYCLES = {MAX_REPLAY_CYCLES}")
+    tree = _OutcomeTree(data, noise, replace(schedule, cycles=n), capacity=0)
+    node, survival, log_survival = tree.root, 1.0, 0.0
+    while not node.done:
+        node = tree._child(node, 0)
+        # a node that detects carries no cycle: its branch held no probability
+        prob = node.cycle[1] if node.cycle else 0.0
+        survival *= prob
+        log_survival += math.log(prob) if prob else -math.inf
+    if survival < sys.float_info.min:
+        survival = math.exp(log_survival)
+    return PostSelectedRow(survival, 1.0 - survival, node.final_fidelity, node.detected, node.amps)
+
+
+def _vdots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each row's ``np.vdot(x, y)``, a 1-D x or y being every row's, float for float."""
+    return (x.conj()[..., None, :] @ y[..., None])[..., 0, 0]
 
 
 @lru_cache(maxsize=None)
@@ -774,26 +794,35 @@ def _compose(first, second):
     multiply, and the second map's leak is seen through the first map."""
     m1, g1 = first
     m2, g2 = second
-    return m2 @ m1, g1 + np.swapaxes(m1.conj(), -1, -2) @ g2 @ m1
+    return m2 @ m1, g1 + m1.conj().swapaxes(-1, -2) @ g2 @ m1
 
 
-def _pair_power(pair, powers: list[int]):
+def _put(rows: np.ndarray, pair, new) -> None:
+    """Write the pair ``new`` over the stacked ``pair``, on the rows where ``rows`` is True."""
+    rows = rows[:, None, None]
+    for a, b in zip(pair, new):
+        np.copyto(a, b, where=rows)
+
+
+def _pair_power(pair, powers: np.ndarray):
     """Row i of the stacked ``pair`` composed with itself ``powers[i]`` >= 1
     times by repeated squaring, with exactly a one-row ladder's products: its
-    first factor is taken as it is (composing with (I, 0) makes -0.0 +0.0)."""
-    m, g = (np.empty_like(a) for a in pair)
-    started = [False] * len(powers)
-    while True:
-        again = [i for i, p in enumerate(powers) if p & 1 and started[i]]
-        if again:
-            m[again], g[again] = _compose((m[again], g[again]), (pair[0][again], pair[1][again]))
-        for i, p in enumerate(powers):
-            if p & 1 and not started[i]:
-                m[i], g[i], started[i] = pair[0][i], pair[1][i], True
-        powers = [p >> 1 for p in powers]
-        if not any(powers):
-            return m, g
+    first factor is taken as it is (composing with (I, 0) makes -0.0 +0.0).
+    A bit composes the whole stack, and keeps the products it is due on."""
+    m, g = (a.copy() for a in pair)
+    bits = (powers[:, None] >> np.arange(int(max(powers)).bit_length())) & 1 == 1
+    started = bits[:, 0].copy()
+    for due in bits.T[1:]:
         pair = _compose(pair, pair)
+        again, start = due & started, due & ~started
+        if np.count_nonzero(again):
+            # a row this bit is not due on may overflow here; it is not kept
+            with np.errstate(over="ignore", invalid="ignore"):
+                _put(again, (m, g), _compose((m, g), pair))
+        if np.count_nonzero(start):
+            _put(start, (m, g), pair)
+            started |= start
+    return m, g
 
 
 def decode(state: StateVector, aux_count: int) -> StateVector:

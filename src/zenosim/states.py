@@ -123,10 +123,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def probabilities(self) -> np.ndarray:
-        """Born probabilities of the 2**num_qubits basis outcomes."""
-        return np.abs(self.amplitudes) ** 2
-
     def __repr__(self) -> str:
         return f"<StateVector {ket_string(self)}>"
 

@@ -1,26 +1,27 @@
 """Sweep runner and CSV writer.
 
 One row per cycle count n, all on the schedule `parse_config` checked.
-Post-selected mode computes all rows in one stacked pass,
+Post-selected mode computes and finishes all rows in one stacked pass,
 `protocol.run_post_selected(data, noise, schedule, cycles)` over the list
-of n; a row that fails there fails alone, and each row's wall_time_ms is an
-even share of the pass's time. Stochastic mode copies the schedule for each
-n and samples `trials` independent trials per n, each drawing from a seed
-derived from (master seed, n, trial) through a splitmix64-style mixer, so
-any single trial can be reproduced without replaying the others:
-`run_protocol` with that seed gives the same outcome. A row's trials are sampled by `protocol.sample_trials`, which
-derives their seeds a batch of trial indices at a time, on uint64 arrays,
-and takes each batch by one of three routes, all drawing exactly the
-uniforms `default_rng` gives: a batch of few trials is derived and seeded
-one trial at a time by `default_rng`; a batch of many short trials, by the
-measured rule `protocol._batch_trials` states, draws all its uniforms on
-uint64 arrays in one pass, with no generator built, and walks its trials
-one level at a time, all of them at once; any other batch seeds one PCG64
-generator per trial in one vectorized pass and walks each trial on its
-own. The trials of one n share a single encoding, propagator and tree of
-outcome histories, so each register state along a history is computed
-once, however many trials pass through it. A row whose analytic reference
-cannot be computed fails alone.
+of n, and reads the numbers of the light rows it returns; a row that fails
+there fails alone, and each row's wall_time_ms is an even share of the
+pass's time. Stochastic mode copies the schedule for each n and samples
+`trials` independent trials per n, each drawing from a seed derived from
+(master seed, n, trial) through a splitmix64-style mixer, so any single
+trial can be reproduced without replaying the others: `run_protocol` with
+that seed gives the same outcome. A row's trials are sampled by
+`protocol.sample_trials`, which derives their seeds a batch of trial
+indices at a time, on uint64 arrays, and takes each batch by one of three
+routes, all drawing exactly the uniforms `default_rng` gives: a batch of
+few trials is derived and seeded one trial at a time by `default_rng`; a
+batch of many short trials, by the measured rule `protocol._batch_trials`
+states, draws all its uniforms on uint64 arrays in one pass, with no
+generator built, and walks its trials one level at a time, all of them at
+once; any other batch seeds one PCG64 generator per trial in one vectorized
+pass and walks each trial on its own. The trials of one n share a single
+encoding, propagator and tree of outcome histories, so each register state
+along a history is computed once, however many trials pass through it. A
+row whose analytic reference cannot be computed fails alone.
 
 The CSV is a byte-reproducible artifact: (config, seed) determines every
 written byte. Because measured wall time cannot satisfy that, the

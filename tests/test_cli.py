@@ -84,6 +84,24 @@ class TestSweepCommand:
         assert main(["sweep", str(path)]) == 1
         assert "unknown key 'foo'" in config_error(capsys)
 
+    @pytest.mark.parametrize("key, value, reason", [
+        ("total_time", "-1.0", "must be finite and >= 0, got -1.0"),
+        ("n_values", "0", "must be a positive integer, got 0"),
+        ("aux_strategy", "triple", "must be one of ('single', 'dual-alternating'), got 'triple'"),
+        ("mode", "sometimes", "must be one of ('post-selected', 'stochastic'), got 'sometimes'"),
+        ("abort_policy", "never",
+         "must be one of ('abort-on-detect', 'reset-and-continue'), got 'never'"),
+        ("seed", "-1", "must be an integer in [0, 2**64), and stochastic mode requires one, "
+                       "got -1"),
+    ])
+    def test_schedule_fault_names_its_key_alone(self, tmp_path, capsys, key, value, reason):
+        # the schedule checks six keys at once; its message names the one at fault
+        lines = {"lambda": "0.1, 0.1", "total_time": "1.0", "n_values": "8", key: value}
+        path = tmp_path / "bad.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        assert main(["sweep", str(path)]) == 1
+        assert config_error(capsys) == f"config error: key '{key}': {reason}"
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["sweep", str(tmp_path / "nope.cfg")]) == 1
         assert config_error(capsys).startswith(f"config error: cannot read '{tmp_path / 'nope.cfg'}': ")

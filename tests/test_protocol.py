@@ -445,7 +445,7 @@ class TestFusedPostSelectedEngine:
         assert len(results) == len(cycles)
         for n, result in zip(cycles, results):
             one_row = dataclasses.replace(schedule, cycles=n)
-            assert_same_run(result, run_protocol(data, noise, one_row))
+            assert_row_is_run(result, run_protocol(data, noise, one_row))
 
     def test_replay_past_the_bound_fails_only_its_row(self):
         # lambda T = 3e5: both rows keep a mass below the zero-branch threshold
@@ -468,14 +468,15 @@ class TestFusedPostSelectedEngine:
             run_protocol(data, noise, ZenoSchedule(10.0, 10**9))
         result, failure = run_post_selected(data, noise, schedule, [328, 10**9])
         assert isinstance(failure, ValueError)
-        assert_same_run(result, run_protocol(data, noise, schedule))
+        assert_row_is_run(result, run_protocol(data, noise, schedule))
         assert rows[0].survival_probability == result.survival_probability
         survival, detected, state, encoded, _ = per_cycle_reference(data, noise, schedule)
         assert not result.detected and not detected
         assert 0.0 < result.survival_probability < 1e-14
         assert result.survival_probability == pytest.approx(survival, rel=1e-12)
         assert result.final_fidelity == pytest.approx(fidelity(state, encoded), abs=1e-15)
-        assert fidelity(result.final_state, state) == pytest.approx(1.0, abs=1e-12)
+        final_state = StateVector.unit(state.num_qubits, result.amplitudes)
+        assert fidelity(final_state, state) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("strategy, lam", [
         (AUX_SINGLE, (3e4, 0.0)), (AUX_DUAL_ALTERNATING, (3e4, 0.0, 0.0)),
@@ -507,9 +508,53 @@ class TestFusedPostSelectedEngine:
         assert isinstance(failure, ValueError)
         assert str(failure) == ("noise phase w*t must be finite, got -inf "
                                 "(w = -1e+154, t = 2.5e+154)")
-        assert_same_run(result, run_protocol(data, noise, two))
+        assert_row_is_run(result, run_protocol(data, noise, two))
         with pytest.raises(ValueError, match=r"noise phase w\*t must be finite"):
             run_post_selected(data, noise, one, [1])
+
+    @pytest.mark.parametrize("strategy, lam", [
+        (AUX_SINGLE, (30.0, 0.4)), (AUX_DUAL_ALTERNATING, (30.0, 0.0, 0.0)),
+    ])
+    def test_mixed_stack_rows_equal_one_row_runs(self, monkeypatch, strategy, lam):
+        # lambda T = 30: n = 20 keeps less than the zero-branch threshold and
+        # is replayed, n = 60 loses more than half, n = 3000 less than half
+        data, noise = new_state(1, [0.6, 0.8]), NoiseSpec(lam, (0.1,) * len(lam))
+        schedule, cycles = ZenoSchedule(1.0, 1, aux_strategy=strategy), [20, 60, 3000]
+        replayed = []
+        real = protocol_module._row_result
+        monkeypatch.setattr(protocol_module, "_row_result",
+                            lambda *a: replayed.append(a[-1]) or real(*a))
+        rows = run_post_selected(data, noise, schedule, cycles)
+        assert replayed == [20]
+        replay, lossy, regular = (row.survival_probability for row in rows)
+        assert replay < 1e-14 <= lossy < 0.5 < regular
+        for n, row in zip(cycles, rows):
+            one_row = dataclasses.replace(schedule, cycles=n)
+            assert_row_is_run(row, run_protocol(data, noise, one_row))
+            survival, detected, state, encoded, _ = per_cycle_reference(data, noise, one_row)
+            assert row.detected == detected
+            assert row.survival_probability == pytest.approx(survival, rel=1e-12, abs=1e-12)
+            assert row.final_fidelity == pytest.approx(fidelity(state, encoded), abs=1e-12)
+            assert abs(np.vdot(row.amplitudes, state.amplitudes)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_nan_propagator_row_fails_alone_with_norm_drift(self, monkeypatch):
+        data, noise = new_state(1, [0.6, 0.8]), NoiseSpec((0.3, 0.2, 0.1), (0.1, 0.0, 0.2))
+        schedule, cycles = ZenoSchedule(1.0, 1, aux_strategy=AUX_DUAL_ALTERNATING), [1, 2, 3, 8]
+        clean = run_post_selected(data, noise, schedule, cycles)
+        real = protocol_module.propagator
+
+        def poisoned(h, times):
+            stack = real(h, times)
+            stack[2] = np.nan  # the row of n = 3
+            return stack
+
+        monkeypatch.setattr(protocol_module, "propagator", poisoned)
+        rows = run_post_selected(data, noise, schedule, cycles)
+        assert isinstance(rows[2], NormDriftError)
+        assert str(rows[2]) == "norm drifted by nan (tolerance 1e-10)"
+        for i in (0, 1, 3):
+            assert rows[i][:4] == clean[i][:4]
+            assert np.array_equal(rows[i].amplitudes, clean[i].amplitudes)
 
 
 class ScriptedGenerator:
@@ -546,6 +591,14 @@ def seed_list(seeds):
         return seeds[t]
 
     return seed_of
+
+
+def assert_row_is_run(row, reference):
+    """Exact equality of a run_post_selected row and a post-selected run."""
+    assert reference.cycle_log == []
+    assert row[:4] == (reference.survival_probability, reference.loss_probability,
+                       reference.final_fidelity, reference.detected)
+    assert np.array_equal(row.amplitudes, reference.final_state.amplitudes)
 
 
 def assert_same_run(result, reference):

@@ -5,8 +5,11 @@ import signal
 import numpy as np
 import pytest
 
+import zenosim.protocol as protocol_module
 from zenosim import (
     CSV_COLUMNS,
+    ProtocolResult,
+    StateVector,
     SweepResult,
     SweepRow,
     ZenoSchedule,
@@ -136,6 +139,35 @@ class TestRunSweep:
         assert calls == [8] and config.schedule.cycles == 8
         assert not any(row.failed for row in run_sweep(config).rows)
         assert calls[1:] == rows_validated
+
+    def test_post_selected_rows_build_no_objects(self, monkeypatch):
+        # the stacked pass finishes its rows on arrays: a sweep of eight rows
+        # builds the states a sweep of one row builds, and no ProtocolResult
+        built, replayed = [], []
+        wrap, init = StateVector._wrap.__func__, StateVector.__init__
+        result_init = ProtocolResult.__init__
+        monkeypatch.setattr(StateVector, "_wrap", classmethod(
+            lambda cls, *a, **k: built.append("state") or wrap(cls, *a, **k)))
+        monkeypatch.setattr(StateVector, "__init__",
+                            lambda self, *a: built.append("state") or init(self, *a))
+        monkeypatch.setattr(ProtocolResult, "__init__", lambda self, *a, **k: (
+            built.append("result") or result_init(self, *a, **k)))
+        real_row = protocol_module._row_result
+        monkeypatch.setattr(protocol_module, "_row_result",
+                            lambda *a: replayed.append(a[-1]) or real_row(*a))
+        counts = []
+        for n_values in ("8", "1, 2, 3, 4, 5, 6, 7, 8"):
+            config = make_config(**{"lambda": "0.3, 0.2, 0.1", "aux_strategy": "dual-alternating",
+                                    "n_values": n_values})
+            built.clear()
+            assert not any(row.failed for row in run_sweep(config).rows)
+            counts.append(len(built))
+        assert "result" not in built and counts[0] == counts[1]
+        # lambda T = 30: n = 20 keeps less than the zero-branch threshold, and
+        # only its row is replayed
+        assert replayed == []
+        rows = run_sweep(make_config(**{"lambda": "30.0, 0.4", "n_values": "20, 60, 3000"})).rows
+        assert replayed == [20] and not any(row.failed for row in rows)
 
     def test_protocol_failure_marks_row_but_keeps_the_rest(self, monkeypatch):
         import zenosim.sweep as sweep_module
