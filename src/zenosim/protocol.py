@@ -19,7 +19,7 @@ __all__ = [
 import math
 import sys
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -57,10 +57,6 @@ MAX_REPLAY_CYCLES = 10_000_000
 #: trial seeds turned into generator states at a time, so a row of many
 #: trials holds no array that grows with their count
 SEED_BATCH = 4096
-#: seeds a batch needs before they are seeded in one vectorized pass rather
-#: than by a default_rng each: the break-even measured route against route
-#: on a warm tree, seed derivation included
-SEED_WORDS_MIN = 10
 #: a batch of trials at most ARRAY_MAX_CYCLES cycles long draws its uniforms
 #: on uint64 arrays, rather than by a generator per trial, once it holds
 #: ARRAY_TRIALS_PER_CYCLE trials per cycle plus ARRAY_MIN_TRIALS: each
@@ -70,7 +66,8 @@ SEED_WORDS_MIN = 10
 ARRAY_MAX_CYCLES = 32
 ARRAY_TRIALS_PER_CYCLE = 8
 ARRAY_MIN_TRIALS = 16
-#: a schedule's seed, and a stochastic trial's, is an unsigned 64-bit integer
+#: a schedule's seed, and a stochastic trial's, is an unsigned 64-bit integer;
+#: mix64 wraps its arithmetic to 64 bits with this mask
 MAX_SEED = (1 << 64) - 1
 _MASK32 = 0xFFFFFFFF
 
@@ -132,7 +129,7 @@ class ZenoSchedule:
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         if self.seed is not None or self.measurement_mode == MODE_STOCHASTIC:
-            if not _is_seed(self.seed):
+            if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed <= MAX_SEED):
                 raise ValueError(f"seed must be an integer in [0, 2**64), and stochastic mode "
                                  f"requires one, got {self.seed!r}")
             object.__setattr__(self, "seed", int(self.seed))
@@ -269,15 +266,16 @@ def run_protocol(data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule) ->
     at most MAX_REPLAY_CYCLES cycles, and raises ValueError past it.
 
     A stochastic run walks one trial as :func:`sample_trials` does, on a
-    generator in the state of ``default_rng(schedule.seed)``, so it equals
-    the trial whose ``seed_of`` gives that seed. Each cycle's auxiliary is
-    sampled, and a measured 1 sets ``detected``. Abort-on-detect stops
-    there; reset-and-continue re-zeros the auxiliary, re-entangles, and
-    keeps going. A sampled branch below the ZeroProbabilityError threshold
-    also detects, and ends the run with the register just after that
-    cycle's noise slice. The trial's raw arrays are wrapped only here:
-    cycle_log holds a CycleOutcome for every cycle the trial completed, and
-    final_state its last register.
+    generator in the state of ``default_rng(schedule.seed)``: here
+    ``schedule.seed`` is the trial's own seed, so trial t of a row sampled
+    on master seed m is this run on ``derive_trial_seed(m, cycles, t)``.
+    Each cycle's auxiliary is sampled, and a measured 1 sets ``detected``.
+    Abort-on-detect stops there; reset-and-continue re-zeros the auxiliary,
+    re-entangles, and keeps going. A sampled branch below the
+    ZeroProbabilityError threshold also detects, and ends the run with the
+    register just after that cycle's noise slice. The trial's raw arrays
+    are wrapped only here: cycle_log holds a CycleOutcome for every cycle
+    the trial completed, and final_state its last register.
     """
     if schedule.measurement_mode == MODE_STOCHASTIC:
         steps: list[tuple[int, float, np.ndarray] | None] = []
@@ -320,10 +318,12 @@ def run_post_selected(
     takes ||psi||^2 to ||M psi||^2 = ||psi||^2 - psi^+ G psi. One stacked
     ladder raises every row's pair, one stacked pass finishes the rows in
     forms whose floats are a one-row run's, and a row that keeps less than
-    the zero-branch threshold is replayed (:func:`_row_result`). A ValueError
-    in building the shared propagators, such as a noise phase that overflows
-    at one row's interval, is each row's own: the rows are then run one by
-    one, and one row's ValueError is raised.
+    the zero-branch threshold is replayed (:func:`_row_result`). A row whose
+    survival leaves [0, 1], as the ladder's roundoff can make it past
+    n ~ 2**56, fails with a ValueError. A ValueError in building the shared
+    propagators, such as a noise phase that overflows at one row's
+    interval, is each row's own: the rows are then run one by one, and one
+    row's ValueError is raised.
     """
     if schedule.measurement_mode != MODE_POST_SELECTED:
         raise ValueError("run_post_selected needs a post-selected schedule")
@@ -382,6 +382,8 @@ def run_post_selected(
                 rows.append(exc)
         elif not drift <= NORM_TOL:  # a NaN drift fails too
             rows.append(NormDriftError(f"norm drifted by {drift:.3e} (tolerance {NORM_TOL})"))
+        elif not 0.0 <= survived <= 1.0:  # a NaN survival fails too
+            rows.append(ValueError(f"survival {survived!r} at n = {n} is outside [0, 1]"))
         else:
             value = min(max(abs(overlap) ** 2, 0.0), 1.0)
             rows.append(PostSelectedRow(survived, lost, value, False, state))
@@ -389,28 +391,27 @@ def run_post_selected(
 
 
 def sample_trials(
-    data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule, trials: int, seed_of: Callable
+    data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule, trials: int
 ) -> Iterator[HistoryNode]:
     """Run stochastic trials 0, ..., trials - 1; yield each trial's final node.
 
     Trial t draws one uniform per cycle, the uniforms
-    ``default_rng(seed_of(t)).random`` gives (``schedule.seed`` is not
-    used), and measures 1 in a cycle when its draw is below that cycle's
-    Born probability of 1, exactly as :func:`zeno_cycle` samples. A trial's
-    register depends only on its outcome history, so all trials walk one
-    shared tree of histories, built once per (data, noise, schedule), whose
-    nodes are computed the first time a trial reaches them. Under
-    abort-on-detect every running trial sits on the single no-error path;
-    under reset-and-continue trials share history prefixes. The tree holds
-    at most MAX_TREE_NODES nodes; past that, nodes are built for the trial,
-    or the array batch, at hand and dropped after it.
+    ``default_rng(derive_trial_seed(schedule.seed, schedule.cycles, t)).random``
+    gives, so ``schedule.seed`` is the master seed of the row, and measures
+    1 in a cycle when its draw is below that cycle's Born probability of 1,
+    exactly as :func:`zeno_cycle` samples. A trial's register depends only
+    on its outcome history, so all trials walk one shared tree of histories,
+    built once per (data, noise, schedule), whose nodes are computed the
+    first time a trial reaches them. Under abort-on-detect every running
+    trial sits on the single no-error path; under reset-and-continue trials
+    share history prefixes. The tree holds at most MAX_TREE_NODES nodes;
+    past that, nodes are built for the trial, or the array batch, at hand
+    and dropped after it.
 
-    ``seed_of`` maps an int trial index to its seed, and a uint64 array of
-    indices to the uint64 array of their seeds. Seeds are derived lazily,
-    SEED_BATCH trials at a time, and each batch is seeded and drawn by one
-    of three routes, as :func:`_batch_trials` says; every draw is the same
-    whichever route a batch takes. A negative or non-integer ``trials``
-    raises ValueError.
+    Seeds are derived lazily, SEED_BATCH trials at a time, and each batch is
+    seeded and drawn by one of two routes, as :func:`_batch_trials` says;
+    every draw is the same whichever route a batch takes. A negative or
+    non-integer ``trials`` raises ValueError.
     """
     if schedule.measurement_mode != MODE_STOCHASTIC:
         raise ValueError("sampling trials needs a stochastic schedule")
@@ -420,51 +421,50 @@ def sample_trials(
     return (
         trial
         for start in range(0, trials, SEED_BATCH)
-        for trial in _batch_trials(tree, seed_of, start, min(start + SEED_BATCH, trials))
+        for trial in _batch_trials(tree, schedule.seed, start, min(start + SEED_BATCH, trials))
     )
 
 
-def _is_seed(seed) -> bool:
-    return isinstance(seed, (int, np.integer)) and 0 <= seed <= MAX_SEED
+def mix64(x):
+    """splitmix64 finalizer: one-round avalanche of a 64-bit value, an int or
+    a uint64 array (whose arithmetic wraps mod 2**64 as the masks do)."""
+    x = (x + 0x9E3779B97F4A7C15) & MAX_SEED
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MAX_SEED
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MAX_SEED
+    return x ^ (x >> 31)
 
 
-def _batch_trials(tree: _OutcomeTree, seed_of: Callable, start: int, stop: int
+def derive_trial_seed(master_seed: int, n: int, trial):
+    """Order-independent per-trial seed: mix64 chained over (seed, n, trial).
+    ``trial`` may be a uint64 array of trial indices, for one seed each."""
+    s = mix64(master_seed & MAX_SEED)
+    s = mix64(s ^ (n & MAX_SEED))
+    return mix64(s ^ (trial & MAX_SEED))
+
+
+def _batch_trials(tree: _OutcomeTree, master_seed: int, start: int, stop: int
                   ) -> Iterable[HistoryNode]:
     """The final node of each trial t in [start, stop), walked on the
-    uniforms of ``default_rng(seed_of(t))``. A batch takes one of three
-    routes, by the fixed costs measured for each:
+    uniforms of ``default_rng(derive_trial_seed(master_seed, tree.cycles,
+    t))``. The batch's seeds are derived in one call on a uint64 array of
+    indices and hashed through :func:`_seed_words` in one pass; then the
+    batch takes one of two routes, by the fixed costs measured for each:
 
-    - fewer than SEED_WORDS_MIN trials are mapped index by index and seeded
-      by default_rng, since the fixed cost of :func:`_seed_words` is more
-      than it saves on them;
-    - more are mapped in one call on a uint64 array of indices and seeded
-      through _seed_words in one pass. A batch of trials at most
-      ARRAY_MAX_CYCLES cycles long, and of at least ARRAY_TRIALS_PER_CYCLE
-      trials per cycle plus ARRAY_MIN_TRIALS, then draws every uniform on
-      uint64 arrays in one pass (:func:`_pcg64_random`), with no generator
-      built, and walks all its trials on them one level at a time
-      (:meth:`_OutcomeTree.walk_levels`): a batch holds at most SEED_BATCH
-      trials, so it draws at most SEED_BATCH * ARRAY_MAX_CYCLES uniforms;
+    - a batch of trials at most ARRAY_MAX_CYCLES cycles long, and of at
+      least ARRAY_TRIALS_PER_CYCLE trials per cycle plus ARRAY_MIN_TRIALS,
+      draws every uniform on uint64 arrays in one pass
+      (:func:`_pcg64_random`), with no generator built, and walks all its
+      trials on them one level at a time (:meth:`_OutcomeTree.walk_levels`):
+      a batch holds at most SEED_BATCH trials, so it draws at most
+      SEED_BATCH * ARRAY_MAX_CYCLES uniforms;
     - any other batch, of long trials or of few trials per cycle, hands
       each trial a PCG64 generator in the state of its seed's words: every
       array column, and every level of the walk, costs a fixed numpy
       overhead however few trials it holds.
-
-    A seed that is not an integer in [0, 2**64), or an array of seeds that
-    is not uint64, raises ValueError naming it, as ZenoSchedule rejects a
-    seed for :func:`run_protocol`.
     """
-    if stop - start < SEED_WORDS_MIN:
-        seeds = [seed_of(t) for t in range(start, stop)]
-        for seed in seeds:
-            if not _is_seed(seed):
-                raise ValueError(f"a seed must be an integer in [0, 2**64), got {seed!r}")
-        return (tree.sample(rng) for rng in map(np.random.default_rng, seeds))
-    seeds = seed_of(np.arange(start, stop, dtype=np.uint64))
-    if seeds.dtype != np.uint64:
-        raise ValueError(f"a seed array must be uint64, got {seeds.dtype}")
-    words = _seed_words(seeds)
     cycles = tree.cycles
+    words = _seed_words(derive_trial_seed(master_seed, cycles,
+                                          np.arange(start, stop, dtype=np.uint64)))
     if (cycles <= ARRAY_MAX_CYCLES
             and stop - start >= ARRAY_TRIALS_PER_CYCLE * cycles + ARRAY_MIN_TRIALS):
         return tree.walk_levels(_pcg64_random(_pcg64_state(words), cycles))

@@ -6,22 +6,13 @@ Post-selected mode computes and finishes all rows in one stacked pass,
 of n, and reads the numbers of the light rows it returns; a row that fails
 there fails alone, and each row's wall_time_ms is an even share of the
 pass's time. Stochastic mode copies the schedule for each n and samples
-`trials` independent trials per n, each drawing from a seed derived from
-(master seed, n, trial) through a splitmix64-style mixer, so any single
-trial can be reproduced without replaying the others: `run_protocol` with
-that seed gives the same outcome. A row's trials are sampled by
-`protocol.sample_trials`, which derives their seeds a batch of trial
-indices at a time, on uint64 arrays, and takes each batch by one of three
-routes, all drawing exactly the uniforms `default_rng` gives: a batch of
-few trials is derived and seeded one trial at a time by `default_rng`; a
-batch of many short trials, by the measured rule `protocol._batch_trials`
-states, draws all its uniforms on uint64 arrays in one pass, with no
-generator built, and walks its trials one level at a time, all of them at
-once; any other batch seeds one PCG64 generator per trial in one vectorized
-pass and walks each trial on its own. The trials of one n share a single
-encoding, propagator and tree of outcome histories, so each register state
-along a history is computed once, however many trials pass through it. A
-row whose analytic reference cannot be computed fails alone.
+`trials` independent trials per n with `protocol.sample_trials`, which
+derives each trial's seed from (master seed, n, trial) through a
+splitmix64-style mixer (`derive_trial_seed`), so any single trial can be
+reproduced without replaying the others: `run_protocol` with that seed
+gives the same outcome. How a row's trials are seeded, drawn and walked is
+`sample_trials`'s to say. A row whose analytic reference cannot be
+computed fails alone.
 
 The CSV is a byte-reproducible artifact: (config, seed) determines every
 written byte. Because measured wall time cannot satisfy that, the
@@ -37,7 +28,6 @@ __all__ = [
 ]
 
 import csv
-import functools
 import math
 import os
 import stat
@@ -46,9 +36,11 @@ from dataclasses import dataclass, field, replace
 
 from .analysis import single_qubit_survival
 from .config import ExperimentConfig
-# ZenoSchedule and run_protocol stay importable here: perfbench/spans.py traces them
+# ZenoSchedule and run_protocol stay importable here: perfbench/spans.py traces them;
+# derive_trial_seed and mix64 are this module's public names, and protocol's to compute
 from .protocol import (  # noqa: F401
-    MODE_STOCHASTIC, ZenoSchedule, run_post_selected, run_protocol, sample_trials,
+    MODE_STOCHASTIC, ZenoSchedule, derive_trial_seed, mix64, run_post_selected, run_protocol,
+    sample_trials,
 )
 
 CSV_COLUMNS = (
@@ -59,25 +51,6 @@ CSV_COLUMNS = (
     "analytic_reference",
     "wall_time_ms",
 )
-
-_MASK64 = (1 << 64) - 1
-
-
-def mix64(x):
-    """splitmix64 finalizer: one-round avalanche of a 64-bit value, an int or
-    a uint64 array (whose arithmetic wraps mod 2**64 as the masks do)."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
-
-def derive_trial_seed(master_seed: int, n: int, trial):
-    """Order-independent per-trial seed: mix64 chained over (seed, n, trial).
-    ``trial`` may be a uint64 array of trial indices, for one seed each."""
-    s = mix64(master_seed & _MASK64)
-    s = mix64(s ^ (n & _MASK64))
-    return mix64(s ^ (trial & _MASK64))
 
 
 @dataclass
@@ -148,11 +121,10 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 def _stochastic_point(config, schedule) -> tuple[float, float, float]:
     """(survival rate, mean fidelity of the survivors, detection rate) over
     config.trials trials, all sampled against one outcome tree."""
-    seed_of = functools.partial(derive_trial_seed, schedule.seed, schedule.cycles)
     survivors = 0
     detections = 0
     fidelity_sum = 0.0
-    for trial in sample_trials(config.data, config.noise, schedule, config.trials, seed_of):
+    for trial in sample_trials(config.data, config.noise, schedule, config.trials):
         if trial.detected:
             detections += 1
         else:

@@ -1,7 +1,7 @@
 """The per-cycle stochastic engine, kept as the reference the shared-tree
 engine is checked against: ``zenosim.protocol.sample_trials``, the one
 sampler, which runs trials 0, ..., trials - 1 with trial t seeded by
-``seed_of(t)``.
+``derive_trial_seed(schedule.seed, schedule.cycles, t)``.
 
 ``run_stochastic`` steps one trial cycle by cycle through ``zeno_cycle``,
 drawing one scalar uniform per cycle; ``stochastic_point`` runs a sweep

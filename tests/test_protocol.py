@@ -1,6 +1,5 @@
 """Encoder, measurement cycle, scheduler, and decoder contracts."""
 import dataclasses
-import functools
 import itertools
 import math
 import os
@@ -556,6 +555,38 @@ class TestFusedPostSelectedEngine:
             assert rows[i][:4] == clean[i][:4]
             assert np.array_equal(rows[i].amplitudes, clean[i].amplitudes)
 
+    def test_survival_outside_the_unit_interval_fails_only_its_row(self):
+        # past n ~ 2**56 the ladder's roundoff runs away: at n = 2**58 + 1
+        # this row keeps a mass of about 2e47
+        data, noise = new_state(1, [0.6, 0.8]), NoiseSpec((0.1, 0.1, 0.1))
+        schedule = ZenoSchedule(1.0, 2**58 + 1, aux_strategy=AUX_DUAL_ALTERNATING)
+        message = r"survival \S+ at n = 288230376151711745 is outside \[0, 1\]"
+        with pytest.raises(ValueError, match=message):
+            run_protocol(data, noise, schedule)
+        regular, failure = run_post_selected(data, noise, schedule, [8, 2**58 + 1])
+        assert isinstance(failure, ValueError) and re.fullmatch(message, str(failure))
+        eight = dataclasses.replace(schedule, cycles=8)
+        assert_row_is_run(regular, run_protocol(data, noise, eight))
+
+    def test_nan_survival_fails_only_its_row(self, monkeypatch):
+        data, noise = new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.3, 2)
+        schedule, cycles = ZenoSchedule(1.0, 1), [1, 2, 3]
+        clean = run_post_selected(data, noise, schedule, cycles)
+        real = protocol_module._pair_power
+
+        def poisoned(pair, powers):
+            m, g = real(pair, powers)
+            g[1] = np.nan  # the leak of n = 2; its kept state stays finite
+            return m, g
+
+        monkeypatch.setattr(protocol_module, "_pair_power", poisoned)
+        rows = run_post_selected(data, noise, schedule, cycles)
+        assert isinstance(rows[1], ValueError)
+        assert str(rows[1]) == "survival nan at n = 2 is outside [0, 1]"
+        for i in (0, 2):
+            assert rows[i][:4] == clean[i][:4]
+            assert np.array_equal(rows[i].amplitudes, clean[i].amplitudes)
+
 
 class ScriptedGenerator:
     """Stands in for ``np.random.default_rng(seed)``: hands out fixed
@@ -575,22 +606,9 @@ def script_draws(monkeypatch, draws):
     monkeypatch.setattr(np.random, "default_rng", lambda seed: ScriptedGenerator(draws))
 
 
-def trial_index(t):
-    """A ``seed_of`` that seeds trial t with t: an int index or a uint64
-    array of indices is its own seed."""
-    return t
-
-
-def seed_list(seeds):
-    """A ``seed_of`` over ``seeds``: an int index gives its entry as it is,
-    a uint64 array of indices the uint64 array of their entries."""
-
-    def seed_of(t):
-        if isinstance(t, np.ndarray):
-            return np.array([seeds[i] for i in t.tolist()], dtype=np.uint64)
-        return seeds[t]
-
-    return seed_of
+def trial_seeds(schedule, trials):
+    """The seed of each of ``trials`` trials that sample_trials derives from ``schedule``."""
+    return [derive_trial_seed(schedule.seed, schedule.cycles, t) for t in range(trials)]
 
 
 def assert_row_is_run(row, reference):
@@ -770,30 +788,30 @@ class TestSharedTreeEngine:
         )
         schedule = ZenoSchedule(1.0, 8, measurement_mode=MODE_STOCHASTIC, seed=0)
         trials = list(sample_trials(new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.3, 2), schedule,
-                                    100, trial_index))
+                                    100))
         assert len(trials) == 100 and len(calls) == 1
 
     def test_batch_boundaries_do_not_move_a_row(self, monkeypatch):
-        # ten trials a row in batches of 3, 3, 3 and 1: the batches of 3 are
-        # derived and seeded on arrays, the last one trial by trial
+        # ten trials a row in batches of 3, 3, 3 and 1, each derived and
+        # seeded on arrays
         monkeypatch.setattr(protocol_module, "SEED_BATCH", 3)
-        monkeypatch.setattr(protocol_module, "SEED_WORDS_MIN", 2)
         config = stochastic_config(
             AUX_DUAL_ALTERNATING, RESET_AND_CONTINUE, (0.9, 0.6, 0.3), (0.1, 0.2, 0.0),
             (0.6, 0.0, 0.0, 0.8), (3, 6), 10, 2**64 - 1,
         )
         assert_matches_per_cycle_engine(config)
 
-    def test_seeds_are_read_lazily(self):
+    def test_seeds_are_read_lazily(self, monkeypatch):
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.6, 2)
         schedule = ZenoSchedule(1.0, 8, measurement_mode=MODE_STOCHASTIC, seed=0)
         calls = []
 
-        def seed_of(t):
+        def derive(master, n, t):
             calls.append(t)
             return t
 
-        trials = itertools.islice(sample_trials(data, noise, schedule, 10**12, seed_of), 5)
+        monkeypatch.setattr(protocol_module, "derive_trial_seed", derive)
+        trials = itertools.islice(sample_trials(data, noise, schedule, 10**12), 5)
         for seed, trial in enumerate(trials):
             result = run_protocol(data, noise, dataclasses.replace(schedule, seed=seed))
             assert trial.detected == result.detected
@@ -803,22 +821,14 @@ class TestSharedTreeEngine:
         assert indices.dtype == np.uint64
         assert np.array_equal(indices, np.arange(protocol_module.SEED_BATCH))
 
-    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.5, np.int64(-1)])
-    def test_bad_seed_is_named(self, seed):
-        schedule = ZenoSchedule(1.0, 2, measurement_mode=MODE_STOCHASTIC, seed=0)
-        trials = sample_trials(new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.3, 2), schedule,
-                               3, seed_list([0, 2**64 - 1, seed]))
-        with pytest.raises(ValueError, match=re.escape(f"got {seed!r}")):
-            list(trials)
-
-    @pytest.mark.parametrize("words_min", [1, protocol_module.SEED_WORDS_MIN])
-    def test_run_protocol_takes_the_seeds_sample_trials_takes(self, monkeypatch, words_min):
-        # the eight seeds are seeded by _seed_words, then by default_rng
-        monkeypatch.setattr(protocol_module, "SEED_WORDS_MIN", words_min)
+    def test_run_protocol_takes_the_seeds_sample_trials_takes(self, monkeypatch):
+        # the eight edge seeds, derived for trials 0 to 7 and seeded by _seed_words
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.9, 2)
         schedule = ZenoSchedule(1.0, 8, measurement_mode=MODE_STOCHASTIC, seed=0)
         seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, np.uint64(2**64 - 1), True]
-        trials = sample_trials(data, noise, schedule, len(seeds), seed_list(seeds))
+        monkeypatch.setattr(protocol_module, "derive_trial_seed",
+                            lambda master, n, t: np.array(seeds, dtype=np.uint64)[t])
+        trials = sample_trials(data, noise, schedule, len(seeds))
         for seed, trial in zip(seeds, trials, strict=True):
             result = run_protocol(data, noise, dataclasses.replace(schedule, seed=seed))
             assert trial.detected == result.detected
@@ -827,46 +837,14 @@ class TestSharedTreeEngine:
 
     def test_rejects_post_selected_schedule(self):
         with pytest.raises(ValueError, match="stochastic"):
-            sample_trials(new_state(1), NoiseSpec.zero(2), ZenoSchedule(1.0, 2), 1, int)
+            sample_trials(new_state(1), NoiseSpec.zero(2), ZenoSchedule(1.0, 2), 1)
 
     @pytest.mark.parametrize("trials", [-3, 2.5])
     def test_bad_trial_count_is_named(self, trials):
         schedule = ZenoSchedule(1.0, 2, measurement_mode=MODE_STOCHASTIC, seed=0)
         with pytest.raises(ValueError, match=re.escape(f"trials must be a non-negative integer, "
                                                        f"got {trials!r}")):
-            sample_trials(new_state(1), NoiseSpec.zero(2), schedule, trials, int)
-
-    def test_trial_range_takes_stochastic_schedules_and_uint64_seeds(self):
-        with pytest.raises(ValueError, match="stochastic"):
-            sample_trials(new_state(1), NoiseSpec.zero(2), ZenoSchedule(1.0, 2), 1, int)
-        schedule = ZenoSchedule(1.0, 2, measurement_mode=MODE_STOCHASTIC, seed=0)
-        trials = sample_trials(
-            new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.3, 2), schedule,
-            protocol_module.SEED_WORDS_MIN, lambda t: t.astype(np.int64),
-        )
-        with pytest.raises(ValueError, match="uint64, got int64"):
-            list(trials)
-
-    def test_few_seeds_take_default_rng(self, monkeypatch):
-        # below SEED_WORDS_MIN seeds _seed_words costs more than it saves
-        data, noise = new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.6, 2)
-        schedule = ZenoSchedule(1.0, 8, measurement_mode=MODE_STOCHASTIC, seed=5)
-        words_min = protocol_module.SEED_WORDS_MIN
-        seed_words = protocol_module._seed_words
-        want = [trial.detected
-                for trial in sample_trials(data, noise, schedule, words_min, trial_index)]
-
-        def refuse(*args):
-            raise AssertionError("few seeds went through _seed_words")
-
-        monkeypatch.setattr(protocol_module, "_seed_words", refuse)
-        few = list(sample_trials(data, noise, schedule, words_min - 1, trial_index))
-        assert [trial.detected for trial in few] == want[:-1]
-        assert run_protocol(data, noise, schedule).detected == want[5]
-        monkeypatch.setattr(protocol_module, "_seed_words", seed_words)
-        monkeypatch.setattr(np.random, "default_rng", refuse)
-        many = sample_trials(data, noise, schedule, words_min, trial_index)
-        assert [trial.detected for trial in many] == want
+            sample_trials(new_state(1), NoiseSpec.zero(2), schedule, trials)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -874,26 +852,22 @@ class TestSharedTreeEngine:
         policy=st.sampled_from([ABORT_ON_DETECT, RESET_AND_CONTINUE]),
         trials=st.integers(1, 40),
         batch=st.sampled_from([3, 5, 16]),
-        words_min=st.sampled_from([1, 2, 14]),
         master=st.integers(0, 2**64 - 1),
     )
     def test_every_trial_is_run_protocol_on_its_seed(self, strategy, policy, trials, batch,
-                                                     words_min, master):
-        # batches of arrays, of single indices and of both, for every cut
-        # of the trials into batches; hypothesis rejects function-scoped
-        # monkeypatch, so the constants are patched here
+                                                     master):
+        # every cut of the trials into batches; hypothesis rejects
+        # function-scoped monkeypatch, so the constant is patched here
         size = 2 if strategy == AUX_SINGLE else 3
         data = new_state(1, [0.6, 0.8])
         noise = NoiseSpec((0.9, 0.6, 0.3)[:size], (0.1, 0.2, 0.0)[:size])
         schedule = ZenoSchedule(2.0, 6, aux_strategy=strategy, measurement_mode=MODE_STOCHASTIC,
-                                seed=0, abort_policy=policy)
-        seed_of = functools.partial(derive_trial_seed, master, schedule.cycles)
-        with mock.patch.object(protocol_module, "SEED_BATCH", batch), \
-                mock.patch.object(protocol_module, "SEED_WORDS_MIN", words_min):
-            sampled = list(sample_trials(data, noise, schedule, trials, seed_of))
+                                seed=master, abort_policy=policy)
+        with mock.patch.object(protocol_module, "SEED_BATCH", batch):
+            sampled = list(sample_trials(data, noise, schedule, trials))
         assert len(sampled) == trials
-        for t, trial in enumerate(sampled):
-            result = run_protocol(data, noise, dataclasses.replace(schedule, seed=seed_of(t)))
+        for trial, seed in zip(sampled, trial_seeds(schedule, trials), strict=True):
+            result = run_protocol(data, noise, dataclasses.replace(schedule, seed=seed))
             assert trial.detected == result.detected
             assert trial.final_fidelity == result.final_fidelity
             assert np.array_equal(trial.amps, result.final_state.amplitudes)
@@ -901,19 +875,18 @@ class TestSharedTreeEngine:
     def test_many_short_trials_build_no_generator(self, monkeypatch):
         # the fewest trials per cycle that the array route takes
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.6, 2)
-        schedule = ZenoSchedule(1.0, 8, measurement_mode=MODE_STOCHASTIC, seed=0)
+        schedule = ZenoSchedule(1.0, 8, measurement_mode=MODE_STOCHASTIC, seed=7)
         trials = (protocol_module.ARRAY_TRIALS_PER_CYCLE * schedule.cycles
                   + protocol_module.ARRAY_MIN_TRIALS)
-        seed_of = functools.partial(derive_trial_seed, 7, schedule.cycles)
-        want = [run_protocol(data, noise, dataclasses.replace(schedule, seed=seed_of(t)))
-                for t in range(trials)]
+        want = [run_protocol(data, noise, dataclasses.replace(schedule, seed=seed))
+                for seed in trial_seeds(schedule, trials)]
 
         def refuse(*args, **kwargs):
             raise AssertionError("a many-trial row built a generator")
 
         for name in ("PCG64", "Generator", "default_rng"):
             monkeypatch.setattr(np.random, name, refuse)
-        got = list(sample_trials(data, noise, schedule, trials, seed_of))
+        got = list(sample_trials(data, noise, schedule, trials))
         assert [t.detected for t in got] == [r.detected for r in want]
         assert any(t.detected for t in got) and not all(t.detected for t in got)
         for trial, result in zip(got, want, strict=True):
@@ -935,10 +908,11 @@ class TestSharedTreeEngine:
                                 measurement_mode=MODE_STOCHASTIC, seed=0,
                                 abort_policy=RESET_AND_CONTINUE)
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec((0.4, 0.3, 0.2), (0.2, 0.1, 0.0))
-        sampled = list(sample_trials(data, noise, schedule, trials, trial_index))
+        sampled = list(sample_trials(data, noise, schedule, trials))
         assert len(sampled) == trials
+        seeds = trial_seeds(schedule, trials)
         for t in (0, trials - 1):
-            result = run_protocol(data, noise, dataclasses.replace(schedule, seed=t))
+            result = run_protocol(data, noise, dataclasses.replace(schedule, seed=seeds[t]))
             assert sampled[t].detected == result.detected
             assert np.array_equal(sampled[t].amps, result.final_state.amplitudes)
 
@@ -958,10 +932,9 @@ class TestSharedTreeEngine:
             return real(state, k)
 
         monkeypatch.setattr(protocol_module, "_pcg64_random", spy)
-        schedule = ZenoSchedule(1.0, cycles, measurement_mode=MODE_STOCHASTIC, seed=0)
+        schedule = ZenoSchedule(1.0, cycles, measurement_mode=MODE_STOCHASTIC, seed=7)
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.6, 2)
-        seed_of = functools.partial(derive_trial_seed, 7, cycles)
-        sampled = list(sample_trials(data, noise, schedule, trials, seed_of))
+        sampled = list(sample_trials(data, noise, schedule, trials))
         assert len(sampled) == trials and all(trial.done for trial in sampled)
         batches = [min(protocol_module.SEED_BATCH, trials - start)
                    for start in range(0, trials, protocol_module.SEED_BATCH)]
@@ -975,10 +948,9 @@ class TestSharedTreeEngine:
         schedule = ZenoSchedule(1.0, cycles, measurement_mode=MODE_STOCHASTIC, seed=0)
         tree = protocol_module._OutcomeTree(new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.6, 2),
                                             schedule)
-        seed_of = functools.partial(derive_trial_seed, 7, cycles)
         tracemalloc.start()
         try:
-            sampled = list(protocol_module._batch_trials(tree, seed_of, 0, batch))
+            sampled = list(protocol_module._batch_trials(tree, 7, 0, batch))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1001,8 +973,7 @@ class TestSharedTreeEngine:
             raise AssertionError("an array batch walked a trial on its own")
 
         monkeypatch.setattr(protocol_module._OutcomeTree, "sample", refuse)
-        seed_of = functools.partial(derive_trial_seed, 7, cycles)
-        sampled = list(protocol_module._batch_trials(tree, seed_of, 0, batch))
+        sampled = list(protocol_module._batch_trials(tree, 7, 0, batch))
         assert len(sampled) == batch and all(trial.done for trial in sampled)
         assert any(trial.detected for trial in sampled) and len(built) <= 2 * cycles
 
@@ -1022,13 +993,13 @@ class TestSharedTreeEngine:
         data = new_state(1, [0.6, 0.8])
         noise = NoiseSpec((0.9, 0.6, 0.3)[:size], (0.1, 0.2, 0.0)[:size])
         schedule = ZenoSchedule(2.0, cycles, aux_strategy=strategy,
-                                measurement_mode=MODE_STOCHASTIC, seed=0, abort_policy=policy)
+                                measurement_mode=MODE_STOCHASTIC, seed=master, abort_policy=policy)
         trials = (protocol_module.ARRAY_TRIALS_PER_CYCLE * cycles
                   + protocol_module.ARRAY_MIN_TRIALS + offset)
-        seed_of = functools.partial(derive_trial_seed, master, cycles)
         level_tree, lone_tree = (protocol_module._OutcomeTree(data, noise, schedule)
                                  for _ in range(2))
-        draws = np.array([np.random.default_rng(seed_of(t)).random(cycles) for t in range(trials)]
+        draws = np.array([np.random.default_rng(seed).random(cycles)
+                          for seed in trial_seeds(schedule, trials)]
                          + [[level_tree.root.p_one] * cycles])
         levels = level_tree.walk_levels(draws)
         lone = [lone_tree.sample(ScriptedGenerator(row)) for row in draws]
@@ -1039,7 +1010,7 @@ class TestSharedTreeEngine:
         # lone_tree now links every node these draws reach
         warm = lone_tree.walk_levels(draws)
         assert all(got is want for got, want in zip(warm, lone, strict=True))
-        routed = protocol_module._batch_trials(lone_tree, seed_of, 0, trials)
+        routed = protocol_module._batch_trials(lone_tree, master, 0, trials)
         assert all(got is want for got, want in zip(routed, lone[:trials], strict=True))
 
     @pytest.mark.parametrize("capacity", [3, protocol_module.MAX_TREE_NODES])
@@ -1081,20 +1052,19 @@ class TestSharedTreeEngine:
     )
     def test_every_route_gives_run_protocol_on_its_seed(self, strategy, policy, trials, cycles,
                                                         per_cycle, batch, master):
-        # 0 trials per cycle sends every batch of 2 or more trials to the
-        # array route, 8 only batches of short trials
+        # 0 trials per cycle sends every batch to the array route, 8 only
+        # batches of short trials
         size = 2 if strategy == AUX_SINGLE else 3
         data = new_state(1, [0.6, 0.8])
         noise = NoiseSpec((0.9, 0.6, 0.3)[:size], (0.1, 0.2, 0.0)[:size])
         schedule = ZenoSchedule(2.0, cycles, aux_strategy=strategy,
-                                measurement_mode=MODE_STOCHASTIC, seed=0, abort_policy=policy)
-        seed_of = functools.partial(derive_trial_seed, master, cycles)
+                                measurement_mode=MODE_STOCHASTIC, seed=master, abort_policy=policy)
         with mock.patch.multiple(protocol_module, ARRAY_TRIALS_PER_CYCLE=per_cycle,
-                                 ARRAY_MIN_TRIALS=0, SEED_WORDS_MIN=2, SEED_BATCH=batch):
-            sampled = list(sample_trials(data, noise, schedule, trials, seed_of))
+                                 ARRAY_MIN_TRIALS=0, SEED_BATCH=batch):
+            sampled = list(sample_trials(data, noise, schedule, trials))
         assert len(sampled) == trials
-        for t, trial in enumerate(sampled):
-            result = run_protocol(data, noise, dataclasses.replace(schedule, seed=seed_of(t)))
+        for trial, seed in zip(sampled, trial_seeds(schedule, trials), strict=True):
+            result = run_protocol(data, noise, dataclasses.replace(schedule, seed=seed))
             assert trial.detected == result.detected
             assert trial.final_fidelity == result.final_fidelity
             assert np.array_equal(trial.amps, result.final_state.amplitudes)
@@ -1124,7 +1094,7 @@ class TestSharedTreeEngine:
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.3, 2)
         schedule = ZenoSchedule(1.0, 8, measurement_mode=MODE_STOCHASTIC, seed=0)
         with pytest.raises(NormDriftError):
-            list(sample_trials(data, noise, schedule, 10, trial_index))
+            list(sample_trials(data, noise, schedule, 10))
         with pytest.raises(NormDriftError):
             run_protocol(data, noise, schedule)
 

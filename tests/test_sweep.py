@@ -1,4 +1,6 @@
 """Sweep execution, seed derivation, and CSV determinism."""
+import dataclasses
+import math
 import os
 import signal
 
@@ -16,6 +18,7 @@ from zenosim import (
     derive_trial_seed,
     mix64,
     parse_config,
+    run_protocol,
     run_sweep,
     single_qubit_survival,
     write_csv,
@@ -109,6 +112,27 @@ class TestRunSweep:
             assert a.survival_probability == b.survival_probability
             assert a.mean_post_selected_fidelity == b.mean_post_selected_fidelity
             assert a.detection_rate == b.detection_rate
+
+    def test_default_single_trial_rows_are_run_protocol(self):
+        # trials left at its default of 1: each row is trial 0 of its n, and
+        # at this noise 8 of the 24 rows detect, so a wrong seed shows
+        outcomes = []
+        for master in range(8):
+            config = make_config(n_values="1, 2, 8", mode="stochastic", seed=master,
+                                 **{"lambda": "1.0, 0.2"})
+            assert config.trials == 1
+            for row, n in zip(run_sweep(config).rows, (1, 2, 8), strict=True):
+                schedule = dataclasses.replace(config.schedule, cycles=n,
+                                               seed=derive_trial_seed(master, n, 0))
+                result = run_protocol(config.data, config.noise, schedule)
+                outcomes.append(result.detected)
+                want = (result.survival_probability,
+                        math.nan if result.detected else result.final_fidelity,
+                        float(result.detected))
+                got = (row.survival_probability, row.mean_post_selected_fidelity,
+                       row.detection_rate)
+                assert np.array_equal(got, want, equal_nan=True)
+        assert sum(outcomes) == 8
 
     def test_one_eigendecomposition_per_config(self, monkeypatch):
         import zenosim.noise as noise_module
