@@ -174,13 +174,13 @@ class TestZenoSchedule:
         with pytest.raises(ValueError, match="seed"):
             ZenoSchedule(total_time=1.0, cycles=1, measurement_mode=MODE_STOCHASTIC)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.5, np.int64(-1)])
     def test_stochastic_seed_is_unsigned_64_bit(self, seed):
         with pytest.raises(ValueError, match=re.escape("[0, 2**64)")):
             ZenoSchedule(1.0, 1, measurement_mode=MODE_STOCHASTIC, seed=seed)
         assert ZenoSchedule(1.0, 1, measurement_mode=MODE_STOCHASTIC, seed=2**64 - 1).seed == 2**64 - 1
 
-    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.5, np.int64(-1)])
     def test_post_selected_seed_is_checked_too(self, seed):
         with pytest.raises(ValueError, match=re.escape("[0, 2**64)")):
             ZenoSchedule(1.0, 1, seed=seed)
@@ -821,8 +821,13 @@ class TestSharedTreeEngine:
         assert indices.dtype == np.uint64
         assert np.array_equal(indices, np.arange(protocol_module.SEED_BATCH))
 
-    def test_run_protocol_takes_the_seeds_sample_trials_takes(self, monkeypatch):
-        # the eight edge seeds, derived for trials 0 to 7 and seeded by _seed_words
+    @pytest.mark.parametrize("route", ["array", "generator"])
+    def test_run_protocol_takes_the_seeds_sample_trials_takes(self, monkeypatch, route):
+        # the eight edge seeds, derived for trials 0 to 7, seeded by
+        # _seed_words and walked on either route of _batch_trials
+        if route == "array":
+            monkeypatch.setattr(protocol_module, "ARRAY_TRIALS_PER_CYCLE", 0)
+            monkeypatch.setattr(protocol_module, "ARRAY_MIN_TRIALS", 0)
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.9, 2)
         schedule = ZenoSchedule(1.0, 8, measurement_mode=MODE_STOCHASTIC, seed=0)
         seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, np.uint64(2**64 - 1), True]
@@ -831,6 +836,34 @@ class TestSharedTreeEngine:
         trials = sample_trials(data, noise, schedule, len(seeds))
         for seed, trial in zip(seeds, trials, strict=True):
             result = run_protocol(data, noise, dataclasses.replace(schedule, seed=seed))
+            assert trial.detected == result.detected
+            assert trial.final_fidelity == result.final_fidelity
+            assert np.array_equal(trial.amps, result.final_state.amplitudes)
+
+    @pytest.mark.parametrize("trials", [1, 2, 5])
+    def test_few_trials_take_seed_words(self, monkeypatch, trials):
+        # a row of a few trials derives and hashes its seeds on arrays like
+        # any other; no trial is seeded through default_rng
+        data, noise = new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.6, 2)
+        schedule = ZenoSchedule(1.0, 8, measurement_mode=MODE_STOCHASTIC, seed=5)
+        want = [run_protocol(data, noise, dataclasses.replace(schedule, seed=seed))
+                for seed in trial_seeds(schedule, trials)]
+        hashed = []
+        real = protocol_module._seed_words
+
+        def spy(seeds):
+            hashed.append(seeds.copy())
+            return real(seeds)
+
+        def refuse(*args):
+            raise AssertionError("a few-trial row went through default_rng")
+
+        monkeypatch.setattr(protocol_module, "_seed_words", spy)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        got = list(sample_trials(data, noise, schedule, trials))
+        (seeds,) = hashed
+        assert seeds.tolist() == trial_seeds(schedule, trials)
+        for trial, result in zip(got, want, strict=True):
             assert trial.detected == result.detected
             assert trial.final_fidelity == result.final_fidelity
             assert np.array_equal(trial.amps, result.final_state.amplitudes)
