@@ -47,8 +47,6 @@ ABORT_POLICIES = (ABORT_ON_DETECT, RESET_AND_CONTINUE)
 #: residual auxiliary amplitude tolerated when decoding
 DECODE_TOL = 1e-9
 
-#: nodes an outcome tree keeps, about 0.95 KiB each for a 3-qubit register
-MAX_TREE_NODES = 1 << 14
 #: uniforms a stochastic trial draws at a time, so a long trial holds no
 #: O(n) array of them
 DRAW_BLOCK = 256
@@ -62,7 +60,7 @@ SEED_BATCH = 4096
 #: ARRAY_TRIALS_PER_CYCLE trials per cycle plus ARRAY_MIN_TRIALS: each
 #: generator costs a fixed set-up, each drawn column a fixed numpy overhead
 #: and each array draw more than a generator's. The break-even measured
-#: with timeit, route against route on a warm tree
+#: with timeit, route against route
 ARRAY_MAX_CYCLES = 32
 ARRAY_TRIALS_PER_CYCLE = 8
 ARRAY_MIN_TRIALS = 16
@@ -265,7 +263,7 @@ def run_protocol(data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule) ->
     which reproduces the per-cycle circuit float for float. The walk steps
     at most MAX_REPLAY_CYCLES cycles, and raises ValueError past it.
 
-    A stochastic run walks one trial as :func:`sample_trials` does, on a
+    A stochastic run walks one trial down the outcome tree, in full, on a
     generator in the state of ``default_rng(schedule.seed)``: here
     ``schedule.seed`` is the trial's own seed, so trial t of a row sampled
     on master seed m is this run on ``derive_trial_seed(m, cycles, t)``.
@@ -279,10 +277,8 @@ def run_protocol(data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule) ->
     """
     if schedule.measurement_mode == MODE_STOCHASTIC:
         steps: list[tuple[int, float, np.ndarray] | None] = []
-        # ZenoSchedule has checked the seed; one trial never revisits a node,
-        # so the tree links none
-        rng = np.random.default_rng(schedule.seed)
-        trial = _OutcomeTree(data, noise, schedule, capacity=0).sample(rng, steps)
+        rng = np.random.default_rng(schedule.seed)  # ZenoSchedule has checked the seed
+        trial = _OutcomeTree(data, noise, schedule).sample(rng, steps)
         size = schedule.register_size
         return ProtocolResult(
             survival_probability=0.0 if trial.detected else 1.0,
@@ -392,21 +388,21 @@ def run_post_selected(
 
 def sample_trials(
     data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule, trials: int
-) -> Iterator[HistoryNode]:
-    """Run stochastic trials 0, ..., trials - 1; yield each trial's final node.
+) -> Iterator[HistoryNode | None]:
+    """Run stochastic trials 0, ..., trials - 1, each to its first detection;
+    yield the leaf each survivor ends on, and None for each trial that detects.
 
     Trial t draws one uniform per cycle, the uniforms
     ``default_rng(derive_trial_seed(schedule.seed, schedule.cycles, t)).random``
     gives, so ``schedule.seed`` is the master seed of the row, and measures
     1 in a cycle when its draw is below that cycle's Born probability of 1,
-    exactly as :func:`zeno_cycle` samples. A trial's register depends only
-    on its outcome history, so all trials walk one shared tree of histories,
-    built once per (data, noise, schedule), whose nodes are computed the
-    first time a trial reaches them. Under abort-on-detect every running
-    trial sits on the single no-error path; under reset-and-continue trials
-    share history prefixes. The tree holds at most MAX_TREE_NODES nodes;
-    past that, nodes are built for the trial, or the array batch, at hand
-    and dropped after it.
+    exactly as :func:`zeno_cycle` samples. Until its first 1 a trial walks
+    the no-error path of the row's outcome tree, built only as deep as some
+    trial reaches: it detects at its first draw below that path's Born
+    probability of 1, or where the path ends in certain detection, and
+    survives to its leaf otherwise. So every survivor ends on that one
+    leaf, under either policy; a reset-and-continue trial's tail moves no
+    row, and is not run here (:func:`run_protocol` runs it).
 
     Seeds are derived lazily, SEED_BATCH trials at a time, and each batch is
     seeded and drawn by one of two routes, as :func:`_batch_trials` says;
@@ -443,33 +439,36 @@ def derive_trial_seed(master_seed: int, n: int, trial):
 
 
 def _batch_trials(tree: _OutcomeTree, master_seed: int, start: int, stop: int
-                  ) -> Iterable[HistoryNode]:
-    """The final node of each trial t in [start, stop), walked on the
-    uniforms of ``default_rng(derive_trial_seed(master_seed, tree.cycles,
-    t))``. The batch's seeds are derived in one call on a uint64 array of
-    indices and hashed through :func:`_seed_words` in one pass; then the
-    batch takes one of two routes, by the fixed costs measured for each:
+                  ) -> Iterable[HistoryNode | None]:
+    """The leaf each surviving trial t in [start, stop) ends on, None for
+    each that detects, trial t drawn on the uniforms of
+    ``default_rng(derive_trial_seed(master_seed, tree.cycles, t))``. The
+    batch's seeds are derived in one call on a uint64 array of indices and
+    hashed through :func:`_seed_words` in one pass; then the batch takes one
+    of two routes, by the fixed costs measured for each:
 
     - a batch of trials at most ARRAY_MAX_CYCLES cycles long, and of at
       least ARRAY_TRIALS_PER_CYCLE trials per cycle plus ARRAY_MIN_TRIALS,
-      draws every uniform on uint64 arrays in one pass
-      (:func:`_pcg64_random`), with no generator built, and walks all its
-      trials on them one level at a time (:meth:`_OutcomeTree.walk_levels`):
-      a batch holds at most SEED_BATCH trials, so it draws at most
-      SEED_BATCH * ARRAY_MAX_CYCLES uniforms;
+      draws every uniform on uint64 arrays in one pass (:func:`_pcg64_random`)
+      and compares them all with the no-error path at once
+      (:meth:`_OutcomeTree.survivors`), with no generator built: a batch
+      holds at most SEED_BATCH trials, so it draws at most SEED_BATCH *
+      ARRAY_MAX_CYCLES uniforms;
     - any other batch, of long trials or of few trials per cycle, hands
-      each trial a PCG64 generator in the state of its seed's words: every
-      array column, and every level of the walk, costs a fixed numpy
-      overhead however few trials it holds.
+      each trial a PCG64 generator in the state of its seed's words
+      (:meth:`_OutcomeTree.survives`): every array column costs a fixed
+      numpy overhead however few trials it holds.
     """
     cycles = tree.cycles
     words = _seed_words(derive_trial_seed(master_seed, cycles,
                                           np.arange(start, stop, dtype=np.uint64)))
     if (cycles <= ARRAY_MAX_CYCLES
             and stop - start >= ARRAY_TRIALS_PER_CYCLE * cycles + ARRAY_MIN_TRIALS):
-        return tree.walk_levels(_pcg64_random(_pcg64_state(words), cycles))
+        survived = tree.survivors(_pcg64_random(_pcg64_state(words), cycles))
+        return [tree.end if alive else None for alive in survived.tolist()]
     seed_words = _seed_words_class()
-    return (tree.sample(np.random.Generator(np.random.PCG64(seed_words(row)))) for row in words)
+    return (tree.end if tree.survives(np.random.Generator(np.random.PCG64(seed_words(row))))
+            else None for row in words)
 
 
 def _seed_words(seeds: np.ndarray) -> np.ndarray:
@@ -590,8 +589,7 @@ class HistoryNode:
     history of cycle outcomes, and ``cycle``, the ``(outcome, Born
     probability, read-only amplitudes after)`` of its last cycle.
 
-    A stochastic trial, or a post-selected replay walking the outcome-0
-    children, ends on a node that has completed every cycle, that measured 1
+    A run ends on a node that has completed every cycle, that measured 1
     under abort-on-detect, or that a zero-probability branch ended (its
     ``cycle`` is None and ``amps`` is the register after that cycle's noise
     slice); such a node also holds ``final_fidelity``, against the noiseless
@@ -599,10 +597,8 @@ class HistoryNode:
     slice and the disentangling CNOT, and its Born probability of 1.
     """
 
-    __slots__ = (
-        "amps", "cycle", "depth", "detected", "done", "final_fidelity",
-        "disentangled", "aux_q", "p_one", "children",
-    )
+    __slots__ = ("amps", "cycle", "depth", "detected", "done", "final_fidelity", "disentangled",
+                 "aux_q", "p_one")
 
     def __init__(self, amps, cycle, depth, detected, done):
         amps.flags.writeable = False
@@ -611,24 +607,27 @@ class HistoryNode:
         self.depth = depth
         self.detected = detected
         self.done = done
-        self.children = [None, None]
 
 
 class _OutcomeTree:
-    """The shared tree of outcome histories for one (data, noise, schedule).
+    """The tree of outcome histories of one (data, noise, schedule), stepped
+    a node at a time with the numpy operations of the per-cycle gate calls,
+    in their order, so every float is theirs; the CNOTs and the reset's
+    Pauli-X are index permutations, and the norm those calls checked at
+    every node is checked once, as the propagator's unitarity. No node links
+    its children. :func:`run_protocol` walks one trial down the tree
+    (:meth:`sample`); a post-selected replay and a stochastic row walk its
+    no-error path, which each trial follows until its first 1.
 
-    Stochastic trials sample their way down it; a post-selected replay walks
-    its no-error path, the outcome-0 child of every node. Nodes are stepped
-    on raw arrays with the numpy operations of the per-cycle gate calls, in
-    their order, so every float is theirs; the reset's Pauli-X is an index
-    permutation. The norm those calls checked at every node is checked once,
-    as the propagator's unitarity. The tree links at most ``capacity`` nodes
-    below the root (MAX_TREE_NODES when None); the others are built for the
-    walk at hand and dropped after it.
+    A row builds that path a node deeper each time a running trial stands
+    past its deepest node, ``deepest``, and keeps its Born probabilities of
+    1: ``p_one[:length]``, 8 bytes a depth in an array that doubles as it
+    fills. ``end`` is None until the path ends, then the node it ends on:
+    the no-error leaf, or a node whose no-error branch held no probability,
+    which detects with certainty.
     """
 
-    def __init__(self, data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule,
-                 capacity: int | None = None):
+    def __init__(self, data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule):
         encoded, self.step = _prepare(data, noise, schedule.aux_count, schedule.interval)
         defect = np.abs(self.step.conj().T @ self.step - np.eye(len(self.step))).max()
         if not defect <= NORM_TOL:  # a NaN defect fails too
@@ -638,65 +637,69 @@ class _OutcomeTree:
         self.cycles = schedule.cycles
         self.aux_count = schedule.aux_count
         self.reset = schedule.abort_policy == RESET_AND_CONTINUE
-        self.capacity = MAX_TREE_NODES if capacity is None else capacity
-        self.size = 0
-        self.root = self._node(self.encoded, None, 0, False)
+        self.root = self.deepest = self._node(self.encoded, None, 0, False)
+        self.p_one, self.length, self.end = np.array([self.root.p_one]), 1, None
 
-    def sample(self, rng: np.random.Generator, steps: list | None = None) -> HistoryNode:
-        """Walk one trial down the tree to the node it ends on, on uniforms
-        drawn from ``rng``, a fresh generator of that trial, at most
-        DRAW_BLOCK at a time: one cycle per uniform, measuring 1 where the
-        uniform is below the cycle's Born probability of 1. If ``steps`` is
-        given, append the ``cycle`` of every node passed."""
+    def sample(self, rng: np.random.Generator, steps: list) -> HistoryNode:
+        """Walk one trial down the tree to the node it ends on, appending the
+        ``cycle`` of every node passed to ``steps``, on uniforms drawn from
+        ``rng``, a fresh generator of that trial, at most DRAW_BLOCK at a
+        time: a uniform below the cycle's Born probability of 1 measures 1."""
         node = self.root
         while not node.done:
             for u in rng.random(min(self.cycles - node.depth, DRAW_BLOCK)).tolist():
-                outcome = 1 if u < node.p_one else 0
-                node = node.children[outcome] or self._child(node, outcome)
-                if steps is not None:
-                    steps.append(node.cycle)
+                node = self._child(node, 1 if u < node.p_one else 0)
+                steps.append(node.cycle)
                 if node.done:
                     break
         return node
 
-    def walk_levels(self, draws: np.ndarray) -> list[HistoryNode]:
-        """The node each trial ends on, trial i walked on row i of the
-        ``(trials, cycles)`` uniforms ``draws`` as :meth:`sample` walks it,
-        all trials one level at a time. The running trials sit on a few
-        distinct nodes: at depth j each compares column j with its node's
-        ``p_one``, and the trials that share a (node, outcome) share its
-        child, built or looked up once. Under abort-on-detect at most one
-        node runs per level. A child the full tree does not link is shared
-        by its trials here and dropped after the batch; its floats are those
-        of the child a lone trial builds, as every node's depend only on its
-        history."""
-        final = np.empty(len(draws), dtype=object)
-        trials = np.arange(len(draws))  # the running trials, and the node each sits on
-        at = np.zeros(len(draws), dtype=np.intp)
-        nodes = [self.root]
-        for column in draws.T:
-            key = 2 * at + (column[trials] < np.array([node.p_one for node in nodes])[at])
-            # the (node, outcome) pairs present, found in node order with no sort
-            present = np.zeros(2 * len(nodes), dtype=bool)
-            present[key] = True
-            child_of = np.empty(len(present), dtype=object)
-            slot = [-1] * len(present)  # a pair's child's place in the next level, -1 if done
-            parents, nodes = nodes, []
-            for k in np.flatnonzero(present).tolist():
-                parent = parents[k >> 1]
-                child = child_of[k] = parent.children[k & 1] or self._child(parent, k & 1)
-                if not child.done:
-                    slot[k] = len(nodes)
-                    nodes.append(child)
-            at = np.array(slot)[key]
-            retired = at < 0
-            if retired.any():
-                final[trials[retired]] = child_of[key[retired]]
-                if not nodes:
-                    break
-                running = ~retired
-                trials, at = trials[running], at[running]
-        return final.tolist()
+    def survivors(self, draws: np.ndarray) -> np.ndarray:
+        """Which trials survive, row i of the ``(trials, cycles)`` uniforms
+        ``draws`` those of one trial's every cycle, all compared with the
+        no-error path at once; a draw below its depth's ``p_one`` measures 1."""
+        running = ~(draws[:, :self.length] < self.p_one[:self.length]).any(axis=1)
+        # the running trials past the deepest node step the path a node a column
+        while np.count_nonzero(running) and self._grow():
+            running &= ~(draws[:, self.length - 1] < self.deepest.p_one)
+        # the trials still running stand on the end
+        return running if self.end is None or not self.end.detected else np.zeros_like(running)
+
+    def survives(self, rng: np.random.Generator) -> bool:
+        """Whether the trial drawing on ``rng``, a fresh generator of its
+        own, survives: it draws at most DRAW_BLOCK uniforms at a time,
+        compares each block with the no-error path in one operation, and
+        stops at its first 1."""
+        depth = 0
+        while depth < self.cycles:
+            block = rng.random(min(self.cycles - depth, DRAW_BLOCK))
+            built = min(self.length, depth + len(block))
+            if (block[:built - depth] < self.p_one[depth:built]).any():
+                return False
+            # past the deepest node the trial steps the path a node a draw
+            for u in block[built - depth:].tolist():
+                if not self._grow():
+                    return not self.end.detected
+                if u < self.deepest.p_one:
+                    return False
+            depth += len(block)
+        self._grow()
+        return not self.end.detected
+
+    def _grow(self) -> bool:
+        """Step the no-error path a node deeper unless it has ended; True if that node runs."""
+        if self.end is not None:
+            return False
+        node = self._child(self.deepest, 0)
+        if node.done:
+            self.end = node
+            return False
+        if self.length == len(self.p_one):  # the entries past length are written before read
+            self.p_one = np.resize(self.p_one, min(2 * self.length, self.cycles))
+        self.p_one[self.length] = node.p_one
+        self.deepest = node
+        self.length += 1
+        return True
 
     def _node(self, amps, cycle, depth, detected, done=False) -> HistoryNode:
         node = HistoryNode(amps, cycle, depth, detected, done or depth == self.cycles)
@@ -710,33 +713,29 @@ class _OutcomeTree:
         return node
 
     def _child(self, node: HistoryNode, outcome: int) -> HistoryNode:
-        """Build the node one cycle below ``node`` for ``outcome``, and keep
-        it while the tree has room."""
+        """Build the node one cycle below ``node`` for ``outcome``."""
         num_qubits, aux_q, depth = self.num_qubits, node.aux_q, node.depth + 1
         cnot = _cnot_permutation(num_qubits, 0, aux_q)
         sel = _outcome_indices(num_qubits, aux_q, outcome)
         branch = node.disentangled[sel]
-        prob = float(np.vdot(branch, branch).real)
+        # the Born probability of 1 is the vdot p_one took of this branch
+        prob = node.p_one if outcome else float(np.vdot(branch, branch).real)
         if prob < _MIN_BRANCH_PROB:
             # the sampled branch carries no probability: detection is certain;
             # the CNOT is its own inverse, so this is the register after the noise
-            child = self._node(node.disentangled[cnot], None, depth, True, done=True)
-        else:
-            collapsed = np.zeros(node.disentangled.size, dtype=complex)
-            collapsed[sel] = branch / np.sqrt(prob)
-            if outcome == 0:
-                after = collapsed[cnot]
-                child = self._node(after, (0, min(prob, 1.0), after), depth, node.detected)
-            else:
-                collapsed.flags.writeable = False
-                cycle, stop = (1, min(prob, 1.0), collapsed), not self.reset
-                # a reset re-zeros the measured auxiliary (Pauli-X) and re-entangles
-                state = collapsed if stop else collapsed[cnot ^ _bit_mask(num_qubits, aux_q)]
-                child = self._node(state, cycle, depth, True, stop)
-        if self.size < self.capacity:
-            node.children[outcome] = child
-            self.size += 1
-        return child
+            return self._node(node.disentangled[cnot], None, depth, True, done=True)
+        state = np.zeros(node.disentangled.size, dtype=complex)
+        if outcome == 0:
+            # the CNOT is its own inverse: re-entangling moves the branch to cnot[sel]
+            state[cnot[sel]] = branch / np.sqrt(prob)
+            return self._node(state, (0, min(prob, 1.0), state), depth, node.detected)
+        state[sel] = branch / np.sqrt(prob)
+        state.flags.writeable = False
+        cycle = (1, min(prob, 1.0), state)
+        if not self.reset:
+            return self._node(state, cycle, depth, True, done=True)
+        # a reset re-zeros the measured auxiliary (Pauli-X) and re-entangles
+        return self._node(state[cnot ^ _bit_mask(num_qubits, aux_q)], cycle, depth, True)
 
 
 def _prepare(data: StateVector, noise: NoiseSpec, aux_count: int, times: float | list[float]):
@@ -753,7 +752,7 @@ def _row_result(data, noise, schedule, n) -> PostSelectedRow:
     if n > MAX_REPLAY_CYCLES:
         raise ValueError(f"{n} cycles need a cycle-by-cycle replay of the no-error "
                          f"branch, longer than MAX_REPLAY_CYCLES = {MAX_REPLAY_CYCLES}")
-    tree = _OutcomeTree(data, noise, replace(schedule, cycles=n), capacity=0)
+    tree = _OutcomeTree(data, noise, replace(schedule, cycles=n))
     node, survival, log_survival = tree.root, 1.0, 0.0
     while not node.done:
         node = tree._child(node, 0)

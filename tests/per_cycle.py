@@ -1,13 +1,15 @@
-"""The per-cycle stochastic engine, kept as the reference the shared-tree
-engine is checked against: ``zenosim.protocol.sample_trials``, the one
-sampler, which runs trials 0, ..., trials - 1 with trial t seeded by
-``derive_trial_seed(schedule.seed, schedule.cycles, t)``.
+"""The per-cycle stochastic engine, kept as the reference the sampler is
+checked against: ``zenosim.protocol.sample_trials``, which runs trials 0,
+..., trials - 1 with trial t seeded by
+``derive_trial_seed(schedule.seed, schedule.cycles, t)``, each only to its
+first detection, on the row's no-error path.
 
 ``run_stochastic`` steps one trial cycle by cycle through ``zeno_cycle``,
 drawing one scalar uniform per cycle; ``stochastic_point`` runs a sweep
-row's trials one by one through it, each with its own schedule. Both are
-the engine zenosim used before trials shared an outcome tree, and the new
-engine must reproduce them exactly, float for float.
+row's trials one by one through it, each with its own schedule and in
+full, reset-and-continue tails included. Both are the engine zenosim used
+before trials shared an outcome tree, and the sampler must reproduce them
+exactly, float for float.
 """
 import math
 from dataclasses import replace

@@ -633,6 +633,29 @@ def assert_same_run(result, reference):
         assert np.array_equal(got.state_after.amplitudes, want.state_after.amplitudes)
 
 
+def assert_trial_is_run(trial, result):
+    """A trial sample_trials yields, the leaf it survived to or None, against
+    run_protocol on the trial's seed."""
+    assert (trial is None) == result.detected
+    if trial is not None:
+        assert trial.final_fidelity == result.final_fidelity
+        assert np.array_equal(trial.amps, result.final_state.amplitudes)
+
+
+def count_children(monkeypatch) -> list:
+    """The (outcome, depth) of every node _OutcomeTree._child builds from now on."""
+    built = []
+    real = protocol_module._OutcomeTree._child
+
+    def spy(tree, node, outcome):
+        child = real(tree, node, outcome)
+        built.append((outcome, child.depth))
+        return child
+
+    monkeypatch.setattr(protocol_module._OutcomeTree, "_child", spy)
+    return built
+
+
 def stochastic_config(strategy, policy, lam, mu, amps, n_values, trials, seed, total_time=1.0):
     size = 2 if strategy == AUX_SINGLE else 3
     return parse_config(
@@ -715,19 +738,19 @@ class TestSharedTreeEngine:
             drawn = block.random(7).tolist() + block.random(DRAW_BLOCK).tolist()
             assert drawn == [scalar.random() for _ in range(7 + DRAW_BLOCK)]
 
-    def test_full_tree_drops_nodes_but_not_results(self, monkeypatch):
-        monkeypatch.setattr(protocol_module, "MAX_TREE_NODES", 3)
+    def test_reset_row_builds_no_tail(self, monkeypatch):
+        # reset-and-continue trials that often measure 1: the row builds its
+        # no-error path and no node past any trial's first 1
         config = stochastic_config(
             AUX_SINGLE, RESET_AND_CONTINUE, (1.2, 0.4), (0.0, 0.0), (0.6, 0.0, 0.8, 0.0),
             (16,), 20, 3,
         )
+        built = count_children(monkeypatch)
+        (row,) = run_sweep(config).rows
+        assert 0 < row.detection_rate < 1
+        assert {outcome for outcome, _ in built} == {0} and len(built) <= 16
+        monkeypatch.undo()
         assert_matches_per_cycle_engine(config)
-        schedule = ZenoSchedule(1.0, 16, measurement_mode=MODE_STOCHASTIC, seed=0,
-                                abort_policy=RESET_AND_CONTINUE)
-        tree = protocol_module._OutcomeTree(config.data, config.noise, schedule)
-        for seed in range(20):
-            tree.sample(np.random.default_rng(seed))
-        assert tree.size == 3
 
     @pytest.mark.parametrize(
         "lam, draws, failing_cycle",
@@ -813,9 +836,8 @@ class TestSharedTreeEngine:
         monkeypatch.setattr(protocol_module, "derive_trial_seed", derive)
         trials = itertools.islice(sample_trials(data, noise, schedule, 10**12), 5)
         for seed, trial in enumerate(trials):
-            result = run_protocol(data, noise, dataclasses.replace(schedule, seed=seed))
-            assert trial.detected == result.detected
-            assert trial.final_fidelity == result.final_fidelity
+            assert_trial_is_run(trial, run_protocol(data, noise,
+                                                    dataclasses.replace(schedule, seed=seed)))
         assert seed == 4
         (indices,) = calls
         assert indices.dtype == np.uint64
@@ -835,10 +857,8 @@ class TestSharedTreeEngine:
                             lambda master, n, t: np.array(seeds, dtype=np.uint64)[t])
         trials = sample_trials(data, noise, schedule, len(seeds))
         for seed, trial in zip(seeds, trials, strict=True):
-            result = run_protocol(data, noise, dataclasses.replace(schedule, seed=seed))
-            assert trial.detected == result.detected
-            assert trial.final_fidelity == result.final_fidelity
-            assert np.array_equal(trial.amps, result.final_state.amplitudes)
+            assert_trial_is_run(trial, run_protocol(data, noise,
+                                                    dataclasses.replace(schedule, seed=seed)))
 
     @pytest.mark.parametrize("trials", [1, 2, 5])
     def test_few_trials_take_seed_words(self, monkeypatch, trials):
@@ -864,9 +884,7 @@ class TestSharedTreeEngine:
         (seeds,) = hashed
         assert seeds.tolist() == trial_seeds(schedule, trials)
         for trial, result in zip(got, want, strict=True):
-            assert trial.detected == result.detected
-            assert trial.final_fidelity == result.final_fidelity
-            assert np.array_equal(trial.amps, result.final_state.amplitudes)
+            assert_trial_is_run(trial, result)
 
     def test_rejects_post_selected_schedule(self):
         with pytest.raises(ValueError, match="stochastic"):
@@ -900,10 +918,8 @@ class TestSharedTreeEngine:
             sampled = list(sample_trials(data, noise, schedule, trials))
         assert len(sampled) == trials
         for trial, seed in zip(sampled, trial_seeds(schedule, trials), strict=True):
-            result = run_protocol(data, noise, dataclasses.replace(schedule, seed=seed))
-            assert trial.detected == result.detected
-            assert trial.final_fidelity == result.final_fidelity
-            assert np.array_equal(trial.amps, result.final_state.amplitudes)
+            assert_trial_is_run(trial, run_protocol(data, noise,
+                                                    dataclasses.replace(schedule, seed=seed)))
 
     def test_many_short_trials_build_no_generator(self, monkeypatch):
         # the fewest trials per cycle that the array route takes
@@ -920,11 +936,9 @@ class TestSharedTreeEngine:
         for name in ("PCG64", "Generator", "default_rng"):
             monkeypatch.setattr(np.random, name, refuse)
         got = list(sample_trials(data, noise, schedule, trials))
-        assert [t.detected for t in got] == [r.detected for r in want]
-        assert any(t.detected for t in got) and not all(t.detected for t in got)
+        assert None in got and any(trial is not None for trial in got)
         for trial, result in zip(got, want, strict=True):
-            assert trial.final_fidelity == result.final_fidelity
-            assert np.array_equal(trial.amps, result.final_state.amplitudes)
+            assert_trial_is_run(trial, result)
 
     @pytest.mark.parametrize("trials, cycles", [
         (100, 64), (100, 256), (protocol_module.SEED_BATCH, protocol_module.ARRAY_MAX_CYCLES + 1),
@@ -945,9 +959,8 @@ class TestSharedTreeEngine:
         assert len(sampled) == trials
         seeds = trial_seeds(schedule, trials)
         for t in (0, trials - 1):
-            result = run_protocol(data, noise, dataclasses.replace(schedule, seed=seeds[t]))
-            assert sampled[t].detected == result.detected
-            assert np.array_equal(sampled[t].amps, result.final_state.amplitudes)
+            assert_trial_is_run(sampled[t], run_protocol(
+                data, noise, dataclasses.replace(schedule, seed=seeds[t])))
 
     @pytest.mark.parametrize("trials, cycles", [
         (protocol_module.ARRAY_TRIALS_PER_CYCLE * 8 + protocol_module.ARRAY_MIN_TRIALS, 8),
@@ -968,7 +981,7 @@ class TestSharedTreeEngine:
         schedule = ZenoSchedule(1.0, cycles, measurement_mode=MODE_STOCHASTIC, seed=7)
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.6, 2)
         sampled = list(sample_trials(data, noise, schedule, trials))
-        assert len(sampled) == trials and all(trial.done for trial in sampled)
+        assert len(sampled) == trials and None in sampled
         batches = [min(protocol_module.SEED_BATCH, trials - start)
                    for start in range(0, trials, protocol_module.SEED_BATCH)]
         assert calls == [(batch, cycles) for batch in batches]
@@ -987,28 +1000,27 @@ class TestSharedTreeEngine:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(sampled) == batch and any(trial.detected for trial in sampled)
+        assert len(sampled) == batch and None in sampled
         assert peak <= 5 * batch * cycles * 8
 
-    def test_an_array_batch_walks_level_by_level(self, monkeypatch):
-        # under abort-on-detect at most one node runs a level, so a tree that
-        # links no node builds at most two children a level for all trials
+    def test_an_array_batch_compares_its_trials_at_once(self, monkeypatch):
+        # no trial is walked on its own, and the batch builds at most one
+        # node a cycle, all on its no-error path
         batch, cycles = protocol_module.SEED_BATCH, 8
         schedule = ZenoSchedule(1.0, cycles, measurement_mode=MODE_STOCHASTIC, seed=0)
         tree = protocol_module._OutcomeTree(new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.6, 2),
-                                            schedule, capacity=0)
-        built = []
-        child = tree._child
-        monkeypatch.setattr(tree, "_child", lambda node, outcome: built.append(node)
-                            or child(node, outcome))
+                                            schedule)
+        built = count_children(monkeypatch)
 
         def refuse(*args, **kwargs):
             raise AssertionError("an array batch walked a trial on its own")
 
+        monkeypatch.setattr(protocol_module._OutcomeTree, "survives", refuse)
         monkeypatch.setattr(protocol_module._OutcomeTree, "sample", refuse)
         sampled = list(protocol_module._batch_trials(tree, 7, 0, batch))
-        assert len(sampled) == batch and all(trial.done for trial in sampled)
-        assert any(trial.detected for trial in sampled) and len(built) <= 2 * cycles
+        assert len(sampled) == batch and None in sampled
+        assert all(trial is None or trial is tree.end for trial in sampled)
+        assert built == [(0, depth) for depth in range(1, cycles + 1)]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1018,10 +1030,12 @@ class TestSharedTreeEngine:
         offset=st.integers(-2, 2),
         master=st.integers(0, 2**64 - 1),
     )
-    def test_level_walk_is_the_per_trial_walk(self, strategy, policy, cycles, offset, master):
+    def test_path_walk_is_the_per_trial_walk(self, strategy, policy, cycles, offset, master):
         # trials on both sides of the array rule's edge, each on its seed's
-        # uniforms, and one more trial whose every draw is the root's Born
-        # probability of 1, which measures 0 there
+        # uniforms, one more trial whose every draw is the root's Born
+        # probability of 1, which measures 0 there, and one whose every draw
+        # is its depth's; each compared with the whole path at once, block
+        # by block on a generator, and cycle by cycle down the tree
         size = 2 if strategy == AUX_SINGLE else 3
         data = new_state(1, [0.6, 0.8])
         noise = NoiseSpec((0.9, 0.6, 0.3)[:size], (0.1, 0.2, 0.0)[:size])
@@ -1029,49 +1043,57 @@ class TestSharedTreeEngine:
                                 measurement_mode=MODE_STOCHASTIC, seed=master, abort_policy=policy)
         trials = (protocol_module.ARRAY_TRIALS_PER_CYCLE * cycles
                   + protocol_module.ARRAY_MIN_TRIALS + offset)
-        level_tree, lone_tree = (protocol_module._OutcomeTree(data, noise, schedule)
-                                 for _ in range(2))
+        array_tree, generator_tree, tree, full = (
+            protocol_module._OutcomeTree(data, noise, schedule) for _ in range(4))
+        while full._grow():
+            pass
+        edge = full.p_one[:full.length].tolist() + [0.5] * (cycles - full.length)
         draws = np.array([np.random.default_rng(seed).random(cycles)
                           for seed in trial_seeds(schedule, trials)]
-                         + [[level_tree.root.p_one] * cycles])
-        levels = level_tree.walk_levels(draws)
-        lone = [lone_tree.sample(ScriptedGenerator(row)) for row in draws]
-        assert len(levels) == trials + 1
-        for got, want in zip(levels, lone, strict=True):
-            assert (got.detected, got.final_fidelity) == (want.detected, want.final_fidelity)
-            assert np.array_equal(got.amps, want.amps)
-        # lone_tree now links every node these draws reach
-        warm = lone_tree.walk_levels(draws)
-        assert all(got is want for got, want in zip(warm, lone, strict=True))
-        routed = protocol_module._batch_trials(lone_tree, master, 0, trials)
-        assert all(got is want for got, want in zip(routed, lone[:trials], strict=True))
+                         + [[tree.root.p_one] * cycles, edge])
+        survived = array_tree.survivors(draws)
+        lone = [tree.sample(ScriptedGenerator(row), []) for row in draws]
+        assert survived.tolist() == [generator_tree.survives(ScriptedGenerator(row))
+                                     for row in draws]
+        for alive, want in zip(survived.tolist(), lone, strict=True):
+            assert alive != want.detected
+            if alive:
+                assert array_tree.end.final_fidelity == want.final_fidelity
+                assert np.array_equal(array_tree.end.amps, want.amps)
+        # a warm path hands every survivor its one leaf, on either route
+        routed = protocol_module._batch_trials(array_tree, master, 0, trials)
+        assert all(trial is array_tree.end if alive else trial is None
+                   for trial, alive in zip(routed, survived[:trials].tolist(), strict=True))
+        # the edge trial alone steps a cold path through every depth it reaches
+        cold = [protocol_module._OutcomeTree(data, noise, schedule) for _ in range(2)]
+        assert cold[0].survives(ScriptedGenerator(edge)) == (not full.end.detected)
+        assert cold[1].survivors(np.array([edge])).tolist() == [not full.end.detected]
+        assert survived[-1] == (not full.end.detected)
 
-    @pytest.mark.parametrize("capacity", [3, protocol_module.MAX_TREE_NODES])
     @pytest.mark.parametrize("policy", [ABORT_ON_DETECT, RESET_AND_CONTINUE])
     @pytest.mark.parametrize("lam, rows", [
         # the no-error branch holds ~1e-33 in the first cycle
         ((np.pi / 2, 0.0), [[1.0 - 2.0**-53], [0.0], [0.5]]),
         # the failure branch holds ~1e-17 in the second cycle
         ((1e-8, 0.0), [[0.5, 0.0, 0.5], [0.5, 0.5, 0.5], [0.0, 0.5, 0.5], [0.5, 0.0, 0.0]]),
+        # the no-error branch holds ~1e-33 in the first of two cycles, so the
+        # path ends inside a trial's block of draws
+        ((np.pi, 0.0), [[0.5, 0.5], [0.0, 0.5]]),
     ])
-    def test_level_walk_of_zero_branches_and_full_trees(self, monkeypatch, capacity, policy,
-                                                        lam, rows):
-        monkeypatch.setattr(protocol_module, "MAX_TREE_NODES", capacity)
+    def test_path_walk_of_zero_branches(self, policy, lam, rows):
         schedule = ZenoSchedule(1.0, len(rows[0]), measurement_mode=MODE_STOCHASTIC, seed=0,
                                 abort_policy=policy)
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec(lam=lam)
-        level_tree, lone_tree = (protocol_module._OutcomeTree(data, noise, schedule)
-                                 for _ in range(2))
+        tree = protocol_module._OutcomeTree(data, noise, schedule)
         # and a trial whose draws equal the root's Born probability of 1
-        draws = np.array(rows + [[level_tree.root.p_one] * len(rows[0])])
-        levels = level_tree.walk_levels(draws)
-        lone = [lone_tree.sample(ScriptedGenerator(row)) for row in draws]
-        assert any(trial.cycle is None for trial in levels)
-        for got, want in zip(levels, lone, strict=True):
-            assert (got.detected, got.cycle is None) == (want.detected, want.cycle is None)
-            assert got.final_fidelity == want.final_fidelity
-            assert np.array_equal(got.amps, want.amps)
-        assert level_tree.size == lone_tree.size <= capacity
+        draws = np.array(rows + [[tree.root.p_one] * len(rows[0])])
+        survived = protocol_module._OutcomeTree(data, noise, schedule).survivors(draws)
+        generator_tree = protocol_module._OutcomeTree(data, noise, schedule)
+        lone = [tree.sample(ScriptedGenerator(row), []) for row in draws]
+        assert any(want.cycle is None for want in lone)
+        assert survived.tolist() == [not want.detected for want in lone]
+        assert [generator_tree.survives(ScriptedGenerator(row))
+                for row in draws] == survived.tolist()
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -1097,29 +1119,8 @@ class TestSharedTreeEngine:
             sampled = list(sample_trials(data, noise, schedule, trials))
         assert len(sampled) == trials
         for trial, seed in zip(sampled, trial_seeds(schedule, trials), strict=True):
-            result = run_protocol(data, noise, dataclasses.replace(schedule, seed=seed))
-            assert trial.detected == result.detected
-            assert trial.final_fidelity == result.final_fidelity
-            assert np.array_equal(trial.amps, result.final_state.amplitudes)
-
-    def test_single_trial_links_no_nodes(self, monkeypatch):
-        trees = []
-
-        class RecordingTree(protocol_module._OutcomeTree):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                trees.append(self)
-
-        monkeypatch.setattr(protocol_module, "_OutcomeTree", RecordingTree)
-        schedule = ZenoSchedule(4.0, 500, aux_strategy=AUX_DUAL_ALTERNATING,
-                                measurement_mode=MODE_STOCHASTIC, seed=3,
-                                abort_policy=RESET_AND_CONTINUE)
-        noise = NoiseSpec((0.4, 0.3, 0.2), (0.2, 0.1, 0.0))
-        result = run_protocol(new_state(1, [0.6, 0.8]), noise, schedule)
-        assert len(result.cycle_log) == 500
-        (tree,) = trees
-        assert tree.size == 0 and tree.root.children == [None, None]
-
+            assert_trial_is_run(trial, run_protocol(data, noise,
+                                                    dataclasses.replace(schedule, seed=seed)))
 
     def test_non_unitary_propagator_raises_norm_drift(self, monkeypatch):
         real = protocol_module.propagator
@@ -1135,8 +1136,8 @@ class TestSharedTreeEngine:
         schedule = ZenoSchedule(4.0, 64, aux_strategy=AUX_DUAL_ALTERNATING,
                                 measurement_mode=MODE_STOCHASTIC, seed=0,
                                 abort_policy=RESET_AND_CONTINUE)
-        tree = protocol_module._OutcomeTree(new_state(1, [0.6, 0.8]),
-                                            NoiseSpec((0.9, 0.6, 0.3)), schedule)
+        data, noise = new_state(1, [0.6, 0.8]), NoiseSpec((0.9, 0.6, 0.3))
+        tree = protocol_module._OutcomeTree(data, noise, schedule)
 
         def refuse(*args, **kwargs):
             raise AssertionError("a tree node built a state object")
@@ -1144,8 +1145,114 @@ class TestSharedTreeEngine:
         monkeypatch.setattr(StateVector, "__init__", refuse)
         monkeypatch.setattr(StateVector, "_wrap", classmethod(refuse))
         monkeypatch.setattr(CycleOutcome, "__init__", refuse)
-        trials = [tree.sample(np.random.default_rng(seed)) for seed in range(50)]
-        assert tree.size > 64 and any(trial.detected for trial in trials)
+        trials = [tree.sample(np.random.default_rng(seed), []) for seed in range(50)]
+        assert all(trial.depth == 64 for trial in trials)
+        assert any(trial.detected for trial in trials)
+        sampled = list(protocol_module._batch_trials(tree, 0, 0, 50))
+        assert None in sampled and any(trial is not None for trial in sampled)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        strategy=st.sampled_from([AUX_SINGLE, AUX_DUAL_ALTERNATING]),
+        lam=st.lists(st.floats(0.0, 1.5), min_size=3, max_size=3),
+        mu=st.lists(st.floats(0.0, 0.5), min_size=3, max_size=3),
+        amps=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+            lambda a: np.hypot.reduce(a) > 1e-3
+        ),
+        n=st.integers(1, 64),
+        trials=st.integers(1, 200),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_policy_does_not_move_a_row(self, strategy, lam, mu, amps, n, trials, seed):
+        # a row reads each trial's detection and the one no-error leaf, so
+        # the two policies give the same bits, and those of the per-cycle
+        # engine, which walks every reset trial's tail
+        rows = {}
+        for policy in (ABORT_ON_DETECT, RESET_AND_CONTINUE):
+            config = stochastic_config(strategy, policy, lam, mu, amps, (n,), trials, seed)
+            (row,) = run_sweep(config).rows
+            assert not row.failed, row.error
+            rows[policy] = (row.survival_probability, row.mean_post_selected_fidelity,
+                            row.detection_rate)
+        assert np.array_equal(rows[ABORT_ON_DETECT], rows[RESET_AND_CONTINUE], equal_nan=True)
+        want = per_cycle.stochastic_point(config, config.data, config.noise, n)
+        assert np.array_equal(rows[RESET_AND_CONTINUE], want, equal_nan=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        strategy=st.sampled_from([AUX_SINGLE, AUX_DUAL_ALTERNATING]),
+        policy=st.sampled_from([ABORT_ON_DETECT, RESET_AND_CONTINUE]),
+        lam=st.lists(st.floats(0.0, 1.5), min_size=3, max_size=3),
+        mu=st.lists(st.floats(0.0, 0.5), min_size=3, max_size=3),
+        amps=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+            lambda a: np.hypot.reduce(a) > 1e-3
+        ),
+        n=st.integers(1, 64),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_survivors_have_the_post_selected_fidelity(self, strategy, policy, lam, mu, amps, n,
+                                                       seed):
+        # every survivor ends on the no-error leaf, which the post-selected
+        # run reaches on another float path
+        config = stochastic_config(strategy, policy, lam, mu, amps, (n,), 20, seed)
+        (row,) = run_sweep(config).rows
+        assume(row.survival_probability > 0)
+        post = dataclasses.replace(config.schedule, cycles=n, measurement_mode=MODE_POST_SELECTED,
+                                   seed=None)
+        (reference,) = run_post_selected(config.data, config.noise, post, [n])
+        assert row.mean_post_selected_fidelity == pytest.approx(reference.final_fidelity,
+                                                                rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("policy", [ABORT_ON_DETECT, RESET_AND_CONTINUE])
+    def test_stochastic_reset_rows_build_their_paths_alone(self, monkeypatch, policy):
+        # the stochastic-reset benchmark's configuration: its two rows build
+        # at most n nodes each, the last its no-error path's end
+        config = stochastic_config(
+            AUX_DUAL_ALTERNATING, policy, (0.4, 0.3, 0.2), (0.2, 0.1, 0.0), (0.6, 0.0, 0.8, 0.0),
+            (64, 256), 100, 42, total_time=4.0,
+        )
+        built = count_children(monkeypatch)
+        rows = run_sweep(config).rows
+        assert [row.detection_rate for row in rows] == [0.09, 0.03]
+        assert {outcome for outcome, _ in built} == {0}
+        assert len(built) <= 64 + 256
+
+    @pytest.mark.parametrize("trials", [5, 300])
+    @pytest.mark.parametrize("policy", [ABORT_ON_DETECT, RESET_AND_CONTINUE])
+    def test_early_detection_builds_no_deeper_than_its_trials(self, monkeypatch, policy, trials):
+        # every trial measures 1 within a few of 32 cycles, on the
+        # generator route and on the array route
+        data, noise = new_state(1, [0.6, 0.8]), NoiseSpec((1.5, 0.0))
+        schedule = ZenoSchedule(20.0, 32, measurement_mode=MODE_STOCHASTIC, seed=9,
+                                abort_policy=policy)
+        aborting = dataclasses.replace(schedule, abort_policy=ABORT_ON_DETECT)
+        # the depth of each trial's first 1: the last cycle of its aborted run
+        reach = [len(run_protocol(data, noise, dataclasses.replace(aborting, seed=seed)).cycle_log)
+                 - 1 for seed in trial_seeds(schedule, trials)]
+        assert max(reach) < schedule.cycles - 1
+        built = count_children(monkeypatch)
+        sampled = list(sample_trials(data, noise, schedule, trials))
+        assert sampled == [None] * trials
+        assert max(depth for _, depth in built) == max(reach)
+
+    def test_long_generator_row_holds_floats_not_nodes(self):
+        # two trials that survive 20 000 cycles: the path keeps 8 bytes a
+        # depth, 16 while its array doubles, and no node behind its deepest,
+        # where a node of this register takes about 1 KiB
+        n = 20_000
+        schedule = ZenoSchedule(1.0, n, aux_strategy=AUX_DUAL_ALTERNATING,
+                                measurement_mode=MODE_STOCHASTIC, seed=1)
+        data, noise = new_state(1, [0.6, 0.8]), NoiseSpec((0.1, 0.1, 0.1))
+        # a short row first, so the caches and lazy imports it fills are not counted
+        list(sample_trials(data, noise, dataclasses.replace(schedule, cycles=4), 2))
+        tracemalloc.start()
+        try:
+            sampled = list(sample_trials(data, noise, schedule, 2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(trial is not None and trial.depth == n for trial in sampled)
+        assert peak < 24 * n
 
 
 class TestSeedWords:
