@@ -255,13 +255,11 @@ def run_protocol(data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule) ->
     is its n-th power, taken by repeated squaring in O(log n) matrix
     products together with the mass the cycles leak. Survival is 1 minus
     that leaked mass, which keeps 1 - survival accurate at large n, and
-    cycle_log stays empty. A no-error branch below the ZeroProbabilityError
-    threshold in some cycle means detection is certain: survival is 0 and
-    the final state is the register just after that cycle's noise slice. So
-    a run that keeps less mass than that threshold is replayed: it walks the
-    no-error path of the stochastic engine's outcome tree, cycle by cycle,
-    which reproduces the per-cycle circuit float for float. The walk steps
-    at most MAX_REPLAY_CYCLES cycles, and raises ValueError past it.
+    cycle_log stays empty. A run that keeps less mass than the
+    ZeroProbabilityError threshold may detect with certainty, so it steps
+    the outcome tree's no-error path instead, as the per-cycle circuit does,
+    for at most MAX_REPLAY_CYCLES cycles (ValueError past that); a certain
+    detection leaves survival 0 and the register after that noise slice.
 
     A stochastic run walks one trial down the outcome tree, in full, on a
     generator in the state of ``default_rng(schedule.seed)``: here
@@ -340,7 +338,7 @@ def run_post_selected(
         return rows
     counts = np.array(cycles, dtype=np.int64 if max(cycles) < 2**63 else object)  # or Python ints
     pairs = []
-    for keep, leak in _cycle_masks(encoded.num_qubits):
+    for keep, leak, *_ in _cycle_masks(encoded.num_qubits):
         leaked = leak[:, None] * steps
         pairs.append((keep[:, None] * steps, leaked.conj().swapaxes(-1, -2) @ leaked))
     if len(pairs) == 1:
@@ -587,58 +585,42 @@ def _seed_words_class() -> type:
 class HistoryNode:
     """A node of the outcome tree: ``amps``, the read-only register after a
     history of cycle outcomes, and ``cycle``, the ``(outcome, Born
-    probability, read-only amplitudes after)`` of its last cycle.
+    probability, read-only amplitudes after)`` of its last cycle, or None
+    after a zero-probability branch (``amps`` is then the register after its
+    noise slice). An end node holds ``final_fidelity``; a running node ``x``,
+    the register after the next noise slice, and that cycle's ``p_one``."""
 
-    A run ends on a node that has completed every cycle, that measured 1
-    under abort-on-detect, or that a zero-probability branch ended (its
-    ``cycle`` is None and ``amps`` is the register after that cycle's noise
-    slice); such a node also holds ``final_fidelity``, against the noiseless
-    encoded register. A running node holds the register after the next noise
-    slice and the disentangling CNOT, and its Born probability of 1.
-    """
-
-    __slots__ = ("amps", "cycle", "depth", "detected", "done", "final_fidelity", "disentangled",
-                 "aux_q", "p_one")
+    __slots__ = ("amps", "cycle", "depth", "detected", "done", "final_fidelity", "x", "p_one")
 
     def __init__(self, amps, cycle, depth, detected, done):
         amps.flags.writeable = False
-        self.amps = amps
-        self.cycle = cycle
-        self.depth = depth
-        self.detected = detected
-        self.done = done
+        self.amps, self.cycle, self.depth = amps, cycle, depth
+        self.detected, self.done = detected, done
 
 
 class _OutcomeTree:
-    """The tree of outcome histories of one (data, noise, schedule), stepped
-    a node at a time with the numpy operations of the per-cycle gate calls,
-    in their order, so every float is theirs; the CNOTs and the reset's
-    Pauli-X are index permutations, and the norm those calls checked at
-    every node is checked once, as the propagator's unitarity. No node links
-    its children. :func:`run_protocol` walks one trial down the tree
-    (:meth:`sample`); a post-selected replay and a stochastic row walk its
-    no-error path, which each trial follows until its first 1.
-
-    A row builds that path a node deeper each time a running trial stands
-    past its deepest node, ``deepest``, and keeps its Born probabilities of
-    1: ``p_one[:length]``, 8 bytes a depth in an array that doubles as it
-    fills. ``end`` is None until the path ends, then the node it ends on:
-    the no-error leaf, or a node whose no-error branch held no probability,
-    which detects with certainty.
-    """
+    """The outcome histories of one (data, noise, schedule), stepped with
+    the numpy operations of the per-cycle gate calls, in their order, so
+    every float is theirs; the CNOTs and the reset's Pauli-X are index
+    gathers, and the norm is checked once, as the propagator's unitarity.
+    :func:`run_protocol` walks one trial down the tree, a node a cycle
+    (:meth:`sample`); a stochastic row and a replay step only its no-error
+    path, on raw arrays, and :meth:`_no_error` alone steps a cycle that
+    measures 0. A row steps the path a cycle deeper each time a running
+    trial stands past it, keeping its deepest ``x`` and its Born
+    probabilities of 1, ``p_one[:length]``; its end node ``end`` is None until it ends."""
 
     def __init__(self, data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule):
         encoded, self.step = _prepare(data, noise, schedule.aux_count, schedule.interval)
         defect = np.abs(self.step.conj().T @ self.step - np.eye(len(self.step))).max()
         if not defect <= NORM_TOL:  # a NaN defect fails too
             raise NormDriftError(f"propagator is not unitary (U+U - I up to {defect:.3e})")
-        self.encoded = encoded.amplitudes
-        self.num_qubits = schedule.register_size
-        self.cycles = schedule.cycles
-        self.aux_count = schedule.aux_count
+        self.encoded, self.num_qubits = encoded.amplitudes, encoded.num_qubits
+        self.cycles, self.aux_count = schedule.cycles, schedule.aux_count
         self.reset = schedule.abort_policy == RESET_AND_CONTINUE
-        self.root = self.deepest = self._node(self.encoded, None, 0, False)
-        self.p_one, self.length, self.end = np.array([self.root.p_one]), 1, None
+        self.masks = _cycle_masks(self.num_qubits)
+        self.root = root = self._node(self.encoded, None, 0, False)
+        self.x, self.p_one, self.length, self.end = root.x, np.array([root.p_one]), 1, None
 
     def sample(self, rng: np.random.Generator, steps: list) -> HistoryNode:
         """Walk one trial down the tree to the node it ends on, appending the
@@ -659,83 +641,98 @@ class _OutcomeTree:
         ``draws`` those of one trial's every cycle, all compared with the
         no-error path at once; a draw below its depth's ``p_one`` measures 1."""
         running = ~(draws[:, :self.length] < self.p_one[:self.length]).any(axis=1)
-        # the running trials past the deepest node step the path a node a column
+        # the running trials past the path step it a cycle a column
         while np.count_nonzero(running) and self._grow():
-            running &= ~(draws[:, self.length - 1] < self.deepest.p_one)
+            running &= ~(draws[:, self.length - 1] < self.p_one[self.length - 1])
         # the trials still running stand on the end
         return running if self.end is None or not self.end.detected else np.zeros_like(running)
 
     def survives(self, rng: np.random.Generator) -> bool:
-        """Whether the trial drawing on ``rng``, a fresh generator of its
-        own, survives: it draws at most DRAW_BLOCK uniforms at a time,
-        compares each block with the no-error path in one operation, and
-        stops at its first 1."""
-        depth = 0
-        while depth < self.cycles:
+        """Whether the trial drawing on ``rng``, a fresh generator of its own,
+        survives: it compares each block of at most DRAW_BLOCK draws with the
+        no-error path in one operation, and stops at its first 1."""
+        if self.end is not None:  # the path is whole: a block is one comparison
+            return not self.end.detected and not any(
+                (rng.random(min(self.cycles - d, DRAW_BLOCK)) < self.p_one[d:d + DRAW_BLOCK]).any()
+                for d in range(0, self.cycles, DRAW_BLOCK))
+        for depth in range(0, self.cycles, DRAW_BLOCK):
             block = rng.random(min(self.cycles - depth, DRAW_BLOCK))
             built = min(self.length, depth + len(block))
             if (block[:built - depth] < self.p_one[depth:built]).any():
                 return False
-            # past the deepest node the trial steps the path a node a draw
+            # past the path the trial steps it a cycle a draw
             for u in block[built - depth:].tolist():
                 if not self._grow():
                     return not self.end.detected
-                if u < self.deepest.p_one:
+                if u < self.p_one[self.length - 1]:
                     return False
-            depth += len(block)
         self._grow()
         return not self.end.detected
 
     def _grow(self) -> bool:
-        """Step the no-error path a node deeper unless it has ended; True if that node runs."""
+        """Step the no-error path a cycle deeper unless it has ended; True if it still runs."""
         if self.end is not None:
             return False
-        node = self._child(self.deepest, 0)
-        if node.done:
-            self.end = node
+        depth = self.length
+        prob, amps = self._no_error(self.x, depth - 1)
+        if prob < _MIN_BRANCH_PROB or depth == self.cycles:
+            self.end = self._zero_node(prob, amps, depth, False)
             return False
-        if self.length == len(self.p_one):  # the entries past length are written before read
-            self.p_one = np.resize(self.p_one, min(2 * self.length, self.cycles))
-        self.p_one[self.length] = node.p_one
-        self.deepest = node
-        self.length += 1
+        if depth == len(self.p_one):  # the entries past length are written before read
+            self.p_one = np.resize(self.p_one, min(2 * depth, self.cycles))
+        self.x, self.p_one[depth] = self._noisy(amps, depth)
+        self.length = depth + 1
         return True
+
+    def _noisy(self, amps, depth):
+        """``x``, ``amps`` after cycle depth + 1's noise slice, and its Born probability of 1."""
+        x = self.step @ amps
+        branch = x[self.masks[depth % self.aux_count][3]]  # leak_at
+        return x, float(np.vdot(branch, branch).real)
+
+    def _no_error(self, x, depth):
+        """Cycle depth + 1 measuring 0 on ``x``: its Born probability and the
+        register after it, or ``x`` itself where detection is certain."""
+        keep = self.masks[depth % self.aux_count][2]  # keep_at
+        branch = x[keep]
+        prob = float(np.vdot(branch, branch).real)
+        if prob < _MIN_BRANCH_PROB:
+            return prob, x  # undisentangled: the CNOT is its own inverse
+        amps = np.zeros(x.size, dtype=complex)
+        amps[keep] = branch / np.sqrt(prob)
+        return prob, amps
+
+    def _zero_node(self, prob, amps, depth, detected) -> HistoryNode:
+        """The node a cycle measuring 0 reaches, from :meth:`_no_error`'s return."""
+        if prob < _MIN_BRANCH_PROB:  # detection is certain
+            return self._node(amps, None, depth, True, done=True)
+        return self._node(amps, (0, min(prob, 1.0), amps), depth, detected)
 
     def _node(self, amps, cycle, depth, detected, done=False) -> HistoryNode:
         node = HistoryNode(amps, cycle, depth, detected, done or depth == self.cycles)
         if node.done:
             node.final_fidelity = float(min(abs(np.vdot(amps, self.encoded)) ** 2, 1.0))
         else:
-            node.aux_q = aux_q = 1 + depth % self.aux_count
-            node.disentangled = (self.step @ amps)[_cnot_permutation(self.num_qubits, 0, aux_q)]
-            branch = node.disentangled[_outcome_indices(self.num_qubits, aux_q, 1)]
-            node.p_one = float(np.vdot(branch, branch).real)
+            node.x, node.p_one = self._noisy(amps, depth)
         return node
 
     def _child(self, node: HistoryNode, outcome: int) -> HistoryNode:
         """Build the node one cycle below ``node`` for ``outcome``."""
-        num_qubits, aux_q, depth = self.num_qubits, node.aux_q, node.depth + 1
-        cnot = _cnot_permutation(num_qubits, 0, aux_q)
-        sel = _outcome_indices(num_qubits, aux_q, outcome)
-        branch = node.disentangled[sel]
-        # the Born probability of 1 is the vdot p_one took of this branch
-        prob = node.p_one if outcome else float(np.vdot(branch, branch).real)
-        if prob < _MIN_BRANCH_PROB:
-            # the sampled branch carries no probability: detection is certain;
-            # the CNOT is its own inverse, so this is the register after the noise
-            return self._node(node.disentangled[cnot], None, depth, True, done=True)
-        state = np.zeros(node.disentangled.size, dtype=complex)
+        depth = node.depth + 1
         if outcome == 0:
-            # the CNOT is its own inverse: re-entangling moves the branch to cnot[sel]
-            state[cnot[sel]] = branch / np.sqrt(prob)
-            return self._node(state, (0, min(prob, 1.0), state), depth, node.detected)
-        state[sel] = branch / np.sqrt(prob)
+            return self._zero_node(*self._no_error(node.x, node.depth), depth, node.detected)
+        if node.p_one < _MIN_BRANCH_PROB:  # the failure branch holds none: certain detection
+            return self._node(node.x, None, depth, True, done=True)
+        n, aux_q, prob = self.num_qubits, 1 + node.depth % self.aux_count, node.p_one
+        state = np.zeros(node.x.size, dtype=complex)
+        state[_outcome_indices(n, aux_q, 1)] = node.x[self.masks[aux_q - 1][3]] / np.sqrt(prob)
         state.flags.writeable = False
         cycle = (1, min(prob, 1.0), state)
         if not self.reset:
             return self._node(state, cycle, depth, True, done=True)
         # a reset re-zeros the measured auxiliary (Pauli-X) and re-entangles
-        return self._node(state[cnot ^ _bit_mask(num_qubits, aux_q)], cycle, depth, True)
+        return self._node(state[_cnot_permutation(n, 0, aux_q) ^ _bit_mask(n, aux_q)], cycle,
+                          depth, True)
 
 
 def _prepare(data: StateVector, noise: NoiseSpec, aux_count: int, times: float | list[float]):
@@ -745,24 +742,26 @@ def _prepare(data: StateVector, noise: NoiseSpec, aux_count: int, times: float |
 
 
 def _row_result(data, noise, schedule, n) -> PostSelectedRow:
-    """``schedule`` run for ``n`` cycles by walking the no-error path of the
-    outcome tree, as the per-cycle circuit does. Its survival is the product
-    of the cycles' probabilities while that is a normal float, else the exp
-    of their summed logs: 0.0 where it underflows, with ``detected`` False."""
+    """``schedule`` run for ``n`` cycles on the outcome tree's no-error path,
+    as the per-cycle circuit does. Its survival is the product of the
+    cycles' probabilities while that is a normal float, else the exp of
+    their summed logs: 0.0 where it underflows, with ``detected`` False."""
     if n > MAX_REPLAY_CYCLES:
         raise ValueError(f"{n} cycles need a cycle-by-cycle replay of the no-error "
                          f"branch, longer than MAX_REPLAY_CYCLES = {MAX_REPLAY_CYCLES}")
     tree = _OutcomeTree(data, noise, replace(schedule, cycles=n))
-    node, survival, log_survival = tree.root, 1.0, 0.0
-    while not node.done:
-        node = tree._child(node, 0)
-        # a node that detects carries no cycle: its branch held no probability
-        prob = node.cycle[1] if node.cycle else 0.0
-        survival *= prob
-        log_survival += math.log(prob) if prob else -math.inf
-    if survival < sys.float_info.min:
-        survival = math.exp(log_survival)
-    return PostSelectedRow(survival, 1.0 - survival, node.final_fidelity, node.detected, node.amps)
+    x, survival, log_survival = tree.x, 1.0, 0.0
+    for depth in range(n):
+        prob, amps = tree._no_error(x, depth)
+        if prob < _MIN_BRANCH_PROB:
+            break
+        survival *= min(prob, 1.0)
+        log_survival += math.log(min(prob, 1.0))
+        x = tree.step @ amps
+    end = tree._zero_node(prob, amps, depth + 1, False)
+    if end.detected or survival < sys.float_info.min:  # nothing survives a certain detection
+        survival = 0.0 if end.detected else math.exp(log_survival)
+    return PostSelectedRow(survival, 1.0 - survival, end.final_fidelity, end.detected, end.amps)
 
 
 def _vdots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -771,20 +770,21 @@ def _vdots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _cycle_masks(num_qubits: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(keep, leak) diagonals of the cycle on each auxiliary 1..num_qubits-1,
-    read-only. keep is the diagonal of CNOT(0, a) P0(a) CNOT(0, a): 1 on the
-    basis states whose data and auxiliary bits agree, 0 elsewhere; leak is
-    1 - keep."""
+def _cycle_masks(num_qubits: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """(keep, leak, keep_at, leak_at) of the cycle on each auxiliary
+    1..num_qubits-1, read-only. keep is the diagonal of CNOT(0, a) P0(a)
+    CNOT(0, a), 1 at keep_at and 0 elsewhere, and leak is 1 - keep, 1 at
+    leak_at: x disentangled by CNOT(0, a) holds its outcome-0 branch at
+    ``x[cnot][sel0]``, which is ``x[keep_at]``, and its outcome-1 at leak_at."""
     masks = []
     for aux_q in range(1, num_qubits):
-        p0 = np.zeros(1 << num_qubits)
-        p0[_outcome_indices(num_qubits, aux_q, 0)] = 1.0
-        keep = p0[_cnot_permutation(num_qubits, 0, aux_q)]
-        leak = 1.0 - keep
-        keep.flags.writeable = False
-        leak.flags.writeable = False
-        masks.append((keep, leak))
+        cnot = _cnot_permutation(num_qubits, 0, aux_q)
+        keep_at, leak_at = (cnot[_outcome_indices(num_qubits, aux_q, o)] for o in (0, 1))
+        keep = np.zeros(1 << num_qubits)
+        keep[keep_at] = 1.0
+        masks.append((keep, 1.0 - keep, keep_at, leak_at))
+        for table in masks[-1]:
+            table.flags.writeable = False
     return tuple(masks)
 
 

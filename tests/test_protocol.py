@@ -448,7 +448,7 @@ class TestFusedPostSelectedEngine:
 
     def test_replay_past_the_bound_fails_only_its_row(self):
         # lambda T = 3e5: both rows keep a mass below the zero-branch threshold
-        # and replay; at about 10 us a cycle, n = 10**9 would replay for about 3 hours
+        # and replay; at about 4 us a cycle, n = 10**9 would replay for over an hour
         config = parse_config(
             "alpha0_re = 0.6\nalpha1_re = 0.8\nlambda = 30000.0, 0.0\ntotal_time = 10.0\n"
             "n_values = 328, 1000000000\n"
@@ -642,18 +642,53 @@ def assert_trial_is_run(trial, result):
         assert np.array_equal(trial.amps, result.final_state.amplitudes)
 
 
-def count_children(monkeypatch) -> list:
-    """The (outcome, depth) of every node _OutcomeTree._child builds from now on."""
-    built = []
-    real = protocol_module._OutcomeTree._child
+def count_path_steps(monkeypatch) -> list:
+    """The depth each no-error path step (_OutcomeTree._no_error) reaches from
+    now on; a node built a cycle at a time, by _OutcomeTree._child, fails."""
+    steps = []
+    real = protocol_module._OutcomeTree._no_error
 
-    def spy(tree, node, outcome):
-        child = real(tree, node, outcome)
-        built.append((outcome, child.depth))
-        return child
+    def spy(tree, x, depth):
+        steps.append(depth + 1)
+        return real(tree, x, depth)
 
-    monkeypatch.setattr(protocol_module._OutcomeTree, "_child", spy)
-    return built
+    def refuse(*args):
+        raise AssertionError("a node was built a cycle at a time")
+
+    monkeypatch.setattr(protocol_module._OutcomeTree, "_no_error", spy)
+    monkeypatch.setattr(protocol_module._OutcomeTree, "_child", refuse)
+    return steps
+
+
+def assert_path_is_the_child_walk(data, noise, schedule):
+    """The no-error path a row steps and a post-selected replay of it equal
+    an outcome-0 _child walk down the tree, and the per-cycle circuit, bit
+    for bit: the Born probabilities of 1, the end and the survival."""
+    tree, walk = (protocol_module._OutcomeTree(data, noise, schedule) for _ in range(2))
+    while tree._grow():
+        pass
+    node, p_one, survival, log_survival = walk.root, [], 1.0, 0.0
+    while not node.done:
+        p_one.append(node.p_one)
+        node = walk._child(node, 0)
+        prob = node.cycle[1] if node.cycle else 0.0
+        survival *= prob
+        log_survival += math.log(prob) if prob else -math.inf
+    if survival < sys.float_info.min:
+        survival = math.exp(log_survival)
+    assert tree.p_one[:tree.length].tolist() == p_one
+    end = tree.end
+    assert (end.depth, end.detected, end.final_fidelity) == (node.depth, node.detected,
+                                                             node.final_fidelity)
+    assert end.amps.tobytes() == node.amps.tobytes()
+    assert (end.cycle is None) == (node.cycle is None)
+    post = dataclasses.replace(schedule, measurement_mode=MODE_POST_SELECTED, seed=None)
+    row = protocol_module._row_result(data, noise, post, schedule.cycles)
+    assert row[:4] == (survival, 1.0 - survival, node.final_fidelity, node.detected)
+    assert row.amplitudes.tobytes() == node.amps.tobytes()
+    reference, detected, state, _, _ = per_cycle_reference(data, noise, post)
+    assert (reference, detected) == (survival, node.detected)
+    assert state.amplitudes.tobytes() == node.amps.tobytes()
 
 
 def stochastic_config(strategy, policy, lam, mu, amps, n_values, trials, seed, total_time=1.0):
@@ -745,10 +780,10 @@ class TestSharedTreeEngine:
             AUX_SINGLE, RESET_AND_CONTINUE, (1.2, 0.4), (0.0, 0.0), (0.6, 0.0, 0.8, 0.0),
             (16,), 20, 3,
         )
-        built = count_children(monkeypatch)
+        steps = count_path_steps(monkeypatch)
         (row,) = run_sweep(config).rows
         assert 0 < row.detection_rate < 1
-        assert {outcome for outcome, _ in built} == {0} and len(built) <= 16
+        assert steps == list(range(1, len(steps) + 1)) and len(steps) <= 16
         monkeypatch.undo()
         assert_matches_per_cycle_engine(config)
 
@@ -1004,13 +1039,13 @@ class TestSharedTreeEngine:
         assert peak <= 5 * batch * cycles * 8
 
     def test_an_array_batch_compares_its_trials_at_once(self, monkeypatch):
-        # no trial is walked on its own, and the batch builds at most one
-        # node a cycle, all on its no-error path
+        # no trial is walked on its own, and the batch steps its no-error
+        # path once a cycle, building no node but its end
         batch, cycles = protocol_module.SEED_BATCH, 8
         schedule = ZenoSchedule(1.0, cycles, measurement_mode=MODE_STOCHASTIC, seed=0)
         tree = protocol_module._OutcomeTree(new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.6, 2),
                                             schedule)
-        built = count_children(monkeypatch)
+        steps = count_path_steps(monkeypatch)
 
         def refuse(*args, **kwargs):
             raise AssertionError("an array batch walked a trial on its own")
@@ -1020,7 +1055,7 @@ class TestSharedTreeEngine:
         sampled = list(protocol_module._batch_trials(tree, 7, 0, batch))
         assert len(sampled) == batch and None in sampled
         assert all(trial is None or trial is tree.end for trial in sampled)
-        assert built == [(0, depth) for depth in range(1, cycles + 1)]
+        assert steps == list(range(1, cycles + 1))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1094,6 +1129,65 @@ class TestSharedTreeEngine:
         assert survived.tolist() == [not want.detected for want in lone]
         assert [generator_tree.survives(ScriptedGenerator(row))
                 for row in draws] == survived.tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        strategy=st.sampled_from([AUX_SINGLE, AUX_DUAL_ALTERNATING]),
+        lam=st.lists(st.floats(0.0, 40.0), min_size=3, max_size=3),
+        mu=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+        amps=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+            lambda a: np.hypot.reduce(a) > 1e-3
+        ),
+        n=st.integers(1, 64),
+    )
+    def test_path_steps_are_the_child_walk(self, strategy, lam, mu, amps, n):
+        # lambda up to 40 over T = 1: most paths hold a depth whose Born
+        # probability of 1 passes 1/2; certain detection is the next test's
+        size = 2 if strategy == AUX_SINGLE else 3
+        data = new_state(1, [complex(amps[0], amps[1]), complex(amps[2], amps[3])])
+        noise = NoiseSpec(lam=tuple(lam[:size]), mu=tuple(mu[:size]))
+        schedule = ZenoSchedule(1.0, n, aux_strategy=strategy, measurement_mode=MODE_STOCHASTIC,
+                                seed=0)
+        assert_path_is_the_child_walk(data, noise, schedule)
+
+    @pytest.mark.parametrize("strategy", [AUX_SINGLE, AUX_DUAL_ALTERNATING])
+    @pytest.mark.parametrize("lam, cycles", [
+        # test_path_walk_of_zero_branches' paths: the no-error branch holds
+        # ~1e-33 in the first cycle, the failure branch ~1e-17 in the second,
+        # the no-error branch ~1e-33 in the first of two cycles
+        (np.pi / 2, 1), (1e-8, 3), (np.pi, 2),
+    ])
+    def test_zero_branch_path_steps_are_the_child_walk(self, strategy, lam, cycles):
+        size = 2 if strategy == AUX_SINGLE else 3
+        schedule = ZenoSchedule(1.0, cycles, aux_strategy=strategy,
+                                measurement_mode=MODE_STOCHASTIC, seed=0)
+        noise = NoiseSpec(lam=(lam,) + (0.0,) * (size - 1))
+        assert_path_is_the_child_walk(new_state(1, [0.6, 0.8]), noise, schedule)
+
+    def test_a_whole_path_is_compared_without_stepping_it(self, monkeypatch):
+        # once the path has its end, a generator trial compares its blocks
+        # with p_one and steps nothing; a path that ends in certain
+        # detection leaves every trial detecting without a draw
+        data, noise = new_state(1, [0.6, 0.8]), NoiseSpec((0.9, 0.6, 0.3))
+        schedule = ZenoSchedule(4.0, DRAW_BLOCK + 44, aux_strategy=AUX_DUAL_ALTERNATING,
+                                measurement_mode=MODE_STOCHASTIC, seed=0)
+        whole, lazy = (protocol_module._OutcomeTree(data, noise, schedule) for _ in range(2))
+        while whole._grow():
+            pass
+        want = [lazy.survives(np.random.default_rng(seed)) for seed in range(40)]
+        assert True in want and False in want
+        # a quarter flip rotation a slice: the first cycle detects with certainty
+        certain = protocol_module._OutcomeTree(
+            data, NoiseSpec((1.5 * np.pi, 0.0)),
+            ZenoSchedule(1.0, 3, measurement_mode=MODE_STOCHASTIC, seed=0))
+        assert not certain._grow() and certain.end.detected and certain.end.depth == 1
+
+        def refuse(*args):
+            raise AssertionError("a trial on a whole path stepped it or drew")
+
+        monkeypatch.setattr(protocol_module._OutcomeTree, "_grow", refuse)
+        assert [whole.survives(np.random.default_rng(seed)) for seed in range(40)] == want
+        assert not certain.survives(mock.Mock(random=refuse))
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -1205,17 +1299,16 @@ class TestSharedTreeEngine:
 
     @pytest.mark.parametrize("policy", [ABORT_ON_DETECT, RESET_AND_CONTINUE])
     def test_stochastic_reset_rows_build_their_paths_alone(self, monkeypatch, policy):
-        # the stochastic-reset benchmark's configuration: its two rows build
-        # at most n nodes each, the last its no-error path's end
+        # the stochastic-reset benchmark's configuration: each of its two rows
+        # steps its no-error path once through every depth, n steps a row
         config = stochastic_config(
             AUX_DUAL_ALTERNATING, policy, (0.4, 0.3, 0.2), (0.2, 0.1, 0.0), (0.6, 0.0, 0.8, 0.0),
             (64, 256), 100, 42, total_time=4.0,
         )
-        built = count_children(monkeypatch)
+        steps = count_path_steps(monkeypatch)
         rows = run_sweep(config).rows
         assert [row.detection_rate for row in rows] == [0.09, 0.03]
-        assert {outcome for outcome, _ in built} == {0}
-        assert len(built) <= 64 + 256
+        assert steps == [*range(1, 64 + 1), *range(1, 256 + 1)]
 
     @pytest.mark.parametrize("trials", [5, 300])
     @pytest.mark.parametrize("policy", [ABORT_ON_DETECT, RESET_AND_CONTINUE])
@@ -1230,10 +1323,10 @@ class TestSharedTreeEngine:
         reach = [len(run_protocol(data, noise, dataclasses.replace(aborting, seed=seed)).cycle_log)
                  - 1 for seed in trial_seeds(schedule, trials)]
         assert max(reach) < schedule.cycles - 1
-        built = count_children(monkeypatch)
+        steps = count_path_steps(monkeypatch)
         sampled = list(sample_trials(data, noise, schedule, trials))
         assert sampled == [None] * trials
-        assert max(depth for _, depth in built) == max(reach)
+        assert steps == list(range(1, max(reach) + 1))
 
     def test_long_generator_row_holds_floats_not_nodes(self):
         # two trials that survive 20 000 cycles: the path keeps 8 bytes a
@@ -1364,11 +1457,14 @@ class TestInvariantsComputedOnce:
             masks = protocol_module._cycle_masks(num_qubits)
             assert protocol_module._cycle_masks(num_qubits) is masks
             assert len(masks) == num_qubits - 1
-            for keep, leak in masks:
+            for keep, leak, keep_at, leak_at in masks:
                 assert np.array_equal(keep + leak, np.ones(1 << num_qubits))
-                for mask in (keep, leak):
+                # the gathers read the entries each mask keeps, in some order
+                assert sorted(keep_at.tolist()) == np.flatnonzero(keep).tolist()
+                assert sorted(leak_at.tolist()) == np.flatnonzero(leak).tolist()
+                for mask in (keep, leak, keep_at, leak_at):
                     with pytest.raises(ValueError):
-                        mask[0] = 0.5
+                        mask[0] = 0
 
     @pytest.mark.parametrize(
         "strategy, mode, n",
