@@ -183,6 +183,9 @@ class ProtocolResult:
 #: a row of run_post_selected: a ProtocolResult's numbers and its final read-only amplitudes
 PostSelectedRow = namedtuple(
     "PostSelectedRow", "survival_probability loss_probability final_fidelity detected amplitudes")
+#: where a stochastic trial or the no-error path ends: the read-only register,
+#: whether it detected, and the register's fidelity with the encoded state
+_End = namedtuple("_End", "amps detected final_fidelity")
 
 
 def _register_size(aux_count: int) -> int:
@@ -261,33 +264,31 @@ def run_protocol(data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule) ->
     for at most MAX_REPLAY_CYCLES cycles (ValueError past that); a certain
     detection leaves survival 0 and the register after that noise slice.
 
-    A stochastic run walks one trial down the outcome tree, in full, on a
-    generator in the state of ``default_rng(schedule.seed)``: here
-    ``schedule.seed`` is the trial's own seed, so trial t of a row sampled
-    on master seed m is this run on ``derive_trial_seed(m, cycles, t)``.
-    Each cycle's auxiliary is sampled, and a measured 1 sets ``detected``.
-    Abort-on-detect stops there; reset-and-continue re-zeros the auxiliary,
-    re-entangles, and keeps going. A sampled branch below the
-    ZeroProbabilityError threshold also detects, and ends the run with the
-    register just after that cycle's noise slice. The trial's raw arrays
-    are wrapped only here: cycle_log holds a CycleOutcome for every cycle
-    the trial completed, and final_state its last register.
+    A stochastic run steps one trial in full, in one loop on raw arrays
+    (:meth:`_OutcomeTree.trial`), on a generator in the state of
+    ``default_rng(schedule.seed)``: here ``schedule.seed`` is the trial's
+    own seed, so trial t of a row sampled on master seed m is this run on
+    ``derive_trial_seed(m, cycles, t)``. Each cycle's auxiliary is sampled,
+    and a measured 1 sets ``detected``. Abort-on-detect stops there;
+    reset-and-continue re-zeros the auxiliary, re-entangles, and keeps
+    going. A sampled branch below the ZeroProbabilityError threshold also
+    detects, and ends the run with the register just after that cycle's
+    noise slice. The loop's arrays are wrapped only here: cycle_log holds a
+    CycleOutcome for every cycle the trial completed, and final_state its
+    last register.
     """
     if schedule.measurement_mode == MODE_STOCHASTIC:
-        steps: list[tuple[int, float, np.ndarray] | None] = []
         rng = np.random.default_rng(schedule.seed)  # ZenoSchedule has checked the seed
-        trial = _OutcomeTree(data, noise, schedule).sample(rng, steps)
+        steps, end = _OutcomeTree(data, noise, schedule).trial(rng)
         size = schedule.register_size
         return ProtocolResult(
-            survival_probability=0.0 if trial.detected else 1.0,
-            loss_probability=1.0 if trial.detected else 0.0,
-            final_fidelity=trial.final_fidelity,
-            detected=trial.detected,
-            cycle_log=[
-                CycleOutcome(outcome, prob, StateVector._wrap(size, amps))
-                for outcome, prob, amps in filter(None, steps)
-            ],
-            final_state=StateVector._wrap(size, trial.amps),
+            survival_probability=0.0 if end.detected else 1.0,
+            loss_probability=1.0 if end.detected else 0.0,
+            final_fidelity=end.final_fidelity,
+            detected=end.detected,
+            cycle_log=[CycleOutcome(outcome, prob, StateVector._wrap(size, amps))
+                       for outcome, prob, amps in steps],
+            final_state=StateVector._wrap(size, end.amps),
         )
     (row,) = run_post_selected(data, noise, schedule, [schedule.cycles])
     if isinstance(row, Exception):
@@ -386,21 +387,22 @@ def run_post_selected(
 
 def sample_trials(
     data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule, trials: int
-) -> Iterator[HistoryNode | None]:
+) -> Iterator[_End | None]:
     """Run stochastic trials 0, ..., trials - 1, each to its first detection;
-    yield the leaf each survivor ends on, and None for each trial that detects.
+    yield None for each trial that detects, and for each survivor the
+    no-error path's end, an ``(amps, detected, final_fidelity)`` tuple.
 
     Trial t draws one uniform per cycle, the uniforms
     ``default_rng(derive_trial_seed(schedule.seed, schedule.cycles, t)).random``
     gives, so ``schedule.seed`` is the master seed of the row, and measures
     1 in a cycle when its draw is below that cycle's Born probability of 1,
     exactly as :func:`zeno_cycle` samples. Until its first 1 a trial walks
-    the no-error path of the row's outcome tree, built only as deep as some
-    trial reaches: it detects at its first draw below that path's Born
-    probability of 1, or where the path ends in certain detection, and
-    survives to its leaf otherwise. So every survivor ends on that one
-    leaf, under either policy; a reset-and-continue trial's tail moves no
-    row, and is not run here (:func:`run_protocol` runs it).
+    the row's no-error path, stepped only as deep as some trial reaches: it
+    detects at its first draw below that path's Born probability of 1, or
+    where the path ends in certain detection, and survives to its leaf
+    otherwise. So every survivor ends on that one leaf, under either
+    policy; a reset-and-continue trial's tail moves no row, and is not run
+    here (:func:`run_protocol` runs it).
 
     Seeds are derived lazily, SEED_BATCH trials at a time, and each batch is
     seeded and drawn by one of two routes, as :func:`_batch_trials` says;
@@ -437,9 +439,9 @@ def derive_trial_seed(master_seed: int, n: int, trial):
 
 
 def _batch_trials(tree: _OutcomeTree, master_seed: int, start: int, stop: int
-                  ) -> Iterable[HistoryNode | None]:
-    """The leaf each surviving trial t in [start, stop) ends on, None for
-    each that detects, trial t drawn on the uniforms of
+                  ) -> Iterable[_End | None]:
+    """The no-error path's end for each surviving trial t in [start, stop),
+    None for each that detects, trial t drawn on the uniforms of
     ``default_rng(derive_trial_seed(master_seed, tree.cycles, t))``. The
     batch's seeds are derived in one call on a uint64 array of indices and
     hashed through :func:`_seed_words` in one pass; then the batch takes one
@@ -582,33 +584,17 @@ def _seed_words_class() -> type:
     return SeedWords
 
 
-class HistoryNode:
-    """A node of the outcome tree: ``amps``, the read-only register after a
-    history of cycle outcomes, and ``cycle``, the ``(outcome, Born
-    probability, read-only amplitudes after)`` of its last cycle, or None
-    after a zero-probability branch (``amps`` is then the register after its
-    noise slice). An end node holds ``final_fidelity``; a running node ``x``,
-    the register after the next noise slice, and that cycle's ``p_one``."""
-
-    __slots__ = ("amps", "cycle", "depth", "detected", "done", "final_fidelity", "x", "p_one")
-
-    def __init__(self, amps, cycle, depth, detected, done):
-        amps.flags.writeable = False
-        self.amps, self.cycle, self.depth = amps, cycle, depth
-        self.detected, self.done = detected, done
-
-
 class _OutcomeTree:
     """The outcome histories of one (data, noise, schedule), stepped with
     the numpy operations of the per-cycle gate calls, in their order, so
     every float is theirs; the CNOTs and the reset's Pauli-X are index
     gathers, and the norm is checked once, as the propagator's unitarity.
-    :func:`run_protocol` walks one trial down the tree, a node a cycle
-    (:meth:`sample`); a stochastic row and a replay step only its no-error
-    path, on raw arrays, and :meth:`_no_error` alone steps a cycle that
-    measures 0. A row steps the path a cycle deeper each time a running
-    trial stands past it, keeping its deepest ``x`` and its Born
-    probabilities of 1, ``p_one[:length]``; its end node ``end`` is None until it ends."""
+    On raw arrays, :meth:`_noisy` alone steps a noise slice and
+    :meth:`_no_error` a cycle measuring 0, for :func:`run_protocol`'s trial
+    (:meth:`trial`), a stochastic row and a replay alike. A row steps the
+    no-error path a cycle deeper each time a running trial stands past it,
+    keeping its deepest ``x`` and its Born probabilities of 1,
+    ``p_one[:length]``; its ``end`` is None until it ends."""
 
     def __init__(self, data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule):
         encoded, self.step = _prepare(data, noise, schedule.aux_count, schedule.interval)
@@ -619,22 +605,39 @@ class _OutcomeTree:
         self.cycles, self.aux_count = schedule.cycles, schedule.aux_count
         self.reset = schedule.abort_policy == RESET_AND_CONTINUE
         self.masks = _cycle_masks(self.num_qubits)
-        self.root = root = self._node(self.encoded, None, 0, False)
-        self.x, self.p_one, self.length, self.end = root.x, np.array([root.p_one]), 1, None
+        self.x, p_one = self._noisy(self.encoded, 0)
+        self.p_one, self.length, self.end = np.array([p_one]), 1, None
 
-    def sample(self, rng: np.random.Generator, steps: list) -> HistoryNode:
-        """Walk one trial down the tree to the node it ends on, appending the
-        ``cycle`` of every node passed to ``steps``, on uniforms drawn from
+    def trial(self, rng: np.random.Generator) -> tuple[list, _End]:
+        """One trial, from the encoded register, on uniforms drawn from
         ``rng``, a fresh generator of that trial, at most DRAW_BLOCK at a
-        time: a uniform below the cycle's Born probability of 1 measures 1."""
-        node = self.root
-        while not node.done:
-            for u in rng.random(min(self.cycles - node.depth, DRAW_BLOCK)).tolist():
-                node = self._child(node, 1 if u < node.p_one else 0)
-                steps.append(node.cycle)
-                if node.done:
-                    break
-        return node
+        time: the ``(outcome, Born probability, amplitudes after)`` of every
+        cycle it completes, and its end. A uniform below the cycle's Born
+        probability of 1 measures 1; a branch below the ZeroProbabilityError
+        threshold detects, and ends the trial with no step."""
+        steps, detected, amps, depth, n = [], False, self.encoded, 0, self.num_qubits
+        while depth < self.cycles:
+            for u in rng.random(min(self.cycles - depth, DRAW_BLOCK)).tolist():
+                x, p_one = self._noisy(amps, depth)
+                if u < p_one:
+                    if p_one < _MIN_BRANCH_PROB:  # the failure branch holds none
+                        return steps, self._end(x, True)
+                    aux_q, detected = 1 + depth % self.aux_count, True
+                    amps = np.zeros(x.size, dtype=complex)
+                    leak_at = self.masks[aux_q - 1][3]
+                    amps[_outcome_indices(n, aux_q, 1)] = x[leak_at] / np.sqrt(p_one)
+                    steps.append((1, min(p_one, 1.0), amps))
+                    if not self.reset:
+                        return steps, self._end(amps, True)
+                    # a reset re-zeros the measured auxiliary (Pauli-X) and re-entangles
+                    amps = amps[_cnot_permutation(n, 0, aux_q) ^ _bit_mask(n, aux_q)]
+                else:
+                    prob, amps = self._no_error(x, depth)
+                    if prob < _MIN_BRANCH_PROB:
+                        return steps, self._end(amps, True)
+                    steps.append((0, min(prob, 1.0), amps))
+                depth += 1
+        return steps, self._end(amps, detected)
 
     def survivors(self, draws: np.ndarray) -> np.ndarray:
         """Which trials survive, row i of the ``(trials, cycles)`` uniforms
@@ -676,7 +679,7 @@ class _OutcomeTree:
         depth = self.length
         prob, amps = self._no_error(self.x, depth - 1)
         if prob < _MIN_BRANCH_PROB or depth == self.cycles:
-            self.end = self._zero_node(prob, amps, depth, False)
+            self.end = self._end(amps, prob < _MIN_BRANCH_PROB)
             return False
         if depth == len(self.p_one):  # the entries past length are written before read
             self.p_one = np.resize(self.p_one, min(2 * depth, self.cycles))
@@ -702,37 +705,10 @@ class _OutcomeTree:
         amps[keep] = branch / np.sqrt(prob)
         return prob, amps
 
-    def _zero_node(self, prob, amps, depth, detected) -> HistoryNode:
-        """The node a cycle measuring 0 reaches, from :meth:`_no_error`'s return."""
-        if prob < _MIN_BRANCH_PROB:  # detection is certain
-            return self._node(amps, None, depth, True, done=True)
-        return self._node(amps, (0, min(prob, 1.0), amps), depth, detected)
-
-    def _node(self, amps, cycle, depth, detected, done=False) -> HistoryNode:
-        node = HistoryNode(amps, cycle, depth, detected, done or depth == self.cycles)
-        if node.done:
-            node.final_fidelity = float(min(abs(np.vdot(amps, self.encoded)) ** 2, 1.0))
-        else:
-            node.x, node.p_one = self._noisy(amps, depth)
-        return node
-
-    def _child(self, node: HistoryNode, outcome: int) -> HistoryNode:
-        """Build the node one cycle below ``node`` for ``outcome``."""
-        depth = node.depth + 1
-        if outcome == 0:
-            return self._zero_node(*self._no_error(node.x, node.depth), depth, node.detected)
-        if node.p_one < _MIN_BRANCH_PROB:  # the failure branch holds none: certain detection
-            return self._node(node.x, None, depth, True, done=True)
-        n, aux_q, prob = self.num_qubits, 1 + node.depth % self.aux_count, node.p_one
-        state = np.zeros(node.x.size, dtype=complex)
-        state[_outcome_indices(n, aux_q, 1)] = node.x[self.masks[aux_q - 1][3]] / np.sqrt(prob)
-        state.flags.writeable = False
-        cycle = (1, min(prob, 1.0), state)
-        if not self.reset:
-            return self._node(state, cycle, depth, True, done=True)
-        # a reset re-zeros the measured auxiliary (Pauli-X) and re-entangles
-        return self._node(state[_cnot_permutation(n, 0, aux_q) ^ _bit_mask(n, aux_q)], cycle,
-                          depth, True)
+    def _end(self, amps, detected) -> _End:
+        """The end at the register ``amps``, made read-only."""
+        amps.flags.writeable = False
+        return _End(amps, detected, float(min(abs(np.vdot(amps, self.encoded)) ** 2, 1.0)))
 
 
 def _prepare(data: StateVector, noise: NoiseSpec, aux_count: int, times: float | list[float]):
@@ -758,7 +734,7 @@ def _row_result(data, noise, schedule, n) -> PostSelectedRow:
         survival *= min(prob, 1.0)
         log_survival += math.log(min(prob, 1.0))
         x = tree.step @ amps
-    end = tree._zero_node(prob, amps, depth + 1, False)
+    end = tree._end(amps, prob < _MIN_BRANCH_PROB)
     if end.detected or survival < sys.float_info.min:  # nothing survives a certain detection
         survival = 0.0 if end.detected else math.exp(log_survival)
     return PostSelectedRow(survival, 1.0 - survival, end.final_fidelity, end.detected, end.amps)

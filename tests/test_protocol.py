@@ -644,7 +644,7 @@ def assert_trial_is_run(trial, result):
 
 def count_path_steps(monkeypatch) -> list:
     """The depth each no-error path step (_OutcomeTree._no_error) reaches from
-    now on; a node built a cycle at a time, by _OutcomeTree._child, fails."""
+    now on; a trial stepped on its own, by _OutcomeTree.trial, fails."""
     steps = []
     real = protocol_module._OutcomeTree._no_error
 
@@ -653,42 +653,48 @@ def count_path_steps(monkeypatch) -> list:
         return real(tree, x, depth)
 
     def refuse(*args):
-        raise AssertionError("a node was built a cycle at a time")
+        raise AssertionError("a trial was stepped on its own")
 
     monkeypatch.setattr(protocol_module._OutcomeTree, "_no_error", spy)
-    monkeypatch.setattr(protocol_module._OutcomeTree, "_child", refuse)
+    monkeypatch.setattr(protocol_module._OutcomeTree, "trial", refuse)
     return steps
 
 
 def assert_path_is_the_child_walk(data, noise, schedule):
     """The no-error path a row steps and a post-selected replay of it equal
-    an outcome-0 _child walk down the tree, and the per-cycle circuit, bit
-    for bit: the Born probabilities of 1, the end and the survival."""
+    a trial whose draws never measure 1, and the per-cycle circuit, bit for
+    bit: the Born probabilities of 1, the end and the survival."""
     tree, walk = (protocol_module._OutcomeTree(data, noise, schedule) for _ in range(2))
     while tree._grow():
         pass
-    node, p_one, survival, log_survival = walk.root, [], 1.0, 0.0
-    while not node.done:
-        p_one.append(node.p_one)
-        node = walk._child(node, 0)
-        prob = node.cycle[1] if node.cycle else 0.0
+    p_one, noisy = [], walk._noisy
+
+    def spy(amps, depth):
+        x, prob = noisy(amps, depth)
+        p_one.append(prob)
+        return x, prob
+
+    walk._noisy = spy
+    steps, walked = walk.trial(ScriptedGenerator([math.inf] * schedule.cycles))
+    # every cycle measures 0, and one that detects with certainty is no step
+    assert [outcome for outcome, _, _ in steps] == [0] * (tree.length - walked.detected)
+    survival, log_survival = 1.0, 0.0
+    for prob in [prob for _, prob, _ in steps] + [0.0] * walked.detected:
         survival *= prob
         log_survival += math.log(prob) if prob else -math.inf
     if survival < sys.float_info.min:
         survival = math.exp(log_survival)
     assert tree.p_one[:tree.length].tolist() == p_one
     end = tree.end
-    assert (end.depth, end.detected, end.final_fidelity) == (node.depth, node.detected,
-                                                             node.final_fidelity)
-    assert end.amps.tobytes() == node.amps.tobytes()
-    assert (end.cycle is None) == (node.cycle is None)
+    assert (end.detected, end.final_fidelity) == (walked.detected, walked.final_fidelity)
+    assert end.amps.tobytes() == walked.amps.tobytes()
     post = dataclasses.replace(schedule, measurement_mode=MODE_POST_SELECTED, seed=None)
     row = protocol_module._row_result(data, noise, post, schedule.cycles)
-    assert row[:4] == (survival, 1.0 - survival, node.final_fidelity, node.detected)
-    assert row.amplitudes.tobytes() == node.amps.tobytes()
+    assert row[:4] == (survival, 1.0 - survival, walked.final_fidelity, walked.detected)
+    assert row.amplitudes.tobytes() == walked.amps.tobytes()
     reference, detected, state, _, _ = per_cycle_reference(data, noise, post)
-    assert (reference, detected) == (survival, node.detected)
-    assert state.amplitudes.tobytes() == node.amps.tobytes()
+    assert (reference, detected) == (survival, walked.detected)
+    assert state.amplitudes.tobytes() == walked.amps.tobytes()
 
 
 def stochastic_config(strategy, policy, lam, mu, amps, n_values, trials, seed, total_time=1.0):
@@ -775,7 +781,7 @@ class TestSharedTreeEngine:
 
     def test_reset_row_builds_no_tail(self, monkeypatch):
         # reset-and-continue trials that often measure 1: the row builds its
-        # no-error path and no node past any trial's first 1
+        # no-error path and steps nothing past any trial's first 1
         config = stochastic_config(
             AUX_SINGLE, RESET_AND_CONTINUE, (1.2, 0.4), (0.0, 0.0), (0.6, 0.0, 0.8, 0.0),
             (16,), 20, 3,
@@ -1040,7 +1046,7 @@ class TestSharedTreeEngine:
 
     def test_an_array_batch_compares_its_trials_at_once(self, monkeypatch):
         # no trial is walked on its own, and the batch steps its no-error
-        # path once a cycle, building no node but its end
+        # path once a cycle
         batch, cycles = protocol_module.SEED_BATCH, 8
         schedule = ZenoSchedule(1.0, cycles, measurement_mode=MODE_STOCHASTIC, seed=0)
         tree = protocol_module._OutcomeTree(new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.6, 2),
@@ -1051,7 +1057,7 @@ class TestSharedTreeEngine:
             raise AssertionError("an array batch walked a trial on its own")
 
         monkeypatch.setattr(protocol_module._OutcomeTree, "survives", refuse)
-        monkeypatch.setattr(protocol_module._OutcomeTree, "sample", refuse)
+        monkeypatch.setattr(protocol_module._OutcomeTree, "trial", refuse)
         sampled = list(protocol_module._batch_trials(tree, 7, 0, batch))
         assert len(sampled) == batch and None in sampled
         assert all(trial is None or trial is tree.end for trial in sampled)
@@ -1067,7 +1073,7 @@ class TestSharedTreeEngine:
     )
     def test_path_walk_is_the_per_trial_walk(self, strategy, policy, cycles, offset, master):
         # trials on both sides of the array rule's edge, each on its seed's
-        # uniforms, one more trial whose every draw is the root's Born
+        # uniforms, one more trial whose every draw is the first cycle's Born
         # probability of 1, which measures 0 there, and one whose every draw
         # is its depth's; each compared with the whole path at once, block
         # by block on a generator, and cycle by cycle down the tree
@@ -1085,9 +1091,9 @@ class TestSharedTreeEngine:
         edge = full.p_one[:full.length].tolist() + [0.5] * (cycles - full.length)
         draws = np.array([np.random.default_rng(seed).random(cycles)
                           for seed in trial_seeds(schedule, trials)]
-                         + [[tree.root.p_one] * cycles, edge])
+                         + [[tree.p_one[0]] * cycles, edge])
         survived = array_tree.survivors(draws)
-        lone = [tree.sample(ScriptedGenerator(row), []) for row in draws]
+        lone = [tree.trial(ScriptedGenerator(row))[1] for row in draws]
         assert survived.tolist() == [generator_tree.survives(ScriptedGenerator(row))
                                      for row in draws]
         for alive, want in zip(survived.tolist(), lone, strict=True):
@@ -1120,15 +1126,52 @@ class TestSharedTreeEngine:
                                 abort_policy=policy)
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec(lam=lam)
         tree = protocol_module._OutcomeTree(data, noise, schedule)
-        # and a trial whose draws equal the root's Born probability of 1
-        draws = np.array(rows + [[tree.root.p_one] * len(rows[0])])
+        # and a trial whose draws equal the first cycle's Born probability of 1
+        draws = np.array(rows + [[tree.p_one[0]] * len(rows[0])])
         survived = protocol_module._OutcomeTree(data, noise, schedule).survivors(draws)
         generator_tree = protocol_module._OutcomeTree(data, noise, schedule)
-        lone = [tree.sample(ScriptedGenerator(row), []) for row in draws]
-        assert any(want.cycle is None for want in lone)
-        assert survived.tolist() == [not want.detected for want in lone]
+        lone = [tree.trial(ScriptedGenerator(row)) for row in draws]
+        # a trial that detects with no 1 on record detected with certainty
+        assert any(end.detected and all(outcome == 0 for outcome, _, _ in steps)
+                   for steps, end in lone)
+        assert survived.tolist() == [not end.detected for _, end in lone]
         assert [generator_tree.survives(ScriptedGenerator(row))
                 for row in draws] == survived.tolist()
+
+    @pytest.mark.parametrize("strategy", [AUX_SINGLE, AUX_DUAL_ALTERNATING])
+    @pytest.mark.parametrize("policy", [ABORT_ON_DETECT, RESET_AND_CONTINUE])
+    def test_a_trial_starts_from_the_encoded_register(self, strategy, policy):
+        # a row's path moves the tree's x to its deepest register; a trial on
+        # that tree still starts from the encoded register, and gives the
+        # steps and end of a trial on a fresh tree, bit for bit
+        size = 2 if strategy == AUX_SINGLE else 3
+        data = new_state(1, [0.6, 0.8])
+        noise = NoiseSpec((0.9, 0.6, 0.3)[:size], (0.1, 0.2, 0.0)[:size])
+        schedule = ZenoSchedule(2.0, 12, aux_strategy=strategy, measurement_mode=MODE_STOCHASTIC,
+                                seed=0, abort_policy=policy)
+        fresh, grown, surveyed = (protocol_module._OutcomeTree(data, noise, schedule)
+                                  for _ in range(3))
+        while grown._grow():
+            pass
+        assert grown.length == 12 and not grown.end.detected
+        # each draw of the first row equals its depth's Born probability of 1
+        # on the path, and measures 0; the second row measures 1 at depth 1
+        path = grown.p_one.tolist()
+        draws = np.array([path, path[:1] + [0.0] + [0.5] * 10, [0.0] * 12]
+                         + [np.random.default_rng(seed).random(12) for seed in range(5)])
+        surveyed.survivors(draws)
+        assert surveyed.length == 12
+
+        def run(tree, row):
+            steps, end = tree.trial(ScriptedGenerator(row))
+            return ([(outcome, prob, amps.tobytes()) for outcome, prob, amps in steps],
+                    end.detected, end.final_fidelity, end.amps.tobytes())
+
+        want = [run(fresh, row) for row in draws]
+        assert [outcome for outcome, _, _ in want[0][0]] == [0] * 12
+        assert [outcome for outcome, _, _ in want[1][0]][:2] == [0, 1]
+        assert [run(grown, row) for row in draws] == want
+        assert [run(surveyed, row) for row in draws] == want
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1180,7 +1223,7 @@ class TestSharedTreeEngine:
         certain = protocol_module._OutcomeTree(
             data, NoiseSpec((1.5 * np.pi, 0.0)),
             ZenoSchedule(1.0, 3, measurement_mode=MODE_STOCHASTIC, seed=0))
-        assert not certain._grow() and certain.end.detected and certain.end.depth == 1
+        assert not certain._grow() and certain.end.detected and certain.length == 1
 
         def refuse(*args):
             raise AssertionError("a trial on a whole path stepped it or drew")
@@ -1234,14 +1277,14 @@ class TestSharedTreeEngine:
         tree = protocol_module._OutcomeTree(data, noise, schedule)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a tree node built a state object")
+            raise AssertionError("a trial or a row built a state object")
 
         monkeypatch.setattr(StateVector, "__init__", refuse)
         monkeypatch.setattr(StateVector, "_wrap", classmethod(refuse))
         monkeypatch.setattr(CycleOutcome, "__init__", refuse)
-        trials = [tree.sample(np.random.default_rng(seed), []) for seed in range(50)]
-        assert all(trial.depth == 64 for trial in trials)
-        assert any(trial.detected for trial in trials)
+        trials = [tree.trial(np.random.default_rng(seed)) for seed in range(50)]
+        assert all(len(steps) == 64 for steps, _ in trials)
+        assert any(end.detected for _, end in trials)
         sampled = list(protocol_module._batch_trials(tree, 0, 0, 50))
         assert None in sampled and any(trial is not None for trial in sampled)
 
@@ -1328,10 +1371,10 @@ class TestSharedTreeEngine:
         assert sampled == [None] * trials
         assert steps == list(range(1, max(reach) + 1))
 
-    def test_long_generator_row_holds_floats_not_nodes(self):
+    def test_long_generator_row_holds_floats_not_nodes(self, monkeypatch):
         # two trials that survive 20 000 cycles: the path keeps 8 bytes a
-        # depth, 16 while its array doubles, and no node behind its deepest,
-        # where a node of this register takes about 1 KiB
+        # depth, 16 while its array doubles, and no register behind its
+        # deepest, where a register and its step take about 1 KiB
         n = 20_000
         schedule = ZenoSchedule(1.0, n, aux_strategy=AUX_DUAL_ALTERNATING,
                                 measurement_mode=MODE_STOCHASTIC, seed=1)
@@ -1344,8 +1387,12 @@ class TestSharedTreeEngine:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert all(trial is not None and trial.depth == n for trial in sampled)
+        assert all(trial is not None and not trial.detected for trial in sampled)
         assert peak < 24 * n
+        # the row steps its path through every depth
+        steps = count_path_steps(monkeypatch)
+        list(sample_trials(data, noise, schedule, 2))
+        assert steps == list(range(1, n + 1))
 
 
 class TestSeedWords:
