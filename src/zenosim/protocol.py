@@ -19,7 +19,7 @@ __all__ = [
 import math
 import sys
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -439,7 +439,7 @@ def derive_trial_seed(master_seed: int, n: int, trial):
 
 
 def _batch_trials(tree: _OutcomeTree, master_seed: int, start: int, stop: int
-                  ) -> Iterable[_End | None]:
+                  ) -> list[_End | None]:
     """The no-error path's end for each surviving trial t in [start, stop),
     None for each that detects, trial t drawn on the uniforms of
     ``default_rng(derive_trial_seed(master_seed, tree.cycles, t))``. The
@@ -455,20 +455,35 @@ def _batch_trials(tree: _OutcomeTree, master_seed: int, start: int, stop: int
       holds at most SEED_BATCH trials, so it draws at most SEED_BATCH *
       ARRAY_MAX_CYCLES uniforms;
     - any other batch, of long trials or of few trials per cycle, hands
-      each trial a PCG64 generator in the state of its seed's words
-      (:meth:`_OutcomeTree.survives`): every array column costs a fixed
-      numpy overhead however few trials it holds.
+      each trial a PCG64 generator in the state of its seed's words: every
+      array column costs a fixed numpy overhead however few trials it
+      holds. Until the path is whole, trials walk it one by one, stepping
+      it as deep as they reach (:meth:`_OutcomeTree.survives`); the rest
+      fill a row each of one block, at most DRAW_BLOCK columns at a time,
+      compared at once (:meth:`_OutcomeTree.alive`): at most SEED_BATCH *
+      DRAW_BLOCK uniforms. On a path that ends detecting, none draws.
     """
-    cycles = tree.cycles
+    cycles, ends = tree.cycles, []
     words = _seed_words(derive_trial_seed(master_seed, cycles,
                                           np.arange(start, stop, dtype=np.uint64)))
     if (cycles <= ARRAY_MAX_CYCLES
             and stop - start >= ARRAY_TRIALS_PER_CYCLE * cycles + ARRAY_MIN_TRIALS):
-        survived = tree.survivors(_pcg64_random(_pcg64_state(words), cycles))
-        return [tree.end if alive else None for alive in survived.tolist()]
-    seed_words = _seed_words_class()
-    return (tree.end if tree.survives(np.random.Generator(np.random.PCG64(seed_words(row))))
-            else None for row in words)
+        running = tree.survivors(_pcg64_random(_pcg64_state(words), cycles))
+    else:
+        seed_words = _seed_words_class()
+        rngs = (np.random.Generator(np.random.PCG64(seed_words(row))) for row in words)
+        while tree.end is None and len(ends) < len(words):
+            ends.append(tree.end if tree.survives(next(rngs)) else None)
+        if len(ends) == len(words) or tree.end.detected:
+            return ends + [None] * (len(words) - len(ends))
+        rngs, running = list(rngs), np.ones(len(words) - len(ends), dtype=bool)
+        block = np.empty((len(rngs), min(cycles, DRAW_BLOCK)))
+        for depth in range(0, cycles, DRAW_BLOCK):
+            columns = block[:, :cycles - depth]
+            for t in np.flatnonzero(running).tolist():
+                rngs[t].random(out=columns[t])
+            running &= tree.alive(columns, depth)
+    return ends + [tree.end if alive else None for alive in running.tolist()]
 
 
 def _seed_words(seeds: np.ndarray) -> np.ndarray:
@@ -589,12 +604,13 @@ class _OutcomeTree:
     the numpy operations of the per-cycle gate calls, in their order, so
     every float is theirs; the CNOTs and the reset's Pauli-X are index
     gathers, and the norm is checked once, as the propagator's unitarity.
-    On raw arrays, :meth:`_noisy` alone steps a noise slice and
-    :meth:`_no_error` a cycle measuring 0, for :func:`run_protocol`'s trial
-    (:meth:`trial`), a stochastic row and a replay alike. A row steps the
-    no-error path a cycle deeper each time a running trial stands past it,
-    keeping its deepest ``x`` and its Born probabilities of 1,
-    ``p_one[:length]``; its ``end`` is None until it ends."""
+    On raw arrays, :meth:`_noisy` alone steps a noise slice, one matvec and
+    one gather, and :meth:`_no_error` a cycle measuring 0, for every trial
+    (:meth:`trial`, from the shared first slice ``first``), a stochastic row
+    and a replay alike. A row steps the no-error path a cycle deeper each
+    time a running trial stands past it, keeping its deepest slice, ``x``
+    and ``gathered``, and its Born probabilities of 1, ``p_one[:length]``;
+    its ``end`` is None until it ends."""
 
     def __init__(self, data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule):
         encoded, self.step = _prepare(data, noise, schedule.aux_count, schedule.interval)
@@ -604,8 +620,8 @@ class _OutcomeTree:
         self.encoded, self.num_qubits = encoded.amplitudes, encoded.num_qubits
         self.cycles, self.aux_count = schedule.cycles, schedule.aux_count
         self.reset = schedule.abort_policy == RESET_AND_CONTINUE
-        self.masks = _cycle_masks(self.num_qubits)
-        self.x, p_one = self._noisy(self.encoded, 0)
+        self.masks, self.half = _cycle_masks(self.num_qubits), self.encoded.size // 2
+        self.first = self.x, self.gathered, p_one = self._noisy(self.encoded, 0)
         self.p_one, self.length, self.end = np.array([p_one]), 1, None
 
     def trial(self, rng: np.random.Generator) -> tuple[list, _End]:
@@ -615,24 +631,23 @@ class _OutcomeTree:
         cycle it completes, and its end. A uniform below the cycle's Born
         probability of 1 measures 1; a branch below the ZeroProbabilityError
         threshold detects, and ends the trial with no step."""
-        steps, detected, amps, depth, n = [], False, self.encoded, 0, self.num_qubits
+        steps, detected, depth, n = [], False, 0, self.num_qubits
         while depth < self.cycles:
             for u in rng.random(min(self.cycles - depth, DRAW_BLOCK)).tolist():
-                x, p_one = self._noisy(amps, depth)
+                x, gathered, p_one = self._noisy(amps, depth) if depth else self.first
                 if u < p_one:
                     if p_one < _MIN_BRANCH_PROB:  # the failure branch holds none
                         return steps, self._end(x, True)
                     aux_q, detected = 1 + depth % self.aux_count, True
                     amps = np.zeros(x.size, dtype=complex)
-                    leak_at = self.masks[aux_q - 1][3]
-                    amps[_outcome_indices(n, aux_q, 1)] = x[leak_at] / np.sqrt(p_one)
+                    amps[_outcome_indices(n, aux_q, 1)] = gathered[:self.half] / math.sqrt(p_one)
                     steps.append((1, min(p_one, 1.0), amps))
                     if not self.reset:
                         return steps, self._end(amps, True)
                     # a reset re-zeros the measured auxiliary (Pauli-X) and re-entangles
                     amps = amps[_cnot_permutation(n, 0, aux_q) ^ _bit_mask(n, aux_q)]
                 else:
-                    prob, amps = self._no_error(x, depth)
+                    prob, amps = self._no_error(x, gathered, depth)
                     if prob < _MIN_BRANCH_PROB:
                         return steps, self._end(amps, True)
                     steps.append((0, min(prob, 1.0), amps))
@@ -643,28 +658,29 @@ class _OutcomeTree:
         """Which trials survive, row i of the ``(trials, cycles)`` uniforms
         ``draws`` those of one trial's every cycle, all compared with the
         no-error path at once; a draw below its depth's ``p_one`` measures 1."""
-        running = ~(draws[:, :self.length] < self.p_one[:self.length]).any(axis=1)
+        running = self.alive(draws)
         # the running trials past the path step it a cycle a column
         while np.count_nonzero(running) and self._grow():
             running &= ~(draws[:, self.length - 1] < self.p_one[self.length - 1])
         # the trials still running stand on the end
         return running if self.end is None or not self.end.detected else np.zeros_like(running)
 
+    def alive(self, draws: np.ndarray, depth: int = 0) -> np.ndarray:
+        """Which rows of ``draws``, uniforms of cycles depth + 1 on, measure no 1 on the path."""
+        stop = min(self.length, depth + draws.shape[1])
+        return ~(draws[:, :stop - depth] < self.p_one[depth:stop]).any(axis=1)
+
     def survives(self, rng: np.random.Generator) -> bool:
         """Whether the trial drawing on ``rng``, a fresh generator of its own,
         survives: it compares each block of at most DRAW_BLOCK draws with the
-        no-error path in one operation, and stops at its first 1."""
-        if self.end is not None:  # the path is whole: a block is one comparison
-            return not self.end.detected and not any(
-                (rng.random(min(self.cycles - d, DRAW_BLOCK)) < self.p_one[d:d + DRAW_BLOCK]).any()
-                for d in range(0, self.cycles, DRAW_BLOCK))
+        no-error path at once (:meth:`alive`), steps the path a cycle a draw
+        past its deepest, and stops at its first 1."""
         for depth in range(0, self.cycles, DRAW_BLOCK):
             block = rng.random(min(self.cycles - depth, DRAW_BLOCK))
-            built = min(self.length, depth + len(block))
-            if (block[:built - depth] < self.p_one[depth:built]).any():
+            if not self.alive(block[None], depth)[0]:
                 return False
             # past the path the trial steps it a cycle a draw
-            for u in block[built - depth:].tolist():
+            for u in block[self.length - depth:].tolist():
                 if not self._grow():
                     return not self.end.detected
                 if u < self.p_one[self.length - 1]:
@@ -677,32 +693,33 @@ class _OutcomeTree:
         if self.end is not None:
             return False
         depth = self.length
-        prob, amps = self._no_error(self.x, depth - 1)
+        prob, amps = self._no_error(self.x, self.gathered, depth - 1)
         if prob < _MIN_BRANCH_PROB or depth == self.cycles:
             self.end = self._end(amps, prob < _MIN_BRANCH_PROB)
             return False
         if depth == len(self.p_one):  # the entries past length are written before read
             self.p_one = np.resize(self.p_one, min(2 * depth, self.cycles))
-        self.x, self.p_one[depth] = self._noisy(amps, depth)
+        self.x, self.gathered, self.p_one[depth] = self._noisy(amps, depth)
         self.length = depth + 1
         return True
 
     def _noisy(self, amps, depth):
-        """``x``, ``amps`` after cycle depth + 1's noise slice, and its Born probability of 1."""
-        x = self.step @ amps
-        branch = x[self.masks[depth % self.aux_count][3]]  # leak_at
-        return x, float(np.vdot(branch, branch).real)
+        """``x``, ``amps`` after cycle depth + 1's noise slice; ``x`` gathered
+        into its outcome-1 then its outcome-0 branch; the Born probability of 1."""
+        x = self.step.dot(amps)
+        gathered = x[self.masks[depth % self.aux_count][2]]  # order
+        branch = gathered[:self.half]
+        return x, gathered, float(np.vdot(branch, branch).real)
 
-    def _no_error(self, x, depth):
-        """Cycle depth + 1 measuring 0 on ``x``: its Born probability and the
-        register after it, or ``x`` itself where detection is certain."""
-        keep = self.masks[depth % self.aux_count][2]  # keep_at
-        branch = x[keep]
+    def _no_error(self, x, gathered, depth):
+        """Cycle depth + 1 measuring 0 on ``x`` and its ``gathered``: its Born
+        probability and the register after it, or ``x`` where detection is certain."""
+        branch = gathered[self.half:]
         prob = float(np.vdot(branch, branch).real)
         if prob < _MIN_BRANCH_PROB:
             return prob, x  # undisentangled: the CNOT is its own inverse
         amps = np.zeros(x.size, dtype=complex)
-        amps[keep] = branch / np.sqrt(prob)
+        amps[self.masks[depth % self.aux_count][3]] = branch / math.sqrt(prob)  # keep_at
         return prob, amps
 
     def _end(self, amps, detected) -> _End:
@@ -726,14 +743,14 @@ def _row_result(data, noise, schedule, n) -> PostSelectedRow:
         raise ValueError(f"{n} cycles need a cycle-by-cycle replay of the no-error "
                          f"branch, longer than MAX_REPLAY_CYCLES = {MAX_REPLAY_CYCLES}")
     tree = _OutcomeTree(data, noise, replace(schedule, cycles=n))
-    x, survival, log_survival = tree.x, 1.0, 0.0
+    (x, gathered, _), survival, log_survival = tree.first, 1.0, 0.0
     for depth in range(n):
-        prob, amps = tree._no_error(x, depth)
+        prob, amps = tree._no_error(x, gathered, depth)
         if prob < _MIN_BRANCH_PROB:
             break
         survival *= min(prob, 1.0)
         log_survival += math.log(min(prob, 1.0))
-        x = tree.step @ amps
+        x, gathered, _ = tree._noisy(amps, depth + 1)
     end = tree._end(amps, prob < _MIN_BRANCH_PROB)
     if end.detected or survival < sys.float_info.min:  # nothing survives a certain detection
         survival = 0.0 if end.detected else math.exp(log_survival)
@@ -747,18 +764,19 @@ def _vdots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _cycle_masks(num_qubits: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """(keep, leak, keep_at, leak_at) of the cycle on each auxiliary
+    """(keep, leak, order, keep_at) of the cycle on each auxiliary
     1..num_qubits-1, read-only. keep is the diagonal of CNOT(0, a) P0(a)
     CNOT(0, a), 1 at keep_at and 0 elsewhere, and leak is 1 - keep, 1 at
     leak_at: x disentangled by CNOT(0, a) holds its outcome-0 branch at
-    ``x[cnot][sel0]``, which is ``x[keep_at]``, and its outcome-1 at leak_at."""
+    ``x[cnot][sel0]``, which is ``x[keep_at]``, and its outcome-1 at leak_at.
+    order is leak_at then keep_at, one gather of both branches."""
     masks = []
     for aux_q in range(1, num_qubits):
         cnot = _cnot_permutation(num_qubits, 0, aux_q)
-        keep_at, leak_at = (cnot[_outcome_indices(num_qubits, aux_q, o)] for o in (0, 1))
+        order = cnot[np.concatenate([_outcome_indices(num_qubits, aux_q, o) for o in (1, 0)])]
         keep = np.zeros(1 << num_qubits)
-        keep[keep_at] = 1.0
-        masks.append((keep, 1.0 - keep, keep_at, leak_at))
+        keep[order[len(order) // 2:]] = 1.0
+        masks.append((keep, 1.0 - keep, order, order[len(order) // 2:]))
         for table in masks[-1]:
             table.flags.writeable = False
     return tuple(masks)

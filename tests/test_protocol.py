@@ -590,12 +590,15 @@ class TestFusedPostSelectedEngine:
 
 class ScriptedGenerator:
     """Stands in for ``np.random.default_rng(seed)``: hands out fixed
-    uniforms in order, one at a time or in blocks."""
+    uniforms in order, one at a time, in blocks, or into ``out``."""
 
     def __init__(self, draws):
         self.draws = list(draws)
 
-    def random(self, size=None):
+    def random(self, size=None, out=None):
+        if out is not None:
+            out[:] = self.random(len(out))
+            return out
         if size is None:
             return self.draws.pop(0)
         block, self.draws = self.draws[:size], self.draws[size:]
@@ -642,15 +645,32 @@ def assert_trial_is_run(trial, result):
         assert np.array_equal(trial.amps, result.final_state.amplitudes)
 
 
+def walk_trials_alone(data, noise, schedule, trials) -> list:
+    """The steps and end of each of ``trials`` trials of ``schedule``'s row,
+    each walked on its own (_OutcomeTree.trial) on its seed's generator."""
+    tree = protocol_module._OutcomeTree(data, noise, schedule)
+    return [tree.trial(np.random.default_rng(seed)) for seed in trial_seeds(schedule, trials)]
+
+
+def assert_trials_are_walked_alone(sampled, walked):
+    """Each sampled trial, the leaf it survived to or None, is the end of
+    the same trial walked on its own, bit for bit."""
+    for trial, (_, end) in zip(sampled, walked, strict=True):
+        assert (trial is None) == end.detected
+        if trial is not None:
+            assert trial.final_fidelity == end.final_fidelity
+            assert trial.amps.tobytes() == end.amps.tobytes()
+
+
 def count_path_steps(monkeypatch) -> list:
     """The depth each no-error path step (_OutcomeTree._no_error) reaches from
     now on; a trial stepped on its own, by _OutcomeTree.trial, fails."""
     steps = []
     real = protocol_module._OutcomeTree._no_error
 
-    def spy(tree, x, depth):
+    def spy(tree, x, gathered, depth):
         steps.append(depth + 1)
-        return real(tree, x, depth)
+        return real(tree, x, gathered, depth)
 
     def refuse(*args):
         raise AssertionError("a trial was stepped on its own")
@@ -660,22 +680,24 @@ def count_path_steps(monkeypatch) -> list:
     return steps
 
 
-def assert_path_is_the_child_walk(data, noise, schedule):
+def assert_path_is_an_all_zero_trial(data, noise, schedule):
     """The no-error path a row steps and a post-selected replay of it equal
     a trial whose draws never measure 1, and the per-cycle circuit, bit for
     bit: the Born probabilities of 1, the end and the survival."""
-    tree, walk = (protocol_module._OutcomeTree(data, noise, schedule) for _ in range(2))
+    tree = protocol_module._OutcomeTree(data, noise, schedule)
     while tree._grow():
         pass
-    p_one, noisy = [], walk._noisy
+    # the tree steps the first noise slice; the trial, on the grown tree,
+    # steps the others from it
+    p_one, noisy = [tree.first[2]], tree._noisy
 
     def spy(amps, depth):
-        x, prob = noisy(amps, depth)
+        x, gathered, prob = noisy(amps, depth)
         p_one.append(prob)
-        return x, prob
+        return x, gathered, prob
 
-    walk._noisy = spy
-    steps, walked = walk.trial(ScriptedGenerator([math.inf] * schedule.cycles))
+    tree._noisy = spy
+    steps, walked = tree.trial(ScriptedGenerator([math.inf] * schedule.cycles))
     # every cycle measures 0, and one that detects with certainty is no step
     assert [outcome for outcome, _, _ in steps] == [0] * (tree.length - walked.detected)
     survival, log_survival = 1.0, 0.0
@@ -1183,7 +1205,7 @@ class TestSharedTreeEngine:
         ),
         n=st.integers(1, 64),
     )
-    def test_path_steps_are_the_child_walk(self, strategy, lam, mu, amps, n):
+    def test_path_is_an_all_zero_trial(self, strategy, lam, mu, amps, n):
         # lambda up to 40 over T = 1: most paths hold a depth whose Born
         # probability of 1 passes 1/2; certain detection is the next test's
         size = 2 if strategy == AUX_SINGLE else 3
@@ -1191,7 +1213,7 @@ class TestSharedTreeEngine:
         noise = NoiseSpec(lam=tuple(lam[:size]), mu=tuple(mu[:size]))
         schedule = ZenoSchedule(1.0, n, aux_strategy=strategy, measurement_mode=MODE_STOCHASTIC,
                                 seed=0)
-        assert_path_is_the_child_walk(data, noise, schedule)
+        assert_path_is_an_all_zero_trial(data, noise, schedule)
 
     @pytest.mark.parametrize("strategy", [AUX_SINGLE, AUX_DUAL_ALTERNATING])
     @pytest.mark.parametrize("lam, cycles", [
@@ -1200,24 +1222,25 @@ class TestSharedTreeEngine:
         # the no-error branch ~1e-33 in the first of two cycles
         (np.pi / 2, 1), (1e-8, 3), (np.pi, 2),
     ])
-    def test_zero_branch_path_steps_are_the_child_walk(self, strategy, lam, cycles):
+    def test_zero_branch_path_is_an_all_zero_trial(self, strategy, lam, cycles):
         size = 2 if strategy == AUX_SINGLE else 3
         schedule = ZenoSchedule(1.0, cycles, aux_strategy=strategy,
                                 measurement_mode=MODE_STOCHASTIC, seed=0)
         noise = NoiseSpec(lam=(lam,) + (0.0,) * (size - 1))
-        assert_path_is_the_child_walk(new_state(1, [0.6, 0.8]), noise, schedule)
+        assert_path_is_an_all_zero_trial(new_state(1, [0.6, 0.8]), noise, schedule)
 
     def test_a_whole_path_is_compared_without_stepping_it(self, monkeypatch):
-        # once the path has its end, a generator trial compares its blocks
-        # with p_one and steps nothing; a path that ends in certain
-        # detection leaves every trial detecting without a draw
+        # once the path has its end, a generator batch compares its trials'
+        # blocks with p_one, walks no trial on its own and steps nothing; a
+        # path that ends in certain detection leaves every trial detecting
+        # without a generator or a draw
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec((0.9, 0.6, 0.3))
         schedule = ZenoSchedule(4.0, DRAW_BLOCK + 44, aux_strategy=AUX_DUAL_ALTERNATING,
                                 measurement_mode=MODE_STOCHASTIC, seed=0)
         whole, lazy = (protocol_module._OutcomeTree(data, noise, schedule) for _ in range(2))
         while whole._grow():
             pass
-        want = [lazy.survives(np.random.default_rng(seed)) for seed in range(40)]
+        want = [lazy.survives(np.random.default_rng(seed)) for seed in trial_seeds(schedule, 40)]
         assert True in want and False in want
         # a quarter flip rotation a slice: the first cycle detects with certainty
         certain = protocol_module._OutcomeTree(
@@ -1226,11 +1249,88 @@ class TestSharedTreeEngine:
         assert not certain._grow() and certain.end.detected and certain.length == 1
 
         def refuse(*args):
-            raise AssertionError("a trial on a whole path stepped it or drew")
+            raise AssertionError("a trial on a whole path stepped it, walked alone or drew")
 
-        monkeypatch.setattr(protocol_module._OutcomeTree, "_grow", refuse)
-        assert [whole.survives(np.random.default_rng(seed)) for seed in range(40)] == want
-        assert not certain.survives(mock.Mock(random=refuse))
+        for name in ("_grow", "survives", "trial"):
+            monkeypatch.setattr(protocol_module._OutcomeTree, name, refuse)
+        got = protocol_module._batch_trials(whole, schedule.seed, 0, 40)
+        assert all(trial is whole.end if alive else trial is None
+                   for trial, alive in zip(got, want, strict=True))
+        for name in ("PCG64", "Generator"):
+            monkeypatch.setattr(np.random, name, refuse)
+        assert protocol_module._batch_trials(certain, 0, 0, 20) == [None] * 20
+
+    @pytest.mark.parametrize("cycles, total_time, batch", [
+        (64, 8.0, protocol_module.SEED_BATCH),
+        (DRAW_BLOCK + 44, 16.0, protocol_module.SEED_BATCH),
+        (DRAW_BLOCK + 44, 16.0, 16),
+    ])
+    def test_a_batch_compares_in_blocks_once_its_path_is_whole(self, monkeypatch, cycles,
+                                                               total_time, batch):
+        # the path becomes whole partway through the first generator batch,
+        # and the trials after it, in that batch and the next, compare a
+        # block of at most DRAW_BLOCK draws each at once; the longer trials
+        # detect in their second block too
+        monkeypatch.setattr(protocol_module, "SEED_BATCH", batch)
+        data, noise = new_state(1, [0.6, 0.8]), NoiseSpec((0.4, 0.3, 0.2), (0.2, 0.1, 0.0))
+        schedule = ZenoSchedule(total_time, cycles, aux_strategy=AUX_DUAL_ALTERNATING,
+                                measurement_mode=MODE_STOCHASTIC, seed=3)
+        want = walk_trials_alone(data, noise, schedule, 60)
+        assert any(end.detected and len(steps) > DRAW_BLOCK for steps, end in want) == (
+            cycles > DRAW_BLOCK)
+        walked = []
+        real = protocol_module._OutcomeTree.survives
+        monkeypatch.setattr(protocol_module._OutcomeTree, "survives",
+                            lambda tree, rng: walked.append(rng) or real(tree, rng))
+        got = list(sample_trials(data, noise, schedule, 60))
+        assert 1 <= len(walked) < min(batch, 60)
+        assert_trials_are_walked_alone(got, want)
+
+    def test_a_block_compares_each_depth_with_its_own(self, monkeypatch):
+        # scripted trials on a whole path two blocks long: each draw of the
+        # first equals its depth's Born probability of 1 and measures 0; each
+        # other trial measures 1 only at one depth of the second block, where
+        # its draw is the float just below that depth's Born probability. A
+        # block compared with another stretch of the path turns one of them
+        # over unless that stretch equals its own float for float
+        schedule = ZenoSchedule(16.0, DRAW_BLOCK + 44, aux_strategy=AUX_DUAL_ALTERNATING,
+                                measurement_mode=MODE_STOCHASTIC, seed=3)
+        data, noise = new_state(1, [0.6, 0.8]), NoiseSpec((0.4, 0.3, 0.2), (0.2, 0.1, 0.0))
+        tree = protocol_module._OutcomeTree(data, noise, schedule)
+        while tree._grow():
+            pass
+        path = tree.p_one.tolist()
+        assert len(path) == schedule.cycles and max(path) < 0.5 and not tree.end.detected
+        rows = [path] + [[0.5] * depth + [np.nextafter(path[depth], 0.0)]
+                         + [0.5] * (schedule.cycles - depth - 1)
+                         for depth in range(DRAW_BLOCK, schedule.cycles)]
+        want = [tree.trial(ScriptedGenerator(row))[1] for row in rows]
+        assert [end.detected for end in want] == [False] + [True] * 44
+        scripted = iter(rows)
+        monkeypatch.setattr(np.random, "Generator", lambda bits: ScriptedGenerator(next(scripted)))
+        got = protocol_module._batch_trials(tree, schedule.seed, 0, len(rows))
+        assert got[0] is tree.end and got[1:] == [None] * 44
+
+    def test_a_whole_path_batch_holds_a_bounded_block(self):
+        # a full batch of trials two blocks long on a whole path fills one
+        # SEED_BATCH x DRAW_BLOCK block of floats a time; its comparison holds
+        # a bool an entry, and each trial's generator about 750 bytes, under
+        # half its row: so the batch holds under twice the block
+        data, noise = new_state(1, [0.6, 0.8]), NoiseSpec((0.4, 0.3, 0.2), (0.2, 0.1, 0.0))
+        schedule = ZenoSchedule(4.0, DRAW_BLOCK + 44, aux_strategy=AUX_DUAL_ALTERNATING,
+                                measurement_mode=MODE_STOCHASTIC, seed=0)
+        tree = protocol_module._OutcomeTree(data, noise, schedule)
+        while tree._grow():
+            pass
+        protocol_module._batch_trials(tree, 0, 0, 2)  # fills numpy.random's lazy imports
+        tracemalloc.start()
+        try:
+            sampled = protocol_module._batch_trials(tree, 7, 0, protocol_module.SEED_BATCH)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert None in sampled and tree.end in sampled
+        assert peak <= 2 * protocol_module.SEED_BATCH * DRAW_BLOCK * 8
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -1269,7 +1369,7 @@ class TestSharedTreeEngine:
         with pytest.raises(NormDriftError):
             run_protocol(data, noise, schedule)
 
-    def test_nodes_are_built_without_state_objects(self, monkeypatch):
+    def test_trials_and_rows_build_no_state_objects(self, monkeypatch):
         schedule = ZenoSchedule(4.0, 64, aux_strategy=AUX_DUAL_ALTERNATING,
                                 measurement_mode=MODE_STOCHASTIC, seed=0,
                                 abort_policy=RESET_AND_CONTINUE)
@@ -1371,7 +1471,7 @@ class TestSharedTreeEngine:
         assert sampled == [None] * trials
         assert steps == list(range(1, max(reach) + 1))
 
-    def test_long_generator_row_holds_floats_not_nodes(self, monkeypatch):
+    def test_long_generator_row_holds_a_float_a_depth(self, monkeypatch):
         # two trials that survive 20 000 cycles: the path keeps 8 bytes a
         # depth, 16 while its array doubles, and no register behind its
         # deepest, where a register and its step take about 1 KiB
@@ -1504,12 +1604,15 @@ class TestInvariantsComputedOnce:
             masks = protocol_module._cycle_masks(num_qubits)
             assert protocol_module._cycle_masks(num_qubits) is masks
             assert len(masks) == num_qubits - 1
-            for keep, leak, keep_at, leak_at in masks:
+            for keep, leak, order, keep_at in masks:
                 assert np.array_equal(keep + leak, np.ones(1 << num_qubits))
-                # the gathers read the entries each mask keeps, in some order
-                assert sorted(keep_at.tolist()) == np.flatnonzero(keep).tolist()
-                assert sorted(leak_at.tolist()) == np.flatnonzero(leak).tolist()
-                for mask in (keep, leak, keep_at, leak_at):
+                # the gather reads the entries leak keeps, then those keep
+                # keeps, each in some order; keep_at is its second half
+                half = 1 << (num_qubits - 1)
+                assert sorted(order[:half].tolist()) == np.flatnonzero(leak).tolist()
+                assert sorted(order[half:].tolist()) == np.flatnonzero(keep).tolist()
+                assert keep_at.tolist() == order[half:].tolist()
+                for mask in (keep, leak, order, keep_at):
                     with pytest.raises(ValueError):
                         mask[0] = 0
 
