@@ -406,8 +406,10 @@ def sample_trials(
 
     Seeds are derived lazily, SEED_BATCH trials at a time, and each batch is
     seeded and drawn by one of two routes, as :func:`_batch_trials` says;
-    every draw is the same whichever route a batch takes. A negative or
-    non-integer ``trials`` raises ValueError.
+    every draw is the same whichever route a batch takes, and both compare
+    their draws with the path in one way, :meth:`_OutcomeTree.survivors`,
+    with no trial walked on its own. A negative or non-integer ``trials``
+    raises ValueError.
     """
     if schedule.measurement_mode != MODE_STOCHASTIC:
         raise ValueError("sampling trials needs a stochastic schedule")
@@ -442,48 +444,45 @@ def _batch_trials(tree: _OutcomeTree, master_seed: int, start: int, stop: int
                   ) -> list[_End | None]:
     """The no-error path's end for each surviving trial t in [start, stop),
     None for each that detects, trial t drawn on the uniforms of
-    ``default_rng(derive_trial_seed(master_seed, tree.cycles, t))``. The
-    batch's seeds are derived in one call on a uint64 array of indices and
-    hashed through :func:`_seed_words` in one pass; then the batch takes one
-    of two routes, by the fixed costs measured for each:
+    ``default_rng(derive_trial_seed(master_seed, tree.cycles, t))``. On a
+    path that ends detecting, none draws. Otherwise the batch's seeds are
+    derived in one call on a uint64 array of indices and hashed through
+    :func:`_seed_words` in one pass, and the batch draws by one of two
+    routes, by the fixed costs measured for each; either route compares its
+    draws with the path, block by block, through :meth:`_OutcomeTree.survivors`:
 
     - a batch of trials at most ARRAY_MAX_CYCLES cycles long, and of at
       least ARRAY_TRIALS_PER_CYCLE trials per cycle plus ARRAY_MIN_TRIALS,
-      draws every uniform on uint64 arrays in one pass (:func:`_pcg64_random`)
-      and compares them all with the no-error path at once
-      (:meth:`_OutcomeTree.survivors`), with no generator built: a batch
-      holds at most SEED_BATCH trials, so it draws at most SEED_BATCH *
+      draws every uniform on uint64 arrays in one pass (:func:`_pcg64_random`),
+      with no generator built, one block of at most SEED_BATCH *
       ARRAY_MAX_CYCLES uniforms;
     - any other batch, of long trials or of few trials per cycle, hands
       each trial a PCG64 generator in the state of its seed's words: every
       array column costs a fixed numpy overhead however few trials it
-      holds. Until the path is whole, trials walk it one by one, stepping
-      it as deep as they reach (:meth:`_OutcomeTree.survives`); the rest
-      fill a row each of one block, at most DRAW_BLOCK columns at a time,
-      compared at once (:meth:`_OutcomeTree.alive`): at most SEED_BATCH *
-      DRAW_BLOCK uniforms. On a path that ends detecting, none draws.
+      holds. The running trials fill a row each of one block, at most
+      DRAW_BLOCK columns at a time, until none runs: at most SEED_BATCH *
+      DRAW_BLOCK uniforms.
     """
-    cycles, ends = tree.cycles, []
+    cycles, running = tree.cycles, np.ones(stop - start, dtype=bool)
+    if tree.end is not None and tree.end.detected:
+        return [None] * len(running)
     words = _seed_words(derive_trial_seed(master_seed, cycles,
                                           np.arange(start, stop, dtype=np.uint64)))
     if (cycles <= ARRAY_MAX_CYCLES
             and stop - start >= ARRAY_TRIALS_PER_CYCLE * cycles + ARRAY_MIN_TRIALS):
-        running = tree.survivors(_pcg64_random(_pcg64_state(words), cycles))
+        running = tree.survivors(_pcg64_random(_pcg64_state(words), cycles), running)
     else:
         seed_words = _seed_words_class()
-        rngs = (np.random.Generator(np.random.PCG64(seed_words(row))) for row in words)
-        while tree.end is None and len(ends) < len(words):
-            ends.append(tree.end if tree.survives(next(rngs)) else None)
-        if len(ends) == len(words) or tree.end.detected:
-            return ends + [None] * (len(words) - len(ends))
-        rngs, running = list(rngs), np.ones(len(words) - len(ends), dtype=bool)
+        rngs = [np.random.Generator(np.random.PCG64(seed_words(row))) for row in words]
         block = np.empty((len(rngs), min(cycles, DRAW_BLOCK)))
         for depth in range(0, cycles, DRAW_BLOCK):
             columns = block[:, :cycles - depth]
             for t in np.flatnonzero(running).tolist():
                 rngs[t].random(out=columns[t])
-            running &= tree.alive(columns, depth)
-    return ends + [tree.end if alive else None for alive in running.tolist()]
+            running = tree.survivors(columns, running, depth)
+            if not running.any():
+                break
+    return [tree.end if alive else None for alive in running.tolist()]
 
 
 def _seed_words(seeds: np.ndarray) -> np.ndarray:
@@ -607,7 +606,8 @@ class _OutcomeTree:
     On raw arrays, :meth:`_noisy` alone steps a noise slice, one matvec and
     one gather, and :meth:`_no_error` a cycle measuring 0, for every trial
     (:meth:`trial`, from the shared first slice ``first``), a stochastic row
-    and a replay alike. A row steps the no-error path a cycle deeper each
+    and a replay alike. A row's trials are compared with the no-error path
+    by :meth:`survivors` alone, which steps the path a cycle deeper each
     time a running trial stands past it, keeping its deepest slice, ``x``
     and ``gathered``, and its Born probabilities of 1, ``p_one[:length]``;
     its ``end`` is None until it ends."""
@@ -654,39 +654,27 @@ class _OutcomeTree:
                 depth += 1
         return steps, self._end(amps, detected)
 
-    def survivors(self, draws: np.ndarray) -> np.ndarray:
-        """Which trials survive, row i of the ``(trials, cycles)`` uniforms
-        ``draws`` those of one trial's every cycle, all compared with the
-        no-error path at once; a draw below its depth's ``p_one`` measures 1."""
-        running = self.alive(draws)
-        # the running trials past the path step it a cycle a column
-        while np.count_nonzero(running) and self._grow():
-            running &= ~(draws[:, self.length - 1] < self.p_one[self.length - 1])
-        # the trials still running stand on the end
+    def survivors(self, draws: np.ndarray, running: np.ndarray, depth: int = 0) -> np.ndarray:
+        """Which trials survive, or still run, after the ``(trials, k)``
+        uniforms ``draws`` of cycles depth + 1 to depth + k: row i holds
+        trial i's, and counts only where ``running[i]``, which is narrowed
+        in place. A draw below its depth's ``p_one`` measures 1. The running
+        trials are compared with the known stretch of the path at once; past
+        it, the first that still runs steps the path a cycle a draw until its
+        first 1, and the rest are compared again. The row's last block takes
+        the step that gives the path its end, which the survivors stand on."""
+        known, stop = depth, depth + draws.shape[1]
+        while True:
+            seen, known = known, min(self.length, stop)
+            running &= ~(draws[:, seen - depth:known - depth] < self.p_one[seen:known]).any(axis=1)
+            if known == stop or self.end is not None or not running.any():
+                break
+            for u in draws[running.argmax(), known - depth:].tolist():
+                if not self._grow() or u < self.p_one[self.length - 1]:
+                    break
+        if self.end is None and stop == self.cycles and running.any():
+            self._grow()
         return running if self.end is None or not self.end.detected else np.zeros_like(running)
-
-    def alive(self, draws: np.ndarray, depth: int = 0) -> np.ndarray:
-        """Which rows of ``draws``, uniforms of cycles depth + 1 on, measure no 1 on the path."""
-        stop = min(self.length, depth + draws.shape[1])
-        return ~(draws[:, :stop - depth] < self.p_one[depth:stop]).any(axis=1)
-
-    def survives(self, rng: np.random.Generator) -> bool:
-        """Whether the trial drawing on ``rng``, a fresh generator of its own,
-        survives: it compares each block of at most DRAW_BLOCK draws with the
-        no-error path at once (:meth:`alive`), steps the path a cycle a draw
-        past its deepest, and stops at its first 1."""
-        for depth in range(0, self.cycles, DRAW_BLOCK):
-            block = rng.random(min(self.cycles - depth, DRAW_BLOCK))
-            if not self.alive(block[None], depth)[0]:
-                return False
-            # past the path the trial steps it a cycle a draw
-            for u in block[self.length - depth:].tolist():
-                if not self._grow():
-                    return not self.end.detected
-                if u < self.p_one[self.length - 1]:
-                    return False
-        self._grow()
-        return not self.end.detected
 
     def _grow(self) -> bool:
         """Step the no-error path a cycle deeper unless it has ended; True if it still runs."""

@@ -680,6 +680,16 @@ def count_path_steps(monkeypatch) -> list:
     return steps
 
 
+def compare_in_blocks(tree, draws, width) -> list:
+    """Which rows of the ``(trials, cycles)`` uniforms ``draws`` survive on
+    ``tree``, handed to _OutcomeTree.survivors ``width`` columns at a time,
+    as a generator batch hands it its blocks."""
+    running = np.ones(len(draws), dtype=bool)
+    for depth in range(0, draws.shape[1], width):
+        running = tree.survivors(draws[:, depth:depth + width], running, depth)
+    return running.tolist()
+
+
 def assert_path_is_an_all_zero_trial(data, noise, schedule):
     """The no-error path a row steps and a post-selected replay of it equal
     a trial whose draws never measure 1, and the per-cycle circuit, bit for
@@ -1078,7 +1088,6 @@ class TestSharedTreeEngine:
         def refuse(*args, **kwargs):
             raise AssertionError("an array batch walked a trial on its own")
 
-        monkeypatch.setattr(protocol_module._OutcomeTree, "survives", refuse)
         monkeypatch.setattr(protocol_module._OutcomeTree, "trial", refuse)
         sampled = list(protocol_module._batch_trials(tree, 7, 0, batch))
         assert len(sampled) == batch and None in sampled
@@ -1097,8 +1106,9 @@ class TestSharedTreeEngine:
         # trials on both sides of the array rule's edge, each on its seed's
         # uniforms, one more trial whose every draw is the first cycle's Born
         # probability of 1, which measures 0 there, and one whose every draw
-        # is its depth's; each compared with the whole path at once, block
-        # by block on a generator, and cycle by cycle down the tree
+        # is its depth's; each compared with the whole path at once, five
+        # columns at a time as a generator batch compares its blocks, and
+        # walked alone cycle by cycle down the tree
         size = 2 if strategy == AUX_SINGLE else 3
         data = new_state(1, [0.6, 0.8])
         noise = NoiseSpec((0.9, 0.6, 0.3)[:size], (0.1, 0.2, 0.0)[:size])
@@ -1106,7 +1116,7 @@ class TestSharedTreeEngine:
                                 measurement_mode=MODE_STOCHASTIC, seed=master, abort_policy=policy)
         trials = (protocol_module.ARRAY_TRIALS_PER_CYCLE * cycles
                   + protocol_module.ARRAY_MIN_TRIALS + offset)
-        array_tree, generator_tree, tree, full = (
+        array_tree, block_tree, tree, full = (
             protocol_module._OutcomeTree(data, noise, schedule) for _ in range(4))
         while full._grow():
             pass
@@ -1114,10 +1124,9 @@ class TestSharedTreeEngine:
         draws = np.array([np.random.default_rng(seed).random(cycles)
                           for seed in trial_seeds(schedule, trials)]
                          + [[tree.p_one[0]] * cycles, edge])
-        survived = array_tree.survivors(draws)
+        survived = array_tree.survivors(draws, np.ones(len(draws), dtype=bool))
         lone = [tree.trial(ScriptedGenerator(row))[1] for row in draws]
-        assert survived.tolist() == [generator_tree.survives(ScriptedGenerator(row))
-                                     for row in draws]
+        assert survived.tolist() == compare_in_blocks(block_tree, draws, 5)
         for alive, want in zip(survived.tolist(), lone, strict=True):
             assert alive != want.detected
             if alive:
@@ -1129,8 +1138,9 @@ class TestSharedTreeEngine:
                    for trial, alive in zip(routed, survived[:trials].tolist(), strict=True))
         # the edge trial alone steps a cold path through every depth it reaches
         cold = [protocol_module._OutcomeTree(data, noise, schedule) for _ in range(2)]
-        assert cold[0].survives(ScriptedGenerator(edge)) == (not full.end.detected)
-        assert cold[1].survivors(np.array([edge])).tolist() == [not full.end.detected]
+        assert compare_in_blocks(cold[0], np.array([edge]), 1) == [not full.end.detected]
+        assert cold[1].survivors(np.array([edge]), np.ones(1, dtype=bool)).tolist() == [
+            not full.end.detected]
         assert survived[-1] == (not full.end.detected)
 
     @pytest.mark.parametrize("policy", [ABORT_ON_DETECT, RESET_AND_CONTINUE])
@@ -1150,15 +1160,16 @@ class TestSharedTreeEngine:
         tree = protocol_module._OutcomeTree(data, noise, schedule)
         # and a trial whose draws equal the first cycle's Born probability of 1
         draws = np.array(rows + [[tree.p_one[0]] * len(rows[0])])
-        survived = protocol_module._OutcomeTree(data, noise, schedule).survivors(draws)
-        generator_tree = protocol_module._OutcomeTree(data, noise, schedule)
+        survived = protocol_module._OutcomeTree(data, noise, schedule).survivors(
+            draws, np.ones(len(draws), dtype=bool))
+        block_tree = protocol_module._OutcomeTree(data, noise, schedule)
         lone = [tree.trial(ScriptedGenerator(row)) for row in draws]
         # a trial that detects with no 1 on record detected with certainty
         assert any(end.detected and all(outcome == 0 for outcome, _, _ in steps)
                    for steps, end in lone)
         assert survived.tolist() == [not end.detected for _, end in lone]
-        assert [generator_tree.survives(ScriptedGenerator(row))
-                for row in draws] == survived.tolist()
+        # and a column at a time, as blocks one draw wide
+        assert compare_in_blocks(block_tree, draws, 1) == survived.tolist()
 
     @pytest.mark.parametrize("strategy", [AUX_SINGLE, AUX_DUAL_ALTERNATING])
     @pytest.mark.parametrize("policy", [ABORT_ON_DETECT, RESET_AND_CONTINUE])
@@ -1181,7 +1192,7 @@ class TestSharedTreeEngine:
         path = grown.p_one.tolist()
         draws = np.array([path, path[:1] + [0.0] + [0.5] * 10, [0.0] * 12]
                          + [np.random.default_rng(seed).random(12) for seed in range(5)])
-        surveyed.survivors(draws)
+        surveyed.survivors(draws, np.ones(len(draws), dtype=bool))
         assert surveyed.length == 12
 
         def run(tree, row):
@@ -1237,10 +1248,10 @@ class TestSharedTreeEngine:
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec((0.9, 0.6, 0.3))
         schedule = ZenoSchedule(4.0, DRAW_BLOCK + 44, aux_strategy=AUX_DUAL_ALTERNATING,
                                 measurement_mode=MODE_STOCHASTIC, seed=0)
-        whole, lazy = (protocol_module._OutcomeTree(data, noise, schedule) for _ in range(2))
+        whole = protocol_module._OutcomeTree(data, noise, schedule)
         while whole._grow():
             pass
-        want = [lazy.survives(np.random.default_rng(seed)) for seed in trial_seeds(schedule, 40)]
+        want = [not end.detected for _, end in walk_trials_alone(data, noise, schedule, 40)]
         assert True in want and False in want
         # a quarter flip rotation a slice: the first cycle detects with certainty
         certain = protocol_module._OutcomeTree(
@@ -1251,7 +1262,7 @@ class TestSharedTreeEngine:
         def refuse(*args):
             raise AssertionError("a trial on a whole path stepped it, walked alone or drew")
 
-        for name in ("_grow", "survives", "trial"):
+        for name in ("_grow", "trial"):
             monkeypatch.setattr(protocol_module._OutcomeTree, name, refuse)
         got = protocol_module._batch_trials(whole, schedule.seed, 0, 40)
         assert all(trial is whole.end if alive else trial is None
@@ -1265,12 +1276,12 @@ class TestSharedTreeEngine:
         (DRAW_BLOCK + 44, 16.0, protocol_module.SEED_BATCH),
         (DRAW_BLOCK + 44, 16.0, 16),
     ])
-    def test_a_batch_compares_in_blocks_once_its_path_is_whole(self, monkeypatch, cycles,
-                                                               total_time, batch):
-        # the path becomes whole partway through the first generator batch,
-        # and the trials after it, in that batch and the next, compare a
-        # block of at most DRAW_BLOCK draws each at once; the longer trials
-        # detect in their second block too
+    def test_a_batch_compares_in_blocks_and_steps_its_path_once(self, monkeypatch, cycles,
+                                                                total_time, batch):
+        # generator batches compare their trials a block of at most
+        # DRAW_BLOCK draws each at a time, the first batch stepping the path
+        # once through every depth and the next ones not at all; the longer
+        # trials detect in their second block too
         monkeypatch.setattr(protocol_module, "SEED_BATCH", batch)
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec((0.4, 0.3, 0.2), (0.2, 0.1, 0.0))
         schedule = ZenoSchedule(total_time, cycles, aux_strategy=AUX_DUAL_ALTERNATING,
@@ -1278,12 +1289,10 @@ class TestSharedTreeEngine:
         want = walk_trials_alone(data, noise, schedule, 60)
         assert any(end.detected and len(steps) > DRAW_BLOCK for steps, end in want) == (
             cycles > DRAW_BLOCK)
-        walked = []
-        real = protocol_module._OutcomeTree.survives
-        monkeypatch.setattr(protocol_module._OutcomeTree, "survives",
-                            lambda tree, rng: walked.append(rng) or real(tree, rng))
+        assert not all(end.detected for _, end in want)
+        steps = count_path_steps(monkeypatch)
         got = list(sample_trials(data, noise, schedule, 60))
-        assert 1 <= len(walked) < min(batch, 60)
+        assert steps == list(range(1, cycles + 1))
         assert_trials_are_walked_alone(got, want)
 
     def test_a_block_compares_each_depth_with_its_own(self, monkeypatch):
@@ -1310,6 +1319,75 @@ class TestSharedTreeEngine:
         monkeypatch.setattr(np.random, "Generator", lambda bits: ScriptedGenerator(next(scripted)))
         got = protocol_module._batch_trials(tree, schedule.seed, 0, len(rows))
         assert got[0] is tree.end and got[1:] == [None] * 44
+
+    def test_a_cold_path_is_stepped_to_the_deepest_first_1(self, monkeypatch):
+        # scripted trials two blocks long, each measuring 1 at one depth
+        # alone, where its draw is 0.0: a generator batch steps the cold
+        # path to the deepest of those depths and no further. A trial that
+        # detects in the first block draws no second one, and its row there
+        # keeps the first block's draws; the one detecting at depth 100 keeps
+        # 0.5s alone, no 1 in the second block, and stays detected
+        schedule = ZenoSchedule(16.0, DRAW_BLOCK + 44, aux_strategy=AUX_DUAL_ALTERNATING,
+                                measurement_mode=MODE_STOCHASTIC, seed=3)
+        data, noise = new_state(1, [0.6, 0.8]), NoiseSpec((0.4, 0.3, 0.2), (0.2, 0.1, 0.0))
+        full = protocol_module._OutcomeTree(data, noise, schedule)
+        while full._grow():
+            pass
+        assert 0.0 < min(full.p_one) and max(full.p_one) < 0.5
+        firsts = [10, 100, DRAW_BLOCK + 14, 5]
+        rows = [[0.5] * depth + [0.0] + [0.5] * (schedule.cycles - depth - 1) for depth in firsts]
+        want = [full.trial(ScriptedGenerator(row)) for row in rows]
+        assert [[outcome for outcome, _, _ in steps] for steps, _ in want] == [
+            [0] * depth + [1] for depth in firsts]
+        generators = [ScriptedGenerator(row) for row in rows]
+        scripted = iter(generators)
+        monkeypatch.setattr(np.random, "Generator", lambda bits: next(scripted))
+        steps = count_path_steps(monkeypatch)
+        tree = protocol_module._OutcomeTree(data, noise, schedule)
+        assert protocol_module._batch_trials(tree, schedule.seed, 0, len(rows)) == [None] * 4
+        assert steps == list(range(1, max(firsts) + 1))
+        assert [len(generator.draws) for generator in generators] == [44, 44, 0, 44]
+
+    def test_the_first_running_trial_steps_the_path_in_one_walk(self):
+        # each draw of the first trial equals its depth's Born probability of
+        # 1 and measures 0: leading on a cold path, it steps the whole path
+        # in one walk, so one trial is picked to lead
+        leads = []
+
+        class Running(np.ndarray):
+            def argmax(self, *args, **kwargs):
+                leads.append(super().argmax(*args, **kwargs))
+                return leads[-1]
+
+        schedule = ZenoSchedule(2.0, 12, aux_strategy=AUX_DUAL_ALTERNATING,
+                                measurement_mode=MODE_STOCHASTIC, seed=0)
+        data, noise = new_state(1, [0.6, 0.8]), NoiseSpec((0.9, 0.6, 0.3), (0.1, 0.2, 0.0))
+        full, cold = (protocol_module._OutcomeTree(data, noise, schedule) for _ in range(2))
+        while full._grow():
+            pass
+        assert max(full.p_one) < 0.5 and not full.end.detected
+        draws = np.array([full.p_one.tolist(), [0.5] * 12])
+        running = np.ones(2, dtype=bool).view(Running)
+        assert cold.survivors(draws, running).tolist() == [True, True]
+        assert leads == [0] and cold.length == 12 and cold.end is not None
+
+    def test_a_certain_first_1_is_seen_in_one_comparison(self, monkeypatch):
+        # a quarter flip a slice: the first cycle measures 1 with probability
+        # 1 - 4e-16, so a full generator batch of 1 000-cycle trials all
+        # detect there, seen when their first block is compared, with no
+        # path step and no trial walked alone
+        n = 1000
+        schedule = ZenoSchedule(n / 3, n, measurement_mode=MODE_STOCHASTIC, seed=0)
+        data, noise = new_state(1, [0.6, 0.8]), NoiseSpec((1.5 * np.pi, 0.0))
+        assert 0.0 < 1.0 - protocol_module._OutcomeTree(data, noise, schedule).p_one[0] < 1e-15
+
+        def refuse(*args):
+            raise AssertionError("the path was stepped or a trial walked alone")
+
+        for name in ("_grow", "trial"):
+            monkeypatch.setattr(protocol_module._OutcomeTree, name, refuse)
+        batch = protocol_module.SEED_BATCH
+        assert list(sample_trials(data, noise, schedule, batch)) == [None] * batch
 
     def test_a_whole_path_batch_holds_a_bounded_block(self):
         # a full batch of trials two blocks long on a whole path fills one
