@@ -30,6 +30,7 @@ __all__ = ["ConfigError", "ExperimentConfig", "parse_config"]
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .protocol import (
     ABORT_ON_DETECT, AUX_SINGLE, MODE_POST_SELECTED, MODE_STOCHASTIC, ZenoSchedule,
@@ -42,12 +43,33 @@ from .states import StateVector
 #: O(log n) and are not bounded.
 MAX_STOCHASTIC_CYCLES = 10_000_000
 
-_FLOAT_KEYS = {"alpha0_re", "alpha0_im", "alpha1_re", "alpha1_im", "total_time"}
-_INT_KEYS = {"trials", "seed"}
-_FLOAT_LIST_KEYS = {"lambda", "mu"}
-_INT_LIST_KEYS = {"n_values"}
-_STRING_KEYS = {"aux_strategy", "mode", "abort_policy", "output"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _FLOAT_LIST_KEYS | _INT_LIST_KEYS | _STRING_KEYS
+
+def _parse_float(text_value: str) -> float:
+    value = float(text_value)
+    if not math.isfinite(value):
+        raise ValueError(f"values must be finite, got {text_value!r}")
+    return value
+
+
+def _parse_list(parse, text_value: str) -> tuple:
+    items = text_value.strip()
+    if items.startswith("[") and items.endswith("]"):
+        items = items[1:-1]
+    parts = [p.strip() for p in items.split(",") if p.strip()]
+    if not parts:
+        raise ValueError("the list must not be empty")
+    return tuple(parse(p) for p in parts)
+
+
+#: the parser of each key's value; no other key is known
+_PARSERS = {
+    **dict.fromkeys(("alpha0_re", "alpha0_im", "alpha1_re", "alpha1_im", "total_time"),
+                    _parse_float),
+    **dict.fromkeys(("trials", "seed"), int),
+    **dict.fromkeys(("lambda", "mu"), partial(_parse_list, _parse_float)),
+    "n_values": partial(_parse_list, int),
+    **dict.fromkeys(("aux_strategy", "mode", "abort_policy", "output"), str),
+}
 _REQUIRED_KEYS = ("lambda", "total_time", "n_values")
 #: the config key of each ZenoSchedule field, whose name starts the field's error messages
 _SCHEDULE_KEYS = {"total_time": "total_time", "cycles": "n_values", "aux_strategy": "aux_strategy",
@@ -87,7 +109,7 @@ def parse_config(text: str) -> ExperimentConfig:
     values: dict[str, object] = {}
     for key, (text_value, line_no) in raw.items():
         try:
-            values[key] = _convert(key, text_value)
+            values[key] = _PARSERS[key](text_value)
         except ValueError as exc:
             raise ConfigError(f"key '{key}' (line {line_no}): {exc}") from None
     get = values.get
@@ -162,7 +184,7 @@ def _parse_pairs(text: str) -> dict[str, tuple[str, int]]:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _PARSERS:
             raise ConfigError(f"unknown key '{key}' (line {line_no})")
         if key in pairs:
             raise ConfigError(f"duplicate key '{key}' (line {line_no})")
@@ -170,32 +192,3 @@ def _parse_pairs(text: str) -> dict[str, tuple[str, int]]:
             raise ConfigError(f"key '{key}' (line {line_no}): empty value")
         pairs[key] = (value, line_no)
     return pairs
-
-
-def _convert(key: str, text_value: str):
-    if key in _STRING_KEYS:
-        return text_value
-    if key in _FLOAT_KEYS:
-        return _parse_float(text_value)
-    if key in _INT_KEYS:
-        return _parse_int(text_value)
-    items = text_value.strip()
-    if items.startswith("[") and items.endswith("]"):
-        items = items[1:-1]
-    parts = [p.strip() for p in items.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("the list must not be empty")
-    if key in _FLOAT_LIST_KEYS:
-        return tuple(_parse_float(p) for p in parts)
-    return tuple(_parse_int(p) for p in parts)
-
-
-def _parse_float(text_value: str) -> float:
-    value = float(text_value)
-    if not math.isfinite(value):
-        raise ValueError(f"values must be finite, got {text_value!r}")
-    return value
-
-
-def _parse_int(text_value: str) -> int:
-    return int(text_value)

@@ -19,7 +19,6 @@ __all__ = [
 import math
 import sys
 from collections import namedtuple
-from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -387,10 +386,10 @@ def run_post_selected(
 
 def sample_trials(
     data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule, trials: int
-) -> Iterator[_End | None]:
+) -> tuple[int, _End | None]:
     """Run stochastic trials 0, ..., trials - 1, each to its first detection;
-    yield None for each trial that detects, and for each survivor the
-    no-error path's end, an ``(amps, detected, final_fidelity)`` tuple.
+    return how many survive, and the no-error path's end that they all stand
+    on, an ``(amps, detected, final_fidelity)`` tuple, or None if none does.
 
     Trial t draws one uniform per cycle, the uniforms
     ``default_rng(derive_trial_seed(schedule.seed, schedule.cycles, t)).random``
@@ -405,22 +404,22 @@ def sample_trials(
     here (:func:`run_protocol` runs it).
 
     Seeds are derived lazily, SEED_BATCH trials at a time, and each batch is
-    seeded and drawn by one of two routes, as :func:`_batch_trials` says;
-    every draw is the same whichever route a batch takes, and both compare
-    their draws with the path in one way, :meth:`_OutcomeTree.survivors`,
-    with no trial walked on its own. A negative or non-integer ``trials``
-    raises ValueError.
+    seeded, drawn by one of two routes (:func:`_batch_trials`) and counted
+    before the next, so a row holds nothing that grows with ``trials``;
+    every draw is the same on either route, and both compare their draws
+    with the path in one way, :meth:`_OutcomeTree.survivors`, with no trial
+    walked on its own. A negative or non-integer ``trials`` raises ValueError.
     """
     if schedule.measurement_mode != MODE_STOCHASTIC:
         raise ValueError("sampling trials needs a stochastic schedule")
     if not isinstance(trials, (int, np.integer)) or trials < 0:
         raise ValueError(f"trials must be a non-negative integer, got {trials!r}")
     tree = _OutcomeTree(data, noise, schedule)
-    return (
-        trial
+    survivors = int(sum(
+        np.count_nonzero(_batch_trials(tree, schedule.seed, start, min(start + SEED_BATCH, trials)))
         for start in range(0, trials, SEED_BATCH)
-        for trial in _batch_trials(tree, schedule.seed, start, min(start + SEED_BATCH, trials))
-    )
+    ))
+    return survivors, tree.end if survivors else None
 
 
 def mix64(x):
@@ -440,16 +439,15 @@ def derive_trial_seed(master_seed: int, n: int, trial):
     return mix64(s ^ (trial & MAX_SEED))
 
 
-def _batch_trials(tree: _OutcomeTree, master_seed: int, start: int, stop: int
-                  ) -> list[_End | None]:
-    """The no-error path's end for each surviving trial t in [start, stop),
-    None for each that detects, trial t drawn on the uniforms of
+def _batch_trials(tree: _OutcomeTree, master_seed: int, start: int, stop: int) -> np.ndarray:
+    """Which trials t in [start, stop) survive, to ``tree.end``, as a mask,
+    trial t drawn on the uniforms of
     ``default_rng(derive_trial_seed(master_seed, tree.cycles, t))``. On a
     path that ends detecting, none draws. Otherwise the batch's seeds are
     derived in one call on a uint64 array of indices and hashed through
     :func:`_seed_words` in one pass, and the batch draws by one of two
-    routes, by the fixed costs measured for each; either route compares its
-    draws with the path, block by block, through :meth:`_OutcomeTree.survivors`:
+    routes, by the fixed costs measured for each; either route narrows the
+    mask, block by block, through :meth:`_OutcomeTree.survivors`:
 
     - a batch of trials at most ARRAY_MAX_CYCLES cycles long, and of at
       least ARRAY_TRIALS_PER_CYCLE trials per cycle plus ARRAY_MIN_TRIALS,
@@ -465,7 +463,7 @@ def _batch_trials(tree: _OutcomeTree, master_seed: int, start: int, stop: int
     """
     cycles, running = tree.cycles, np.ones(stop - start, dtype=bool)
     if tree.end is not None and tree.end.detected:
-        return [None] * len(running)
+        return np.zeros_like(running)
     words = _seed_words(derive_trial_seed(master_seed, cycles,
                                           np.arange(start, stop, dtype=np.uint64)))
     if (cycles <= ARRAY_MAX_CYCLES
@@ -482,7 +480,7 @@ def _batch_trials(tree: _OutcomeTree, master_seed: int, start: int, stop: int
             running = tree.survivors(columns, running, depth)
             if not running.any():
                 break
-    return [tree.end if alive else None for alive in running.tolist()]
+    return running
 
 
 def _seed_words(seeds: np.ndarray) -> np.ndarray:
@@ -731,14 +729,14 @@ def _row_result(data, noise, schedule, n) -> PostSelectedRow:
         raise ValueError(f"{n} cycles need a cycle-by-cycle replay of the no-error "
                          f"branch, longer than MAX_REPLAY_CYCLES = {MAX_REPLAY_CYCLES}")
     tree = _OutcomeTree(data, noise, replace(schedule, cycles=n))
-    (x, gathered, _), survival, log_survival = tree.first, 1.0, 0.0
+    survival, log_survival = 1.0, 0.0
     for depth in range(n):
+        x, gathered, _ = tree._noisy(amps, depth) if depth else tree.first
         prob, amps = tree._no_error(x, gathered, depth)
         if prob < _MIN_BRANCH_PROB:
             break
         survival *= min(prob, 1.0)
         log_survival += math.log(min(prob, 1.0))
-        x, gathered, _ = tree._noisy(amps, depth + 1)
     end = tree._end(amps, prob < _MIN_BRANCH_PROB)
     if end.detected or survival < sys.float_info.min:  # nothing survives a certain detection
         survival = 0.0 if end.detected else math.exp(log_survival)

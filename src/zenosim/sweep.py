@@ -10,9 +10,10 @@ pass's time. Stochastic mode copies the schedule for each n and samples
 derives each trial's seed from (master seed, n, trial) through a
 splitmix64-style mixer (`derive_trial_seed`), so any single trial can be
 reproduced without replaying the others: `run_protocol` with that seed
-gives the same outcome. A trial runs only to its first detection, and how
-a row's trials are seeded, drawn and walked is `sample_trials`'s to say.
-A row whose analytic reference cannot be computed fails alone.
+gives the same outcome. A trial runs only to its first detection, and a
+row is read from what `sample_trials` returns: how many trials survive,
+and the one no-error leaf they all end on. A row whose analytic reference
+cannot be computed fails alone.
 
 The CSV is a byte-reproducible artifact: (config, seed) determines every
 written byte. Because measured wall time cannot satisfy that, the
@@ -121,18 +122,14 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 def _stochastic_point(config, schedule) -> tuple[float, float, float]:
     """(survival rate, mean fidelity of the survivors, detection rate) over
     config.trials trials; every survivor ends on the row's no-error leaf."""
-    survivors = 0
-    detections = 0
+    survivors, leaf = sample_trials(config.data, config.noise, schedule, config.trials)
+    # added once a survivor, as a loop over the trials adds each one's: the
+    # sum's roundoff, not the leaf alone, gives the mean's last bits
     fidelity_sum = 0.0
-    for leaf in sample_trials(config.data, config.noise, schedule, config.trials):
-        if leaf is None:
-            detections += 1
-        else:
-            survivors += 1
-            fidelity_sum += leaf.final_fidelity
-    survival = survivors / config.trials
+    for _ in range(survivors):
+        fidelity_sum += leaf.final_fidelity
     fidelity_mean = fidelity_sum / survivors if survivors else math.nan
-    return survival, fidelity_mean, detections / config.trials
+    return survivors / config.trials, fidelity_mean, (config.trials - survivors) / config.trials
 
 
 def write_csv(result: SweepResult, path, keep_timings: bool = False) -> None:

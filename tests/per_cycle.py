@@ -2,14 +2,16 @@
 checked against: ``zenosim.protocol.sample_trials``, which runs trials 0,
 ..., trials - 1 with trial t seeded by
 ``derive_trial_seed(schedule.seed, schedule.cycles, t)``, each only to its
-first detection, on the row's no-error path.
+first detection, on the row's no-error path, and returns how many survive
+and the one leaf they all end on.
 
 ``run_stochastic`` steps one trial cycle by cycle through ``zeno_cycle``,
 drawing one scalar uniform per cycle; ``stochastic_point`` runs a sweep
 row's trials one by one through it, each with its own schedule and in
-full, reset-and-continue tails included. Both are the engine zenosim used
-before trials shared an outcome tree, and the sampler must reproduce them
-exactly, float for float.
+full, reset-and-continue tails included, and sums each survivor's own
+fidelity. Both are the engine zenosim used before trials shared an outcome
+tree, and a sweep row built from the sampler's count and leaf must
+reproduce them exactly, float for float.
 """
 import math
 from dataclasses import replace

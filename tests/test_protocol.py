@@ -1,6 +1,5 @@
 """Encoder, measurement cycle, scheduler, and decoder contracts."""
 import dataclasses
-import itertools
 import math
 import os
 import re
@@ -399,6 +398,28 @@ class TestFusedPostSelectedEngine:
         assert result.final_fidelity == fidelity(state, encoded)
         assert np.array_equal(result.final_state.amplitudes, state.amplitudes)
 
+    def test_a_replay_steps_a_noise_slice_a_cycle(self, monkeypatch):
+        # a whole replay of n cycles steps the slices before cycles 1 to n;
+        # one that detects with certainty in cycle d + 1 stops at its slice
+        depths = []
+        real = protocol_module._OutcomeTree._noisy
+
+        def spy(tree, amps, depth):
+            depths.append(depth)
+            return real(tree, amps, depth)
+
+        monkeypatch.setattr(protocol_module._OutcomeTree, "_noisy", spy)
+        data, schedule = new_state(1, [0.6, 0.8]), ZenoSchedule(1.0, 5)
+        whole = protocol_module._row_result(data, NoiseSpec.flip(0.3, 2), schedule, 5)
+        assert not whole.detected and depths == [0, 1, 2, 3, 4]
+        # an eighth flip rotation of auxiliary 2 a slice: cycle 1 reads
+        # auxiliary 1, which it leaves alone, and cycle 2 reads auxiliary 2
+        # after a quarter rotation, which it detects for certain
+        depths.clear()
+        dual = dataclasses.replace(schedule, aux_strategy=AUX_DUAL_ALTERNATING)
+        certain = protocol_module._row_result(data, NoiseSpec((0.0, 0.0, 1.25 * np.pi)), dual, 5)
+        assert certain.detected and certain.survival_probability == 0.0 and depths == [0, 1]
+
     def test_large_n_loss_and_inverse_n_law(self):
         start = time.perf_counter()
         lam, total_time = 0.1, 1.0
@@ -636,13 +657,38 @@ def assert_same_run(result, reference):
         assert np.array_equal(got.state_after.amplitudes, want.state_after.amplitudes)
 
 
-def assert_trial_is_run(trial, result):
-    """A trial sample_trials yields, the leaf it survived to or None, against
-    run_protocol on the trial's seed."""
-    assert (trial is None) == result.detected
-    if trial is not None:
-        assert trial.final_fidelity == result.final_fidelity
-        assert np.array_equal(trial.amps, result.final_state.amplitudes)
+def sample_masks(data, noise, schedule, trials) -> tuple[list, object]:
+    """sample_trials' row of ``trials`` trials: whether each survived, from
+    the mask each batch's _batch_trials returned, and the leaf. The batches
+    cover the trials in order, at most SEED_BATCH each, the count is the
+    masks' and the leaf is the tree's end, None where no trial survived."""
+    masks, trees = [], []
+    real = protocol_module._batch_trials
+
+    def spy(tree, master_seed, start, stop):
+        mask = real(tree, master_seed, start, stop)
+        assert mask.dtype == bool and mask.shape == (stop - start,)
+        assert start == sum(len(m) for m in masks) and stop - start <= protocol_module.SEED_BATCH
+        masks.append(mask.copy())
+        trees.append(tree)
+        return mask
+
+    with mock.patch.object(protocol_module, "_batch_trials", spy):
+        survivors, leaf = sample_trials(data, noise, schedule, trials)
+    survived = [alive for mask in masks for alive in mask.tolist()]
+    assert type(survivors) is int and survivors == survived.count(True)
+    assert len(survived) == trials
+    assert leaf is (trees[0].end if survivors else None)
+    return survived, leaf
+
+
+def assert_trial_is_run(survived, leaf, result):
+    """Whether a trial survived, and the leaf the row's survivors stand on,
+    against run_protocol on the trial's seed."""
+    assert survived != result.detected
+    if survived:
+        assert leaf.final_fidelity == result.final_fidelity
+        assert np.array_equal(leaf.amps, result.final_state.amplitudes)
 
 
 def walk_trials_alone(data, noise, schedule, trials) -> list:
@@ -652,14 +698,14 @@ def walk_trials_alone(data, noise, schedule, trials) -> list:
     return [tree.trial(np.random.default_rng(seed)) for seed in trial_seeds(schedule, trials)]
 
 
-def assert_trials_are_walked_alone(sampled, walked):
-    """Each sampled trial, the leaf it survived to or None, is the end of
-    the same trial walked on its own, bit for bit."""
-    for trial, (_, end) in zip(sampled, walked, strict=True):
-        assert (trial is None) == end.detected
-        if trial is not None:
-            assert trial.final_fidelity == end.final_fidelity
-            assert trial.amps.tobytes() == end.amps.tobytes()
+def assert_trials_are_walked_alone(survived, leaf, walked):
+    """Whether each sampled trial survived, and the leaf the survivors stand
+    on, against the end of the same trial walked on its own, bit for bit."""
+    for alive, (_, end) in zip(survived, walked, strict=True):
+        assert alive != end.detected
+        if alive:
+            assert leaf.final_fidelity == end.final_fidelity
+            assert leaf.amps.tobytes() == end.amps.tobytes()
 
 
 def count_path_steps(monkeypatch) -> list:
@@ -883,9 +929,8 @@ class TestSharedTreeEngine:
             protocol_module, "propagator", lambda *a: calls.append(a) or real(*a)
         )
         schedule = ZenoSchedule(1.0, 8, measurement_mode=MODE_STOCHASTIC, seed=0)
-        trials = list(sample_trials(new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.3, 2), schedule,
-                                    100))
-        assert len(trials) == 100 and len(calls) == 1
+        survived, _ = sample_masks(new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.3, 2), schedule, 100)
+        assert len(survived) == 100 and len(calls) == 1
 
     def test_batch_boundaries_do_not_move_a_row(self, monkeypatch):
         # ten trials a row in batches of 3, 3, 3 and 1, each derived and
@@ -898,6 +943,9 @@ class TestSharedTreeEngine:
         assert_matches_per_cycle_engine(config)
 
     def test_seeds_are_read_lazily(self, monkeypatch):
+        # a row derives its seeds a batch at a time, in order, and counts the
+        # survivors run_protocol finds on them
+        monkeypatch.setattr(protocol_module, "SEED_BATCH", 3)
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.6, 2)
         schedule = ZenoSchedule(1.0, 8, measurement_mode=MODE_STOCHASTIC, seed=0)
         calls = []
@@ -907,14 +955,13 @@ class TestSharedTreeEngine:
             return t
 
         monkeypatch.setattr(protocol_module, "derive_trial_seed", derive)
-        trials = itertools.islice(sample_trials(data, noise, schedule, 10**12), 5)
-        for seed, trial in enumerate(trials):
-            assert_trial_is_run(trial, run_protocol(data, noise,
-                                                    dataclasses.replace(schedule, seed=seed)))
-        assert seed == 4
-        (indices,) = calls
-        assert indices.dtype == np.uint64
-        assert np.array_equal(indices, np.arange(protocol_module.SEED_BATCH))
+        survivors, _ = sample_trials(data, noise, schedule, 10)
+        assert [indices.dtype for indices in calls] == [np.uint64] * 4
+        assert [indices.tolist() for indices in calls] == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
+        assert survivors == sum(
+            not run_protocol(data, noise, dataclasses.replace(schedule, seed=seed)).detected
+            for seed in range(10))
+        assert 0 < survivors < 10
 
     @pytest.mark.parametrize("route", ["array", "generator"])
     def test_run_protocol_takes_the_seeds_sample_trials_takes(self, monkeypatch, route):
@@ -928,10 +975,10 @@ class TestSharedTreeEngine:
         seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, np.uint64(2**64 - 1), True]
         monkeypatch.setattr(protocol_module, "derive_trial_seed",
                             lambda master, n, t: np.array(seeds, dtype=np.uint64)[t])
-        trials = sample_trials(data, noise, schedule, len(seeds))
-        for seed, trial in zip(seeds, trials, strict=True):
-            assert_trial_is_run(trial, run_protocol(data, noise,
-                                                    dataclasses.replace(schedule, seed=seed)))
+        survived, leaf = sample_masks(data, noise, schedule, len(seeds))
+        for seed, alive in zip(seeds, survived, strict=True):
+            assert_trial_is_run(alive, leaf, run_protocol(data, noise,
+                                                          dataclasses.replace(schedule, seed=seed)))
 
     @pytest.mark.parametrize("trials", [1, 2, 5])
     def test_few_trials_take_seed_words(self, monkeypatch, trials):
@@ -953,11 +1000,11 @@ class TestSharedTreeEngine:
 
         monkeypatch.setattr(protocol_module, "_seed_words", spy)
         monkeypatch.setattr(np.random, "default_rng", refuse)
-        got = list(sample_trials(data, noise, schedule, trials))
+        survived, leaf = sample_masks(data, noise, schedule, trials)
         (seeds,) = hashed
         assert seeds.tolist() == trial_seeds(schedule, trials)
-        for trial, result in zip(got, want, strict=True):
-            assert_trial_is_run(trial, result)
+        for alive, result in zip(survived, want, strict=True):
+            assert_trial_is_run(alive, leaf, result)
 
     def test_rejects_post_selected_schedule(self):
         with pytest.raises(ValueError, match="stochastic"):
@@ -988,11 +1035,11 @@ class TestSharedTreeEngine:
         schedule = ZenoSchedule(2.0, 6, aux_strategy=strategy, measurement_mode=MODE_STOCHASTIC,
                                 seed=master, abort_policy=policy)
         with mock.patch.object(protocol_module, "SEED_BATCH", batch):
-            sampled = list(sample_trials(data, noise, schedule, trials))
-        assert len(sampled) == trials
-        for trial, seed in zip(sampled, trial_seeds(schedule, trials), strict=True):
-            assert_trial_is_run(trial, run_protocol(data, noise,
-                                                    dataclasses.replace(schedule, seed=seed)))
+            survived, leaf = sample_masks(data, noise, schedule, trials)
+        assert len(survived) == trials
+        for alive, seed in zip(survived, trial_seeds(schedule, trials), strict=True):
+            assert_trial_is_run(alive, leaf, run_protocol(data, noise,
+                                                          dataclasses.replace(schedule, seed=seed)))
 
     def test_many_short_trials_build_no_generator(self, monkeypatch):
         # the fewest trials per cycle that the array route takes
@@ -1008,10 +1055,10 @@ class TestSharedTreeEngine:
 
         for name in ("PCG64", "Generator", "default_rng"):
             monkeypatch.setattr(np.random, name, refuse)
-        got = list(sample_trials(data, noise, schedule, trials))
-        assert None in got and any(trial is not None for trial in got)
-        for trial, result in zip(got, want, strict=True):
-            assert_trial_is_run(trial, result)
+        survived, leaf = sample_masks(data, noise, schedule, trials)
+        assert False in survived and True in survived
+        for alive, result in zip(survived, want, strict=True):
+            assert_trial_is_run(alive, leaf, result)
 
     @pytest.mark.parametrize("trials, cycles", [
         (100, 64), (100, 256), (protocol_module.SEED_BATCH, protocol_module.ARRAY_MAX_CYCLES + 1),
@@ -1028,11 +1075,11 @@ class TestSharedTreeEngine:
                                 measurement_mode=MODE_STOCHASTIC, seed=0,
                                 abort_policy=RESET_AND_CONTINUE)
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec((0.4, 0.3, 0.2), (0.2, 0.1, 0.0))
-        sampled = list(sample_trials(data, noise, schedule, trials))
-        assert len(sampled) == trials
+        survived, leaf = sample_masks(data, noise, schedule, trials)
+        assert len(survived) == trials
         seeds = trial_seeds(schedule, trials)
         for t in (0, trials - 1):
-            assert_trial_is_run(sampled[t], run_protocol(
+            assert_trial_is_run(survived[t], leaf, run_protocol(
                 data, noise, dataclasses.replace(schedule, seed=seeds[t])))
 
     @pytest.mark.parametrize("trials, cycles", [
@@ -1053,8 +1100,8 @@ class TestSharedTreeEngine:
         monkeypatch.setattr(protocol_module, "_pcg64_random", spy)
         schedule = ZenoSchedule(1.0, cycles, measurement_mode=MODE_STOCHASTIC, seed=7)
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.6, 2)
-        sampled = list(sample_trials(data, noise, schedule, trials))
-        assert len(sampled) == trials and None in sampled
+        survived, _ = sample_masks(data, noise, schedule, trials)
+        assert len(survived) == trials and False in survived
         batches = [min(protocol_module.SEED_BATCH, trials - start)
                    for start in range(0, trials, protocol_module.SEED_BATCH)]
         assert calls == [(batch, cycles) for batch in batches]
@@ -1069,11 +1116,11 @@ class TestSharedTreeEngine:
                                             schedule)
         tracemalloc.start()
         try:
-            sampled = list(protocol_module._batch_trials(tree, 7, 0, batch))
+            survived = protocol_module._batch_trials(tree, 7, 0, batch)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(sampled) == batch and None in sampled
+        assert survived.shape == (batch,) and not survived.all()
         assert peak <= 5 * batch * cycles * 8
 
     def test_an_array_batch_compares_its_trials_at_once(self, monkeypatch):
@@ -1089,9 +1136,9 @@ class TestSharedTreeEngine:
             raise AssertionError("an array batch walked a trial on its own")
 
         monkeypatch.setattr(protocol_module._OutcomeTree, "trial", refuse)
-        sampled = list(protocol_module._batch_trials(tree, 7, 0, batch))
-        assert len(sampled) == batch and None in sampled
-        assert all(trial is None or trial is tree.end for trial in sampled)
+        survived = protocol_module._batch_trials(tree, 7, 0, batch)
+        assert survived.dtype == bool and survived.shape == (batch,)
+        assert survived.any() and not survived.all() and not tree.end.detected
         assert steps == list(range(1, cycles + 1))
 
     @settings(max_examples=60, deadline=None)
@@ -1132,10 +1179,9 @@ class TestSharedTreeEngine:
             if alive:
                 assert array_tree.end.final_fidelity == want.final_fidelity
                 assert np.array_equal(array_tree.end.amps, want.amps)
-        # a warm path hands every survivor its one leaf, on either route
+        # a warm path gives the same survivors, on either route
         routed = protocol_module._batch_trials(array_tree, master, 0, trials)
-        assert all(trial is array_tree.end if alive else trial is None
-                   for trial, alive in zip(routed, survived[:trials].tolist(), strict=True))
+        assert routed.tolist() == survived[:trials].tolist()
         # the edge trial alone steps a cold path through every depth it reaches
         cold = [protocol_module._OutcomeTree(data, noise, schedule) for _ in range(2)]
         assert compare_in_blocks(cold[0], np.array([edge]), 1) == [not full.end.detected]
@@ -1264,12 +1310,10 @@ class TestSharedTreeEngine:
 
         for name in ("_grow", "trial"):
             monkeypatch.setattr(protocol_module._OutcomeTree, name, refuse)
-        got = protocol_module._batch_trials(whole, schedule.seed, 0, 40)
-        assert all(trial is whole.end if alive else trial is None
-                   for trial, alive in zip(got, want, strict=True))
+        assert protocol_module._batch_trials(whole, schedule.seed, 0, 40).tolist() == want
         for name in ("PCG64", "Generator"):
             monkeypatch.setattr(np.random, name, refuse)
-        assert protocol_module._batch_trials(certain, 0, 0, 20) == [None] * 20
+        assert protocol_module._batch_trials(certain, 0, 0, 20).tolist() == [False] * 20
 
     @pytest.mark.parametrize("cycles, total_time, batch", [
         (64, 8.0, protocol_module.SEED_BATCH),
@@ -1291,9 +1335,9 @@ class TestSharedTreeEngine:
             cycles > DRAW_BLOCK)
         assert not all(end.detected for _, end in want)
         steps = count_path_steps(monkeypatch)
-        got = list(sample_trials(data, noise, schedule, 60))
+        survived, leaf = sample_masks(data, noise, schedule, 60)
         assert steps == list(range(1, cycles + 1))
-        assert_trials_are_walked_alone(got, want)
+        assert_trials_are_walked_alone(survived, leaf, want)
 
     def test_a_block_compares_each_depth_with_its_own(self, monkeypatch):
         # scripted trials on a whole path two blocks long: each draw of the
@@ -1318,7 +1362,7 @@ class TestSharedTreeEngine:
         scripted = iter(rows)
         monkeypatch.setattr(np.random, "Generator", lambda bits: ScriptedGenerator(next(scripted)))
         got = protocol_module._batch_trials(tree, schedule.seed, 0, len(rows))
-        assert got[0] is tree.end and got[1:] == [None] * 44
+        assert got.tolist() == [True] + [False] * 44
 
     def test_a_cold_path_is_stepped_to_the_deepest_first_1(self, monkeypatch):
         # scripted trials two blocks long, each measuring 1 at one depth
@@ -1344,7 +1388,8 @@ class TestSharedTreeEngine:
         monkeypatch.setattr(np.random, "Generator", lambda bits: next(scripted))
         steps = count_path_steps(monkeypatch)
         tree = protocol_module._OutcomeTree(data, noise, schedule)
-        assert protocol_module._batch_trials(tree, schedule.seed, 0, len(rows)) == [None] * 4
+        survived = protocol_module._batch_trials(tree, schedule.seed, 0, len(rows))
+        assert survived.tolist() == [False] * 4
         assert steps == list(range(1, max(firsts) + 1))
         assert [len(generator.draws) for generator in generators] == [44, 44, 0, 44]
 
@@ -1387,7 +1432,24 @@ class TestSharedTreeEngine:
         for name in ("_grow", "trial"):
             monkeypatch.setattr(protocol_module._OutcomeTree, name, refuse)
         batch = protocol_module.SEED_BATCH
-        assert list(sample_trials(data, noise, schedule, batch)) == [None] * batch
+        assert sample_masks(data, noise, schedule, batch) == ([False] * batch, None)
+
+    def test_a_row_with_no_survivor_has_no_leaf(self, monkeypatch):
+        # a quarter flip a slice, and a draw above the Born probability of 1:
+        # the one trial measures 0 where the no-error branch holds ~1e-33, so
+        # it takes the path to its end, which detects, and the row has
+        # neither a survivor nor a leaf
+        data, noise = new_state(1, [0.6, 0.8]), NoiseSpec((np.pi / 2, 0.0))
+        schedule = ZenoSchedule(1.0, 1, measurement_mode=MODE_STOCHASTIC, seed=0)
+        trees = []
+        real = protocol_module._batch_trials
+        monkeypatch.setattr(protocol_module, "_batch_trials",
+                            lambda tree, *args: trees.append(tree) or real(tree, *args))
+        monkeypatch.setattr(np.random, "Generator",
+                            lambda bits: ScriptedGenerator([1.0 - 2.0**-53]))
+        assert sample_trials(data, noise, schedule, 1) == (0, None)
+        (tree,) = trees
+        assert tree.end.detected
 
     def test_a_whole_path_batch_holds_a_bounded_block(self):
         # a full batch of trials two blocks long on a whole path fills one
@@ -1403,11 +1465,11 @@ class TestSharedTreeEngine:
         protocol_module._batch_trials(tree, 0, 0, 2)  # fills numpy.random's lazy imports
         tracemalloc.start()
         try:
-            sampled = protocol_module._batch_trials(tree, 7, 0, protocol_module.SEED_BATCH)
+            survived = protocol_module._batch_trials(tree, 7, 0, protocol_module.SEED_BATCH)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert None in sampled and tree.end in sampled
+        assert survived.any() and not survived.all()
         assert peak <= 2 * protocol_module.SEED_BATCH * DRAW_BLOCK * 8
 
     @settings(max_examples=50, deadline=None)
@@ -1431,11 +1493,11 @@ class TestSharedTreeEngine:
                                 measurement_mode=MODE_STOCHASTIC, seed=master, abort_policy=policy)
         with mock.patch.multiple(protocol_module, ARRAY_TRIALS_PER_CYCLE=per_cycle,
                                  ARRAY_MIN_TRIALS=0, SEED_BATCH=batch):
-            sampled = list(sample_trials(data, noise, schedule, trials))
-        assert len(sampled) == trials
-        for trial, seed in zip(sampled, trial_seeds(schedule, trials), strict=True):
-            assert_trial_is_run(trial, run_protocol(data, noise,
-                                                    dataclasses.replace(schedule, seed=seed)))
+            survived, leaf = sample_masks(data, noise, schedule, trials)
+        assert len(survived) == trials
+        for alive, seed in zip(survived, trial_seeds(schedule, trials), strict=True):
+            assert_trial_is_run(alive, leaf, run_protocol(data, noise,
+                                                          dataclasses.replace(schedule, seed=seed)))
 
     def test_non_unitary_propagator_raises_norm_drift(self, monkeypatch):
         real = protocol_module.propagator
@@ -1443,7 +1505,7 @@ class TestSharedTreeEngine:
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.3, 2)
         schedule = ZenoSchedule(1.0, 8, measurement_mode=MODE_STOCHASTIC, seed=0)
         with pytest.raises(NormDriftError):
-            list(sample_trials(data, noise, schedule, 10))
+            sample_trials(data, noise, schedule, 10)
         with pytest.raises(NormDriftError):
             run_protocol(data, noise, schedule)
 
@@ -1463,8 +1525,8 @@ class TestSharedTreeEngine:
         trials = [tree.trial(np.random.default_rng(seed)) for seed in range(50)]
         assert all(len(steps) == 64 for steps, _ in trials)
         assert any(end.detected for _, end in trials)
-        sampled = list(protocol_module._batch_trials(tree, 0, 0, 50))
-        assert None in sampled and any(trial is not None for trial in sampled)
+        survived = protocol_module._batch_trials(tree, 0, 0, 50)
+        assert survived.any() and not survived.all()
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -1518,6 +1580,28 @@ class TestSharedTreeEngine:
         assert row.mean_post_selected_fidelity == pytest.approx(reference.final_fidelity,
                                                                 rel=1e-12, abs=0)
 
+    def test_a_row_sums_its_survivors_fidelities(self):
+        # criterion 7's configuration: a row's mean fidelity is a plain loop
+        # over its trials run alone, adding each survivor's fidelity, whose
+        # roundoff moves it off the leaf's own; 12 digits show neither
+        config = stochastic_config(AUX_SINGLE, ABORT_ON_DETECT, (0.1, 0.1), (0.0, 0.0),
+                                   (0.6, 0.0, 0.8, 0.0), (8,), 200, 42)
+        data, noise, schedule = config.data, config.noise, config.schedule
+        (row,) = run_sweep(config).rows
+        assert {type(x) for x in (row.survival_probability, row.mean_post_selected_fidelity,
+                                  row.detection_rate)} == {float}
+        survivors, fidelity_sum = 0, 0.0
+        for seed in trial_seeds(schedule, config.trials):
+            result = run_protocol(data, noise, dataclasses.replace(schedule, seed=seed))
+            if not result.detected:
+                survivors += 1
+                fidelity_sum += result.final_fidelity
+        assert survivors == 199
+        assert row.mean_post_selected_fidelity == fidelity_sum / survivors
+        _, leaf = sample_trials(data, noise, schedule, config.trials)
+        assert row.mean_post_selected_fidelity != leaf.final_fidelity
+        assert f"{row.mean_post_selected_fidelity:.12g}" == f"{leaf.final_fidelity:.12g}"
+
     @pytest.mark.parametrize("policy", [ABORT_ON_DETECT, RESET_AND_CONTINUE])
     def test_stochastic_reset_rows_build_their_paths_alone(self, monkeypatch, policy):
         # the stochastic-reset benchmark's configuration: each of its two rows
@@ -1545,8 +1629,7 @@ class TestSharedTreeEngine:
                  - 1 for seed in trial_seeds(schedule, trials)]
         assert max(reach) < schedule.cycles - 1
         steps = count_path_steps(monkeypatch)
-        sampled = list(sample_trials(data, noise, schedule, trials))
-        assert sampled == [None] * trials
+        assert sample_masks(data, noise, schedule, trials) == ([False] * trials, None)
         assert steps == list(range(1, max(reach) + 1))
 
     def test_long_generator_row_holds_a_float_a_depth(self, monkeypatch):
@@ -1558,18 +1641,18 @@ class TestSharedTreeEngine:
                                 measurement_mode=MODE_STOCHASTIC, seed=1)
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec((0.1, 0.1, 0.1))
         # a short row first, so the caches and lazy imports it fills are not counted
-        list(sample_trials(data, noise, dataclasses.replace(schedule, cycles=4), 2))
+        sample_masks(data, noise, dataclasses.replace(schedule, cycles=4), 2)
         tracemalloc.start()
         try:
-            sampled = list(sample_trials(data, noise, schedule, 2))
+            survived, leaf = sample_masks(data, noise, schedule, 2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert all(trial is not None and not trial.detected for trial in sampled)
+        assert survived == [True, True] and not leaf.detected
         assert peak < 24 * n
         # the row steps its path through every depth
         steps = count_path_steps(monkeypatch)
-        list(sample_trials(data, noise, schedule, 2))
+        sample_trials(data, noise, schedule, 2)
         assert steps == list(range(1, n + 1))
 
 
