@@ -675,9 +675,7 @@ class _OutcomeTree:
         return running if self.end is None or not self.end.detected else np.zeros_like(running)
 
     def _grow(self) -> bool:
-        """Step the no-error path a cycle deeper unless it has ended; True if it still runs."""
-        if self.end is not None:
-            return False
+        """Step the no-error path, not yet ended, a cycle deeper; True if it still runs."""
         depth = self.length
         prob, amps = self._no_error(self.x, self.gathered, depth - 1)
         if prob < _MIN_BRANCH_PROB or depth == self.cycles:

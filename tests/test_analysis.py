@@ -1,4 +1,6 @@
 """Closed-form references and the convergence-rate fit."""
+import re
+
 import numpy as np
 import pytest
 
@@ -143,3 +145,14 @@ class TestConvergencePoint:
             ConvergencePoint(0, 0.5, 0.5)
         with pytest.raises(ValueError, match="finite"):
             ConvergencePoint(1, float("nan"), 0.5)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: zeno_limit_formula(1.0, 0), "n must be a positive integer, got 0",
+                 id="zeno_limit_formula-n"),
+    pytest.param(lambda: single_qubit_survival(0.1, 1.0, 0),
+                 "n must be a positive integer, got 0", id="single_qubit_survival-n"),
+])
+def test_bad_input_raises_value_error(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

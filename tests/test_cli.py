@@ -228,6 +228,7 @@ class TestDemos:
             (["limit", "--c", "nan", "--n", "8"], "c must be >= 0"),
             (["limit", "--c", "-1", "--n", "8"], "c must be >= 0"),
             (["limit", "--c", "inf", "--n", "4"], "c must be >= 0"),
+            (["limit", "--c", "1", "--n", ","], "--n expects comma-separated integers, got ','"),
             (["repetition-demo", "--lambda", "nan", "--t", "0.5"], "--lambda:"),
             (["repetition-demo", "--lambda", "0.1", "--t", "nan"], "--t:"),
             (["repetition-demo", "--lambda", "0.1", "--t", "-1"], "--t:"),

@@ -139,6 +139,12 @@ class TestRejections:
         with pytest.raises(ConfigError, match="empty value"):
             parse_config(MINIMAL + "mu =\n")
 
+    @pytest.mark.parametrize("key", ["lambda", "mu", "n_values"])
+    def test_empty_list(self, key):
+        lines = {"lambda": "0.1, 0.1", "total_time": "1.0", "n_values": "8", key: ","}
+        with pytest.raises(ConfigError, match=f"key '{key}' .*: the list must not be empty"):
+            parse_config("".join(f"{k} = {v}\n" for k, v in lines.items()))
+
     def test_comments_and_blank_lines_ignored(self):
         config = parse_config("# comment\n\n" + MINIMAL + "seed = 3  # inline\n")
         assert config.schedule.seed == 3

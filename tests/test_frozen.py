@@ -1,0 +1,63 @@
+"""The frozen stochastic CSVs, byte for byte.
+
+A speedup counts only if these files do not move. Each case takes a
+configuration from perfbench's workloads (``build(workload, 0)[0]``, read
+only, so each configuration has one copy), applies its overrides, renders
+it and runs ``zenosim sweep`` on it. The post-selected frozen CSV,
+``perfbench/frozen/postsel-large-n.csv``, is not here: it holds the seed
+commit's per-cycle values, which today's engine matches only within
+perfbench's 1e-9 check, so ``perfbench/run.py`` checks it.
+
+The bytes hold only while NumPy's SeedSequence, PCG64, integer promotion
+(NEP 50) and BLAS gemv, and Python's float sums, give the bits they give
+today; so CI runs this on the oldest NumPy pyproject.toml allows and the
+latest, and on a Python on each side of 3.12.
+"""
+import sys
+from pathlib import Path
+
+import pytest
+
+from zenosim.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+
+
+@pytest.mark.parametrize("workload, overrides, frozen", [
+    # acceptance criterion 7's configuration, cut to 2 000 trials
+    pytest.param("stochastic-abort", {}, "perfbench/frozen/stochastic-abort.csv",
+                 id="stochastic-abort"),
+    # dual-alternating reset-and-continue
+    pytest.param("stochastic-reset", {}, "perfbench/frozen/stochastic-reset.csv",
+                 id="stochastic-reset"),
+    # a stochastic row reads only each trial's detection and the one
+    # no-error leaf, so the reset-and-continue configuration run under
+    # abort-on-detect writes the same bytes: the policy does not move a row
+    pytest.param("stochastic-reset", {"abort_policy": "abort-on-detect"},
+                 "perfbench/frozen/stochastic-reset.csv", id="reset-as-abort"),
+    # acceptance criterion 7's row at its full 20 000 trials: the array
+    # route across five SEED_BATCH batches, 19 900 survivors. So no change
+    # to how a row counts its survivors may move a byte; 12 digits cannot
+    # show the fidelity sum's last bits, which
+    # test_a_row_sums_its_survivors_fidelities checks
+    pytest.param("stochastic-abort", {"trials": 20000}, "tests/frozen/criterion-7.csv",
+                 id="criterion-7"),
+    # the seed batches' boundaries: n = 8 takes the array route in both of
+    # its SEED_BATCH batches, n = 32 the array route and then a 104-trial
+    # generator batch, and n = 300 the generator route across DRAW_BLOCK
+    # and SEED_BATCH. So no change to how a row's trials are split into
+    # batches, routed or compared may move a byte
+    pytest.param("stochastic-reset",
+                 {"total_time": 16.0, "n_values": (8, 32, 300), "trials": 4200},
+                 "tests/frozen/seed-batches.csv", id="seed-batches"),
+])
+def test_a_frozen_configuration_writes_its_csv_byte_for_byte(
+        tmp_path, capsys, workload, overrides, frozen):
+    config = dict(workloads.build(workload, 0)[0], **overrides)
+    path, output = tmp_path / "sweep.cfg", tmp_path / "sweep.csv"
+    path.write_text(workloads.render(config, str(output)))
+    assert main(["sweep", str(path)]) == 0, capsys.readouterr().err
+    assert output.read_bytes() == (ROOT / frozen).read_bytes()

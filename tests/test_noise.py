@@ -1,4 +1,6 @@
 """Noise generator and time-evolution contracts."""
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from zenosim import (
     HermitianOperator,
     NoiseSpec,
     StateVector,
+    apply_propagator,
     build_hamiltonian,
     evolve_exact,
     evolve_first_order,
@@ -236,3 +239,36 @@ class TestExpansionDefect:
             defects = [expansion_defect(state, h, t) for t in times]
             slope = np.polyfit(np.log(times), np.log(defects), 1)[0]
             assert abs(slope - 2.0) < 0.1
+
+
+def _z():
+    return HermitianOperator(np.diag([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: NoiseSpec(()), "noise spec needs at least one qubit entry",
+                 id="NoiseSpec-empty"),
+    pytest.param(lambda: HermitianOperator(np.zeros((2, 3))),
+                 "operator must be square, got shape (2, 3)", id="HermitianOperator-shape"),
+    pytest.param(lambda: HermitianOperator(np.eye(3)),
+                 "dimension must be a power of two >= 2, got 3", id="HermitianOperator-dim"),
+    pytest.param(lambda: propagator(_z(), np.zeros((2, 2))),
+                 "time must be finite, a number or a 1-D array", id="propagator-2d-time"),
+    pytest.param(lambda: apply_propagator(new_state(1), np.eye(4)),
+                 "propagator shape (4, 4) does not match state dimension 2",
+                 id="apply_propagator-dim"),
+    pytest.param(lambda: evolve_exact(new_state(2), _z(), 0.1),
+                 "operator dim 2 does not match state dim 4", id="evolve_exact-dim"),
+    pytest.param(lambda: evolve_first_order(new_state(2), _z(), 0.1),
+                 "operator dim 2 does not match state dim 4", id="evolve_first_order-dim"),
+    pytest.param(lambda: evolve_first_order(new_state(1), _z(), np.inf),
+                 "time must be finite, got inf", id="evolve_first_order-inf"),
+])
+def test_bad_input_raises_value_error(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_hermitian_operator_repr_and_qubits():
+    h = HermitianOperator(np.eye(4))
+    assert repr(h) == "HermitianOperator(dim=4)" and h.num_qubits == 2

@@ -38,6 +38,7 @@ from zenosim import (
     derive_trial_seed,
     encode,
     evolve_exact,
+    evolve_first_order,
     fidelity,
     fit_inverse_n,
     new_state,
@@ -1824,3 +1825,22 @@ class TestDecode:
     def test_wrong_register_size(self):
         with pytest.raises(ValueError, match="register"):
             decode(new_state(2), 2)
+
+
+def _unnormalized():
+    h = build_hamiltonian(NoiseSpec((0.1,)), 1)
+    return evolve_first_order(new_state(1, [0.6, 0.8]), h, 0.5)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: encode(_unnormalized(), 1), "data state must be normalized",
+                 id="encode-unnormalized"),
+    pytest.param(lambda: zeno_cycle(encode(new_state(1), 1), 0, 0),
+                 "data_q and aux_q must differ", id="zeno_cycle-same-qubit"),
+    pytest.param(lambda: zeno_cycle(encode(new_state(1), 1), 0, 1, mode="sometimes"),
+                 "mode must be one of ('post-selected', 'stochastic'), got 'sometimes'",
+                 id="zeno_cycle-mode"),
+])
+def test_bad_input_raises_value_error(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

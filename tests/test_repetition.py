@@ -1,4 +1,6 @@
 """Repetition-register leakage and the majority-vote baseline."""
+import re
+
 import numpy as np
 import pytest
 
@@ -149,3 +151,19 @@ class TestMajorityVote:
     def test_wrong_register_size(self, rng):
         with pytest.raises(ValueError, match="3-qubit"):
             majority_vote_round(new_state(2), rng=rng)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: EpsilonReport.from_state(new_state(2)),
+                 "expected a 3-qubit state, got 2", id="EpsilonReport-size"),
+    pytest.param(lambda: syndrome_branches(new_state(2)),
+                 "majority vote needs a 3-qubit register, got 2", id="syndrome_branches-size"),
+    pytest.param(lambda: majority_vote_round(new_state(3), mode="sometimes"),
+                 "mode must be one of ('post-selected', 'stochastic'), got 'sometimes'",
+                 id="majority_vote_round-mode"),
+    pytest.param(lambda: majority_vote_round(new_state(3)), "stochastic mode requires an rng",
+                 id="majority_vote_round-no-rng"),
+])
+def test_bad_input_raises_value_error(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

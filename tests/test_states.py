@@ -1,4 +1,6 @@
 """Quantum-core contracts: construction, gates, CNOT, projection, measurement."""
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from zenosim import (
     apply_propagator,
     apply_single,
     fidelity,
+    ket_string,
     measure_qubit,
     new_state,
     project_qubit,
@@ -254,3 +257,44 @@ class TestAppendAux:
     def test_capacity_exceeded(self):
         with pytest.raises(ValueError, match="capacity"):
             append_aux(new_state(3), 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: project_qubit(new_state(1), 0, 2), "outcome must be 0 or 1, got 2",
+                 id="project_qubit-outcome"),
+    pytest.param(lambda: append_aux(new_state(1), -1),
+                 "count must be a non-negative integer, got -1", id="append_aux-count"),
+    pytest.param(lambda: StateVector.unit(2, [1, 0]),
+                 "expected 4 amplitudes for 2 qubit(s), got 2", id="unit-size"),
+    pytest.param(lambda: Gate2x2([[1]]), "gate must be a 2x2 matrix, got shape (1, 1)",
+                 id="gate-shape"),
+])
+def test_bad_input_raises_value_error(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_apply_single_takes_a_raw_matrix():
+    out = apply_single(new_state(1), [[0, 1], [1, 0]], 0)
+    np.testing.assert_array_equal(out.amplitudes, apply_single(new_state(1), PAULI_X, 0).amplitudes)
+
+
+def test_no_auxiliary_copies_the_register():
+    state = new_state(1, [0.6, 0.8])
+    out = append_aux(state, 0)
+    assert out.num_qubits == 1 and out.amplitudes is not state.amplitudes
+    np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
+
+
+@pytest.mark.parametrize("amplitudes, text", [
+    ([0.6, 0.8j], "0.6|0> + 0.8i|1>"),
+    ([0.36 + 0.48j, 0.8], "(0.36+0.48i)|0> + 0.8|1>"),
+    ([0.36 - 0.48j, -0.8j], "(0.36-0.48i)|0> + -0.8i|1>"),
+])
+def test_ket_string_of_complex_amplitudes(amplitudes, text):
+    assert ket_string(new_state(1, amplitudes)) == text
+
+
+def test_reprs():
+    assert repr(new_state(2, [0.6, 0, 0, 0.8])) == "<StateVector 0.6|00> + 0.8|11>>"
+    assert repr(PAULI_X) == "Gate2x2([[0j, (1+0j)], [(1+0j), 0j]])"
