@@ -8,12 +8,20 @@ Units are natural, hbar = 1: all rates are radians per unit time.
 At first order this generator phases the code words through the diagonal
 terms and leaks amplitude only into single-flip basis states, while
 double-flip transitions appear at second order.
+
+Each term acts on one qubit, so the terms commute and a noise slice
+factors exactly: exp(-i H t) is the Kronecker product of one 2x2 closed form
+per qubit. :func:`slice_propagator` builds the engine's slices that way,
+with no eigendecomposition; :func:`build_hamiltonian` and
+:func:`propagator` keep the dense operator and its ``eigh`` for
+:func:`evolve_exact` and the expansion check.
 """
 from __future__ import annotations
 
 __all__ = [
     "HermitianOperator", "NoiseSpec", "apply_propagator", "build_hamiltonian",
     "evolve_exact", "evolve_first_order", "expansion_defect", "propagator",
+    "slice_propagator",
 ]
 
 import math
@@ -125,6 +133,20 @@ class HermitianOperator:
         return f"HermitianOperator(dim={self.dim})"
 
 
+def _check_register(spec: NoiseSpec, num_qubits: int) -> None:
+    if spec.num_qubits != num_qubits:
+        raise ValueError(
+            f"noise spec covers {spec.num_qubits} qubit(s) but the register has {num_qubits}"
+        )
+
+
+def _checked_times(t) -> np.ndarray:
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1 or not np.isfinite(times).all():
+        raise ValueError(f"time must be finite, a number or a 1-D array, got {t!r}")
+    return times
+
+
 @lru_cache(maxsize=HAMILTONIAN_CACHE_SIZE)
 def build_hamiltonian(spec: NoiseSpec, num_qubits: int) -> HermitianOperator:
     """Assemble H = sum_i (lam_i X_i + mu_i P0_i) on ``num_qubits`` qubits.
@@ -135,10 +157,7 @@ def build_hamiltonian(spec: NoiseSpec, num_qubits: int) -> HermitianOperator:
     equal, +0.0 against -0.0 in an entry, builds the same matrix, because
     every entry is accumulated onto a +0.0.
     """
-    if spec.num_qubits != num_qubits:
-        raise ValueError(
-            f"noise spec covers {spec.num_qubits} qubit(s) but the register has {num_qubits}"
-        )
+    _check_register(spec, num_qubits)
     dim = 1 << num_qubits
     h = np.zeros((dim, dim), dtype=complex)
     for q in range(num_qubits):
@@ -150,14 +169,48 @@ def build_hamiltonian(spec: NoiseSpec, num_qubits: int) -> HermitianOperator:
     return HermitianOperator(h)
 
 
+def slice_propagator(spec: NoiseSpec, num_qubits: int, t: float | np.ndarray) -> np.ndarray:
+    """exp(-i H t) for H = build_hamiltonian(spec, num_qubits), in closed
+    form: qubit q's factor is e^{-i mu t/2} [cos(r t) I - i sin(r t)/r (lam X
+    + (mu/2) Z)], with r = sqrt(lam^2 + mu^2/4), worked out with ``math`` on
+    Python floats, and U = u_0 (x) ... (x) u_{k-1} is formed by broadcasting,
+    with no BLAS or LAPACK call. For a 1-D array of times, the (len(t), d, d)
+    stack. A zero time is the exact identity; a phase r t that overflows
+    raises ValueError naming it."""
+    _check_register(spec, num_qubits)
+    times = _checked_times(t)
+    qubits = [(lam, mu / 2, math.hypot(lam, mu / 2)) for lam, mu in zip(spec.lam, spec.mu)]
+    entries = []  # re, im of u_q[0, 0], u_q[0, 1], u_q[1, 0], u_q[1, 1], time by time
+    for tau in times.reshape(-1).tolist():
+        for q, (lam, half_mu, r) in enumerate(qubits):
+            if tau == 0.0:  # the exact identity, even for an infinite r
+                entries += (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+                continue
+            # |mu/2| <= r, so the phase mu t/2 is finite wherever r t is
+            rt = r * tau
+            if not math.isfinite(rt):
+                raise ValueError(f"noise phase r*t must be finite, got {rt!r} "
+                                 f"(qubit {q}, r = {r!r}, t = {tau!r})")
+            c, s = math.cos(rt), (math.sin(rt) / r if r else 0.0)
+            cp, sp = math.cos(half_mu * tau), math.sin(half_mu * tau)
+            # e^{-i phase} (c - i s (mu/2) Z) on the diagonal, e^{-i phase} (-i s lam) off it
+            z, x = s * half_mu, s * lam
+            entries += (cp * c - sp * z, -(cp * z + sp * c), -sp * x, -cp * x,
+                        -sp * x, -cp * x, cp * c + sp * z, cp * z - sp * c)
+    factors = np.array(entries).view(complex).reshape(-1, num_qubits, 2, 2)
+    u = factors[:, 0]
+    for q in range(1, num_qubits):
+        dim = 2 * u.shape[-1]
+        u = (u[:, :, None, :, None] * factors[:, q, None, :, None, :]).reshape(-1, dim, dim)
+    return u if times.ndim else u[0]
+
+
 def propagator(h: HermitianOperator, t: float | np.ndarray) -> np.ndarray:
     """Unitary exp(-i H t), from the eigendecomposition of H (exact at these
     dimensions). For a 1-D array of times, the (len(t), d, d) stack of their
     propagators, each row equal to the one a single time gives. A phase w t
     of an eigenvalue w that overflows raises ValueError naming it."""
-    times = np.asarray(t, dtype=float)
-    if times.ndim > 1 or not np.isfinite(times).all():
-        raise ValueError(f"time must be finite, a number or a 1-D array, got {t!r}")
+    times = _checked_times(t)
     w, v, vh = h.spectrum
     column = times.reshape(-1, 1)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -24,12 +24,15 @@ from functools import lru_cache
 
 import numpy as np
 
-# apply_propagator, apply_single and fidelity stay importable here: perfbench/spans.py traces them
+# apply_propagator, apply_single, fidelity, build_hamiltonian and propagator stay
+# importable here: perfbench/spans.py traces them
 from .states import (  # noqa: F401
     _MIN_BRANCH_PROB, NORM_TOL, NormDriftError, StateVector, _bit_mask, _cnot_permutation,
     _outcome_indices, append_aux, apply_cnot, apply_single, fidelity, measure_qubit, project_qubit,
 )
-from .noise import NoiseSpec, apply_propagator, build_hamiltonian, propagator  # noqa: F401
+from .noise import (  # noqa: F401
+    NoiseSpec, apply_propagator, build_hamiltonian, propagator, slice_propagator,
+)
 
 AUX_SINGLE = "single"
 AUX_DUAL_ALTERNATING = "dual-alternating"
@@ -303,7 +306,8 @@ def run_post_selected(
     (``schedule.cycles`` is not read): its PostSelectedRow, or the ValueError
     or NormDriftError its row raised. ``cycles`` is checked once: it must
     be a non-empty list of positive integers. The rows share one encoding,
-    one Hamiltonian, one propagator stack and one squaring ladder; each
+    one stack of noise slices, built in closed form with no
+    eigendecomposition (:func:`_prepare`), and one squaring ladder; each
     row's floats are those of its run alone.
 
     One cycle on auxiliary a is the pair (M, G): M = keep_a U maps the
@@ -313,11 +317,12 @@ def run_post_selected(
     ladder raises every row's pair, one stacked pass finishes the rows in
     forms whose floats are a one-row run's, and a row that keeps less than
     the zero-branch threshold is replayed (:func:`_row_result`). A row whose
-    survival leaves [0, 1], as the ladder's roundoff can make it past
-    n ~ 2**56, fails with a ValueError. A ValueError in building the shared
-    propagators, such as a noise phase that overflows at one row's
-    interval, is each row's own: the rows are then run one by one, and one
-    row's ValueError is raised.
+    survival leaves [0, 1] fails with a ValueError: a stop-gap for the
+    ladder's roundoff, which no row up to n = 2**62 + 1 was found to reach
+    with the closed-form slices. A ValueError in building the shared
+    slices, such as a noise phase that overflows at one row's interval, is
+    each row's own: the rows are then run one by one, and one row's
+    ValueError is raised.
     """
     if schedule.measurement_mode != MODE_POST_SELECTED:
         raise ValueError("run_post_selected needs a post-selected schedule")
@@ -600,7 +605,8 @@ class _OutcomeTree:
     """The outcome histories of one (data, noise, schedule), stepped with
     the numpy operations of the per-cycle gate calls, in their order, so
     every float is theirs; the CNOTs and the reset's Pauli-X are index
-    gathers, and the norm is checked once, as the propagator's unitarity.
+    gathers, and the norm is checked once, as the unitarity of the noise
+    slice, which :func:`_prepare` builds in closed form.
     On raw arrays, :meth:`_noisy` alone steps a noise slice, one matvec and
     one gather, and :meth:`_no_error` a cycle measuring 0, for every trial
     (:meth:`trial`, from the shared first slice ``first``), a stochastic row
@@ -713,9 +719,11 @@ class _OutcomeTree:
 
 
 def _prepare(data: StateVector, noise: NoiseSpec, aux_count: int, times: float | list[float]):
-    """(encoded register, noise-slice propagators for ``times``, a number or a 1-D array)."""
+    """(encoded register, noise-slice propagators for ``times``, a number or a
+    1-D array), the slices in closed form (:func:`noise.slice_propagator`),
+    one 2x2 factor per qubit, with no eigendecomposition."""
     encoded = encode(data, aux_count)
-    return encoded, propagator(build_hamiltonian(noise, encoded.num_qubits), times)
+    return encoded, slice_propagator(noise, encoded.num_qubits, times)
 
 
 def _row_result(data, noise, schedule, n) -> PostSelectedRow:

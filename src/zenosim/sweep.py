@@ -35,13 +35,15 @@ import stat
 import time
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .analysis import single_qubit_survival
 from .config import ExperimentConfig
 # ZenoSchedule and run_protocol stay importable here: perfbench/spans.py traces them;
 # derive_trial_seed and mix64 are this module's public names, and protocol's to compute
 from .protocol import (  # noqa: F401
-    MODE_STOCHASTIC, ZenoSchedule, derive_trial_seed, mix64, run_post_selected, run_protocol,
-    sample_trials,
+    MODE_STOCHASTIC, SEED_BATCH, ZenoSchedule, derive_trial_seed, mix64, run_post_selected,
+    run_protocol, sample_trials,
 )
 
 CSV_COLUMNS = (
@@ -123,11 +125,15 @@ def _stochastic_point(config, schedule) -> tuple[float, float, float]:
     """(survival rate, mean fidelity of the survivors, detection rate) over
     config.trials trials; every survivor ends on the row's no-error leaf."""
     survivors, leaf = sample_trials(config.data, config.noise, schedule, config.trials)
-    # added once a survivor, as a loop over the trials adds each one's: the
-    # sum's roundoff, not the leaf alone, gives the mean's last bits
+    # added once a survivor, left to right, as a loop over the trials adds
+    # each one's: the sum's roundoff, not the leaf alone, gives the mean's
+    # last bits. np.add.accumulate adds in that order, SEED_BATCH at a time,
+    # each chunk starting from the running sum
     fidelity_sum = 0.0
-    for _ in range(survivors):
-        fidelity_sum += leaf.final_fidelity
+    for start in range(0, survivors, SEED_BATCH):
+        chunk = np.full(min(SEED_BATCH, survivors - start) + 1, leaf.final_fidelity)
+        chunk[0] = fidelity_sum
+        fidelity_sum = float(np.add.accumulate(chunk)[-1])
     fidelity_mean = fidelity_sum / survivors if survivors else math.nan
     return survivors / config.trials, fidelity_mean, (config.trials - survivors) / config.trials
 

@@ -27,11 +27,10 @@ from zenosim import (
     apply_cnot,
     apply_propagator,
     apply_single,
-    build_hamiltonian,
     derive_trial_seed,
     encode,
     fidelity,
-    propagator,
+    slice_propagator,
     zeno_cycle,
 )
 
@@ -46,8 +45,7 @@ def run_stochastic(data, noise, schedule) -> ProtocolResult:
             f"{register_size} ({aux_count} auxiliaries)"
         )
     encoded = encode(data, aux_count)
-    hamiltonian = build_hamiltonian(noise, register_size)
-    step = propagator(hamiltonian, schedule.interval)
+    step = slice_propagator(noise, register_size, schedule.interval)
 
     rng = np.random.default_rng(schedule.seed)
     state = encoded

@@ -145,6 +145,20 @@ class TestSweepCommand:
         assert "synthetic" not in captured.out
         assert "n=4: RuntimeError: synthetic protocol failure" in captured.err
 
+    def test_runtime_fault_exits_2_with_its_message(self, tmp_path, capsys, monkeypatch):
+        import zenosim.cli as cli_module
+
+        def failing(config):
+            raise RuntimeError("synthetic sweep failure")
+
+        monkeypatch.setattr(cli_module, "run_sweep", failing)
+        config_path, output = write_config(tmp_path)
+        assert main(["sweep", str(config_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: synthetic sweep failure\n"
+        assert not output.exists()
+
     @pytest.mark.parametrize("mode", ["post-selected", "stochastic"])
     def test_overflowing_reference_fails_its_rows_not_the_sweep(self, tmp_path, capsys, mode):
         # used to print "error: math domain error" and write no CSV

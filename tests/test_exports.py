@@ -8,6 +8,7 @@ PUBLIC_NAMES = {
     "measure_qubit", "new_state", "project_qubit",
     "HermitianOperator", "NoiseSpec", "apply_propagator", "build_hamiltonian",
     "evolve_exact", "evolve_first_order", "expansion_defect", "propagator",
+    "slice_propagator",
     "ABORT_ON_DETECT", "AUX_DUAL_ALTERNATING", "AUX_SINGLE", "MODE_POST_SELECTED",
     "MODE_STOCHASTIC", "RESET_AND_CONTINUE", "CycleOutcome", "ProtocolResult",
     "ZenoSchedule", "decode", "encode", "run_protocol", "zeno_cycle",
@@ -21,7 +22,7 @@ PUBLIC_NAMES = {
 
 
 def test_all_lists_the_public_names_once():
-    assert len(PUBLIC_NAMES) == 58
+    assert len(PUBLIC_NAMES) == 59
     assert len(zenosim.__all__) == len(set(zenosim.__all__))
     assert set(zenosim.__all__) == PUBLIC_NAMES | {"__version__"}
 

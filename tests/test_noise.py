@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zenosim.noise as noise_module
 
@@ -17,6 +19,7 @@ from zenosim import (
     expansion_defect,
     new_state,
     propagator,
+    slice_propagator,
 )
 from conftest import random_state
 from series import series_propagator
@@ -192,6 +195,53 @@ class TestEvolveExact:
         u = propagator(h, 1.25e154)
         assert np.isfinite(u).all()
         assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-12
+
+
+class TestSlicePropagator:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        num_qubits=st.integers(1, 3),
+        lam=st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3),
+        mu=st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3),
+        t=st.one_of(st.floats(0.0, 1.0), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4)),
+    )
+    def test_matches_the_eigendecomposition(self, num_qubits, lam, mu, t):
+        # on these ranges the eigh path itself is off by up to 2.2e-15 from a
+        # 30-digit mpmath expm (150 random draws), and the two paths differed
+        # by up to 3.2e-15 in 20 000 draws: the bound is about twice eigh's error
+        spec = NoiseSpec(tuple(lam[:num_qubits]), tuple(mu[:num_qubits]))
+        u = slice_propagator(spec, num_qubits, t)
+        want = propagator(build_hamiltonian(spec, num_qubits), t)
+        assert u.shape == want.shape
+        np.testing.assert_allclose(u, want, rtol=0, atol=5e-15)
+
+    @pytest.mark.parametrize("spec", [
+        NoiseSpec((0.3, -1.2, 0.7), (0.4, 0.0, -0.9)),
+        NoiseSpec((1.7e308, 0.0, 0.0), (1.7e308, 0.0, 0.0)),  # r overflows to inf
+    ])
+    def test_zero_time_is_the_exact_identity(self, spec):
+        for u in (slice_propagator(spec, 3, 0.0), *slice_propagator(spec, 3, [0.0, -0.0])):
+            assert np.array_equal(u, np.eye(8))
+            assert not np.signbit(u.real).any() and not np.signbit(u.imag).any()
+
+    def test_largest_finite_phase_is_kept(self):
+        u = slice_propagator(NoiseSpec((1e154, 0.0)), 2, 1.25e154)
+        assert np.isfinite(u).all()
+        assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-12
+
+    @pytest.mark.parametrize("spec, num_qubits, t, message", [
+        (NoiseSpec((0.1, 0.2)), 3, 0.1, "noise spec covers 2 qubit(s) but the register has 3"),
+        (NoiseSpec((0.1,)), 1, np.zeros((2, 2)), "time must be finite, a number or a 1-D array"),
+        (NoiseSpec((0.1,)), 1, [0.5, np.nan], "time must be finite, a number or a 1-D array"),
+        (NoiseSpec((0.0, 1e200)), 2, [0.5, 1e200],
+         "noise phase r*t must be finite, got inf (qubit 1, r = 1e+200, t = 1e+200)"),
+        # mu alone: its phase mu t/2 would overflow, and so does r t = |mu| t/2
+        (NoiseSpec((0.0,), (1e308,)), 1, -10.0,
+         "noise phase r*t must be finite, got -inf (qubit 0, r = 5e+307, t = -10.0)"),
+    ])
+    def test_bad_input_is_named(self, spec, num_qubits, t, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            slice_propagator(spec, num_qubits, t)
 
 
 class TestFirstOrder:

@@ -43,10 +43,10 @@ from zenosim import (
     fit_inverse_n,
     new_state,
     parse_config,
-    propagator,
     run_protocol,
     run_sweep,
     single_qubit_survival,
+    slice_propagator,
     write_csv,
     zeno_cycle,
 )
@@ -302,7 +302,7 @@ def per_cycle_reference(data, noise, schedule):
     """
     aux_count = schedule.aux_count
     encoded = encode(data, aux_count)
-    step = propagator(build_hamiltonian(noise, 1 + aux_count), schedule.interval)
+    step = slice_propagator(noise, 1 + aux_count, schedule.interval)
     state, survival, log_survival = encoded, 1.0, 0.0
     for k in range(schedule.cycles):
         state = apply_propagator(state, step)
@@ -522,15 +522,15 @@ class TestFusedPostSelectedEngine:
             run_post_selected(new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.1, 2), schedule, cycles)
 
     def test_overflowing_phase_fails_only_its_row(self):
-        # w t = 2.5e308 overflows at n = 1; at n = 2 it is 1.25e308
+        # r t = 2.5e308 overflows at n = 1; at n = 2 it is 1.25e308
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec((1e154, 0.0))
         one, two = ZenoSchedule(2.5e154, 1), ZenoSchedule(2.5e154, 2)
         failure, result = run_post_selected(data, noise, one, [1, 2])
         assert isinstance(failure, ValueError)
-        assert str(failure) == ("noise phase w*t must be finite, got -inf "
-                                "(w = -1e+154, t = 2.5e+154)")
+        assert str(failure) == ("noise phase r*t must be finite, got inf "
+                                "(qubit 0, r = 1e+154, t = 2.5e+154)")
         assert_row_is_run(result, run_protocol(data, noise, two))
-        with pytest.raises(ValueError, match=r"noise phase w\*t must be finite"):
+        with pytest.raises(ValueError, match=r"noise phase r\*t must be finite"):
             run_post_selected(data, noise, one, [1])
 
     @pytest.mark.parametrize("strategy, lam", [
@@ -562,14 +562,14 @@ class TestFusedPostSelectedEngine:
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec((0.3, 0.2, 0.1), (0.1, 0.0, 0.2))
         schedule, cycles = ZenoSchedule(1.0, 1, aux_strategy=AUX_DUAL_ALTERNATING), [1, 2, 3, 8]
         clean = run_post_selected(data, noise, schedule, cycles)
-        real = protocol_module.propagator
+        real = protocol_module.slice_propagator
 
-        def poisoned(h, times):
-            stack = real(h, times)
+        def poisoned(spec, num_qubits, times):
+            stack = real(spec, num_qubits, times)
             stack[2] = np.nan  # the row of n = 3
             return stack
 
-        monkeypatch.setattr(protocol_module, "propagator", poisoned)
+        monkeypatch.setattr(protocol_module, "slice_propagator", poisoned)
         rows = run_post_selected(data, noise, schedule, cycles)
         assert isinstance(rows[2], NormDriftError)
         assert str(rows[2]) == "norm drifted by nan (tolerance 1e-10)"
@@ -577,18 +577,31 @@ class TestFusedPostSelectedEngine:
             assert rows[i][:4] == clean[i][:4]
             assert np.array_equal(rows[i].amplitudes, clean[i].amplitudes)
 
-    def test_survival_outside_the_unit_interval_fails_only_its_row(self):
-        # past n ~ 2**56 the ladder's roundoff runs away: at n = 2**58 + 1
-        # this row keeps a mass of about 2e47
+    def test_survival_outside_the_unit_interval_fails_only_its_row(self, monkeypatch):
+        # a ladder whose roundoff runs away, as the eigh slice's did past
+        # n ~ 2**56 (a row at n = 2**58 + 1 kept a mass of about 2e47); with
+        # the closed-form slice no row up to n = 2**62 + 1 leaves [0, 1], so
+        # the ladder's result is injected: the last row keeps 1e6 times its
+        # mass, and leaks all of it
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec((0.1, 0.1, 0.1))
         schedule = ZenoSchedule(1.0, 2**58 + 1, aux_strategy=AUX_DUAL_ALTERNATING)
+        eight = dataclasses.replace(schedule, cycles=8)
+        clean = run_protocol(data, noise, eight)
+        real = protocol_module._pair_power
+
+        def runaway(pair, powers):
+            m, g = real(pair, powers)
+            m[-1] *= 1e3
+            g[-1] = np.eye(len(g[-1]))
+            return m, g
+
+        monkeypatch.setattr(protocol_module, "_pair_power", runaway)
         message = r"survival \S+ at n = 288230376151711745 is outside \[0, 1\]"
         with pytest.raises(ValueError, match=message):
             run_protocol(data, noise, schedule)
         regular, failure = run_post_selected(data, noise, schedule, [8, 2**58 + 1])
         assert isinstance(failure, ValueError) and re.fullmatch(message, str(failure))
-        eight = dataclasses.replace(schedule, cycles=8)
-        assert_row_is_run(regular, run_protocol(data, noise, eight))
+        assert_row_is_run(regular, clean)
 
     def test_nan_survival_fails_only_its_row(self, monkeypatch):
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.3, 2)
@@ -828,10 +841,11 @@ class TestSharedTreeEngine:
 
     @pytest.mark.parametrize("policy", [ABORT_ON_DETECT, RESET_AND_CONTINUE])
     def test_certain_detection(self, policy):
-        # a quarter flip rotation of the data qubit before the only cycle:
-        # the auxiliary reads 1 with probability 1 - 4e-16
+        # a flip rotation of the data qubit 2e-8 short of a quarter before
+        # the only cycle: the auxiliary reads 1 with probability 1 - 4e-16
         config = stochastic_config(
-            AUX_SINGLE, policy, (np.pi / 2, 0.0), (0.0, 0.0), (0.6, 0.0, 0.8, 0.0), (1,), 20, 5
+            AUX_SINGLE, policy, (np.pi / 2 - 2e-8, 0.0), (0.0, 0.0), (0.6, 0.0, 0.8, 0.0), (1,),
+            20, 5,
         )
         assert run_sweep(config).rows[0].detection_rate == 1.0
         assert_matches_per_cycle_engine(config)
@@ -875,8 +889,8 @@ class TestSharedTreeEngine:
     @pytest.mark.parametrize(
         "lam, draws, failing_cycle",
         [
-            # measured 0 although the no-error branch holds ~1e-33
-            ((np.pi / 2, 0.0), [1.0 - 2.0**-53], 0),
+            # measured 0 although the no-error branch holds ~4e-16
+            ((np.pi / 2 - 2e-8, 0.0), [1.0 - 2.0**-53], 0),
             # measured 1 although the failure branch holds ~1e-17
             ((1e-8, 0.0), [0.5, 0.0, 0.5], 1),
         ],
@@ -925,9 +939,9 @@ class TestSharedTreeEngine:
 
     def test_engine_builds_the_propagator_once(self, monkeypatch):
         calls = []
-        real = protocol_module.propagator
+        real = protocol_module.slice_propagator
         monkeypatch.setattr(
-            protocol_module, "propagator", lambda *a: calls.append(a) or real(*a)
+            protocol_module, "slice_propagator", lambda *a: calls.append(a) or real(*a)
         )
         schedule = ZenoSchedule(1.0, 8, measurement_mode=MODE_STOCHASTIC, seed=0)
         survived, _ = sample_masks(new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.3, 2), schedule, 100)
@@ -1418,13 +1432,13 @@ class TestSharedTreeEngine:
         assert leads == [0] and cold.length == 12 and cold.end is not None
 
     def test_a_certain_first_1_is_seen_in_one_comparison(self, monkeypatch):
-        # a quarter flip a slice: the first cycle measures 1 with probability
-        # 1 - 4e-16, so a full generator batch of 1 000-cycle trials all
-        # detect there, seen when their first block is compared, with no
-        # path step and no trial walked alone
+        # a flip 2e-8 short of a quarter a slice: the first cycle measures 1
+        # with probability 1 - 4e-16, so a full generator batch of 1 000-cycle
+        # trials all detect there, seen when their first block is compared,
+        # with no path step and no trial walked alone
         n = 1000
         schedule = ZenoSchedule(n / 3, n, measurement_mode=MODE_STOCHASTIC, seed=0)
-        data, noise = new_state(1, [0.6, 0.8]), NoiseSpec((1.5 * np.pi, 0.0))
+        data, noise = new_state(1, [0.6, 0.8]), NoiseSpec((1.5 * np.pi - 6e-8, 0.0))
         assert 0.0 < 1.0 - protocol_module._OutcomeTree(data, noise, schedule).p_one[0] < 1e-15
 
         def refuse(*args):
@@ -1436,11 +1450,11 @@ class TestSharedTreeEngine:
         assert sample_masks(data, noise, schedule, batch) == ([False] * batch, None)
 
     def test_a_row_with_no_survivor_has_no_leaf(self, monkeypatch):
-        # a quarter flip a slice, and a draw above the Born probability of 1:
-        # the one trial measures 0 where the no-error branch holds ~1e-33, so
-        # it takes the path to its end, which detects, and the row has
-        # neither a survivor nor a leaf
-        data, noise = new_state(1, [0.6, 0.8]), NoiseSpec((np.pi / 2, 0.0))
+        # a flip 2e-8 short of a quarter a slice, and a draw above the Born
+        # probability of 1: the one trial measures 0 where the no-error branch
+        # holds ~4e-16, so it takes the path to its end, which detects, and
+        # the row has neither a survivor nor a leaf
+        data, noise = new_state(1, [0.6, 0.8]), NoiseSpec((np.pi / 2 - 2e-8, 0.0))
         schedule = ZenoSchedule(1.0, 1, measurement_mode=MODE_STOCHASTIC, seed=0)
         trees = []
         real = protocol_module._batch_trials
@@ -1501,8 +1515,8 @@ class TestSharedTreeEngine:
                                                           dataclasses.replace(schedule, seed=seed)))
 
     def test_non_unitary_propagator_raises_norm_drift(self, monkeypatch):
-        real = protocol_module.propagator
-        monkeypatch.setattr(protocol_module, "propagator", lambda *a: 1.01 * real(*a))
+        real = protocol_module.slice_propagator
+        monkeypatch.setattr(protocol_module, "slice_propagator", lambda *a: 1.01 * real(*a))
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.3, 2)
         schedule = ZenoSchedule(1.0, 8, measurement_mode=MODE_STOCHASTIC, seed=0)
         with pytest.raises(NormDriftError):

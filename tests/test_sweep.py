@@ -134,13 +134,17 @@ class TestRunSweep:
                 assert np.array_equal(got, want, equal_nan=True)
         assert sum(outcomes) == 8
 
-    def test_one_eigendecomposition_per_config(self, monkeypatch):
+    def test_one_slice_build_per_sweep_and_no_eigendecomposition(self, monkeypatch):
         import zenosim.noise as noise_module
+        import zenosim.protocol as protocol_module
 
-        calls = []
-        real = noise_module.np.linalg.eigh
+        eighs, builds = [], []
+        real_eigh, real_build = noise_module.np.linalg.eigh, protocol_module.slice_propagator
         monkeypatch.setattr(
-            noise_module.np.linalg, "eigh", lambda m: calls.append(m) or real(m)
+            noise_module.np.linalg, "eigh", lambda m: eighs.append(m) or real_eigh(m)
+        )
+        monkeypatch.setattr(
+            protocol_module, "slice_propagator", lambda *a: builds.append(a) or real_build(*a)
         )
         noise_module.build_hamiltonian.cache_clear()
         config = make_config(
@@ -150,7 +154,9 @@ class TestRunSweep:
         for _ in range(2):
             rows = run_sweep(config).rows
             assert len(rows) == 8 and not any(row.failed for row in rows)
-        assert len(calls) == 1
+        # one stacked build of the eight rows' slices a sweep, in closed form
+        assert len(builds) == 2 and [len(times) for *_, times in builds] == [8, 8]
+        assert eighs == []
 
     @pytest.mark.parametrize("mode, rows_validated", [("post-selected", []), ("stochastic", [8, 16, 32])])
     def test_schedule_is_validated_at_the_boundary(self, monkeypatch, mode, rows_validated):
@@ -223,16 +229,34 @@ class TestRunSweep:
             assert row.error == "ValueError: lam*total_time/n must be finite, got inf"
             assert np.isnan(row.analytic_reference) and np.isnan(row.survival_probability)
 
+    def test_survivor_fidelities_sum_as_a_loop_across_seed_batches(self):
+        # 4 904 of 5 000 trials survive, more than one SEED_BATCH: the mean
+        # is the loop's sum of the leaf's fidelity, once a survivor, carried
+        # from batch to batch, and differs from the leaf's fidelity itself
+        config = make_config(**{"n_values": "2", "mode": "stochastic", "trials": 5000,
+                                "seed": 7})
+        schedule = config.schedule
+        survivors, leaf = protocol_module.sample_trials(config.data, config.noise, schedule,
+                                                        config.trials)
+        assert survivors > protocol_module.SEED_BATCH
+        total = 0.0
+        for _ in range(survivors):
+            total += leaf.final_fidelity
+        assert total / survivors != leaf.final_fidelity
+        (row,) = run_sweep(config).rows
+        assert row.mean_post_selected_fidelity == total / survivors
+        assert row.survival_probability == survivors / config.trials
+
     @pytest.mark.parametrize("mode", ["post-selected", "stochastic"])
     def test_overflowing_noise_phase_fails_its_row_by_name(self, mode):
         # only the auxiliary is noisy, so the reference is 1; its phase
-        # w T / n overflows at n = 1 alone
+        # r T / n overflows at n = 1 alone
         config = make_config(**{"lambda": "0.0, 1e154", "total_time": 2.5e154,
                                 "n_values": "1, 2", "mode": mode, "trials": 20})
         first, second = run_sweep(config).rows
         assert first.failed and first.analytic_reference == 1.0
-        assert first.error == ("ValueError: noise phase w*t must be finite, got -inf "
-                               "(w = -1e+154, t = 2.5e+154)")
+        assert first.error == ("ValueError: noise phase r*t must be finite, got inf "
+                               "(qubit 1, r = 1e+154, t = 2.5e+154)")
         assert not second.failed, second.error
 
 
