@@ -313,16 +313,19 @@ def run_post_selected(
     One cycle on auxiliary a is the pair (M, G): M = keep_a U maps the
     register onto the no-error branch, and G = (Q_a U)^+ (Q_a U), with
     Q_a = I - keep_a, is the Gram matrix of the mass it leaks, so a cycle
-    takes ||psi||^2 to ||M psi||^2 = ||psi||^2 - psi^+ G psi. One stacked
-    ladder raises every row's pair, one stacked pass finishes the rows in
-    forms whose floats are a one-row run's, and a row that keeps less than
-    the zero-branch threshold is replayed (:func:`_row_result`). A row whose
-    survival leaves [0, 1] fails with a ValueError: a stop-gap for the
-    ladder's roundoff, which no row up to n = 2**62 + 1 was found to reach
-    with the closed-form slices. A ValueError in building the shared
-    slices, such as a noise phase that overflows at one row's interval, is
-    each row's own: the rows are then run one by one, and one row's
-    ValueError is raised.
+    takes ||psi||^2 to ||M psi||^2 = ||psi||^2 - psi^+ G psi. The encoded
+    register lies in every kept range, so M runs from the kept entries of
+    the cycle before (:func:`_kept_blocks`) to a's, G on the same entries,
+    both as real blocks [[re, -im], [im, re]], 4x4 or 8x8, whose adjoint is
+    a transpose. One stacked ladder raises every row's pair, one stacked
+    pass finishes the rows, each state put back at its last auxiliary's
+    kept entries, and a row that keeps less than the zero-branch threshold
+    is replayed (:func:`_row_result`). A row whose survival leaves [0, 1]
+    fails with a ValueError: a stop-gap for the ladder's roundoff, which no
+    row up to n = 2**62 + 1 was found to reach. A ValueError in building
+    the shared slices, such as a noise phase that overflows at one row's
+    interval, is each row's own: the rows are then run one by one, and one
+    row's ValueError is raised.
     """
     if schedule.measurement_mode != MODE_POST_SELECTED:
         raise ValueError("run_post_selected needs a post-selected schedule")
@@ -341,34 +344,38 @@ def run_post_selected(
             except ValueError as exc:
                 rows.append(exc)
         return rows
-    counts = np.array(cycles, dtype=np.int64 if max(cycles) < 2**63 else object)  # or Python ints
+    real, tables = _real_blocks(steps), _kept_blocks(encoded.num_qubits)
     pairs = []
-    for keep, leak, *_ in _cycle_masks(encoded.num_qubits):
-        leaked = leak[:, None] * steps
-        pairs.append((keep[:, None] * steps, leaked.conj().swapaxes(-1, -2) @ leaked))
+    for kept_then_leaked, cols, _ in tables:
+        block = real[:, kept_then_leaked, cols]
+        m, leaked = block[:, :len(cols)], block[:, len(cols):]
+        pairs.append((m, leaked.swapaxes(-1, -2) @ leaked))
     if len(pairs) == 1:
-        m, g = _pair_power(pairs[0], counts)
+        m, g = _pair_power(pairs[0], cycles)
     else:
         first, second = pairs
-        m, g = _pair_power(_compose(first, second), np.maximum(counts // 2, 1))
+        m, g = _pair_power(_compose(first, second), [max(n // 2, 1) for n in cycles])
         # an odd count ends with the first pair; a single cycle is that pair as it is
-        _put((counts % 2 == 1) & (counts > 1), (m, g), _compose((m, g), first))
-        _put(counts == 1, (m, g), first)
+        _put([i for i, n in enumerate(cycles) if n % 2 and n > 1], (m, g), _compose((m, g), first))
+        _put([i for i, n in enumerate(cycles) if n == 1], (m, g), first)
     psi = encoded.amplitudes
-    kept_amps = m @ psi
-    kept = _vdots(kept_amps, kept_amps).real
+    psi_kept = psi.view(np.float64)[tables[-1][2]]  # in the last auxiliary's kept coordinates
+    kept_amps = m @ psi_kept
+    kept = _vdots(kept_amps, kept_amps)
     # the leaked mass keeps its relative precision where 1 - kept would
     # not; past 1/2 the kept mass is the more precise of the two
-    loss = np.maximum(_vdots(psi, g @ psi).real, 0.0)
+    loss = np.maximum(_vdots(psi_kept, g @ psi_kept), 0.0)
     high = loss >= 0.5
     survival, loss = np.where(high, kept, 1.0 - loss), np.where(high, 1.0 - kept, loss)
     replay = kept < _MIN_BRANCH_PROB  # the others are normalized by their own kept mass
     with np.errstate(invalid="ignore"):  # a NaN row fails its norm check below
-        states = kept_amps / np.sqrt(np.where(replay, 1.0, kept))[:, None]
+        reduced = kept_amps / np.sqrt(np.where(replay, 1.0, kept))[:, None]
+    drifts = np.abs(np.sqrt(_vdots(reduced, reduced)) - 1.0)
+    # each row's kept amplitudes go back to the kept indices of its last auxiliary
+    states = np.zeros((len(cycles), len(psi)), dtype=complex)
+    at = [tables[(n - 1) % len(tables)][2] for n in cycles]
+    states.view(np.float64)[np.arange(len(cycles))[:, None], at] = reduced
     states.flags.writeable = False
-    # np.linalg.norm's sum of the real and the imaginary parts' dots, row by row
-    squares = sum(x[:, None, :] @ x[:, :, None] for x in (states.real, states.imag))
-    drifts = np.abs(np.sqrt(squares[:, 0, 0]) - 1.0)
     rows = []
     for n, replayed, drift, survived, lost, overlap, state in zip(
         cycles, replay.tolist(), drifts.tolist(), survival.tolist(), loss.tolist(),
@@ -697,7 +704,7 @@ class _OutcomeTree:
         """``x``, ``amps`` after cycle depth + 1's noise slice; ``x`` gathered
         into its outcome-1 then its outcome-0 branch; the Born probability of 1."""
         x = self.step.dot(amps)
-        gathered = x[self.masks[depth % self.aux_count][2]]  # order
+        gathered = x[self.masks[depth % self.aux_count][0]]  # order
         branch = gathered[:self.half]
         return x, gathered, float(np.vdot(branch, branch).real)
 
@@ -709,7 +716,7 @@ class _OutcomeTree:
         if prob < _MIN_BRANCH_PROB:
             return prob, x  # undisentangled: the CNOT is its own inverse
         amps = np.zeros(x.size, dtype=complex)
-        amps[self.masks[depth % self.aux_count][3]] = branch / math.sqrt(prob)  # keep_at
+        amps[self.masks[depth % self.aux_count][1]] = branch / math.sqrt(prob)  # keep_at
         return prob, amps
 
     def _end(self, amps, detected) -> _End:
@@ -754,59 +761,89 @@ def _vdots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x.conj()[..., None, :] @ y[..., None])[..., 0, 0]
 
 
+def _real_blocks(a: np.ndarray) -> np.ndarray:
+    """The stacked complex matrices ``a`` as real blocks [[re, -im], [im, re]],
+    which multiply as ``a`` does, on vectors [x.real, x.imag]."""
+    d = a.shape[-1]
+    out = np.empty(a.shape[:-2] + (2 * d, 2 * d))
+    out[..., :d, :d] = out[..., d:, d:] = a.real
+    out[..., d:, :d] = a.imag
+    np.negative(a.imag, out=out[..., :d, d:])
+    return out
+
+
 @lru_cache(maxsize=None)
 def _cycle_masks(num_qubits: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """(keep, leak, order, keep_at) of the cycle on each auxiliary
-    1..num_qubits-1, read-only. keep is the diagonal of CNOT(0, a) P0(a)
-    CNOT(0, a), 1 at keep_at and 0 elsewhere, and leak is 1 - keep, 1 at
-    leak_at: x disentangled by CNOT(0, a) holds its outcome-0 branch at
-    ``x[cnot][sel0]``, which is ``x[keep_at]``, and its outcome-1 at leak_at.
+    """(order, keep_at) of the cycle on each auxiliary 1..num_qubits-1,
+    read-only: x disentangled by CNOT(0, a) holds its outcome-0 branch at
+    ``x[cnot][sel0]``, which is ``x[keep_at]``, the entries whose data bit
+    equals auxiliary a's, and its outcome-1 branch at the others, leak_at.
     order is leak_at then keep_at, one gather of both branches."""
     masks = []
     for aux_q in range(1, num_qubits):
         cnot = _cnot_permutation(num_qubits, 0, aux_q)
         order = cnot[np.concatenate([_outcome_indices(num_qubits, aux_q, o) for o in (1, 0)])]
-        keep = np.zeros(1 << num_qubits)
-        keep[order[len(order) // 2:]] = 1.0
-        masks.append((keep, 1.0 - keep, order, order[len(order) // 2:]))
+        masks.append((order, order[len(order) // 2:]))
         for table in masks[-1]:
             table.flags.writeable = False
     return tuple(masks)
 
 
+@lru_cache(maxsize=None)
+def _kept_blocks(num_qubits: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """(rows, cols, at) of the cycle on each auxiliary 1..num_qubits-1 in
+    :func:`_real_blocks`, read-only: rows its kept, then its leaked entries,
+    as a column; cols the kept entries of the auxiliary before it (the last
+    one, before the first); at its kept entries' real, then imaginary parts
+    in the float view of complex amplitudes."""
+    dim, masks = 1 << num_qubits, _cycle_masks(num_qubits)
+    tables = []
+    for (order, keep_at), (_, before) in zip(masks, masks[-1:] + masks[:-1]):
+        leak_at = order[:len(order) // 2]
+        rows = np.concatenate([keep_at, keep_at + dim, leak_at, leak_at + dim])[:, None]
+        cols = np.concatenate([before, before + dim])
+        tables.append((rows, cols, np.concatenate([2 * keep_at, 2 * keep_at + 1])))
+        for table in tables[-1]:
+            table.flags.writeable = False
+    return tuple(tables)
+
+
 def _compose(first, second):
-    """The pair of ``first`` followed by ``second``, row by row: the maps
-    multiply, and the second map's leak is seen through the first map."""
+    """The pair of ``first`` followed by ``second``, row by row, on real
+    blocks: the maps multiply, and the second map's leak is seen through the
+    first map, whose adjoint is its transpose."""
     m1, g1 = first
     m2, g2 = second
-    return m2 @ m1, g1 + m1.conj().swapaxes(-1, -2) @ g2 @ m1
+    return m2 @ m1, g1 + m1.swapaxes(-1, -2) @ g2 @ m1
 
 
-def _put(rows: np.ndarray, pair, new) -> None:
-    """Write the pair ``new`` over the stacked ``pair``, on the rows where ``rows`` is True."""
-    rows = rows[:, None, None]
-    for a, b in zip(pair, new):
-        np.copyto(a, b, where=rows)
+def _put(rows: list[int], pair, new) -> None:
+    """Write the pair ``new`` over the stacked ``pair``, on the listed rows."""
+    for i in rows:
+        pair[0][i], pair[1][i] = new[0][i], new[1][i]
 
 
-def _pair_power(pair, powers: np.ndarray):
-    """Row i of the stacked ``pair`` composed with itself ``powers[i]`` >= 1
-    times by repeated squaring, with exactly a one-row ladder's products: its
-    first factor is taken as it is (composing with (I, 0) makes -0.0 +0.0).
-    A bit composes the whole stack, and keeps the products it is due on."""
+def _pair_power(pair, powers: list[int]):
+    """Row i of the stacked ``pair``, in real, reduced coordinates, composed
+    with itself ``powers[i]`` >= 1 times by repeated squaring, with exactly
+    a one-row ladder's products: its first factor is taken as it is
+    (composing with (I, 0) makes -0.0 +0.0). A bit composes the whole stack,
+    and keeps the products it is due on, the rows it starts and the rows
+    that compose again, listed for every bit before the ladder."""
     m, g = (a.copy() for a in pair)
-    bits = (powers[:, None] >> np.arange(int(max(powers)).bit_length())) & 1 == 1
-    started = bits[:, 0].copy()
-    for due in bits.T[1:]:
+    ladder = [([], []) for _ in range(int(max(powers)).bit_length())]  # (start, again) rows
+    for i, p in enumerate(map(int, powers)):
+        started = False
+        while p:  # each set bit, lowest first, which starts the row
+            ladder[(p & -p).bit_length() - 1][started].append(i)
+            p, started = p & (p - 1), True
+    for start, again in ladder[1:]:
         pair = _compose(pair, pair)
-        again, start = due & started, due & ~started
-        if np.count_nonzero(again):
+        if again:
             # a row this bit is not due on may overflow here; it is not kept
             with np.errstate(over="ignore", invalid="ignore"):
                 _put(again, (m, g), _compose((m, g), pair))
-        if np.count_nonzero(start):
-            _put(start, (m, g), pair)
-            started |= start
+        _put(start, (m, g), pair)
     return m, g
 
 

@@ -69,12 +69,15 @@ def power(m: mp.matrix, n: int) -> mp.matrix:
     return result
 
 
-def post_selected_loss(data, lam, mu, total_time: float, n: int, aux_count: int) -> mp.mpf:
-    """1 - ||M_n ... M_1 psi||^2 / ||psi||^2 for the register encoded from
-    the one-qubit ``data`` (two floats or complexes) with ``aux_count``
-    auxiliaries, n cycles of total_time / n each, cycle k on auxiliary
-    1 + (k - 1) % aux_count. The division by ||psi||^2 matters: float data
-    such as (0.6, 0.8) has ||psi||^2 = 1 - O(1e-16)."""
+def post_selected_run(data, lam, mu, total_time: float, n: int, aux_count: int):
+    """(loss, state, fidelity) of the post-selected run of n cycles of
+    total_time / n each, cycle k on auxiliary 1 + (k - 1) % aux_count, on
+    the register encoded from the one-qubit ``data`` (two floats or
+    complexes) with ``aux_count`` auxiliaries. loss is
+    1 - ||M_n ... M_1 psi||^2 / ||psi||^2; state is M_n ... M_1 psi made
+    unit-norm, the register after the run; fidelity is |<state|psi>|^2 /
+    ||psi||^2. The divisions by ||psi||^2 matter: float data such as
+    (0.6, 0.8) has ||psi||^2 = 1 - O(1e-16)."""
     with mp.workdps(DIGITS):
         u = register_slice(lam, mu, mp.mpf(total_time) / n)
         maps = [kept_map(u, aux) for aux in range(1, aux_count + 1)]
@@ -88,4 +91,12 @@ def post_selected_loss(data, lam, mu, total_time: float, n: int, aux_count: int)
         psi[0], psi[u.rows - 1] = mp.mpc(data[0]), mp.mpc(data[1])
         kept = whole * psi
         norm = sum(abs(psi[i]) ** 2 for i in range(psi.rows))
-        return 1 - sum(abs(kept[i]) ** 2 for i in range(kept.rows)) / norm
+        kept_norm = sum(abs(kept[i]) ** 2 for i in range(kept.rows))
+        state = kept / mp.sqrt(kept_norm)
+        overlap = sum(mp.conj(state[i]) * psi[i] for i in range(psi.rows))
+        return 1 - kept_norm / norm, state, abs(overlap) ** 2 / norm
+
+
+def post_selected_loss(data, lam, mu, total_time: float, n: int, aux_count: int) -> mp.mpf:
+    """The loss of :func:`post_selected_run`."""
+    return post_selected_run(data, lam, mu, total_time, n, aux_count)[0]

@@ -1,17 +1,21 @@
-"""The frozen stochastic CSVs, byte for byte.
+"""The frozen CSVs, byte for byte: the stochastic ones and the post-selected n-sweep.
 
 A speedup counts only if these files do not move. Each case takes a
 configuration from perfbench's workloads (``build(workload, 0)[0]``, read
 only, so each configuration has one copy), applies its overrides, renders
-it and runs ``zenosim sweep`` on it. The post-selected frozen CSV,
-``perfbench/frozen/postsel-large-n.csv``, is not here: it holds the seed
+it and runs ``zenosim sweep`` on it. The post-selected n-sweep has two
+frozen files: ``perfbench/frozen/postsel-large-n.csv`` holds the seed
 commit's per-cycle values, which today's engine matches only within
-perfbench's 1e-9 check, so ``perfbench/run.py`` checks it.
+perfbench's 1e-9 check, so ``perfbench/run.py`` checks it; and
+``tests/frozen/postsel-large-n.csv`` holds the stacked pass's own bytes,
+which this file checks, so no change to the squaring ladder or to how a
+row is finished may move a printed digit.
 
 The bytes hold only while NumPy's SeedSequence, PCG64, integer promotion
-(NEP 50) and BLAS gemv, and Python's float sums, give the bits they give
-today; so CI runs this on the oldest NumPy pyproject.toml allows and the
-latest, and on a Python on each side of 3.12.
+(NEP 50), BLAS gemv and batched matmul, and Python's float sums, give the
+bits they give today; so CI runs this on the oldest NumPy pyproject.toml
+allows and the latest, on a Python on each side of 3.12, and under forced
+OpenBLAS kernels.
 """
 import sys
 from pathlib import Path
@@ -53,6 +57,10 @@ import workloads  # noqa: E402
     pytest.param("stochastic-reset",
                  {"total_time": 16.0, "n_values": (8, 32, 300), "trials": 4200},
                  "tests/frozen/seed-batches.csv", id="seed-batches"),
+    # the post-selected n-sweep, n = 2**4 ... 2**16 in one stacked pass: its
+    # survivals to 12 digits, written by the engine itself
+    pytest.param("postsel-large-n", {}, "tests/frozen/postsel-large-n.csv",
+                 id="postsel-large-n"),
 ])
 def test_a_frozen_configuration_writes_its_csv_byte_for_byte(
         tmp_path, capsys, workload, overrides, frozen):

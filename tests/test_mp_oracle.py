@@ -2,6 +2,8 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from zenosim import (
     AUX_DUAL_ALTERNATING,
@@ -12,7 +14,7 @@ from zenosim import (
     run_protocol,
     slice_propagator,
 )
-from mp_oracle import DIGITS, post_selected_loss, register_slice
+from mp_oracle import DIGITS, post_selected_loss, post_selected_run, register_slice
 
 DATA = (0.6, 0.8)
 #: general noise on every qubit, one config a strategy
@@ -57,6 +59,45 @@ def test_engine_loss_at_large_n(strategy, n):
     # the closed-form slice keeps its O(T/n) entries to their last bits; the
     # remaining ~1e-9 is the ladder's 1 + O(T/n) diagonal (ROADMAP item 6)
     assert loss_error(strategy, n) <= 2e-9
+
+
+#: a noise rate: 0, or at least 1e-3 in size, so that no leaked mass
+#: underflows in float64 where the oracle's does not
+rates = st.one_of(st.just(0.0), st.floats(-1.5, -1e-3), st.floats(1e-3, 1.5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    strategy=st.sampled_from([AUX_SINGLE, AUX_DUAL_ALTERNATING]),
+    lam=st.lists(rates, min_size=3, max_size=3),
+    mu=st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3),
+    data=st.lists(st.complex_numbers(max_magnitude=1.0), min_size=2, max_size=2),
+    n=st.integers(1, 10**4),
+)
+def test_engine_agrees_with_the_oracle_now(strategy, lam, mu, data, n):
+    # the ladder's roundoff grows with n, as 1 + O(T/n) entries squared
+    # log2(n) times do: on these ranges the engine was off by at most
+    # 1.5e-14 + 4.3e-16 n relative in the loss, 1e-15 + 1e-16 n in the
+    # fidelity and 1.5e-15 + 1.5e-16 n in an amplitude of the final state
+    # (8 000 random draws), so 1e-12 flat does not hold at n ~ 1e4. The
+    # fidelity's error is absolute, as it is a probability: relative to a
+    # fidelity near 0 it is ill-conditioned. The state pins the kept
+    # entries each row ends on, which the fidelity with the encoded
+    # register, on two of them, cannot see
+    assume(abs(data[0]) + abs(data[1]) > 1e-3)
+    size = 2 if strategy == AUX_SINGLE else 3
+    lam, mu = tuple(lam[:size]), tuple(mu[:size])
+    state = new_state(1, data)
+    schedule = ZenoSchedule(1.0, n, aux_strategy=strategy)
+    result = run_protocol(state, NoiseSpec(lam, mu), schedule)
+    loss, final, fid = post_selected_run(state.amplitudes.tolist(), lam, mu, 1.0, n, size - 1)
+    bound = 5e-14 + 1e-15 * n
+    # a row whose flips no cycle measures leaks nothing, and the oracle's
+    # 0 is then 1e-40 or so, its own rounding
+    assert abs(result.loss_probability - loss) <= bound * loss + mp.mpf(10) ** (5 - DIGITS)
+    assert abs(result.final_fidelity - fid) <= bound
+    amplitudes = result.final_state.amplitudes.tolist()
+    assert max(abs(mp.mpc(a) - final[i]) for i, a in enumerate(amplitudes)) <= bound
 
 
 @pytest.mark.parametrize("tau", [1e-3, 1e-9, 1e-15])

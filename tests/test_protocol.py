@@ -657,6 +657,12 @@ def assert_row_is_run(row, reference):
     assert np.array_equal(row.amplitudes, reference.final_state.amplitudes)
 
 
+def clear_engine_caches():
+    """Empty the index caches a post-selected pass and the outcome tree read."""
+    protocol_module._cycle_masks.cache_clear()
+    protocol_module._kept_blocks.cache_clear()
+
+
 def assert_same_run(result, reference):
     """Exact equality of two protocol results, cycle log included."""
     assert result.detected == reference.detected
@@ -1780,17 +1786,44 @@ class TestInvariantsComputedOnce:
             masks = protocol_module._cycle_masks(num_qubits)
             assert protocol_module._cycle_masks(num_qubits) is masks
             assert len(masks) == num_qubits - 1
-            for keep, leak, order, keep_at in masks:
-                assert np.array_equal(keep + leak, np.ones(1 << num_qubits))
-                # the gather reads the entries leak keeps, then those keep
-                # keeps, each in some order; keep_at is its second half
+            for aux_q, (order, keep_at) in enumerate(masks, start=1):
+                # the gather reads the entries the cycle leaks, whose data bit
+                # differs from the auxiliary's, then those it keeps, each in
+                # some order; keep_at is its second half
                 half = 1 << (num_qubits - 1)
-                assert sorted(order[:half].tolist()) == np.flatnonzero(leak).tolist()
-                assert sorted(order[half:].tolist()) == np.flatnonzero(keep).tolist()
+                bits = [((b >> (num_qubits - 1)) & 1, (b >> (num_qubits - 1 - aux_q)) & 1)
+                        for b in range(1 << num_qubits)]
+                assert sorted(order[:half].tolist()) == [b for b, (d, a) in enumerate(bits) if d != a]
+                assert sorted(order[half:].tolist()) == [b for b, (d, a) in enumerate(bits) if d == a]
                 assert keep_at.tolist() == order[half:].tolist()
-                for mask in (keep, leak, order, keep_at):
+                for mask in (order, keep_at):
                     with pytest.raises(ValueError):
                         mask[0] = 0
+
+    @pytest.mark.parametrize("num_qubits", [2, 3])
+    def test_kept_blocks_are_cached_read_only_and_reduce_the_pair(self, rng, num_qubits):
+        tables = protocol_module._kept_blocks(num_qubits)
+        assert protocol_module._kept_blocks(num_qubits) is tables
+        masks = protocol_module._cycle_masks(num_qubits)
+        dim, half = 1 << num_qubits, 1 << (num_qubits - 1)
+        u = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        real = protocol_module._real_blocks(u[None])[0]
+        for i, (rows, cols, at) in enumerate(tables):
+            # the cycle on auxiliary i + 1 maps the previous auxiliary's kept
+            # entries (the last auxiliary's, before the first) to its own
+            (order, keep_at), before = masks[i], masks[i - 1][1]
+            leak_at = order[:half]
+            block = real[rows, cols]
+            for got, want in ((block[:2 * half], u[np.ix_(keep_at, before)]),
+                              (block[2 * half:], u[np.ix_(leak_at, before)])):
+                assert np.array_equal(got, np.block([[want.real, -want.imag],
+                                                     [want.imag, want.real]]))
+            assert np.array_equal(psi.view(np.float64)[at],
+                                  np.concatenate([psi[keep_at].real, psi[keep_at].imag]))
+            for table in (rows, cols, at):
+                with pytest.raises(ValueError):
+                    table[0] = 0
 
     @pytest.mark.parametrize(
         "strategy, mode, n",
@@ -1809,10 +1842,10 @@ class TestInvariantsComputedOnce:
         schedule = ZenoSchedule(2.0, n, aux_strategy=strategy, measurement_mode=mode, seed=9,
                                 abort_policy=RESET_AND_CONTINUE)
         data = new_state(1, [0.6, 0.8j])
-        build_hamiltonian.cache_clear()
+        clear_engine_caches()
         cold = run_protocol(data, noise, schedule)
         warm = run_protocol(data, noise, schedule)
-        build_hamiltonian.cache_clear()
+        clear_engine_caches()
         assert_same_run(warm, cold)
         assert_same_run(run_protocol(data, noise, schedule), cold)
 

@@ -146,7 +146,9 @@ class TestRunSweep:
         monkeypatch.setattr(
             protocol_module, "slice_propagator", lambda *a: builds.append(a) or real_build(*a)
         )
-        noise_module.build_hamiltonian.cache_clear()
+        # the index caches the pass reads are filled afresh, with no eigh either
+        protocol_module._cycle_masks.cache_clear()
+        protocol_module._kept_blocks.cache_clear()
         config = make_config(
             **{"lambda": "0.3, 0.2, 0.1", "mu": "0.1, 0.0, 0.2",
                "aux_strategy": "dual-alternating", "n_values": "1, 2, 3, 4, 5, 6, 7, 8"}
