@@ -13,8 +13,8 @@ Each term acts on one qubit, so the terms commute and a noise slice
 factors exactly: exp(-i H t) is the Kronecker product of one 2x2 closed form
 per qubit. :func:`slice_propagator` builds the engine's slices that way,
 with no eigendecomposition; :func:`build_hamiltonian` and
-:func:`propagator` keep the dense operator and its ``eigh`` for
-:func:`evolve_exact` and the expansion check.
+:func:`propagator` build one dense operator and its ``eigh``, and take one
+time a call, for :func:`evolve_exact` and the expansion check.
 """
 from __future__ import annotations
 
@@ -26,17 +26,12 @@ __all__ = [
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .states import StateVector
 
 HERMITIAN_TOL = 1e-12
-
-#: Hamiltonians build_hamiltonian keeps: the rows of one sweep share one
-#: entry, and callers that interleave a few noise specs keep theirs too
-HAMILTONIAN_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -140,23 +135,14 @@ def _check_register(spec: NoiseSpec, num_qubits: int) -> None:
         )
 
 
-def _checked_times(t) -> np.ndarray:
-    times = np.asarray(t, dtype=float)
-    if times.ndim > 1 or not np.isfinite(times).all():
-        raise ValueError(f"time must be finite, a number or a 1-D array, got {t!r}")
-    return times
+def _finite_time(t) -> float:
+    if np.ndim(t) != 0 or not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t!r}")
+    return float(t)
 
 
-@lru_cache(maxsize=HAMILTONIAN_CACHE_SIZE)
 def build_hamiltonian(spec: NoiseSpec, num_qubits: int) -> HermitianOperator:
-    """Assemble H = sum_i (lam_i X_i + mu_i P0_i) on ``num_qubits`` qubits.
-
-    Results are cached per (spec, num_qubits), so repeated calls with one
-    spec share one operator and one eigendecomposition. NoiseSpec is frozen
-    and holds finite floats only; the one pair of distinct specs that compare
-    equal, +0.0 against -0.0 in an entry, builds the same matrix, because
-    every entry is accumulated onto a +0.0.
-    """
+    """A fresh H = sum_i (lam_i X_i + mu_i P0_i) on ``num_qubits`` qubits; it keeps its ``eigh``."""
     _check_register(spec, num_qubits)
     dim = 1 << num_qubits
     h = np.zeros((dim, dim), dtype=complex)
@@ -178,7 +164,9 @@ def slice_propagator(spec: NoiseSpec, num_qubits: int, t: float | np.ndarray) ->
     stack. A zero time is the exact identity; a phase r t that overflows
     raises ValueError naming it."""
     _check_register(spec, num_qubits)
-    times = _checked_times(t)
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1 or not np.isfinite(times).all():
+        raise ValueError(f"time must be finite, a number or a 1-D array, got {t!r}")
     qubits = [(lam, mu / 2, math.hypot(lam, mu / 2)) for lam, mu in zip(spec.lam, spec.mu)]
     entries = []  # re, im of u_q[0, 0], u_q[0, 1], u_q[1, 0], u_q[1, 1], time by time
     for tau in times.reshape(-1).tolist():
@@ -205,25 +193,21 @@ def slice_propagator(spec: NoiseSpec, num_qubits: int, t: float | np.ndarray) ->
     return u if times.ndim else u[0]
 
 
-def propagator(h: HermitianOperator, t: float | np.ndarray) -> np.ndarray:
-    """Unitary exp(-i H t), from the eigendecomposition of H (exact at these
-    dimensions). For a 1-D array of times, the (len(t), d, d) stack of their
-    propagators, each row equal to the one a single time gives. A phase w t
-    of an eigenvalue w that overflows raises ValueError naming it."""
-    times = _checked_times(t)
+def propagator(h: HermitianOperator, t: float) -> np.ndarray:
+    """Unitary exp(-i H t) for one finite time t, from the eigendecomposition
+    of H (exact at these dimensions). A zero time is the exact identity; a
+    phase w t of an eigenvalue w that overflows raises ValueError naming it."""
+    t = _finite_time(t)
+    if t == 0.0:
+        return np.eye(h.dim, dtype=complex)
     w, v, vh = h.spectrum
-    column = times.reshape(-1, 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        phase = w * column
-    still = column[:, 0] == 0.0  # a zero time is the exact identity, even for an infinite w
-    overflow = ~(np.isfinite(phase) | still[:, None])
-    if overflow.any():
-        row, col = np.argwhere(overflow)[0]
-        raise ValueError(f"noise phase w*t must be finite, got {float(phase[row, col])!r} "
-                         f"(w = {float(w[col])!r}, t = {float(column[row, 0])!r})")
-    stack = (v * np.exp(-1j * phase)[:, None, :]) @ vh
-    stack[still] = np.eye(h.dim)
-    return stack if times.ndim else stack[0]
+    with np.errstate(over="ignore"):
+        phase = w * t
+    if not np.isfinite(phase).all():
+        col = int(np.argmin(np.isfinite(phase)))  # the first that overflows
+        raise ValueError(f"noise phase w*t must be finite, got {float(phase[col])!r} "
+                         f"(w = {float(w[col])!r}, t = {t!r})")
+    return (v * np.exp(-1j * phase)) @ vh
 
 
 def apply_propagator(state: StateVector, u: np.ndarray) -> StateVector:
@@ -250,8 +234,7 @@ def evolve_first_order(state: StateVector, h: HermitianOperator, t: float) -> St
     """
     if h.dim != state.amplitudes.size:
         raise ValueError(f"operator dim {h.dim} does not match state dim {state.amplitudes.size}")
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t!r}")
+    t = _finite_time(t)
     amps = state.amplitudes - 1j * t * (h.matrix @ state.amplitudes)
     return StateVector._wrap(state.num_qubits, amps, normalized=False)
 

@@ -305,10 +305,11 @@ def run_post_selected(
     """One post-selected run of ``schedule`` per cycle count in ``cycles``
     (``schedule.cycles`` is not read): its PostSelectedRow, or the ValueError
     or NormDriftError its row raised. ``cycles`` is checked once: it must
-    be a non-empty list of positive integers. The rows share one encoding,
-    one stack of noise slices, built in closed form with no
-    eigendecomposition (:func:`_prepare`), and one squaring ladder; each
-    row's floats are those of its run alone.
+    be a non-empty list of positive integers, and ``data`` must encode, or
+    the call raises. The rows share one encoding, one stack of noise
+    slices, built in closed form with no eigendecomposition
+    (:func:`noise.slice_propagator`), and one squaring ladder; each row's
+    floats are those of its run alone.
 
     One cycle on auxiliary a is the pair (M, G): M = keep_a U maps the
     register onto the no-error branch, and G = (Q_a U)^+ (Q_a U), with
@@ -323,27 +324,21 @@ def run_post_selected(
     is replayed (:func:`_row_result`). A row whose survival leaves [0, 1]
     fails with a ValueError: a stop-gap for the ladder's roundoff, which no
     row up to n = 2**62 + 1 was found to reach. A ValueError in building
-    the shared slices, such as a noise phase that overflows at one row's
-    interval, is each row's own: the rows are then run one by one, and one
-    row's ValueError is raised.
+    the shared slices, a noise phase that overflows at some row's interval,
+    is a row's own: a one-row call returns it, and a call of more rows runs
+    them one by one.
     """
     if schedule.measurement_mode != MODE_POST_SELECTED:
         raise ValueError("run_post_selected needs a post-selected schedule")
     if not cycles or not all(isinstance(n, (int, np.integer)) and n >= 1 for n in cycles):
         raise ValueError(f"cycles must be a non-empty list of positive integers, got {cycles!r}")
+    encoded = encode(data, schedule.aux_count)
     try:
-        encoded, steps = _prepare(data, noise, schedule.aux_count,
-                                  [schedule.total_time / n for n in cycles])
-    except ValueError:
-        if len(cycles) == 1:
-            raise
-        rows = []
-        for n in cycles:
-            try:
-                rows += run_post_selected(data, noise, schedule, [n])
-            except ValueError as exc:
-                rows.append(exc)
-        return rows
+        steps = slice_propagator(noise, encoded.num_qubits,
+                                 [schedule.total_time / n for n in cycles])
+    except ValueError as exc:
+        return [exc] if len(cycles) == 1 else [
+            row for n in cycles for row in run_post_selected(data, noise, schedule, [n])]
     real, tables = _real_blocks(steps), _kept_blocks(encoded.num_qubits)
     pairs = []
     for kept_then_leaked, cols, _ in tables:
@@ -391,8 +386,7 @@ def run_post_selected(
         elif not 0.0 <= survived <= 1.0:  # a NaN survival fails too
             rows.append(ValueError(f"survival {survived!r} at n = {n} is outside [0, 1]"))
         else:
-            value = min(max(abs(overlap) ** 2, 0.0), 1.0)
-            rows.append(PostSelectedRow(survived, lost, value, False, state))
+            rows.append(PostSelectedRow(survived, lost, min(abs(overlap) ** 2, 1.0), False, state))
     return rows
 
 
@@ -613,7 +607,7 @@ class _OutcomeTree:
     the numpy operations of the per-cycle gate calls, in their order, so
     every float is theirs; the CNOTs and the reset's Pauli-X are index
     gathers, and the norm is checked once, as the unitarity of the noise
-    slice, which :func:`_prepare` builds in closed form.
+    slice, built in closed form (:func:`noise.slice_propagator`).
     On raw arrays, :meth:`_noisy` alone steps a noise slice, one matvec and
     one gather, and :meth:`_no_error` a cycle measuring 0, for every trial
     (:meth:`trial`, from the shared first slice ``first``), a stochastic row
@@ -624,7 +618,8 @@ class _OutcomeTree:
     its ``end`` is None until it ends."""
 
     def __init__(self, data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule):
-        encoded, self.step = _prepare(data, noise, schedule.aux_count, schedule.interval)
+        encoded = encode(data, schedule.aux_count)
+        self.step = slice_propagator(noise, encoded.num_qubits, schedule.interval)
         defect = np.abs(self.step.conj().T @ self.step - np.eye(len(self.step))).max()
         if not defect <= NORM_TOL:  # a NaN defect fails too
             raise NormDriftError(f"propagator is not unitary (U+U - I up to {defect:.3e})")
@@ -723,14 +718,6 @@ class _OutcomeTree:
         """The end at the register ``amps``, made read-only."""
         amps.flags.writeable = False
         return _End(amps, detected, float(min(abs(np.vdot(amps, self.encoded)) ** 2, 1.0)))
-
-
-def _prepare(data: StateVector, noise: NoiseSpec, aux_count: int, times: float | list[float]):
-    """(encoded register, noise-slice propagators for ``times``, a number or a
-    1-D array), the slices in closed form (:func:`noise.slice_propagator`),
-    one 2x2 factor per qubit, with no eigendecomposition."""
-    encoded = encode(data, aux_count)
-    return encoded, slice_propagator(noise, encoded.num_qubits, times)
 
 
 def _row_result(data, noise, schedule, n) -> PostSelectedRow:

@@ -274,8 +274,7 @@ def fidelity(a: StateVector, b: StateVector) -> float:
         raise ValueError(
             f"cannot compare states of {a.num_qubits} and {b.num_qubits} qubits"
         )
-    value = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
-    return float(min(max(value, 0.0), 1.0))
+    return float(min(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2, 1.0))
 
 
 def append_aux(state: StateVector, count: int) -> StateVector:

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 from zenosim import StateVector
+
+# CI's profile (--hypothesis-profile=ci): a failing example is reported as
+# found, not shrunk, which can take a failing run from seconds to many
+# minutes; explain works on the shrunk example, so it goes too. print_blob
+# prints the @reproduce_failure line that re-runs the example locally
+settings.register_profile(
+    "ci", phases=[p for p in Phase if p not in (Phase.shrink, Phase.explain)], print_blob=True)
 
 
 @pytest.fixture

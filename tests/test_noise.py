@@ -88,7 +88,7 @@ class TestComputedOnce:
         monkeypatch.setattr(
             noise_module.np.linalg, "eigh", lambda m: calls.append(m) or real(m)
         )
-        h = build_hamiltonian.__wrapped__(random_spec(3, rng), 3)  # a fresh operator
+        h = build_hamiltonian(random_spec(3, rng), 3)
         first = propagator(h, 0.25)
         second = propagator(h, 0.5)
         assert len(calls) == 1
@@ -102,20 +102,12 @@ class TestComputedOnce:
         with pytest.raises(AttributeError):
             h.matrix = np.zeros((8, 8))
 
-    def test_equal_specs_share_one_operator(self, rng):
-        spec = random_spec(2, rng)
-        h = build_hamiltonian(spec, 2)
-        assert build_hamiltonian(NoiseSpec(lam=spec.lam, mu=spec.mu), 2) is h
-        for k in range(2 * build_hamiltonian.cache_info().maxsize):
-            build_hamiltonian(NoiseSpec.flip(0.01 * k, 2), 2)
-        info = build_hamiltonian.cache_info()
-        assert info.currsize == info.maxsize == noise_module.HAMILTONIAN_CACHE_SIZE
-
     def test_signed_zero_specs_build_the_same_matrix(self):
-        # +0.0 == -0.0, so the cache hands either spec the other's operator
+        # +0.0 == -0.0, so the two specs are equal: every entry is
+        # accumulated onto a +0.0, and they build one matrix
         plus, minus = NoiseSpec((0.0, 0.3), (0.2, 0.0)), NoiseSpec((-0.0, 0.3), (0.2, -0.0))
         assert plus == minus
-        built = [build_hamiltonian.__wrapped__(spec, 2).matrix.tobytes() for spec in (plus, minus)]
+        built = [build_hamiltonian(spec, 2).matrix.tobytes() for spec in (plus, minus)]
         assert built[0] == built[1]
 
 
@@ -181,7 +173,7 @@ class TestEvolveExact:
         with pytest.raises(ValueError, match="dim"):
             evolve_exact(new_state(1), h, 0.1)
 
-    @pytest.mark.parametrize("t", [1e200, [0.5, 1e200]])
+    @pytest.mark.parametrize("t", [1e200])
     def test_overflowing_phase_is_named(self, t):
         # w t = 1e400 is no float: it is rejected before numpy warns
         # (pytest turns a RuntimeWarning into a failure)
@@ -211,7 +203,8 @@ class TestSlicePropagator:
         # by up to 3.2e-15 in 20 000 draws: the bound is about twice eigh's error
         spec = NoiseSpec(tuple(lam[:num_qubits]), tuple(mu[:num_qubits]))
         u = slice_propagator(spec, num_qubits, t)
-        want = propagator(build_hamiltonian(spec, num_qubits), t)
+        h = build_hamiltonian(spec, num_qubits)
+        want = propagator(h, t) if np.ndim(t) == 0 else np.array([propagator(h, x) for x in t])
         assert u.shape == want.shape
         np.testing.assert_allclose(u, want, rtol=0, atol=5e-15)
 
@@ -303,7 +296,7 @@ def _z():
     pytest.param(lambda: HermitianOperator(np.eye(3)),
                  "dimension must be a power of two >= 2, got 3", id="HermitianOperator-dim"),
     pytest.param(lambda: propagator(_z(), np.zeros((2, 2))),
-                 "time must be finite, a number or a 1-D array", id="propagator-2d-time"),
+                 "time must be finite, got array([[0., 0.]", id="propagator-2d-time"),
     pytest.param(lambda: apply_propagator(new_state(1), np.eye(4)),
                  "propagator shape (4, 4) does not match state dimension 2",
                  id="apply_propagator-dim"),
@@ -313,6 +306,10 @@ def _z():
                  "operator dim 2 does not match state dim 4", id="evolve_first_order-dim"),
     pytest.param(lambda: evolve_first_order(new_state(1), _z(), np.inf),
                  "time must be finite, got inf", id="evolve_first_order-inf"),
+    pytest.param(lambda: evolve_exact(new_state(1), _z(), [0.5, 1.0]),
+                 "time must be finite, got [0.5, 1.0]", id="evolve_exact-array-time"),
+    pytest.param(lambda: evolve_first_order(new_state(1), _z(), np.array([0.5])),
+                 "time must be finite, got array([0.5])", id="evolve_first_order-array-time"),
 ])
 def test_bad_input_raises_value_error(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

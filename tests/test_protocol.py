@@ -530,8 +530,10 @@ class TestFusedPostSelectedEngine:
         assert str(failure) == ("noise phase r*t must be finite, got inf "
                                 "(qubit 0, r = 1e+154, t = 2.5e+154)")
         assert_row_is_run(result, run_protocol(data, noise, two))
-        with pytest.raises(ValueError, match=r"noise phase r\*t must be finite"):
-            run_post_selected(data, noise, one, [1])
+        (alone,) = run_post_selected(data, noise, one, [1])
+        assert isinstance(alone, ValueError) and str(alone) == str(failure)
+        with pytest.raises(ValueError, match=re.escape(str(failure))):
+            run_protocol(data, noise, one)
 
     @pytest.mark.parametrize("strategy, lam", [
         (AUX_SINGLE, (30.0, 0.4)), (AUX_DUAL_ALTERNATING, (30.0, 0.0, 0.0)),
@@ -1882,6 +1884,9 @@ def _unnormalized():
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: encode(_unnormalized(), 1), "data state must be normalized",
                  id="encode-unnormalized"),
+    pytest.param(lambda: run_post_selected(_unnormalized(), NoiseSpec.flip(0.1, 2),
+                                           ZenoSchedule(1.0, 1), [1, 2]),
+                 "data state must be normalized", id="run_post_selected-unnormalized"),
     pytest.param(lambda: zeno_cycle(encode(new_state(1), 1), 0, 0),
                  "data_q and aux_q must differ", id="zeno_cycle-same-qubit"),
     pytest.param(lambda: zeno_cycle(encode(new_state(1), 1), 0, 1, mode="sometimes"),
