@@ -22,7 +22,7 @@ import numpy as np
 
 from .analysis import OutOfRegimeWarning, zeno_limit_formula
 from .config import ConfigError, parse_config
-from .noise import NoiseSpec, build_hamiltonian, expansion_defect
+from .noise import NoiseSpec, expansion_defect
 from .protocol import MODE_POST_SELECTED, zeno_cycle, encode
 from .repetition import evolve_repetition
 from .states import StateVector, apply_cnot, ket_string
@@ -135,13 +135,12 @@ def _cmd_expansion_check(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"--seed: {exc}") from None
     spec = NoiseSpec(lam=tuple(rng.uniform(0.3, 1.5, 2)), mu=tuple(rng.uniform(0.3, 1.5, 2)))
-    h = build_hamiltonian(spec, 2)
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
     state = StateVector(2, amps)
     print(f"sampled drift: lam={spec.lam}, mu={spec.mu}")
     print(f"{'t':>10}  {'defect':>14}  {'defect/t^2':>14}")
     for t in (1e-2, 1e-3, 1e-4):
-        defect = expansion_defect(state, h, t)
+        defect = expansion_defect(state, spec, t)
         print(f"{t:>10.0e}  {defect:>14.6e}  {defect / t**2:>14.6f}")
     print("defect/t^2 approaching a constant confirms the O(t^2) truncation")
     return 0
@@ -170,7 +169,7 @@ def _cmd_limit(args) -> int:
 
 @cache
 def _main_parser() -> argparse.ArgumentParser:
-    # building the parser costs about as much as a sweep of eight small
+    # building the parser costs about as much as a sweep of 8 small
     # rows; parse_args leaves it unchanged, and no caller can reach this copy
     return build_parser()
 

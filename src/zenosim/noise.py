@@ -9,19 +9,17 @@ At first order this generator phases the code words through the diagonal
 terms and leaks amplitude only into single-flip basis states, while
 double-flip transitions appear at second order.
 
-Each term acts on one qubit, so the terms commute and a noise slice
-factors exactly: exp(-i H t) is the Kronecker product of one 2x2 closed form
-per qubit. :func:`slice_propagator` builds the engine's slices that way,
-with no eigendecomposition; :func:`build_hamiltonian` and
-:func:`propagator` build one dense operator and its ``eigh``, and take one
-time a call, for :func:`evolve_exact` and the expansion check.
+Each term acts on one qubit, so the terms commute and exp(-i H t) factors
+exactly: it is the Kronecker product of one 2x2 closed form per qubit.
+:func:`propagator` builds it that way, with no eigendecomposition, for the
+engine's noise slices and for :func:`evolve_exact` alike;
+:func:`build_hamiltonian` writes H itself out, for the first-order expansion.
 """
 from __future__ import annotations
 
 __all__ = [
-    "HermitianOperator", "NoiseSpec", "apply_propagator", "build_hamiltonian",
-    "evolve_exact", "evolve_first_order", "expansion_defect", "propagator",
-    "slice_propagator",
+    "NoiseSpec", "apply_propagator", "build_hamiltonian", "evolve_exact",
+    "evolve_first_order", "expansion_defect", "propagator",
 ]
 
 import math
@@ -30,8 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .states import StateVector
-
-HERMITIAN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -74,60 +70,6 @@ class NoiseSpec:
         return cls(lam=(float(strength),) * num_qubits, mu=(0.0,) * num_qubits)
 
 
-class HermitianOperator:
-    """A 2**k x 2**k complex matrix equal to its conjugate transpose.
-
-    The operator is immutable: ``matrix`` is a read-only array that cannot be
-    rebound, so its eigendecomposition, computed on first use, never goes
-    stale.
-    """
-
-    __slots__ = ("_matrix", "_spectrum")
-
-    def __init__(self, matrix):
-        m = np.array(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"operator must be square, got shape {m.shape}")
-        dim = m.shape[0]
-        if dim < 2 or dim & (dim - 1) != 0:
-            raise ValueError(f"dimension must be a power of two >= 2, got {dim}")
-        if not np.isfinite(m).all():
-            raise ValueError("matrix is not Hermitian (non-finite entries)")
-        defect = np.max(np.abs(m - m.conj().T))
-        if not defect <= HERMITIAN_TOL:  # a NaN defect fails too
-            raise ValueError(f"matrix is not Hermitian (deviation {defect:.3e})")
-        m.flags.writeable = False
-        self._matrix = m
-        self._spectrum = None
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._matrix
-
-    @property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(w, v, v^+) with H = v diag(w) v^+, from one ``eigh`` on first
-        use; the arrays are read-only."""
-        if self._spectrum is None:
-            w, v = np.linalg.eigh(self._matrix)
-            vh = v.conj().T
-            for a in (w, v, vh):
-                a.flags.writeable = False
-            self._spectrum = (w, v, vh)
-        return self._spectrum
-
-    @property
-    def dim(self) -> int:
-        return self._matrix.shape[0]
-
-    @property
-    def num_qubits(self) -> int:
-        return self.dim.bit_length() - 1
-
-    def __repr__(self) -> str:
-        return f"HermitianOperator(dim={self.dim})"
-
-
 def _check_register(spec: NoiseSpec, num_qubits: int) -> None:
     if spec.num_qubits != num_qubits:
         raise ValueError(
@@ -141,8 +83,8 @@ def _finite_time(t) -> float:
     return float(t)
 
 
-def build_hamiltonian(spec: NoiseSpec, num_qubits: int) -> HermitianOperator:
-    """A fresh H = sum_i (lam_i X_i + mu_i P0_i) on ``num_qubits`` qubits; it keeps its ``eigh``."""
+def build_hamiltonian(spec: NoiseSpec, num_qubits: int) -> np.ndarray:
+    """A fresh, read-only H = sum_i (lam_i X_i + mu_i P0_i) on ``num_qubits`` qubits."""
     _check_register(spec, num_qubits)
     dim = 1 << num_qubits
     h = np.zeros((dim, dim), dtype=complex)
@@ -152,10 +94,11 @@ def build_hamiltonian(spec: NoiseSpec, num_qubits: int) -> HermitianOperator:
             if b & mask == 0:
                 h[b, b] += spec.mu[q]
             h[b ^ mask, b] += spec.lam[q]
-    return HermitianOperator(h)
+    h.flags.writeable = False
+    return h
 
 
-def slice_propagator(spec: NoiseSpec, num_qubits: int, t: float | np.ndarray) -> np.ndarray:
+def propagator(spec: NoiseSpec, num_qubits: int, t: float | np.ndarray) -> np.ndarray:
     """exp(-i H t) for H = build_hamiltonian(spec, num_qubits), in closed
     form: qubit q's factor is e^{-i mu t/2} [cos(r t) I - i sin(r t)/r (lam X
     + (mu/2) Z)], with r = sqrt(lam^2 + mu^2/4), worked out with ``math`` on
@@ -193,23 +136,6 @@ def slice_propagator(spec: NoiseSpec, num_qubits: int, t: float | np.ndarray) ->
     return u if times.ndim else u[0]
 
 
-def propagator(h: HermitianOperator, t: float) -> np.ndarray:
-    """Unitary exp(-i H t) for one finite time t, from the eigendecomposition
-    of H (exact at these dimensions). A zero time is the exact identity; a
-    phase w t of an eigenvalue w that overflows raises ValueError naming it."""
-    t = _finite_time(t)
-    if t == 0.0:
-        return np.eye(h.dim, dtype=complex)
-    w, v, vh = h.spectrum
-    with np.errstate(over="ignore"):
-        phase = w * t
-    if not np.isfinite(phase).all():
-        col = int(np.argmin(np.isfinite(phase)))  # the first that overflows
-        raise ValueError(f"noise phase w*t must be finite, got {float(phase[col])!r} "
-                         f"(w = {float(w[col])!r}, t = {t!r})")
-    return (v * np.exp(-1j * phase)) @ vh
-
-
 def apply_propagator(state: StateVector, u: np.ndarray) -> StateVector:
     """Apply a precomputed propagator matrix; norm must stay within tolerance."""
     if u.shape != (state.amplitudes.size, state.amplitudes.size):
@@ -219,28 +145,25 @@ def apply_propagator(state: StateVector, u: np.ndarray) -> StateVector:
     return StateVector._checked(state.num_qubits, u @ state.amplitudes)
 
 
-def evolve_exact(state: StateVector, h: HermitianOperator, t: float) -> StateVector:
-    """Evolve by exp(-i H t); unitary, composes additively in t."""
-    if h.dim != state.amplitudes.size:
-        raise ValueError(f"operator dim {h.dim} does not match state dim {state.amplitudes.size}")
-    return apply_propagator(state, propagator(h, t))
+def evolve_exact(state: StateVector, spec: NoiseSpec, t: float) -> StateVector:
+    """Evolve by exp(-i H t) for one finite time t, H from ``spec``; unitary,
+    composes additively in t."""
+    return apply_propagator(state, propagator(spec, state.num_qubits, _finite_time(t)))
 
 
-def evolve_first_order(state: StateVector, h: HermitianOperator, t: float) -> StateVector:
-    """Short-time expansion (I - i H t) psi, returned unnormalized.
+def evolve_first_order(state: StateVector, spec: NoiseSpec, t: float) -> StateVector:
+    """Short-time expansion (I - i H t) psi, H from ``spec``, returned unnormalized.
 
     The output norm differs from 1 at O(t^2); it is deliberately not repaired
     and the result is marked is_normalized=False.
     """
-    if h.dim != state.amplitudes.size:
-        raise ValueError(f"operator dim {h.dim} does not match state dim {state.amplitudes.size}")
-    t = _finite_time(t)
-    amps = state.amplitudes - 1j * t * (h.matrix @ state.amplitudes)
+    h = build_hamiltonian(spec, state.num_qubits)
+    amps = state.amplitudes - 1j * _finite_time(t) * (h @ state.amplitudes)
     return StateVector._wrap(state.num_qubits, amps, normalized=False)
 
 
-def expansion_defect(state: StateVector, h: HermitianOperator, t: float) -> float:
+def expansion_defect(state: StateVector, spec: NoiseSpec, t: float) -> float:
     """Euclidean distance between exact and first-order evolution; O(t^2)."""
-    exact = evolve_exact(state, h, t)
-    first = evolve_first_order(state, h, t)
+    exact = evolve_exact(state, spec, t)
+    first = evolve_first_order(state, spec, t)
     return float(np.linalg.norm(exact.amplitudes - first.amplitudes))

@@ -24,15 +24,13 @@ from functools import lru_cache
 
 import numpy as np
 
-# apply_propagator, apply_single, fidelity, build_hamiltonian and propagator stay
+# apply_propagator, apply_single, fidelity and build_hamiltonian stay
 # importable here: perfbench/spans.py traces them
 from .states import (  # noqa: F401
     _MIN_BRANCH_PROB, NORM_TOL, NormDriftError, StateVector, _bit_mask, _cnot_permutation,
     _outcome_indices, append_aux, apply_cnot, apply_single, fidelity, measure_qubit, project_qubit,
 )
-from .noise import (  # noqa: F401
-    NoiseSpec, apply_propagator, build_hamiltonian, propagator, slice_propagator,
-)
+from .noise import NoiseSpec, apply_propagator, build_hamiltonian, propagator  # noqa: F401
 
 AUX_SINGLE = "single"
 AUX_DUAL_ALTERNATING = "dual-alternating"
@@ -307,9 +305,8 @@ def run_post_selected(
     or NormDriftError its row raised. ``cycles`` is checked once: it must
     be a non-empty list of positive integers, and ``data`` must encode, or
     the call raises. The rows share one encoding, one stack of noise
-    slices, built in closed form with no eigendecomposition
-    (:func:`noise.slice_propagator`), and one squaring ladder; each row's
-    floats are those of its run alone.
+    slices, built in closed form (:func:`noise.propagator`), and one
+    squaring ladder; each row's floats are those of its run alone.
 
     One cycle on auxiliary a is the pair (M, G): M = keep_a U maps the
     register onto the no-error branch, and G = (Q_a U)^+ (Q_a U), with
@@ -334,8 +331,7 @@ def run_post_selected(
         raise ValueError(f"cycles must be a non-empty list of positive integers, got {cycles!r}")
     encoded = encode(data, schedule.aux_count)
     try:
-        steps = slice_propagator(noise, encoded.num_qubits,
-                                 [schedule.total_time / n for n in cycles])
+        steps = propagator(noise, encoded.num_qubits, [schedule.total_time / n for n in cycles])
     except ValueError as exc:
         return [exc] if len(cycles) == 1 else [
             row for n in cycles for row in run_post_selected(data, noise, schedule, [n])]
@@ -607,7 +603,7 @@ class _OutcomeTree:
     the numpy operations of the per-cycle gate calls, in their order, so
     every float is theirs; the CNOTs and the reset's Pauli-X are index
     gathers, and the norm is checked once, as the unitarity of the noise
-    slice, built in closed form (:func:`noise.slice_propagator`).
+    slice, built in closed form (:func:`noise.propagator`).
     On raw arrays, :meth:`_noisy` alone steps a noise slice, one matvec and
     one gather, and :meth:`_no_error` a cycle measuring 0, for every trial
     (:meth:`trial`, from the shared first slice ``first``), a stochastic row
@@ -619,7 +615,7 @@ class _OutcomeTree:
 
     def __init__(self, data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule):
         encoded = encode(data, schedule.aux_count)
-        self.step = slice_propagator(noise, encoded.num_qubits, schedule.interval)
+        self.step = propagator(noise, encoded.num_qubits, schedule.interval)
         defect = np.abs(self.step.conj().T @ self.step - np.eye(len(self.step))).max()
         if not defect <= NORM_TOL:  # a NaN defect fails too
             raise NormDriftError(f"propagator is not unitary (U+U - I up to {defect:.3e})")

@@ -25,7 +25,7 @@ from .states import (
     _bit_mask,
     apply_single,
 )
-from .noise import NoiseSpec, build_hamiltonian, evolve_exact
+from .noise import NoiseSpec, evolve_exact
 from .protocol import MEASUREMENT_MODES, MODE_POST_SELECTED, MODE_STOCHASTIC, encode
 
 _AMPLITUDE_SUM_TOL = 1e-10
@@ -41,7 +41,7 @@ SYNDROME_TO_FLIP = {
 
 @dataclass(frozen=True)
 class EpsilonReport:
-    """The eight basis amplitudes of a noisy repetition register, labelled by
+    """The 8 basis amplitudes of a noisy repetition register, labelled by
     bit pattern: the two code words plus the six leakage amplitudes."""
 
     alpha_000: complex
@@ -99,7 +99,7 @@ def evolve_repetition(
     if not math.isfinite(t) or t < 0:
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
     encoded = encode(data, aux_count=2)
-    evolved = evolve_exact(encoded, build_hamiltonian(noise, 3), t)
+    evolved = evolve_exact(encoded, noise, t)
     return evolved, EpsilonReport.from_state(evolved)
 
 

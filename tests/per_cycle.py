@@ -30,7 +30,7 @@ from zenosim import (
     derive_trial_seed,
     encode,
     fidelity,
-    slice_propagator,
+    propagator,
     zeno_cycle,
 )
 
@@ -45,7 +45,7 @@ def run_stochastic(data, noise, schedule) -> ProtocolResult:
             f"{register_size} ({aux_count} auxiliaries)"
         )
     encoded = encode(data, aux_count)
-    step = slice_propagator(noise, register_size, schedule.interval)
+    step = propagator(noise, register_size, schedule.interval)
 
     rng = np.random.default_rng(schedule.seed)
     state = encoded

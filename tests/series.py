@@ -1,6 +1,6 @@
 """Truncated Taylor series for exp(-i H t), kept as a reference for the
-eigendecomposition route of ``zenosim.noise.propagator``: it shares no code
-with it, and its truncation error is bounded below SERIES_TOL.
+closed form of ``zenosim.noise.propagator``: it shares no code with it, and
+its truncation error is bounded below SERIES_TOL.
 """
 import math
 

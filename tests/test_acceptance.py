@@ -19,7 +19,6 @@ from zenosim import (
     NoiseSpec,
     StateVector,
     ZenoSchedule,
-    build_hamiltonian,
     decode,
     derive_trial_seed,
     encode,
@@ -100,12 +99,12 @@ def test_criterion_3_oracle_equivalence():
     start = time.perf_counter()
     worst = 0.0
     for lam in (0.05, 0.1, 0.5):
-        h = build_hamiltonian(NoiseSpec(lam=(lam,), mu=(0.0,)), 1)
+        spec = NoiseSpec(lam=(lam,), mu=(0.0,))
         for n in range(1, 65):
             state = new_state(1)
             product = 1.0
             for _ in range(n):
-                state = evolve_exact(state, h, 1.0 / n)
+                state = evolve_exact(state, spec, 1.0 / n)
                 prob, state = project_qubit(state, 0, 0)
                 product *= prob
             worst = max(worst, abs(product - single_qubit_survival(lam, 1.0, n)))
@@ -133,9 +132,8 @@ def test_criterion_4_first_order_expansion():
         signs = rng.choice([-1.0, 1.0], size=4)
         values = rng.uniform(0.3, 1.5, size=4) * signs
         spec = NoiseSpec(lam=tuple(values[:2]), mu=tuple(values[2:]))
-        h = build_hamiltonian(spec, 2)
         state = random_state(2, rng)
-        defects = [expansion_defect(state, h, t) for t in times]
+        defects = [expansion_defect(state, spec, t) for t in times]
         slope = np.polyfit(np.log(times), np.log(defects), 1)[0]
         worst_gap = max(worst_gap, abs(slope - 2.0))
     elapsed = time.perf_counter() - start
@@ -153,9 +151,8 @@ def test_criterion_5_leakage_purge():
             lam=tuple(rng.uniform(-1.0, 1.0, register)),
             mu=tuple(rng.uniform(-1.0, 1.0, register)),
         )
-        h = build_hamiltonian(spec, register)
         state = encode(random_state(1, rng), register - 1)
-        state = evolve_exact(state, h, rng.uniform(0.0, 0.5))
+        state = evolve_exact(state, spec, rng.uniform(0.0, 0.5))
         aux_q = rng.integers(1, register) if dual else 1
         outcome = zeno_cycle(state, 0, int(aux_q))
         n = outcome.state_after.num_qubits

@@ -11,8 +11,8 @@ from zenosim import (
     NoiseSpec,
     ZenoSchedule,
     new_state,
+    propagator,
     run_protocol,
-    slice_propagator,
 )
 from mp_oracle import DIGITS, post_selected_loss, post_selected_run, register_slice
 
@@ -104,7 +104,7 @@ def test_engine_agrees_with_the_oracle_now(strategy, lam, mu, data, n):
 def test_slice_entries_keep_their_relative_precision(tau):
     # every entry, down to the triple flips of order tau**3, to a few ulp
     lam, mu = GENERAL[AUX_DUAL_ALTERNATING]
-    u = slice_propagator(NoiseSpec(lam, mu), 3, tau)
+    u = propagator(NoiseSpec(lam, mu), 3, tau)
     with mp.workdps(DIGITS):
         exact = register_slice(lam, mu, mp.mpf(tau))
         worst = max(abs(mp.mpc(complex(u[i, j])) - exact[i, j]) / abs(exact[i, j])

@@ -33,7 +33,6 @@ from zenosim import (
     ZenoSchedule,
     ZeroProbabilityError,
     apply_propagator,
-    build_hamiltonian,
     decode,
     derive_trial_seed,
     encode,
@@ -43,10 +42,10 @@ from zenosim import (
     fit_inverse_n,
     new_state,
     parse_config,
+    propagator,
     run_protocol,
     run_sweep,
     single_qubit_survival,
-    slice_propagator,
     write_csv,
     zeno_cycle,
 )
@@ -108,7 +107,7 @@ class TestZenoCycle:
         lam, dt = 0.4, 0.35
         alpha0, alpha1 = 0.6, 0.8
         state = encode(new_state(1, [alpha0, alpha1]), 1)
-        noisy = evolve_exact(state, build_hamiltonian(NoiseSpec.flip(lam, 2), 2), dt)
+        noisy = evolve_exact(state, NoiseSpec.flip(lam, 2), dt)
         outcome = zeno_cycle(noisy, 0, 1)
         expected = brute_force.single_cycle_branch_probability(alpha0, alpha1, lam, dt)
         assert outcome.branch_probability == pytest.approx(expected, abs=1e-12)
@@ -302,7 +301,7 @@ def per_cycle_reference(data, noise, schedule):
     """
     aux_count = schedule.aux_count
     encoded = encode(data, aux_count)
-    step = slice_propagator(noise, 1 + aux_count, schedule.interval)
+    step = propagator(noise, 1 + aux_count, schedule.interval)
     state, survival, log_survival = encoded, 1.0, 0.0
     for k in range(schedule.cycles):
         state = apply_propagator(state, step)
@@ -564,14 +563,14 @@ class TestFusedPostSelectedEngine:
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec((0.3, 0.2, 0.1), (0.1, 0.0, 0.2))
         schedule, cycles = ZenoSchedule(1.0, 1, aux_strategy=AUX_DUAL_ALTERNATING), [1, 2, 3, 8]
         clean = run_post_selected(data, noise, schedule, cycles)
-        real = protocol_module.slice_propagator
+        real = protocol_module.propagator
 
         def poisoned(spec, num_qubits, times):
             stack = real(spec, num_qubits, times)
             stack[2] = np.nan  # the row of n = 3
             return stack
 
-        monkeypatch.setattr(protocol_module, "slice_propagator", poisoned)
+        monkeypatch.setattr(protocol_module, "propagator", poisoned)
         rows = run_post_selected(data, noise, schedule, cycles)
         assert isinstance(rows[2], NormDriftError)
         assert str(rows[2]) == "norm drifted by nan (tolerance 1e-10)"
@@ -947,9 +946,9 @@ class TestSharedTreeEngine:
 
     def test_engine_builds_the_propagator_once(self, monkeypatch):
         calls = []
-        real = protocol_module.slice_propagator
+        real = protocol_module.propagator
         monkeypatch.setattr(
-            protocol_module, "slice_propagator", lambda *a: calls.append(a) or real(*a)
+            protocol_module, "propagator", lambda *a: calls.append(a) or real(*a)
         )
         schedule = ZenoSchedule(1.0, 8, measurement_mode=MODE_STOCHASTIC, seed=0)
         survived, _ = sample_masks(new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.3, 2), schedule, 100)
@@ -1523,8 +1522,8 @@ class TestSharedTreeEngine:
                                                           dataclasses.replace(schedule, seed=seed)))
 
     def test_non_unitary_propagator_raises_norm_drift(self, monkeypatch):
-        real = protocol_module.slice_propagator
-        monkeypatch.setattr(protocol_module, "slice_propagator", lambda *a: 1.01 * real(*a))
+        real = protocol_module.propagator
+        monkeypatch.setattr(protocol_module, "propagator", lambda *a: 1.01 * real(*a))
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.3, 2)
         schedule = ZenoSchedule(1.0, 8, measurement_mode=MODE_STOCHASTIC, seed=0)
         with pytest.raises(NormDriftError):
@@ -1877,8 +1876,7 @@ class TestDecode:
 
 
 def _unnormalized():
-    h = build_hamiltonian(NoiseSpec((0.1,)), 1)
-    return evolve_first_order(new_state(1, [0.6, 0.8]), h, 0.5)
+    return evolve_first_order(new_state(1, [0.6, 0.8]), NoiseSpec((0.1,)), 0.5)
 
 
 @pytest.mark.parametrize("call, message", [

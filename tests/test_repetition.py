@@ -9,6 +9,7 @@ from zenosim import (
     MODE_POST_SELECTED,
     EpsilonReport,
     NoiseSpec,
+    StateVector,
     ZenoSchedule,
     ZeroProbabilityError,
     encode,
@@ -58,6 +59,18 @@ class TestEvolveRepetition:
         _, report = evolve_repetition(data, noise, 0.1)  # lam*t around 1e-2
         for pattern, amplitude in report.epsilons.items():
             assert abs(amplitude) > 1e-15, pattern
+
+    def test_flip_drift_keeps_the_exact_phases(self):
+        # |000> goes to (-i sin(lam t))^k cos(lam t)^(3 - k) on a weight-k
+        # pattern: odd weights are imaginary and even weights real, with no
+        # roundoff left in the part that is zero
+        for lam, t in ((0.1, 0.5), (0.7, 0.3), (2.5, 1.7), (-0.4, 0.9)):
+            _, report = evolve_repetition(StateVector(1), NoiseSpec.flip(lam, 3), t)
+            for pattern, amplitude in report.as_dict().items():
+                if pattern.count("1") % 2:
+                    assert amplitude.real == 0.0, (lam, t, pattern)
+                else:
+                    assert amplitude.imag == 0.0, (lam, t, pattern)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):

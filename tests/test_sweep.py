@@ -139,12 +139,12 @@ class TestRunSweep:
         import zenosim.protocol as protocol_module
 
         eighs, builds = [], []
-        real_eigh, real_build = noise_module.np.linalg.eigh, protocol_module.slice_propagator
+        real_eigh, real_build = noise_module.np.linalg.eigh, protocol_module.propagator
         monkeypatch.setattr(
             noise_module.np.linalg, "eigh", lambda m: eighs.append(m) or real_eigh(m)
         )
         monkeypatch.setattr(
-            protocol_module, "slice_propagator", lambda *a: builds.append(a) or real_build(*a)
+            protocol_module, "propagator", lambda *a: builds.append(a) or real_build(*a)
         )
         # the index caches the pass reads are filled afresh, with no eigh either
         protocol_module._cycle_masks.cache_clear()
