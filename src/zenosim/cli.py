@@ -16,7 +16,6 @@ import argparse
 import sys
 import warnings
 from functools import cache
-from pathlib import Path
 
 import numpy as np
 
@@ -69,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_sweep(args) -> int:
     try:
-        text = Path(args.config).read_text()
+        with open(args.config) as fh:
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read '{args.config}': {exc}") from None
     config = parse_config(text)

@@ -19,7 +19,8 @@ The CSV is a byte-reproducible artifact: (config, seed) determines every
 written byte. Because measured wall time cannot satisfy that, the
 wall_time_ms column is normalized to 0 unless the caller explicitly opts
 into keeping timings; measured values stay available on the in-memory rows.
-A rerun writes over the existing file in place and cuts off any old tail.
+The file is formatted into one buffer and written with one ``os.write``; a
+rerun writes over the existing file in place and cuts off any old tail.
 """
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ __all__ = [
     "write_csv",
 ]
 
-import csv
 import math
 import os
 import stat
@@ -54,6 +54,7 @@ CSV_COLUMNS = (
     "analytic_reference",
     "wall_time_ms",
 )
+_HEADER = ",".join(CSV_COLUMNS) + "\n"
 
 
 @dataclass
@@ -143,44 +144,43 @@ def write_csv(result: SweepResult, path, keep_timings: bool = False) -> None:
     digit formatting. wall_time_ms is written as 0 unless keep_timings, so
     identical (config, seed) runs produce byte-identical files.
 
-    An existing file is written over in place and, where it was longer,
-    cut to the written length, instead of being opened with ``O_TRUNC``:
-    on ext4 mounted with ``discard``, truncating a rerun's same-sized file
-    to zero was measured to cost several times more than writing it. A
+    The file's bytes are formatted into one buffer and written with
+    ``os.write`` (looping on a short write), with no text layer. An
+    existing file is written over in place and, where it was longer, cut
+    to the bytes written, instead of being opened with ``O_TRUNC``: on
+    ext4 mounted with ``discard``, truncating a rerun's same-sized file to
+    zero was measured to cost several times more than writing it. A
     missing file is created as ``open(path, "w")`` would create it, and an
     existing one keeps its inode. A non-regular target such as
-    ``/dev/null`` is written but not cut. The cut runs on every exit, so a
-    write that raises leaves a short file of new bytes, as a truncating
-    write does. Neither is atomic, and a process killed outright (or a
-    power loss) between the write and the cut leaves new bytes followed by
-    old ones."""
+    ``/dev/null`` is written but not cut. The rows formatted so far are
+    written, and the cut made, on every exit, so a formatting error or a
+    write that raises part-way leaves a short file of new bytes, as a
+    truncating write does. Neither is atomic, and a process killed
+    outright (or a power loss) between the write and the cut leaves new
+    bytes followed by old ones."""
+    lines = [_HEADER]
+    written = 0
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    old = os.fstat(fd)
-    with open(fd, "w", newline="") as fh:
+    try:
+        old = os.fstat(fd)
         try:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_COLUMNS)
             for row in result.rows:
                 wall = row.wall_time_ms if keep_timings else 0.0
-                writer.writerow(
-                    [
-                        row.n,
-                        _fmt(row.survival_probability),
-                        _fmt(row.mean_post_selected_fidelity),
-                        _fmt(row.detection_rate),
-                        _fmt(row.analytic_reference),
-                        _fmt(wall),
-                    ]
+                lines.append(
+                    f"{row.n},{_fmt(row.survival_probability)},"
+                    f"{_fmt(row.mean_post_selected_fidelity)},{_fmt(row.detection_rate)},"
+                    f"{_fmt(row.analytic_reference)},{_fmt(wall)}\n"
                 )
-            fh.flush()
         finally:
-            # cut an old tail at what has reached the file, even when the
-            # flush failed; bytes still buffered are written after the cut
-            # on close
-            if stat.S_ISREG(old.st_mode):
-                end = os.lseek(fd, 0, os.SEEK_CUR)
-                if end < old.st_size:
-                    os.ftruncate(fd, end)
+            try:
+                data = "".join(lines).encode()  # ASCII: no locale moves a byte
+                while written < len(data):
+                    written += os.write(fd, data[written:])
+            finally:
+                if stat.S_ISREG(old.st_mode) and written < old.st_size:
+                    os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
 
 
 def _fmt(value: float) -> str:

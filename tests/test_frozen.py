@@ -9,7 +9,10 @@ commit's per-cycle values, which today's engine matches only within
 perfbench's 1e-9 check, so ``perfbench/run.py`` checks it; and
 ``tests/frozen/postsel-large-n.csv`` holds the stacked pass's own bytes,
 which this file checks, so no change to the squaring ladder or to how a
-row is finished may move a printed digit.
+row is finished may move a printed digit. One more test runs
+``python -m zenosim sweep`` in its own process, from a temporary working
+directory, on the post-selected configuration, and reruns it over a longer
+file.
 
 The bytes hold only while NumPy's SeedSequence, PCG64, integer promotion
 (NEP 50), BLAS gemv and batched matmul, and Python's float sums, give the
@@ -17,11 +20,14 @@ bits they give today; so CI runs this on the oldest NumPy pyproject.toml
 allows and the latest, on a Python on each side of 3.12, and under forced
 OpenBLAS kernels.
 """
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import zenosim
 from zenosim.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,3 +75,28 @@ def test_a_frozen_configuration_writes_its_csv_byte_for_byte(
     path.write_text(workloads.render(config, str(output)))
     assert main(["sweep", str(path)]) == 0, capsys.readouterr().err
     assert output.read_bytes() == (ROOT / frozen).read_bytes()
+
+
+def test_the_module_entry_point_writes_the_frozen_csv_from_any_cwd(tmp_path):
+    # python -m zenosim in its own process, config and CSV named relative
+    # to a temporary cwd; the rerun writes over a longer junk file in place
+    frozen = (ROOT / "tests/frozen/postsel-large-n.csv").read_bytes()
+    (tmp_path / "sweep.cfg").write_text(
+        workloads.render(workloads.build("postsel-large-n", 0)[0], "sweep.csv"))
+    output = tmp_path / "sweep.csv"
+    paths = (str(Path(zenosim.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+    def sweep():
+        return subprocess.run([sys.executable, "-m", "zenosim", "sweep", "sweep.cfg"],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+
+    run = sweep()
+    assert run.returncode == 0, run.stderr
+    assert output.read_bytes() == frozen
+    output.write_bytes(b"x" * 100_000)
+    inode = output.stat().st_ino
+    run = sweep()
+    assert run.returncode == 0, run.stderr
+    assert output.read_bytes() == frozen
+    assert output.stat().st_ino == inode

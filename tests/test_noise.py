@@ -80,8 +80,8 @@ class TestBuildHamiltonian:
                                        rtol=0, atol=1e-15)
 
 
-class TestComputedOnce:
-    def test_spectrum_is_computed_once_and_read_only(self, rng):
+class TestEachBuild:
+    def test_each_call_builds_a_fresh_read_only_matrix(self, rng):
         # each call builds its own matrix, and no caller can write into it
         spec = random_spec(3, rng)
         h = build_hamiltonian(spec, 3)
@@ -139,7 +139,7 @@ class TestEvolveExact:
         back = evolve_exact(evolve_exact(state, spec, 0.8), spec, -0.8)
         np.testing.assert_allclose(back.amplitudes, state.amplitudes, atol=1e-10)
 
-    def test_series_route_matches_eigendecomposition(self, rng):
+    def test_closed_form_matches_the_series(self, rng):
         for t in (0.05, 0.9, 4.7, -2.3):
             spec = random_spec(2, rng)
             series = series_propagator(build_hamiltonian(spec, 2), t)
@@ -190,7 +190,7 @@ def _eigh_propagator(h, t):
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
-class TestSlicePropagator:
+class TestPropagator:
     @settings(max_examples=200, deadline=None)
     @given(
         num_qubits=st.integers(1, 3),

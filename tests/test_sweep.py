@@ -1,11 +1,17 @@
 """Sweep execution, seed derivation, and CSV determinism."""
+import csv
 import dataclasses
+import io
 import math
 import os
 import signal
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zenosim.protocol as protocol_module
 from zenosim import (
@@ -262,7 +268,40 @@ class TestRunSweep:
         assert not second.failed, second.error
 
 
+def reference_csv(result, keep_timings):
+    """The bytes a stdlib ``csv.writer`` writes for the sweep, each float
+    with 12 significant digits: the CSV contract ``write_csv`` keeps."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for row in result.rows:
+        values = (row.survival_probability, row.mean_post_selected_fidelity, row.detection_rate,
+                  row.analytic_reference, row.wall_time_ms if keep_timings else 0.0)
+        writer.writerow([row.n, *(format(value, ".12g") for value in values)])
+    return buffer.getvalue().encode()
+
+
+EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, -1e308])
+CSV_FLOATS = st.floats() | EDGE_FLOATS
+CSV_ROWS = st.builds(SweepRow, st.integers(1, 2**64), CSV_FLOATS, CSV_FLOATS, CSV_FLOATS,
+                     CSV_FLOATS, CSV_FLOATS)
+
+
 class TestWriteCsv:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(CSV_ROWS, max_size=12), keep_timings=st.booleans(),
+           tail=st.integers(1, 5000))
+    def test_bytes_equal_the_csv_writer(self, rows, keep_timings, tail):
+        # on a fresh path, and over a longer existing file
+        result = SweepResult(rows=rows)
+        want = reference_csv(result, keep_timings)
+        with tempfile.TemporaryDirectory() as tmp:
+            fresh, reused = Path(tmp) / "fresh.csv", Path(tmp) / "reused.csv"
+            reused.write_bytes(b"x" * (len(want) + tail))
+            for path in (fresh, reused):
+                write_csv(result, path, keep_timings=keep_timings)
+                assert path.read_bytes() == want
+
     def test_header_only_for_empty_result(self, tmp_path):
         path = tmp_path / "empty.csv"
         write_csv(SweepResult(rows=[]), path)
