@@ -56,14 +56,12 @@ MAX_REPLAY_CYCLES = 10_000_000
 #: trials holds no array that grows with their count
 SEED_BATCH = 4096
 #: a batch of trials at most ARRAY_MAX_CYCLES cycles long draws its uniforms
-#: on uint64 arrays, rather than by a generator per trial, once it holds
-#: ARRAY_TRIALS_PER_CYCLE trials per cycle plus ARRAY_MIN_TRIALS: each
-#: generator costs a fixed set-up, each drawn column a fixed numpy overhead
-#: and each array draw more than a generator's. The break-even measured
-#: with timeit, route against route
+#: on uint64 arrays whatever its trial count, so a process whose stochastic
+#: rows are all that short never imports numpy.random (about 10 ms and
+#: 5 MiB, against at most 0.5 ms more a few-trial row on arrays); longer
+#: trials keep a generator each, as each drawn column costs a fixed numpy
+#: overhead and each array draw more than a generator's
 ARRAY_MAX_CYCLES = 32
-ARRAY_TRIALS_PER_CYCLE = 8
-ARRAY_MIN_TRIALS = 16
 #: a schedule's seed, and a stochastic trial's, is an unsigned 64-bit integer;
 #: mix64 wraps its arithmetic to 64 bits with this mask
 MAX_SEED = (1 << 64) - 1
@@ -448,28 +446,26 @@ def _batch_trials(tree: _OutcomeTree, master_seed: int, start: int, stop: int) -
     path that ends detecting, none draws. Otherwise the batch's seeds are
     derived in one call on a uint64 array of indices and hashed through
     :func:`_seed_words` in one pass, and the batch draws by one of two
-    routes, by the fixed costs measured for each; either route narrows the
+    routes, chosen by trial length alone; either route narrows the
     mask, block by block, through :meth:`_OutcomeTree.survivors`:
 
-    - a batch of trials at most ARRAY_MAX_CYCLES cycles long, and of at
-      least ARRAY_TRIALS_PER_CYCLE trials per cycle plus ARRAY_MIN_TRIALS,
-      draws every uniform on uint64 arrays in one pass (:func:`_pcg64_random`),
-      with no generator built, one block of at most SEED_BATCH *
-      ARRAY_MAX_CYCLES uniforms;
-    - any other batch, of long trials or of few trials per cycle, hands
-      each trial a PCG64 generator in the state of its seed's words: every
-      array column costs a fixed numpy overhead however few trials it
-      holds. The running trials fill a row each of one block, at most
-      DRAW_BLOCK columns at a time, until none runs: at most SEED_BATCH *
-      DRAW_BLOCK uniforms.
+    - a batch of trials at most ARRAY_MAX_CYCLES cycles long, of any
+      trial count, draws every uniform on uint64 arrays in one pass
+      (:func:`_pcg64_random`), with no generator built and numpy.random
+      not imported, one block of at most SEED_BATCH * ARRAY_MAX_CYCLES
+      uniforms;
+    - a batch of longer trials hands each trial a PCG64 generator in the
+      state of its seed's words: every array column costs a fixed numpy
+      overhead however few trials it holds. The running trials fill a row
+      each of one block, at most DRAW_BLOCK columns at a time, until none
+      runs: at most SEED_BATCH * DRAW_BLOCK uniforms.
     """
     cycles, running = tree.cycles, np.ones(stop - start, dtype=bool)
     if tree.end is not None and tree.end.detected:
         return np.zeros_like(running)
     words = _seed_words(derive_trial_seed(master_seed, cycles,
                                           np.arange(start, stop, dtype=np.uint64)))
-    if (cycles <= ARRAY_MAX_CYCLES
-            and stop - start >= ARRAY_TRIALS_PER_CYCLE * cycles + ARRAY_MIN_TRIALS):
+    if cycles <= ARRAY_MAX_CYCLES:
         running = tree.survivors(_pcg64_random(_pcg64_state(words), cycles), running)
     else:
         seed_words = _seed_words_class()
@@ -573,10 +569,13 @@ def _pcg64_random(state: np.ndarray, k: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _seed_words_class() -> type:
     """The seed sequence that hands ``np.random.PCG64`` a row of
-    :func:`_seed_words`. Built on first use: it subclasses a numpy.random
-    class, and importing numpy.random adds about 5 MiB to the peak RSS of a
-    post-selected run, which never draws. That saving holds on NumPy 2,
-    which loads numpy.random lazily; NumPy 1 imports it with numpy."""
+    :func:`_seed_words`. Built on first use, by a row of trials longer than
+    ARRAY_MAX_CYCLES: it subclasses a numpy.random class, and importing
+    numpy.random adds about 5 MiB to the peak RSS of a post-selected run,
+    which never draws, and of a stochastic run whose rows are all at most
+    ARRAY_MAX_CYCLES cycles long, which draws on arrays. That saving holds
+    on NumPy 2, which loads numpy.random lazily; NumPy 1 imports it with
+    numpy."""
     from numpy.random.bit_generator import ISeedSequence
 
     class SeedWords(ISeedSequence):

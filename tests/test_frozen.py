@@ -12,7 +12,9 @@ which this file checks, so no change to the squaring ladder or to how a
 row is finished may move a printed digit. One more test runs
 ``python -m zenosim sweep`` in its own process, from a temporary working
 directory, on the post-selected configuration, and reruns it over a longer
-file.
+file; two more run it on a stochastic configuration of three trials of at
+most 32 cycles, which must write ``tests/frozen/few-trials.csv`` and, on
+NumPy 2, never import ``numpy.random``.
 
 The bytes hold only while NumPy's SeedSequence, PCG64, integer promotion
 (NEP 50), BLAS gemv and batched matmul, and Python's float sums, give the
@@ -25,6 +27,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import zenosim
@@ -55,11 +58,11 @@ import workloads  # noqa: E402
     # test_a_row_sums_its_survivors_fidelities checks
     pytest.param("stochastic-abort", {"trials": 20000}, "tests/frozen/criterion-7.csv",
                  id="criterion-7"),
-    # the seed batches' boundaries: n = 8 takes the array route in both of
-    # its SEED_BATCH batches, n = 32 the array route and then a 104-trial
-    # generator batch, and n = 300 the generator route across DRAW_BLOCK
-    # and SEED_BATCH. So no change to how a row's trials are split into
-    # batches, routed or compared may move a byte
+    # the seed batches' boundaries: n = 8 and n = 32 take the array route in
+    # both of their SEED_BATCH batches, the second of 104 trials, and
+    # n = 300 the generator route across DRAW_BLOCK and SEED_BATCH. So no
+    # change to how a row's trials are split into batches, routed or
+    # compared may move a byte
     pytest.param("stochastic-reset",
                  {"total_time": 16.0, "n_values": (8, 32, 300), "trials": 4200},
                  "tests/frozen/seed-batches.csv", id="seed-batches"),
@@ -100,3 +103,39 @@ def test_the_module_entry_point_writes_the_frozen_csv_from_any_cwd(tmp_path):
     assert run.returncode == 0, run.stderr
     assert output.read_bytes() == frozen
     assert output.stat().st_ino == inode
+
+
+@pytest.fixture(scope="module")
+def few_trial_sweep(tmp_path_factory):
+    """``python -m zenosim sweep`` in its own process, under ``-X importtime``,
+    on stochastic-reset's physics cut to 3 trials at n = 1, 2, 8 and 32: a
+    row that survives, one that detects in every trial and one of each.
+    Returns the finished process and the CSV it wrote."""
+    cwd = tmp_path_factory.mktemp("few-trials")
+    config = dict(workloads.build("stochastic-reset", 0)[0], n_values=(1, 2, 8, 32), trials=3)
+    (cwd / "sweep.cfg").write_text(workloads.render(config, "sweep.csv"))
+    paths = (str(Path(zenosim.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "zenosim", "sweep", "sweep.cfg"],
+        cwd=cwd, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return run, (cwd / "sweep.csv").read_bytes()
+
+
+def test_a_few_trial_sweep_writes_its_csv_in_a_fresh_process(few_trial_sweep):
+    _, written = few_trial_sweep
+    assert written == (ROOT / "tests/frozen/few-trials.csv").read_bytes()
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="NumPy 1 imports numpy.random with numpy")
+def test_a_few_trial_sweep_never_imports_numpy_random(few_trial_sweep):
+    # every row is at most ARRAY_MAX_CYCLES cycles long, so every batch
+    # draws on arrays and no generator is built; -X importtime names each
+    # module the process imports, in the last field of its stderr lines
+    run, _ = few_trial_sweep
+    imported = [line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "numpy" in imported and "zenosim.protocol" in imported
+    assert "numpy.random" not in imported

@@ -988,10 +988,10 @@ class TestSharedTreeEngine:
     @pytest.mark.parametrize("route", ["array", "generator"])
     def test_run_protocol_takes_the_seeds_sample_trials_takes(self, monkeypatch, route):
         # the eight edge seeds, derived for trials 0 to 7, seeded by
-        # _seed_words and walked on either route of _batch_trials
-        if route == "array":
-            monkeypatch.setattr(protocol_module, "ARRAY_TRIALS_PER_CYCLE", 0)
-            monkeypatch.setattr(protocol_module, "ARRAY_MIN_TRIALS", 0)
+        # _seed_words and walked on either route of _batch_trials; an
+        # ARRAY_MAX_CYCLES of 0 sends every batch to generators
+        if route == "generator":
+            monkeypatch.setattr(protocol_module, "ARRAY_MAX_CYCLES", 0)
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.9, 2)
         schedule = ZenoSchedule(1.0, 8, measurement_mode=MODE_STOCHASTIC, seed=0)
         seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, np.uint64(2**64 - 1), True]
@@ -1004,27 +1004,38 @@ class TestSharedTreeEngine:
 
     @pytest.mark.parametrize("trials", [1, 2, 5])
     def test_few_trials_take_seed_words(self, monkeypatch, trials):
-        # a row of a few trials derives and hashes its seeds on arrays like
-        # any other; no trial is seeded through default_rng
+        # a row of a few short trials, one trial too, derives and hashes its
+        # seeds on arrays like any other and draws on arrays, each trial the
+        # uniforms of default_rng(seed).random: no trial is seeded through
+        # default_rng, and no generator is built
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.6, 2)
         schedule = ZenoSchedule(1.0, 8, measurement_mode=MODE_STOCHASTIC, seed=5)
         want = [run_protocol(data, noise, dataclasses.replace(schedule, seed=seed))
                 for seed in trial_seeds(schedule, trials)]
-        hashed = []
-        real = protocol_module._seed_words
+        uniforms = [np.random.default_rng(seed).random(8) for seed in trial_seeds(schedule, trials)]
+        hashed, drawn = [], []
+        real, real_random = protocol_module._seed_words, protocol_module._pcg64_random
 
         def spy(seeds):
             hashed.append(seeds.copy())
             return real(seeds)
 
+        def spy_random(state, k):
+            drawn.append(real_random(state, k))
+            return drawn[-1]
+
         def refuse(*args):
-            raise AssertionError("a few-trial row went through default_rng")
+            raise AssertionError("a few-trial row went through numpy.random")
 
         monkeypatch.setattr(protocol_module, "_seed_words", spy)
-        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(protocol_module, "_pcg64_random", spy_random)
+        for name in ("PCG64", "Generator", "default_rng"):
+            monkeypatch.setattr(np.random, name, refuse)
         survived, leaf = sample_masks(data, noise, schedule, trials)
         (seeds,) = hashed
         assert seeds.tolist() == trial_seeds(schedule, trials)
+        (draws,) = drawn
+        assert np.array_equal(draws.view(np.uint64), np.array(uniforms).view(np.uint64))
         for alive, result in zip(survived, want, strict=True):
             assert_trial_is_run(alive, leaf, result)
 
@@ -1064,11 +1075,10 @@ class TestSharedTreeEngine:
                                                           dataclasses.replace(schedule, seed=seed)))
 
     def test_many_short_trials_build_no_generator(self, monkeypatch):
-        # the fewest trials per cycle that the array route takes
+        # 80 trials of 8 cycles, some detecting and some surviving
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.6, 2)
         schedule = ZenoSchedule(1.0, 8, measurement_mode=MODE_STOCHASTIC, seed=7)
-        trials = (protocol_module.ARRAY_TRIALS_PER_CYCLE * schedule.cycles
-                  + protocol_module.ARRAY_MIN_TRIALS)
+        trials = 80
         want = [run_protocol(data, noise, dataclasses.replace(schedule, seed=seed))
                 for seed in trial_seeds(schedule, trials)]
 
@@ -1084,11 +1094,11 @@ class TestSharedTreeEngine:
 
     @pytest.mark.parametrize("trials, cycles", [
         (100, 64), (100, 256), (protocol_module.SEED_BATCH, protocol_module.ARRAY_MAX_CYCLES + 1),
-        (protocol_module.ARRAY_TRIALS_PER_CYCLE * 4 + protocol_module.ARRAY_MIN_TRIALS - 1, 4),
+        (1, protocol_module.ARRAY_MAX_CYCLES + 1),
     ])
     def test_long_trials_keep_their_generators(self, monkeypatch, trials, cycles):
-        # the stochastic-reset rows, a full batch of trials one cycle past
-        # ARRAY_MAX_CYCLES, and a batch one trial short of the array route
+        # the stochastic-reset rows, and a full batch and a single trial one
+        # cycle past ARRAY_MAX_CYCLES
         def refuse(*args):
             raise AssertionError("a long-trial row drew on arrays")
 
@@ -1105,13 +1115,12 @@ class TestSharedTreeEngine:
                 data, noise, dataclasses.replace(schedule, seed=seeds[t])))
 
     @pytest.mark.parametrize("trials, cycles", [
-        (protocol_module.ARRAY_TRIALS_PER_CYCLE * 8 + protocol_module.ARRAY_MIN_TRIALS, 8),
-        (protocol_module.SEED_BATCH + 100, 8),
+        (47, 4), (80, 8), (protocol_module.SEED_BATCH + 100, 8),
         (protocol_module.SEED_BATCH, protocol_module.ARRAY_MAX_CYCLES),
     ])
     def test_an_array_batch_draws_in_one_call(self, monkeypatch, trials, cycles):
-        # the smallest array batch, a full batch and the 100 trials after it,
-        # and the longest trials the array route takes
+        # batches of about 10 trials per cycle, a full batch and the 100
+        # trials after it, and the longest trials the array route takes
         calls = []
         real = protocol_module._pcg64_random
 
@@ -1168,23 +1177,25 @@ class TestSharedTreeEngine:
         strategy=st.sampled_from([AUX_SINGLE, AUX_DUAL_ALTERNATING]),
         policy=st.sampled_from([ABORT_ON_DETECT, RESET_AND_CONTINUE]),
         cycles=st.integers(1, 32),
+        trials=st.integers(1, 272),
         offset=st.integers(-2, 2),
         master=st.integers(0, 2**64 - 1),
     )
-    def test_path_walk_is_the_per_trial_walk(self, strategy, policy, cycles, offset, master):
-        # trials on both sides of the array rule's edge, each on its seed's
-        # uniforms, one more trial whose every draw is the first cycle's Born
-        # probability of 1, which measures 0 there, and one whose every draw
-        # is its depth's; each compared with the whole path at once, five
-        # columns at a time as a generator batch compares its blocks, and
-        # walked alone cycle by cycle down the tree
+    def test_path_walk_is_the_per_trial_walk(self, strategy, policy, cycles, trials, offset,
+                                             master):
+        # trials of any count, each on its seed's uniforms, one more trial
+        # whose every draw is the first cycle's Born probability of 1, which
+        # measures 0 there, and one whose every draw is its depth's; each
+        # compared with the whole path at once, five columns at a time as a
+        # generator batch compares its blocks, and walked alone cycle by
+        # cycle down the tree; the row is routed on both sides of the array
+        # rule's edge, an ARRAY_MAX_CYCLES of cycles + offset, so a negative
+        # offset takes generators
         size = 2 if strategy == AUX_SINGLE else 3
         data = new_state(1, [0.6, 0.8])
         noise = NoiseSpec((0.9, 0.6, 0.3)[:size], (0.1, 0.2, 0.0)[:size])
         schedule = ZenoSchedule(2.0, cycles, aux_strategy=strategy,
                                 measurement_mode=MODE_STOCHASTIC, seed=master, abort_policy=policy)
-        trials = (protocol_module.ARRAY_TRIALS_PER_CYCLE * cycles
-                  + protocol_module.ARRAY_MIN_TRIALS + offset)
         array_tree, block_tree, tree, full = (
             protocol_module._OutcomeTree(data, noise, schedule) for _ in range(4))
         while full._grow():
@@ -1202,7 +1213,8 @@ class TestSharedTreeEngine:
                 assert array_tree.end.final_fidelity == want.final_fidelity
                 assert np.array_equal(array_tree.end.amps, want.amps)
         # a warm path gives the same survivors, on either route
-        routed = protocol_module._batch_trials(array_tree, master, 0, trials)
+        with mock.patch.object(protocol_module, "ARRAY_MAX_CYCLES", cycles + offset):
+            routed = protocol_module._batch_trials(array_tree, master, 0, trials)
         assert routed.tolist() == survived[:trials].tolist()
         # the edge trial alone steps a cold path through every depth it reaches
         cold = [protocol_module._OutcomeTree(data, noise, schedule) for _ in range(2)]
@@ -1467,6 +1479,8 @@ class TestSharedTreeEngine:
         real = protocol_module._batch_trials
         monkeypatch.setattr(protocol_module, "_batch_trials",
                             lambda tree, *args: trees.append(tree) or real(tree, *args))
+        # the draw is scripted on a generator, so the batch takes that route
+        monkeypatch.setattr(protocol_module, "ARRAY_MAX_CYCLES", 0)
         monkeypatch.setattr(np.random, "Generator",
                             lambda bits: ScriptedGenerator([1.0 - 2.0**-53]))
         assert sample_trials(data, noise, schedule, 1) == (0, None)
@@ -1500,21 +1514,20 @@ class TestSharedTreeEngine:
         policy=st.sampled_from([ABORT_ON_DETECT, RESET_AND_CONTINUE]),
         trials=st.integers(1, 40),
         cycles=st.integers(1, 12),
-        per_cycle=st.sampled_from([0, 1, 3, 8]),
+        max_cycles=st.sampled_from([0, 4, 12]),
         batch=st.sampled_from([3, 7, 16, 4096]),
         master=st.integers(0, 2**64 - 1),
     )
     def test_every_route_gives_run_protocol_on_its_seed(self, strategy, policy, trials, cycles,
-                                                        per_cycle, batch, master):
-        # 0 trials per cycle sends every batch to the array route, 8 only
-        # batches of short trials
+                                                        max_cycles, batch, master):
+        # an ARRAY_MAX_CYCLES of 0 sends every batch to generators, 12 every
+        # batch to arrays, 4 only batches of short trials
         size = 2 if strategy == AUX_SINGLE else 3
         data = new_state(1, [0.6, 0.8])
         noise = NoiseSpec((0.9, 0.6, 0.3)[:size], (0.1, 0.2, 0.0)[:size])
         schedule = ZenoSchedule(2.0, cycles, aux_strategy=strategy,
                                 measurement_mode=MODE_STOCHASTIC, seed=master, abort_policy=policy)
-        with mock.patch.multiple(protocol_module, ARRAY_TRIALS_PER_CYCLE=per_cycle,
-                                 ARRAY_MIN_TRIALS=0, SEED_BATCH=batch):
+        with mock.patch.multiple(protocol_module, ARRAY_MAX_CYCLES=max_cycles, SEED_BATCH=batch):
             survived, leaf = sample_masks(data, noise, schedule, trials)
         assert len(survived) == trials
         for alive, seed in zip(survived, trial_seeds(schedule, trials), strict=True):

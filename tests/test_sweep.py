@@ -364,8 +364,9 @@ class TestWriteCsv:
     def test_failed_overwrite_leaves_no_old_tail(self, tmp_path, monkeypatch, fault_row):
         import zenosim.sweep as sweep_module
 
-        # 500 rows overflow the write buffer: at row 400 part of the new
-        # content has reached the file, at row 1 none has
+        # formatting fails at row 1 or at row 400 of 500; either way the
+        # rows formatted before it are written in one os.write, and the old
+        # file is cut at their end, so rows 1 and 400 take one path
         result = SweepResult(rows=[SweepRow(n, 0.9, 0.99, 0.1, 0.9, 1.0) for n in range(500)])
         fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
         write_csv(result, fresh)
@@ -390,8 +391,8 @@ class TestWriteCsv:
     def test_write_error_leaves_no_old_tail(self, tmp_path):
         import resource
 
-        # a file size limit makes the flush fail with OSError (EFBIG) part way
-        # through, as a full disk would
+        # a file size limit makes os.write fail with OSError (EFBIG) part way
+        # through the buffer, as a full disk would
         result = SweepResult(rows=[SweepRow(n, 0.9, 0.99, 0.1, 0.9, 1.0) for n in range(500)])
         fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
         write_csv(result, fresh)
