@@ -31,6 +31,8 @@ from .states import (  # noqa: F401
     _outcome_indices, append_aux, apply_cnot, apply_single, fidelity, measure_qubit, project_qubit,
 )
 from .noise import NoiseSpec, apply_propagator, build_hamiltonian, propagator  # noqa: F401
+from . import streams
+from .streams import MAX_SEED
 
 AUX_SINGLE = "single"
 AUX_DUAL_ALTERNATING = "dual-alternating"
@@ -62,35 +64,6 @@ SEED_BATCH = 4096
 #: trials keep a generator each, as each drawn column costs a fixed numpy
 #: overhead and each array draw more than a generator's
 ARRAY_MAX_CYCLES = 32
-#: a schedule's seed, and a stochastic trial's, is an unsigned 64-bit integer;
-#: mix64 wraps its arithmetic to 64 bits with this mask
-MAX_SEED = (1 << 64) - 1
-_MASK32 = 0xFFFFFFFF
-
-
-def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
-    """The constant of each of ``calls`` successive SeedSequence hashmix
-    calls, and the one after: call k xors with entry k, multiplies by k + 1."""
-    consts = [init]
-    for _ in range(calls):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)
-
-
-# numpy.random.SeedSequence's hash and mixing constants (NEP 19), for
-# _seed_words: hash A hashes the 4 pool words, then mixes each into the 3
-# others; hash B hashes the 8 output words
-_POOL_SIZE = 4
-_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, _POOL_SIZE * _POOL_SIZE)
-_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 2 * _POOL_SIZE)
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-
-# numpy.random.PCG64's 128-bit LCG multiplier (O'Neill 2014; NEP 19) as its
-# high and low uint64 words, and the 32-bit limbs of the low word, for _pcg64_step
-_PCG_MULT_HI = np.uint64(2549297995355413924)
-_PCG_MULT_LO = np.uint64(4865540595714422341)
-_PCG_LIMB_0, _PCG_LIMB_1 = _PCG_MULT_LO & np.uint64(_MASK32), _PCG_MULT_LO >> np.uint64(32)
-_LOW32 = np.uint64(_MASK32)
 
 
 @dataclass(frozen=True)
@@ -234,8 +207,6 @@ def zeno_cycle(
     if mode == MODE_POST_SELECTED:
         prob, collapsed = project_qubit(disentangled, aux_q, 0)
         return CycleOutcome(0, prob, apply_cnot(collapsed, data_q, aux_q))
-    if rng is None:
-        raise ValueError("stochastic mode requires an rng")
     record, collapsed = measure_qubit(disentangled, aux_q, rng)
     if record.outcome == 0:
         return CycleOutcome(0, record.probability, apply_cnot(collapsed, data_q, aux_q))
@@ -391,10 +362,9 @@ def sample_trials(
     return how many survive, and the no-error path's end that they all stand
     on, an ``(amps, detected, final_fidelity)`` tuple, or None if none does.
 
-    Trial t draws one uniform per cycle, the uniforms
-    ``default_rng(derive_trial_seed(schedule.seed, schedule.cycles, t)).random``
-    gives, so ``schedule.seed`` is the master seed of the row, and measures
-    1 in a cycle when its draw is below that cycle's Born probability of 1,
+    Trial t draws one uniform per cycle from its stream (:mod:`streams`),
+    on ``schedule.seed`` as the master seed of the row, and measures 1 in a
+    cycle when its draw is below that cycle's Born probability of 1,
     exactly as :func:`zeno_cycle` samples. Until its first 1 a trial walks
     the row's no-error path, stepped only as deep as some trial reaches: it
     detects at its first draw below that path's Born probability of 1, or
@@ -403,12 +373,10 @@ def sample_trials(
     policy; a reset-and-continue trial's tail moves no row, and is not run
     here (:func:`run_protocol` runs it).
 
-    Seeds are derived lazily, SEED_BATCH trials at a time, and each batch is
-    seeded, drawn by one of two routes (:func:`_batch_trials`) and counted
-    before the next, so a row holds nothing that grows with ``trials``;
-    every draw is the same on either route, and both compare their draws
-    with the path in one way, :meth:`_OutcomeTree.survivors`, with no trial
-    walked on its own. A negative or non-integer ``trials`` raises ValueError.
+    Trials are seeded, drawn (:func:`_batch_trials`) and counted SEED_BATCH
+    at a time, so a row holds nothing that grows with ``trials``, and no
+    trial is walked on its own. A negative or non-integer ``trials`` raises
+    ValueError.
     """
     if schedule.measurement_mode != MODE_STOCHASTIC:
         raise ValueError("sampling trials needs a stochastic schedule")
@@ -422,179 +390,36 @@ def sample_trials(
     return survivors, tree.end if survivors else None
 
 
-def mix64(x):
-    """splitmix64 finalizer: one-round avalanche of a 64-bit value, an int or
-    a uint64 array (whose arithmetic wraps mod 2**64 as the masks do)."""
-    x = (x + 0x9E3779B97F4A7C15) & MAX_SEED
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MAX_SEED
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MAX_SEED
-    return x ^ (x >> 31)
-
-
-def derive_trial_seed(master_seed: int, n: int, trial):
-    """Order-independent per-trial seed: mix64 chained over (seed, n, trial).
-    ``trial`` may be a uint64 array of trial indices, for one seed each."""
-    s = mix64(master_seed & MAX_SEED)
-    s = mix64(s ^ (n & MAX_SEED))
-    return mix64(s ^ (trial & MAX_SEED))
-
-
 def _batch_trials(tree: _OutcomeTree, master_seed: int, start: int, stop: int) -> np.ndarray:
     """Which trials t in [start, stop) survive, to ``tree.end``, as a mask,
-    trial t drawn on the uniforms of
-    ``default_rng(derive_trial_seed(master_seed, tree.cycles, t))``. On a
-    path that ends detecting, none draws. Otherwise the batch's seeds are
-    derived in one call on a uint64 array of indices and hashed through
-    :func:`_seed_words` in one pass, and the batch draws by one of two
-    routes, chosen by trial length alone; either route narrows the
-    mask, block by block, through :meth:`_OutcomeTree.survivors`:
+    each on its stream (:mod:`streams`). On a path that ends detecting,
+    none draws. Otherwise the batch draws by one of two routes, chosen by
+    trial length alone, and narrows the mask, block by block, through
+    :meth:`_OutcomeTree.survivors`:
 
-    - a batch of trials at most ARRAY_MAX_CYCLES cycles long, of any
-      trial count, draws every uniform on uint64 arrays in one pass
-      (:func:`_pcg64_random`), with no generator built and numpy.random
-      not imported, one block of at most SEED_BATCH * ARRAY_MAX_CYCLES
-      uniforms;
-    - a batch of longer trials hands each trial a PCG64 generator in the
-      state of its seed's words: every array column costs a fixed numpy
-      overhead however few trials it holds. The running trials fill a row
-      each of one block, at most DRAW_BLOCK columns at a time, until none
-      runs: at most SEED_BATCH * DRAW_BLOCK uniforms.
+    - trials at most ARRAY_MAX_CYCLES cycles long, of any count, draw every
+      uniform on arrays, one block of at most SEED_BATCH * ARRAY_MAX_CYCLES;
+    - longer trials take a generator each, as every array column costs a
+      fixed numpy overhead however few trials it holds. The running trials
+      fill a row each of one block, at most DRAW_BLOCK columns at a time,
+      until none runs: at most SEED_BATCH * DRAW_BLOCK uniforms.
     """
     cycles, running = tree.cycles, np.ones(stop - start, dtype=bool)
     if tree.end is not None and tree.end.detected:
         return np.zeros_like(running)
-    words = _seed_words(derive_trial_seed(master_seed, cycles,
-                                          np.arange(start, stop, dtype=np.uint64)))
+    words = streams.trial_words(master_seed, cycles, start, stop)
     if cycles <= ARRAY_MAX_CYCLES:
-        running = tree.survivors(_pcg64_random(_pcg64_state(words), cycles), running)
-    else:
-        seed_words = _seed_words_class()
-        rngs = [np.random.Generator(np.random.PCG64(seed_words(row))) for row in words]
-        block = np.empty((len(rngs), min(cycles, DRAW_BLOCK)))
-        for depth in range(0, cycles, DRAW_BLOCK):
-            columns = block[:, :cycles - depth]
-            for t in np.flatnonzero(running).tolist():
-                rngs[t].random(out=columns[t])
-            running = tree.survivors(columns, running, depth)
-            if not running.any():
-                break
+        return tree.survivors(streams.uniforms(words, cycles), running)
+    rngs = streams.generators(words)
+    block = np.empty((len(rngs), min(cycles, DRAW_BLOCK)))
+    for depth in range(0, cycles, DRAW_BLOCK):
+        columns = block[:, :cycles - depth]
+        for t in np.flatnonzero(running).tolist():
+            rngs[t].random(out=columns[t])
+        running = tree.survivors(columns, running, depth)
+        if not running.any():
+            break
     return running
-
-
-def _seed_words(seeds: np.ndarray) -> np.ndarray:
-    """Row i is ``SeedSequence(seeds[i]).generate_state(4, np.uint64)``.
-
-    SeedSequence's entropy pool and output hash, on uint32 arrays of one
-    entry per seed; its hash constants do not depend on the seed, so every
-    seed steps in lockstep, and the hashmix calls that hash the same word
-    run as one call on a vector of their constants. A seed's entropy is its
-    32-bit words, low word first, and the pool pads them with hashed zeros:
-    a seed below 2**32 has one word and the pool of [s, 0], so every seed
-    takes the same path.
-    """
-
-    def hashmix(values, consts):
-        # one hashmix call per entry of consts but the last, on the rows of
-        # values: xor with the entry, multiply by the next
-        value = (values ^ consts[:-1, None]) * consts[1:, None]
-        return value ^ (value >> 16)
-
-    pool = np.zeros((_POOL_SIZE, len(seeds)), dtype=np.uint32)
-    pool[0], pool[1] = (seeds & _MASK32).astype(np.uint32), (seeds >> 32).astype(np.uint32)
-    pool = hashmix(pool, _HASH_A[:_POOL_SIZE + 1])
-    for src in range(_POOL_SIZE):
-        dst = [i for i in range(_POOL_SIZE) if i != src]
-        k = _POOL_SIZE + len(dst) * src
-        hashed = hashmix(pool[src], _HASH_A[k:k + len(dst) + 1])
-        mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed
-        pool[dst] = mixed ^ (mixed >> 16)
-    state = hashmix(pool[[i % _POOL_SIZE for i in range(2 * _POOL_SIZE)]], _HASH_B)
-    # uint32 state words 2i and 2i + 1 read as one little-endian uint64,
-    # whatever the host's order
-    words = state[0::2].astype(np.uint64) | state[1::2].astype(np.uint64) << 32
-    return np.ascontiguousarray(words.T)
-
-
-def _pcg64_state(words: np.ndarray) -> np.ndarray:
-    """The (4, len(words)) uint64 rows state high, state low, increment
-    high, increment low of ``PCG64`` seeded with each row of
-    :func:`_seed_words`, as numpy seeds it: the state is words 0 and 1, the
-    increment source words 2 and 3, ``inc = (initseq << 1) | 1`` and
-    ``state = MULT (inc + initstate) + inc`` mod 2**128."""
-    init_hi, init_lo, seq_hi, seq_lo = words.T
-    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
-    low = init_lo + inc_lo
-    with np.errstate(over="ignore"):
-        hi, lo = _pcg64_step(init_hi + inc_hi + (low < inc_lo), low, inc_hi, inc_lo)
-    return np.stack([hi, lo, inc_hi, inc_lo])
-
-
-def _pcg64_step(hi, lo, inc_hi, inc_lo):
-    """One PCG64 LCG step, ``state MULT + inc`` mod 2**128, of each state
-    (hi, lo) on uint64 arrays, which wrap mod 2**64. The high word of
-    ``lo * MULT_LO`` is summed from 32-bit limbs, none of whose partial
-    sums reaches 2**64."""
-    lo_0, lo_1 = lo & _LOW32, lo >> 32
-    cross = lo_1 * _PCG_LIMB_0 + (lo_0 * _PCG_LIMB_0 >> 32)
-    mid = (cross & _LOW32) + lo_0 * _PCG_LIMB_1
-    carry = lo_1 * _PCG_LIMB_1 + (cross >> 32) + (mid >> 32)
-    low = lo * _PCG_MULT_LO + inc_lo
-    high = carry + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO + inc_hi + (low < inc_lo)
-    return high, low
-
-
-def _pcg64_random(state: np.ndarray, k: int) -> np.ndarray:
-    """The first ``k`` uniforms of each PCG64 state column of
-    :func:`_pcg64_state`, as a (columns, k) float array; ``state`` is left
-    as it is. A draw steps the state, outputs the 64-bit
-    ``rotr(hi ^ lo, hi >> 58)`` (PCG XSL-RR) and returns its top 53 bits
-    times 2**-53, as ``Generator.random`` does, formed in place on the
-    stepped words, so the draw holds three (k, columns) arrays at most."""
-    his = np.empty((k, state.shape[1]), dtype=np.uint64)
-    los = np.empty_like(his)
-    hi, lo, inc_hi, inc_lo = state
-    with np.errstate(over="ignore"):
-        for j in range(k):
-            hi, lo = his[j], los[j] = _pcg64_step(hi, lo, inc_hi, inc_lo)
-    rot = his >> 58  # read before the xor overwrites his
-    out = np.bitwise_xor(his, los, out=his)
-    rotated = np.right_shift(out, rot, out=los)
-    np.bitwise_and(np.subtract(64, rot, out=rot), 63, out=rot)
-    rotated |= np.left_shift(out, rot, out=out)
-    rotated >>= 11
-    # the floats take the buffer of out, which is no longer read
-    return np.multiply(rotated, 2.0**-53, out=out.view(np.float64)).T
-
-
-@lru_cache(maxsize=None)
-def _seed_words_class() -> type:
-    """The seed sequence that hands ``np.random.PCG64`` a row of
-    :func:`_seed_words`. Built on first use, by a row of trials longer than
-    ARRAY_MAX_CYCLES: it subclasses a numpy.random class, and importing
-    numpy.random adds about 5 MiB to the peak RSS of a post-selected run,
-    which never draws, and of a stochastic run whose rows are all at most
-    ARRAY_MAX_CYCLES cycles long, which draws on arrays. That saving holds
-    on NumPy 2, which loads numpy.random lazily; NumPy 1 imports it with
-    numpy."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class SeedWords(ISeedSequence):
-        """PCG64 asks its seed sequence for 4 uint64 words, and these are the
-        words ``SeedSequence(seed)`` would give, so
-        ``Generator(PCG64(SeedWords(row)))`` is in the state of
-        ``default_rng(seed)``. It can give nothing else."""
-
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
-                raise ValueError(
-                    f"only 4 uint64 words are held, not {n_words} of {np.dtype(dtype)}"
-                )
-            return self.words
-
-    return SeedWords
 
 
 class _OutcomeTree:

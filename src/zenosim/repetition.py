@@ -13,7 +13,7 @@ from __future__ import annotations
 __all__ = ["EpsilonReport", "evolve_repetition", "majority_vote_round", "syndrome_branches"]
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -62,29 +62,13 @@ class EpsilonReport:
     def from_state(cls, state: StateVector) -> "EpsilonReport":
         if state.num_qubits != 3:
             raise ValueError(f"expected a 3-qubit state, got {state.num_qubits}")
-        a = state.amplitudes
-        return cls(
-            alpha_000=complex(a[0b000]),
-            alpha_111=complex(a[0b111]),
-            eps_001=complex(a[0b001]),
-            eps_010=complex(a[0b010]),
-            eps_011=complex(a[0b011]),
-            eps_100=complex(a[0b100]),
-            eps_101=complex(a[0b101]),
-            eps_110=complex(a[0b110]),
-        )
+        # each field ends in its bit pattern, which is its basis index in binary
+        return cls(*(complex(state.amplitudes[int(f.name[-3:], 2)]) for f in fields(cls)))
 
     def as_dict(self) -> dict[str, complex]:
-        return {
-            "000": self.alpha_000,
-            "001": self.eps_001,
-            "010": self.eps_010,
-            "011": self.eps_011,
-            "100": self.eps_100,
-            "101": self.eps_101,
-            "110": self.eps_110,
-            "111": self.alpha_111,
-        }
+        """Every amplitude keyed by its bit pattern, 000 to 111."""
+        return {f.name[-3:]: getattr(self, f.name)
+                for f in sorted(fields(self), key=lambda f: f.name[-3:])}
 
     @property
     def epsilons(self) -> dict[str, complex]:

@@ -261,6 +261,8 @@ def measure_qubit(
     Consumes exactly one draw from ``rng``, so identical seeds reproduce
     identical outcome sequences.
     """
+    if rng is None:
+        raise ValueError("measure_qubit requires an rng, got None")
     _check_target(state, target)
     branch = state.amplitudes[_outcome_indices(state.num_qubits, int(target), 1)]
     outcome = 1 if rng.random() < float(np.real(np.vdot(branch, branch))) else 0

@@ -8,7 +8,7 @@ there fails alone, and each row's wall_time_ms is an even share of the
 pass's time. Stochastic mode copies the schedule for each n and samples
 `trials` independent trials per n with `protocol.sample_trials`, which
 derives each trial's seed from (master seed, n, trial) through a
-splitmix64-style mixer (`derive_trial_seed`), so any single trial can be
+splitmix64-style mixer (`streams.derive_trial_seed`), so any single trial can be
 reproduced without replaying the others: `run_protocol` with that seed
 gives the same outcome. A trial runs only to its first detection, and a
 row is read from what `sample_trials` returns: how many trials survive,
@@ -39,12 +39,12 @@ import numpy as np
 
 from .analysis import single_qubit_survival
 from .config import ExperimentConfig
-# ZenoSchedule and run_protocol stay importable here: perfbench/spans.py traces them;
-# derive_trial_seed and mix64 are this module's public names, and protocol's to compute
+# ZenoSchedule and run_protocol stay importable here: perfbench/spans.py traces them
 from .protocol import (  # noqa: F401
-    MODE_STOCHASTIC, SEED_BATCH, ZenoSchedule, derive_trial_seed, mix64, run_post_selected,
-    run_protocol, sample_trials,
+    MODE_STOCHASTIC, SEED_BATCH, ZenoSchedule, run_post_selected, run_protocol, sample_trials,
 )
+# this module's public names, computed where the trials' streams are
+from .streams import derive_trial_seed, mix64
 
 CSV_COLUMNS = (
     "n",

@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import zenosim.protocol as protocol_module
+from zenosim import streams
 from zenosim import (
     ABORT_ON_DETECT,
     AUX_DUAL_ALTERNATING,
@@ -290,6 +291,22 @@ class TestRunProtocol:
         expected = abs(0.36 * np.exp(-1j * phase) + 0.64) ** 2
         assert result.final_fidelity == pytest.approx(expected, abs=1e-12)
         assert result.final_fidelity < 1.0
+
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                        reason="NumPy 1 imports numpy.random with numpy")
+    def test_post_selected_runs_do_not_load_numpy_random(self):
+        # only stochastic trials draw; numpy.random adds about 5 MiB of peak RSS
+        code = (
+            "import sys, zenosim as z\n"
+            "z.run_protocol(z.new_state(1, [0.6, 0.8]), z.NoiseSpec.flip(0.1, 2), z.ZenoSchedule(1.0, 8))\n"
+            "assert 'numpy.random' not in sys.modules\n"
+            "z.run_protocol(z.new_state(1, [0.6, 0.8]), z.NoiseSpec.flip(0.1, 2),\n"
+            "               z.ZenoSchedule(1.0, 8, measurement_mode='stochastic', seed=0))\n"
+            "assert 'numpy.random' in sys.modules\n"
+        )
+        package_root = Path(protocol_module.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(package_root)}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def per_cycle_reference(data, noise, schedule):
@@ -976,7 +993,7 @@ class TestSharedTreeEngine:
             calls.append(t)
             return t
 
-        monkeypatch.setattr(protocol_module, "derive_trial_seed", derive)
+        monkeypatch.setattr(streams, "derive_trial_seed", derive)
         survivors, _ = sample_trials(data, noise, schedule, 10)
         assert [indices.dtype for indices in calls] == [np.uint64] * 4
         assert [indices.tolist() for indices in calls] == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
@@ -988,14 +1005,14 @@ class TestSharedTreeEngine:
     @pytest.mark.parametrize("route", ["array", "generator"])
     def test_run_protocol_takes_the_seeds_sample_trials_takes(self, monkeypatch, route):
         # the eight edge seeds, derived for trials 0 to 7, seeded by
-        # _seed_words and walked on either route of _batch_trials; an
+        # streams.trial_words and walked on either route of _batch_trials; an
         # ARRAY_MAX_CYCLES of 0 sends every batch to generators
         if route == "generator":
             monkeypatch.setattr(protocol_module, "ARRAY_MAX_CYCLES", 0)
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.9, 2)
         schedule = ZenoSchedule(1.0, 8, measurement_mode=MODE_STOCHASTIC, seed=0)
         seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, np.uint64(2**64 - 1), True]
-        monkeypatch.setattr(protocol_module, "derive_trial_seed",
+        monkeypatch.setattr(streams, "derive_trial_seed",
                             lambda master, n, t: np.array(seeds, dtype=np.uint64)[t])
         survived, leaf = sample_masks(data, noise, schedule, len(seeds))
         for seed, alive in zip(seeds, survived, strict=True):
@@ -1014,21 +1031,22 @@ class TestSharedTreeEngine:
                 for seed in trial_seeds(schedule, trials)]
         uniforms = [np.random.default_rng(seed).random(8) for seed in trial_seeds(schedule, trials)]
         hashed, drawn = [], []
-        real, real_random = protocol_module._seed_words, protocol_module._pcg64_random
+        real, real_random = streams.derive_trial_seed, streams.uniforms
 
-        def spy(seeds):
+        def spy(master, n, t):
+            seeds = real(master, n, t)
             hashed.append(seeds.copy())
-            return real(seeds)
+            return seeds
 
-        def spy_random(state, k):
-            drawn.append(real_random(state, k))
+        def spy_random(words, k):
+            drawn.append(real_random(words, k))
             return drawn[-1]
 
         def refuse(*args):
             raise AssertionError("a few-trial row went through numpy.random")
 
-        monkeypatch.setattr(protocol_module, "_seed_words", spy)
-        monkeypatch.setattr(protocol_module, "_pcg64_random", spy_random)
+        monkeypatch.setattr(streams, "derive_trial_seed", spy)
+        monkeypatch.setattr(streams, "uniforms", spy_random)
         for name in ("PCG64", "Generator", "default_rng"):
             monkeypatch.setattr(np.random, name, refuse)
         survived, leaf = sample_masks(data, noise, schedule, trials)
@@ -1102,7 +1120,7 @@ class TestSharedTreeEngine:
         def refuse(*args):
             raise AssertionError("a long-trial row drew on arrays")
 
-        monkeypatch.setattr(protocol_module, "_pcg64_random", refuse)
+        monkeypatch.setattr(streams, "uniforms", refuse)
         schedule = ZenoSchedule(4.0, cycles, aux_strategy=AUX_DUAL_ALTERNATING,
                                 measurement_mode=MODE_STOCHASTIC, seed=0,
                                 abort_policy=RESET_AND_CONTINUE)
@@ -1122,13 +1140,13 @@ class TestSharedTreeEngine:
         # batches of about 10 trials per cycle, a full batch and the 100
         # trials after it, and the longest trials the array route takes
         calls = []
-        real = protocol_module._pcg64_random
+        real = streams.uniforms
 
-        def spy(state, k):
-            calls.append((state.shape[1], k))
-            return real(state, k)
+        def spy(words, k):
+            calls.append((len(words), k))
+            return real(words, k)
 
-        monkeypatch.setattr(protocol_module, "_pcg64_random", spy)
+        monkeypatch.setattr(streams, "uniforms", spy)
         schedule = ZenoSchedule(1.0, cycles, measurement_mode=MODE_STOCHASTIC, seed=7)
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.6, 2)
         survived, _ = sample_masks(data, noise, schedule, trials)
@@ -1689,109 +1707,6 @@ class TestSharedTreeEngine:
         steps = count_path_steps(monkeypatch)
         sample_trials(data, noise, schedule, 2)
         assert steps == list(range(1, n + 1))
-
-
-class TestSeedWords:
-    """Batched generator seeding reproduces numpy's SeedSequence word for
-    word, and only stochastic runs load numpy.random for it."""
-
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
-    def test_edge_seeds(self, seed):
-        (words,) = protocol_module._seed_words(np.array([seed], dtype=np.uint64))
-        assert words.dtype == np.uint64
-        assert np.array_equal(words, np.random.SeedSequence(seed).generate_state(4, np.uint64))
-
-    @settings(max_examples=100, deadline=None)
-    @given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
-    def test_random_seeds(self, seeds):
-        words = protocol_module._seed_words(np.array(seeds, dtype=np.uint64))
-        want = [np.random.SeedSequence(seed).generate_state(4, np.uint64) for seed in seeds]
-        assert np.array_equal(words, want)
-
-    def test_generators_are_in_the_default_rng_state(self):
-        seeds = [0, 2**32, 2**64 - 1]
-        for seed, words in zip(seeds, protocol_module._seed_words(np.array(seeds, dtype=np.uint64))):
-            bit_generator = np.random.PCG64(protocol_module._seed_words_class()(words))
-            assert bit_generator.state == np.random.PCG64(seed).state
-            rng = np.random.Generator(bit_generator)
-            assert rng.random(9).tolist() == np.random.default_rng(seed).random(9).tolist()
-
-    @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (2, np.uint64), (8, np.uint64)])
-    def test_seed_words_give_nothing_else(self, n_words, dtype):
-        (words,) = protocol_module._seed_words(np.array([7], dtype=np.uint64))
-        with pytest.raises(ValueError, match="4 uint64"):
-            protocol_module._seed_words_class()(words).generate_state(n_words, dtype)
-
-    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
-                        reason="NumPy 1 imports numpy.random with numpy")
-    def test_post_selected_runs_do_not_load_numpy_random(self):
-        # only stochastic trials draw; numpy.random adds about 5 MiB of peak RSS
-        code = (
-            "import sys, zenosim as z\n"
-            "z.run_protocol(z.new_state(1, [0.6, 0.8]), z.NoiseSpec.flip(0.1, 2), z.ZenoSchedule(1.0, 8))\n"
-            "assert 'numpy.random' not in sys.modules\n"
-            "z.run_protocol(z.new_state(1, [0.6, 0.8]), z.NoiseSpec.flip(0.1, 2),\n"
-            "               z.ZenoSchedule(1.0, 8, measurement_mode='stochastic', seed=0))\n"
-            "assert 'numpy.random' in sys.modules\n"
-        )
-        package_root = Path(protocol_module.__file__).resolve().parent.parent
-        env = {**os.environ, "PYTHONPATH": str(package_root)}
-        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
-
-
-def array_draws(seeds, k):
-    """The first ``k`` uniforms _pcg64_random draws for each of ``seeds``, in
-    one call; the state it draws from is left as it was."""
-    state = protocol_module._pcg64_state(
-        protocol_module._seed_words(np.array(seeds, dtype=np.uint64)))
-    before = state.copy()
-    drawn = protocol_module._pcg64_random(state, k)
-    assert np.array_equal(state, before)
-    return drawn
-
-
-class TestArrayDraws:
-    """Uniforms drawn on uint64 arrays equal default_rng(seed).random bit for
-    bit."""
-
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
-    def test_edge_seeds(self, seed):
-        # past the walk's DRAW_BLOCK, in one call
-        (drawn,) = array_draws([seed], DRAW_BLOCK + 44)
-        assert drawn.tolist() == np.random.default_rng(seed).random(DRAW_BLOCK + 44).tolist()
-
-    @settings(max_examples=100, deadline=None)
-    @given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20),
-           k=st.integers(1, 2 * DRAW_BLOCK))
-    def test_random_seeds(self, seeds, k):
-        drawn = array_draws(seeds, k)
-        want = [np.random.default_rng(seed).random(k) for seed in seeds]
-        assert drawn.dtype == np.float64 and drawn.shape == (len(seeds), k)
-        assert np.array_equal(drawn.view(np.uint64), np.array(want).view(np.uint64))
-
-    def test_no_shift_reaches_the_word_width(self, monkeypatch):
-        # an output rotated by 0 shifts left by (64 - 0) & 63 = 0: a shift by
-        # 64 is undefined in C, and the draws must not rest on how NumPy
-        # defines it. 200 seeds x 64 draws rotate by 0 about 200 times
-        real = np.left_shift
-
-        def checked(x, shift, **kwargs):
-            assert int(np.max(shift)) < 64
-            return real(x, shift, **kwargs)
-
-        monkeypatch.setattr(np, "left_shift", checked)
-        seeds = list(range(200))
-        drawn = array_draws(seeds, 64)
-        want = [np.random.default_rng(seed).random(64) for seed in seeds]
-        assert np.array_equal(drawn.view(np.uint64), np.array(want).view(np.uint64))
-
-    def test_state_is_pcg64s(self):
-        seeds = [0, 2**32, 2**64 - 1]
-        state = protocol_module._pcg64_state(
-            protocol_module._seed_words(np.array(seeds, dtype=np.uint64)))
-        for seed, (hi, lo, inc_hi, inc_lo) in zip(seeds, state.T.tolist()):
-            want = np.random.PCG64(seed).state["state"]
-            assert (hi << 64 | lo, inc_hi << 64 | inc_lo) == (want["state"], want["inc"])
 
 
 class TestInvariantsComputedOnce:

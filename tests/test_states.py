@@ -268,6 +268,8 @@ class TestAppendAux:
                  "expected 4 amplitudes for 2 qubit(s), got 2", id="unit-size"),
     pytest.param(lambda: Gate2x2([[1]]), "gate must be a 2x2 matrix, got shape (1, 1)",
                  id="gate-shape"),
+    pytest.param(lambda: measure_qubit(new_state(1), 0, None),
+                 "measure_qubit requires an rng, got None", id="measure_qubit-rng"),
 ])
 def test_bad_input_raises_value_error(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
