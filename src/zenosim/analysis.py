@@ -13,6 +13,7 @@ __all__ = [
 ]
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -64,9 +65,13 @@ def zeno_limit_formula(c: float, n: int) -> float:
 def single_qubit_survival(lam: float, total_time: float, n: int) -> float:
     """cos(lam T / n)^(2n): probability that n projections onto |0> all
     succeed for a single qubit driven by a pure flip generator. A finite lam
-    and T whose angle lam T / n overflows raise ValueError naming it."""
+    and T whose angle lam T / n overflows raise ValueError naming it, as
+    does an n whose 2n is past float range."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
+    if n > sys.float_info.max / 2:  # not printed: it may have more digits than str converts
+        raise ValueError(f"n must be at most {sys.float_info.max / 2:.6g}, so that 2n is a "
+                         f"float, got an integer of {n.bit_length()} bits")
     for name, value in (("lam", lam), ("total_time", total_time)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")

@@ -149,9 +149,10 @@ def parse_config(text: str) -> ExperimentConfig:
     if trials < 1:
         raise ConfigError(f"key 'trials' must be >= 1, got {trials}")
     if schedule.measurement_mode == MODE_STOCHASTIC and sum(n_values) * trials > MAX_STOCHASTIC_CYCLES:
+        # the product may have more digits than an int converts to str
         raise ConfigError(
-            f"keys 'n_values' and 'trials' ask for {sum(n_values) * trials} stochastic cycles "
-            f"(sum of n times trials), more than {MAX_STOCHASTIC_CYCLES}"
+            f"keys 'n_values' and 'trials' ask for more than {MAX_STOCHASTIC_CYCLES} "
+            f"stochastic cycles (sum of n times trials)"
         )
 
     return ExperimentConfig(

@@ -86,7 +86,7 @@ class ZenoSchedule:
     def __post_init__(self):
         if not isinstance(self.cycles, (int, np.integer)) or self.cycles < 1:
             raise ValueError(f"cycles must be a positive integer, got {self.cycles!r}")
-        object.__setattr__(self, "cycles", int(self.cycles))
+        object.__setattr__(self, "cycles", _in_float_range(int(self.cycles)))
         object.__setattr__(self, "total_time", float(self.total_time))
         if not math.isfinite(self.total_time) or self.total_time < 0:
             raise ValueError(f"total_time must be finite and >= 0, got {self.total_time!r}")
@@ -157,6 +157,15 @@ PostSelectedRow = namedtuple(
 #: where a stochastic trial or the no-error path ends: the read-only register,
 #: whether it detected, and the register's fidelity with the encoded state
 _End = namedtuple("_End", "amps detected final_fidelity")
+#: the read-only index sets of the cycle on auxiliary a (:func:`_cycle_tables`),
+#: on amplitudes x: ``x[order]`` is x disentangled, its outcome-1 then its
+#: outcome-0 branch; the cycle keeps the latter at ``keep_at``, ``order[half:]``,
+#: the entries whose data bit equals a's; a measured 1 puts its branch at
+#: ``one_at``, and ``x[reset]`` resets a (Pauli-X) and re-entangles. In
+#: :func:`_real_blocks`, ``rows`` are the kept then the leaked entries, as a
+#: column, ``cols`` the kept entries of the auxiliary before (the last, before
+#: the first), ``at`` the kept entries' real, then imaginary parts
+_CycleTable = namedtuple("_CycleTable", "order keep_at one_at reset rows cols at")
 
 
 def _register_size(aux_count: int) -> int:
@@ -164,6 +173,16 @@ def _register_size(aux_count: int) -> int:
     if aux_count not in (1, 2):
         raise ValueError(f"aux_count must be 1 or 2, got {aux_count!r}")
     return 1 + aux_count
+
+
+def _in_float_range(cycles: int) -> int:
+    """A cycle count, which total_time / cycles divides as a float: past
+    float range it raises ValueError, not printing it, as it may have more
+    digits than an int converts to str."""
+    if cycles > sys.float_info.max:
+        raise ValueError(f"cycles must be at most {sys.float_info.max:.6g}, the float range, "
+                         f"got an integer of {cycles.bit_length()} bits")
+    return cycles
 
 
 def encode(data: StateVector, aux_count: int) -> StateVector:
@@ -235,19 +254,19 @@ def run_protocol(data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule) ->
 
     A stochastic run steps one trial in full, in one loop on raw arrays
     (:meth:`_OutcomeTree.trial`), on a generator in the state of
-    ``default_rng(schedule.seed)``: here ``schedule.seed`` is the trial's
-    own seed, so trial t of a row sampled on master seed m is this run on
-    ``derive_trial_seed(m, cycles, t)``. Each cycle's auxiliary is sampled,
-    and a measured 1 sets ``detected``. Abort-on-detect stops there;
-    reset-and-continue re-zeros the auxiliary, re-entangles, and keeps
-    going. A sampled branch below the ZeroProbabilityError threshold also
-    detects, and ends the run with the register just after that cycle's
-    noise slice. The loop's arrays are wrapped only here: cycle_log holds a
-    CycleOutcome for every cycle the trial completed, and final_state its
-    last register.
+    ``default_rng(schedule.seed)`` (:func:`streams.generator`): here
+    ``schedule.seed`` is the trial's own seed, so trial t of a row sampled
+    on master seed m is this run on ``derive_trial_seed(m, cycles, t)``.
+    Each cycle's auxiliary is sampled, and a measured 1 sets ``detected``.
+    Abort-on-detect stops there; reset-and-continue re-zeros the auxiliary,
+    re-entangles, and keeps going. A sampled branch below the
+    ZeroProbabilityError threshold also detects, and ends the run with the
+    register just after that cycle's noise slice. The loop's arrays are
+    wrapped only here: cycle_log holds a CycleOutcome for every cycle the
+    trial completed, and final_state its last register.
     """
     if schedule.measurement_mode == MODE_STOCHASTIC:
-        rng = np.random.default_rng(schedule.seed)  # ZenoSchedule has checked the seed
+        rng = streams.generator(schedule.seed)  # ZenoSchedule has checked the seed
         steps, end = _OutcomeTree(data, noise, schedule).trial(rng)
         size = schedule.register_size
         return ProtocolResult(
@@ -282,7 +301,7 @@ def run_post_selected(
     Q_a = I - keep_a, is the Gram matrix of the mass it leaks, so a cycle
     takes ||psi||^2 to ||M psi||^2 = ||psi||^2 - psi^+ G psi. The encoded
     register lies in every kept range, so M runs from the kept entries of
-    the cycle before (:func:`_kept_blocks`) to a's, G on the same entries,
+    the cycle before (:func:`_cycle_tables`) to a's, G on the same entries,
     both as real blocks [[re, -im], [im, re]], 4x4 or 8x8, whose adjoint is
     a transpose. One stacked ladder raises every row's pair, one stacked
     pass finishes the rows, each state put back at its last auxiliary's
@@ -290,9 +309,9 @@ def run_post_selected(
     is replayed (:func:`_row_result`). A row whose survival leaves [0, 1]
     fails with a ValueError: a stop-gap for the ladder's roundoff, which no
     row up to n = 2**62 + 1 was found to reach. A ValueError in building
-    the shared slices, a noise phase that overflows at some row's interval,
-    is a row's own: a one-row call returns it, and a call of more rows runs
-    them one by one.
+    the shared slices, a count past float range or a noise phase that
+    overflows at some row's interval, is a row's own: a one-row call
+    returns it, and a call of more rows runs them one by one.
     """
     if schedule.measurement_mode != MODE_POST_SELECTED:
         raise ValueError("run_post_selected needs a post-selected schedule")
@@ -300,15 +319,16 @@ def run_post_selected(
         raise ValueError(f"cycles must be a non-empty list of positive integers, got {cycles!r}")
     encoded = encode(data, schedule.aux_count)
     try:
-        steps = propagator(noise, encoded.num_qubits, [schedule.total_time / n for n in cycles])
+        times = [schedule.total_time / _in_float_range(n) for n in cycles]
+        steps = propagator(noise, encoded.num_qubits, times)
     except ValueError as exc:
         return [exc] if len(cycles) == 1 else [
             row for n in cycles for row in run_post_selected(data, noise, schedule, [n])]
-    real, tables = _real_blocks(steps), _kept_blocks(encoded.num_qubits)
+    real, tables = _real_blocks(steps), _cycle_tables(encoded.num_qubits)
     pairs = []
-    for kept_then_leaked, cols, _ in tables:
-        block = real[:, kept_then_leaked, cols]
-        m, leaked = block[:, :len(cols)], block[:, len(cols):]
+    for table in tables:
+        block = real[:, table.rows, table.cols]
+        m, leaked = block[:, :len(table.cols)], block[:, len(table.cols):]
         pairs.append((m, leaked.swapaxes(-1, -2) @ leaked))
     if len(pairs) == 1:
         m, g = _pair_power(pairs[0], cycles)
@@ -319,7 +339,7 @@ def run_post_selected(
         _put([i for i, n in enumerate(cycles) if n % 2 and n > 1], (m, g), _compose((m, g), first))
         _put([i for i, n in enumerate(cycles) if n == 1], (m, g), first)
     psi = encoded.amplitudes
-    psi_kept = psi.view(np.float64)[tables[-1][2]]  # in the last auxiliary's kept coordinates
+    psi_kept = psi.view(np.float64)[tables[-1].at]  # in the last auxiliary's kept coordinates
     kept_amps = m @ psi_kept
     kept = _vdots(kept_amps, kept_amps)
     # the leaked mass keeps its relative precision where 1 - kept would
@@ -333,7 +353,7 @@ def run_post_selected(
     drifts = np.abs(np.sqrt(_vdots(reduced, reduced)) - 1.0)
     # each row's kept amplitudes go back to the kept indices of its last auxiliary
     states = np.zeros((len(cycles), len(psi)), dtype=complex)
-    at = [tables[(n - 1) % len(tables)][2] for n in cycles]
+    at = [tables[(n - 1) % len(tables)].at for n in cycles]
     states.view(np.float64)[np.arange(len(cycles))[:, None], at] = reduced
     states.flags.writeable = False
     rows = []
@@ -443,10 +463,9 @@ class _OutcomeTree:
         defect = np.abs(self.step.conj().T @ self.step - np.eye(len(self.step))).max()
         if not defect <= NORM_TOL:  # a NaN defect fails too
             raise NormDriftError(f"propagator is not unitary (U+U - I up to {defect:.3e})")
-        self.encoded, self.num_qubits = encoded.amplitudes, encoded.num_qubits
+        self.encoded, self.tables = encoded.amplitudes, _cycle_tables(encoded.num_qubits)
         self.cycles, self.aux_count = schedule.cycles, schedule.aux_count
-        self.reset = schedule.abort_policy == RESET_AND_CONTINUE
-        self.masks, self.half = _cycle_masks(self.num_qubits), self.encoded.size // 2
+        self.half, self.reset = self.encoded.size // 2, schedule.abort_policy == RESET_AND_CONTINUE
         self.first = self.x, self.gathered, p_one = self._noisy(self.encoded, 0)
         self.p_one, self.length, self.end = np.array([p_one]), 1, None
 
@@ -457,21 +476,21 @@ class _OutcomeTree:
         cycle it completes, and its end. A uniform below the cycle's Born
         probability of 1 measures 1; a branch below the ZeroProbabilityError
         threshold detects, and ends the trial with no step."""
-        steps, detected, depth, n = [], False, 0, self.num_qubits
+        steps, detected, depth = [], False, 0
         while depth < self.cycles:
             for u in rng.random(min(self.cycles - depth, DRAW_BLOCK)).tolist():
                 x, gathered, p_one = self._noisy(amps, depth) if depth else self.first
                 if u < p_one:
                     if p_one < _MIN_BRANCH_PROB:  # the failure branch holds none
                         return steps, self._end(x, True)
-                    aux_q, detected = 1 + depth % self.aux_count, True
+                    table, detected = self.tables[depth % self.aux_count], True
                     amps = np.zeros(x.size, dtype=complex)
-                    amps[_outcome_indices(n, aux_q, 1)] = gathered[:self.half] / math.sqrt(p_one)
+                    amps[table.one_at] = gathered[:self.half] / math.sqrt(p_one)
                     steps.append((1, min(p_one, 1.0), amps))
                     if not self.reset:
                         return steps, self._end(amps, True)
                     # a reset re-zeros the measured auxiliary (Pauli-X) and re-entangles
-                    amps = amps[_cnot_permutation(n, 0, aux_q) ^ _bit_mask(n, aux_q)]
+                    amps = amps[table.reset]
                 else:
                     prob, amps = self._no_error(x, gathered, depth)
                     if prob < _MIN_BRANCH_PROB:
@@ -519,7 +538,7 @@ class _OutcomeTree:
         """``x``, ``amps`` after cycle depth + 1's noise slice; ``x`` gathered
         into its outcome-1 then its outcome-0 branch; the Born probability of 1."""
         x = self.step.dot(amps)
-        gathered = x[self.masks[depth % self.aux_count][0]]  # order
+        gathered = x[self.tables[depth % self.aux_count].order]
         branch = gathered[:self.half]
         return x, gathered, float(np.vdot(branch, branch).real)
 
@@ -531,7 +550,7 @@ class _OutcomeTree:
         if prob < _MIN_BRANCH_PROB:
             return prob, x  # undisentangled: the CNOT is its own inverse
         amps = np.zeros(x.size, dtype=complex)
-        amps[self.masks[depth % self.aux_count][1]] = branch / math.sqrt(prob)  # keep_at
+        amps[self.tables[depth % self.aux_count].keep_at] = branch / math.sqrt(prob)
         return prob, amps
 
     def _end(self, amps, detected) -> _End:
@@ -580,38 +599,22 @@ def _real_blocks(a: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _cycle_masks(num_qubits: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """(order, keep_at) of the cycle on each auxiliary 1..num_qubits-1,
-    read-only: x disentangled by CNOT(0, a) holds its outcome-0 branch at
-    ``x[cnot][sel0]``, which is ``x[keep_at]``, the entries whose data bit
-    equals auxiliary a's, and its outcome-1 branch at the others, leak_at.
-    order is leak_at then keep_at, one gather of both branches."""
-    masks = []
-    for aux_q in range(1, num_qubits):
-        cnot = _cnot_permutation(num_qubits, 0, aux_q)
-        order = cnot[np.concatenate([_outcome_indices(num_qubits, aux_q, o) for o in (1, 0)])]
-        masks.append((order, order[len(order) // 2:]))
-        for table in masks[-1]:
-            table.flags.writeable = False
-    return tuple(masks)
-
-
-@lru_cache(maxsize=None)
-def _kept_blocks(num_qubits: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """(rows, cols, at) of the cycle on each auxiliary 1..num_qubits-1 in
-    :func:`_real_blocks`, read-only: rows its kept, then its leaked entries,
-    as a column; cols the kept entries of the auxiliary before it (the last
-    one, before the first); at its kept entries' real, then imaginary parts
-    in the float view of complex amplitudes."""
-    dim, masks = 1 << num_qubits, _cycle_masks(num_qubits)
+def _cycle_tables(num_qubits: int) -> tuple[_CycleTable, ...]:
+    """The read-only :data:`_CycleTable` of the cycle on each auxiliary
+    1..num_qubits-1, its entries in the bit order of :mod:`states`."""
+    dim, aux = 1 << num_qubits, range(1, num_qubits)
+    orders = [_cnot_permutation(num_qubits, 0, a)[np.concatenate(
+        [_outcome_indices(num_qubits, a, o) for o in (1, 0)])] for a in aux]
     tables = []
-    for (order, keep_at), (_, before) in zip(masks, masks[-1:] + masks[:-1]):
-        leak_at = order[:len(order) // 2]
-        rows = np.concatenate([keep_at, keep_at + dim, leak_at, leak_at + dim])[:, None]
-        cols = np.concatenate([before, before + dim])
-        tables.append((rows, cols, np.concatenate([2 * keep_at, 2 * keep_at + 1])))
-        for table in tables[-1]:
-            table.flags.writeable = False
+    for a, order, before in zip(aux, orders, orders[-1:] + orders[:-1]):
+        (leak_at, keep_at), before = np.split(order, 2), before[dim // 2:]
+        tables.append(_CycleTable(
+            order, keep_at, _outcome_indices(num_qubits, a, 1),
+            _cnot_permutation(num_qubits, 0, a) ^ _bit_mask(num_qubits, a),
+            np.concatenate([keep_at, keep_at + dim, leak_at, leak_at + dim])[:, None],
+            np.concatenate([before, before + dim]), np.concatenate([2 * keep_at, 2 * keep_at + 1])))
+        for array in tables[-1]:
+            array.flags.writeable = False
     return tuple(tables)
 
 

@@ -7,9 +7,10 @@ derived on a uint64 array of indices and hashed as ``SeedSequence`` hashes
 them, into the 4 words ``PCG64`` is seeded with. From those words a batch
 draws its uniforms on uint64 arrays (:func:`uniforms`), with no generator
 built and numpy.random not imported, or hands each trial a generator in the
-state of ``default_rng(seed)`` (:func:`generators`). Importing numpy.random
+state of ``default_rng(seed)`` (:func:`generators`), the generator a trial
+run on its own seed draws from (:func:`generator`). Importing numpy.random
 adds about 5 MiB to the peak RSS on NumPy 2, which loads it lazily, so only
-:func:`generators` does; NumPy 1 imports it with numpy.
+:func:`generators` and :func:`generator` do; NumPy 1 imports it with numpy.
 """
 from __future__ import annotations
 
@@ -153,6 +154,12 @@ def uniforms(words: np.ndarray, k: int) -> np.ndarray:
     rotated >>= 11
     # the floats take the buffer of out, which is no longer read
     return np.multiply(rotated, 2.0**-53, out=out.view(np.float64)).T
+
+
+def generator(seed: int):
+    """``default_rng(seed)``: the stream of the trial whose own seed is
+    ``seed``, which a batch's uniforms and generators reproduce."""
+    return np.random.default_rng(seed)
 
 
 def generators(words: np.ndarray) -> list:

@@ -151,6 +151,9 @@ class TestConvergencePoint:
                  id="zeno_limit_formula-n"),
     pytest.param(lambda: single_qubit_survival(0.1, 1.0, 0),
                  "n must be a positive integer, got 0", id="single_qubit_survival-n"),
+    pytest.param(lambda: single_qubit_survival(0.1, 1.0, 2**1100),
+                 "n must be at most 8.98847e+307, so that 2n is a float, got an integer of "
+                 "1101 bits", id="single_qubit_survival-n-past-float-range"),
 ])
 def test_bad_input_raises_value_error(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -87,6 +87,8 @@ class TestSweepCommand:
     @pytest.mark.parametrize("key, value, reason", [
         ("total_time", "-1.0", "must be finite and >= 0, got -1.0"),
         ("n_values", "0", "must be a positive integer, got 0"),
+        ("n_values", str(2**1100),
+         "must be at most 1.79769e+308, the float range, got an integer of 1101 bits"),
         ("aux_strategy", "triple", "must be one of ('single', 'dual-alternating'), got 'triple'"),
         ("mode", "sometimes", "must be one of ('post-selected', 'stochastic'), got 'sometimes'"),
         ("abort_policy", "never",

@@ -1,6 +1,6 @@
 """Configuration document parsing and validation."""
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zenosim import ConfigError, parse_config
@@ -117,6 +117,9 @@ class TestRejections:
         parse_config(MINIMAL + "mode = stochastic\ntrials = 416666\n")
         with pytest.raises(ConfigError, match="'n_values' and 'trials'"):
             parse_config(MINIMAL + "mode = stochastic\ntrials = 416667\n")
+        # a product of more than 4300 digits, which no int converts to str
+        with pytest.raises(ConfigError, match="'n_values' and 'trials'"):
+            parse_config(MINIMAL + f"mode = stochastic\ntrials = {'9' * 4300}\n")
 
     def test_post_selected_cycles_unbounded(self):
         big = MINIMAL.replace("n_values = 8, 16", "n_values = 1000000000")
@@ -195,6 +198,8 @@ _DOCUMENTS = st.builds(
 class TestArbitraryDocuments:
     @settings(max_examples=200, deadline=None)
     @given(_DOCUMENTS)
+    @example("lambda = 0.1, 0.1\ntotal_time = 1\nn_values = 10001\nmode = stochastic\n"
+             f"trials = {'9' * 4300}\n")
     def test_only_config_errors(self, text):
         try:
             parse_config(text)

@@ -24,6 +24,7 @@ from zenosim import (
     ConvergencePoint,
     MODE_POST_SELECTED,
     MODE_STOCHASTIC,
+    PAULI_X,
     RESET_AND_CONTINUE,
     CycleOutcome,
     NoiseSpec,
@@ -33,7 +34,9 @@ from zenosim import (
     SweepRow,
     ZenoSchedule,
     ZeroProbabilityError,
+    apply_cnot,
     apply_propagator,
+    apply_single,
     decode,
     derive_trial_seed,
     encode,
@@ -43,6 +46,7 @@ from zenosim import (
     fit_inverse_n,
     new_state,
     parse_config,
+    project_qubit,
     propagator,
     run_protocol,
     run_sweep,
@@ -537,6 +541,17 @@ class TestFusedPostSelectedEngine:
         with pytest.raises(ValueError, match="post-selected schedule|positive integers"):
             run_post_selected(new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.1, 2), schedule, cycles)
 
+    def test_count_past_float_range_fails_only_its_row(self):
+        # 2**1100 cycles have no float interval
+        data, noise = new_state(1, [0.6, 0.8]), NoiseSpec.flip(0.1, 2)
+        result, failure = run_post_selected(data, noise, ZenoSchedule(1.0, 4), [4, 2**1100])
+        assert isinstance(failure, ValueError)
+        assert str(failure) == ("cycles must be at most 1.79769e+308, the float range, "
+                                "got an integer of 1101 bits")
+        assert_row_is_run(result, run_protocol(data, noise, ZenoSchedule(1.0, 4)))
+        (alone,) = run_post_selected(data, noise, ZenoSchedule(1.0, 4), [2**1100])
+        assert isinstance(alone, ValueError) and str(alone) == str(failure)
+
     def test_overflowing_phase_fails_only_its_row(self):
         # r t = 2.5e308 overflows at n = 1; at n = 2 it is 1.25e308
         data, noise = new_state(1, [0.6, 0.8]), NoiseSpec((1e154, 0.0))
@@ -677,8 +692,7 @@ def assert_row_is_run(row, reference):
 
 def clear_engine_caches():
     """Empty the index caches a post-selected pass and the outcome tree read."""
-    protocol_module._cycle_masks.cache_clear()
-    protocol_module._kept_blocks.cache_clear()
+    protocol_module._cycle_tables.cache_clear()
 
 
 def assert_same_run(result, reference):
@@ -1710,12 +1724,13 @@ class TestSharedTreeEngine:
 
 
 class TestInvariantsComputedOnce:
-    def test_cycle_masks_are_cached_and_read_only(self):
+    def test_cycle_tables_are_cached_and_read_only(self):
         for num_qubits in (2, 3):
-            masks = protocol_module._cycle_masks(num_qubits)
-            assert protocol_module._cycle_masks(num_qubits) is masks
-            assert len(masks) == num_qubits - 1
-            for aux_q, (order, keep_at) in enumerate(masks, start=1):
+            tables = protocol_module._cycle_tables(num_qubits)
+            assert protocol_module._cycle_tables(num_qubits) is tables
+            assert len(tables) == num_qubits - 1
+            for aux_q, table in enumerate(tables, start=1):
+                order, keep_at = table.order, table.keep_at
                 # the gather reads the entries the cycle leaks, whose data bit
                 # differs from the auxiliary's, then those it keeps, each in
                 # some order; keep_at is its second half
@@ -1725,23 +1740,23 @@ class TestInvariantsComputedOnce:
                 assert sorted(order[:half].tolist()) == [b for b, (d, a) in enumerate(bits) if d != a]
                 assert sorted(order[half:].tolist()) == [b for b, (d, a) in enumerate(bits) if d == a]
                 assert keep_at.tolist() == order[half:].tolist()
-                for mask in (order, keep_at):
+                for mask in table:
                     with pytest.raises(ValueError):
                         mask[0] = 0
 
     @pytest.mark.parametrize("num_qubits", [2, 3])
-    def test_kept_blocks_are_cached_read_only_and_reduce_the_pair(self, rng, num_qubits):
-        tables = protocol_module._kept_blocks(num_qubits)
-        assert protocol_module._kept_blocks(num_qubits) is tables
-        masks = protocol_module._cycle_masks(num_qubits)
+    def test_cycle_table_blocks_are_cached_read_only_and_reduce_the_pair(self, rng, num_qubits):
+        tables = protocol_module._cycle_tables(num_qubits)
+        assert protocol_module._cycle_tables(num_qubits) is tables
         dim, half = 1 << num_qubits, 1 << (num_qubits - 1)
         u = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         real = protocol_module._real_blocks(u[None])[0]
-        for i, (rows, cols, at) in enumerate(tables):
+        for i, table in enumerate(tables):
             # the cycle on auxiliary i + 1 maps the previous auxiliary's kept
             # entries (the last auxiliary's, before the first) to its own
-            (order, keep_at), before = masks[i], masks[i - 1][1]
+            rows, cols, at = table.rows, table.cols, table.at
+            (order, keep_at), before = (table.order, table.keep_at), tables[i - 1].keep_at
             leak_at = order[:half]
             block = real[rows, cols]
             for got, want in ((block[:2 * half], u[np.ix_(keep_at, before)]),
@@ -1750,9 +1765,30 @@ class TestInvariantsComputedOnce:
                                                      [want.imag, want.real]]))
             assert np.array_equal(psi.view(np.float64)[at],
                                   np.concatenate([psi[keep_at].real, psi[keep_at].imag]))
-            for table in (rows, cols, at):
+            for array in (rows, cols, at):
                 with pytest.raises(ValueError):
-                    table[0] = 0
+                    array[0] = 0
+
+    @pytest.mark.parametrize("num_qubits", [2, 3, 4])
+    def test_measured_one_and_reset_tables_are_the_gates(self, num_qubits):
+        # on every basis state: a measured 1 puts the branch at one_at, where
+        # project_qubit puts it, and the reset gathers at reset what a Pauli-X
+        # on the auxiliary and the re-entangling CNOT give
+        dim = 1 << num_qubits
+        for aux_q, table in enumerate(protocol_module._cycle_tables(num_qubits), start=1):
+            assert sorted(table.one_at.tolist()) == [
+                b for b in range(dim) if b >> (num_qubits - 1 - aux_q) & 1]
+            for amps in np.eye(dim, dtype=complex):
+                state = StateVector(num_qubits, amps)
+                branch = np.zeros(dim, dtype=complex)
+                branch[table.one_at] = amps[table.one_at]
+                if branch.any():
+                    assert np.array_equal(project_qubit(state, aux_q, 1)[1].amplitudes, branch)
+                else:
+                    with pytest.raises(ZeroProbabilityError):
+                        project_qubit(state, aux_q, 1)
+                reset = apply_cnot(apply_single(state, PAULI_X, aux_q), 0, aux_q)
+                assert np.array_equal(amps[table.reset], reset.amplitudes)
 
     @pytest.mark.parametrize(
         "strategy, mode, n",
@@ -1818,6 +1854,10 @@ def _unnormalized():
     pytest.param(lambda: zeno_cycle(encode(new_state(1), 1), 0, 1, mode="sometimes"),
                  "mode must be one of ('post-selected', 'stochastic'), got 'sometimes'",
                  id="zeno_cycle-mode"),
+    pytest.param(lambda: ZenoSchedule(1.0, 2**1100),
+                 "cycles must be at most 1.79769e+308, the float range, got an integer of "
+                 "1101 bits",
+                 id="ZenoSchedule-cycles-past-float-range"),
 ])
 def test_bad_input_raises_value_error(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
