@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .states import _shown
+
 
 class OutOfRegimeWarning(UserWarning):
     """Input left the regime where the limit formula is meaningful."""
@@ -26,15 +28,15 @@ class OutOfRegimeWarning(UserWarning):
 
 @dataclass(frozen=True)
 class ConvergencePoint:
-    """One sweep point: cycle count, measured survival, analytic reference."""
+    """One sweep point: cycle count, measured survival, analytic reference.
+    The count must be a positive integer in float range, which the fit's log reads."""
 
     n: int
     survival: float
     analytic_reference: float
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        _checked_n(self.n, sys.float_info.max, "the float range")
         for name in ("survival", "analytic_reference"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -45,12 +47,12 @@ def zeno_limit_formula(c: float, n: int) -> float:
     """(1 - c/n^2)^n, the survival of n ideal short-interval measurements.
 
     Requires a finite c >= 0 and c/n^2 < 1; out-of-regime input is clamped
-    to 0 and flagged with OutOfRegimeWarning.
+    to 0 and flagged with OutOfRegimeWarning. An n whose n^2 is past float
+    range raises ValueError.
     """
     if not 0 <= c < math.inf:  # a NaN c fails too
         raise ValueError(f"c must be >= 0 and finite, got {c!r}")
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _checked_n(n, math.sqrt(sys.float_info.max), "so that n^2 is a float")
     ratio = c / (n * n)
     if ratio >= 1.0:
         warnings.warn(
@@ -67,11 +69,7 @@ def single_qubit_survival(lam: float, total_time: float, n: int) -> float:
     succeed for a single qubit driven by a pure flip generator. A finite lam
     and T whose angle lam T / n overflows raise ValueError naming it, as
     does an n whose 2n is past float range."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if n > sys.float_info.max / 2:  # not printed: it may have more digits than str converts
-        raise ValueError(f"n must be at most {sys.float_info.max / 2:.6g}, so that 2n is a "
-                         f"float, got an integer of {n.bit_length()} bits")
+    _checked_n(n, sys.float_info.max / 2, "so that 2n is a float")
     for name, value in (("lam", lam), ("total_time", total_time)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
@@ -79,6 +77,17 @@ def single_qubit_survival(lam: float, total_time: float, n: int) -> float:
     if not math.isfinite(angle):
         raise ValueError(f"lam*total_time/n must be finite, got {angle!r}")
     return math.cos(angle) ** (2 * n)
+
+
+def _checked_n(n, most: float, bound: str) -> None:
+    """Raise ValueError unless ``n`` is a positive integer of at most
+    ``most``, which ``bound`` names; a count past it is not printed, as it
+    may have more digits than an int converts to str."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {_shown(n)}")
+    if n > most:
+        raise ValueError(f"n must be at most {most:.6g}, {bound}, "
+                         f"got an integer of {int(n).bit_length()} bits")
 
 
 def fit_inverse_n(points: list[ConvergencePoint]) -> tuple[float, float]:
@@ -94,7 +103,7 @@ def fit_inverse_n(points: list[ConvergencePoint]) -> tuple[float, float]:
         raise ValueError("already converged: every point has survival = 1")
     if len({p.n for p in usable}) < 3:
         raise ValueError("need at least 3 points with distinct n and survival < 1")
-    x = np.log([p.n for p in usable])
+    x = np.log([float(p.n) for p in usable])  # an n past int64 is no numpy integer
     y = np.log([1.0 - p.survival for p in usable])
     slope, intercept = np.polyfit(x, y, 1)
     residuals = y - (slope * x + intercept)

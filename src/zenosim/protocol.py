@@ -21,6 +21,7 @@ import sys
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -28,7 +29,8 @@ import numpy as np
 # importable here: perfbench/spans.py traces them
 from .states import (  # noqa: F401
     _MIN_BRANCH_PROB, NORM_TOL, NormDriftError, StateVector, _bit_mask, _cnot_permutation,
-    _outcome_indices, append_aux, apply_cnot, apply_single, fidelity, measure_qubit, project_qubit,
+    _outcome_indices, _shown, append_aux, apply_cnot, apply_single, fidelity, measure_qubit,
+    project_qubit,
 )
 from .noise import NoiseSpec, apply_propagator, build_hamiltonian, propagator  # noqa: F401
 from . import streams
@@ -85,7 +87,7 @@ class ZenoSchedule:
 
     def __post_init__(self):
         if not isinstance(self.cycles, (int, np.integer)) or self.cycles < 1:
-            raise ValueError(f"cycles must be a positive integer, got {self.cycles!r}")
+            raise ValueError(f"cycles must be a positive integer, got {_shown(self.cycles)}")
         object.__setattr__(self, "cycles", _in_float_range(int(self.cycles)))
         object.__setattr__(self, "total_time", float(self.total_time))
         if not math.isfinite(self.total_time) or self.total_time < 0:
@@ -96,11 +98,12 @@ class ZenoSchedule:
             ("abort_policy", ABORT_POLICIES),
         ):
             if getattr(self, name) not in allowed:
-                raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
+                raise ValueError(f"{name} must be one of {allowed}, "
+                                 f"got {_shown(getattr(self, name))}")
         if self.seed is not None or self.measurement_mode == MODE_STOCHASTIC:
             if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed <= MAX_SEED):
                 raise ValueError(f"seed must be an integer in [0, 2**64), and stochastic mode "
-                                 f"requires one, got {self.seed!r}")
+                                 f"requires one, got {_shown(self.seed)}")
             object.__setattr__(self, "seed", int(self.seed))
 
     @property
@@ -171,7 +174,7 @@ _CycleTable = namedtuple("_CycleTable", "order keep_at one_at reset rows cols at
 def _register_size(aux_count: int) -> int:
     """Qubits of a register encoded with ``aux_count`` (1 or 2) auxiliaries."""
     if aux_count not in (1, 2):
-        raise ValueError(f"aux_count must be 1 or 2, got {aux_count!r}")
+        raise ValueError(f"aux_count must be 1 or 2, got {_shown(aux_count)}")
     return 1 + aux_count
 
 
@@ -316,7 +319,8 @@ def run_post_selected(
     if schedule.measurement_mode != MODE_POST_SELECTED:
         raise ValueError("run_post_selected needs a post-selected schedule")
     if not cycles or not all(isinstance(n, (int, np.integer)) and n >= 1 for n in cycles):
-        raise ValueError(f"cycles must be a non-empty list of positive integers, got {cycles!r}")
+        raise ValueError(f"cycles must be a non-empty list of positive integers, "
+                         f"got {_shown(cycles)}")
     encoded = encode(data, schedule.aux_count)
     try:
         times = [schedule.total_time / _in_float_range(n) for n in cycles]
@@ -401,7 +405,7 @@ def sample_trials(
     if schedule.measurement_mode != MODE_STOCHASTIC:
         raise ValueError("sampling trials needs a stochastic schedule")
     if not isinstance(trials, (int, np.integer)) or trials < 0:
-        raise ValueError(f"trials must be a non-negative integer, got {trials!r}")
+        raise ValueError(f"trials must be a non-negative integer, got {_shown(trials)}")
     tree = _OutcomeTree(data, noise, schedule)
     survivors = int(sum(
         np.count_nonzero(_batch_trials(tree, schedule.seed, start, min(start + SEED_BATCH, trials)))
@@ -447,26 +451,32 @@ class _OutcomeTree:
     the numpy operations of the per-cycle gate calls, in their order, so
     every float is theirs; the CNOTs and the reset's Pauli-X are index
     gathers, and the norm is checked once, as the unitarity of the noise
-    slice, built in closed form (:func:`noise.propagator`).
-    On raw arrays, :meth:`_noisy` alone steps a noise slice, one matvec and
-    one gather, and :meth:`_no_error` a cycle measuring 0, for every trial
-    (:meth:`trial`, from the shared first slice ``first``), a stochastic row
-    and a replay alike. A row's trials are compared with the no-error path
-    by :meth:`survivors` alone, which steps the path a cycle deeper each
-    time a running trial stands past it, keeping its deepest slice, ``x``
-    and ``gathered``, and its Born probabilities of 1, ``p_one[:length]``;
-    its ``end`` is None until it ends."""
+    slice, built in closed form (:func:`noise.propagator`). ``slices`` holds
+    that slice once per auxiliary, its rows in the gather order of the
+    cycle on it, so one matvec steps a noise slice and disentangles: a gemv
+    computes each row on its own, so the rows come out as the slice's do,
+    gathered, and the register the slice leaves is scattered back only where
+    detection is certain. On raw arrays, :meth:`_noisy` steps a noise slice
+    and :meth:`_no_error` a cycle measuring 0 for :meth:`trial`, from the
+    shared first slice ``first``; :meth:`_walk` steps the no-error path with
+    the same operations in one loop, with no call a cycle, for a stochastic
+    row and a replay alike. A row's trials are compared with the path by
+    :meth:`survivors` alone, which walks it deeper each time a running trial
+    stands past it, keeping its deepest slice, ``gathered``, and its Born
+    probabilities of 1, ``p_one[:length]``; its ``end`` is None until it
+    ends."""
 
     def __init__(self, data: StateVector, noise: NoiseSpec, schedule: ZenoSchedule):
         encoded = encode(data, schedule.aux_count)
-        self.step = propagator(noise, encoded.num_qubits, schedule.interval)
-        defect = np.abs(self.step.conj().T @ self.step - np.eye(len(self.step))).max()
+        step = propagator(noise, encoded.num_qubits, schedule.interval)
+        defect = np.abs(step.conj().T @ step - np.eye(len(step))).max()
         if not defect <= NORM_TOL:  # a NaN defect fails too
             raise NormDriftError(f"propagator is not unitary (U+U - I up to {defect:.3e})")
         self.encoded, self.tables = encoded.amplitudes, _cycle_tables(encoded.num_qubits)
+        self.slices = tuple(step[table.order] for table in self.tables)
         self.cycles, self.aux_count = schedule.cycles, schedule.aux_count
         self.half, self.reset = self.encoded.size // 2, schedule.abort_policy == RESET_AND_CONTINUE
-        self.first = self.x, self.gathered, p_one = self._noisy(self.encoded, 0)
+        self.first = self.gathered, p_one = self._noisy(self.encoded, 0)
         self.p_one, self.length, self.end = np.array([p_one]), 1, None
 
     def trial(self, rng: np.random.Generator) -> tuple[list, _End]:
@@ -479,12 +489,12 @@ class _OutcomeTree:
         steps, detected, depth = [], False, 0
         while depth < self.cycles:
             for u in rng.random(min(self.cycles - depth, DRAW_BLOCK)).tolist():
-                x, gathered, p_one = self._noisy(amps, depth) if depth else self.first
+                gathered, p_one = self._noisy(amps, depth) if depth else self.first
                 if u < p_one:
                     if p_one < _MIN_BRANCH_PROB:  # the failure branch holds none
-                        return steps, self._end(x, True)
+                        return steps, self._end(self._ungathered(gathered, depth), True)
                     table, detected = self.tables[depth % self.aux_count], True
-                    amps = np.zeros(x.size, dtype=complex)
+                    amps = np.zeros(gathered.size, dtype=complex)
                     amps[table.one_at] = gathered[:self.half] / math.sqrt(p_one)
                     steps.append((1, min(p_one, 1.0), amps))
                     if not self.reset:
@@ -492,7 +502,7 @@ class _OutcomeTree:
                     # a reset re-zeros the measured auxiliary (Pauli-X) and re-entangles
                     amps = amps[table.reset]
                 else:
-                    prob, amps = self._no_error(x, gathered, depth)
+                    prob, amps = self._no_error(gathered, depth)
                     if prob < _MIN_BRANCH_PROB:
                         return steps, self._end(amps, True)
                     steps.append((0, min(prob, 1.0), amps))
@@ -505,53 +515,91 @@ class _OutcomeTree:
         trial i's, and counts only where ``running[i]``, which is narrowed
         in place. A draw below its depth's ``p_one`` measures 1. The running
         trials are compared with the known stretch of the path at once; past
-        it, the first that still runs steps the path a cycle a draw until its
-        first 1, and the rest are compared again. The row's last block takes
-        the step that gives the path its end, which the survivors stand on."""
+        it, the first that still runs hands its remaining draws to
+        :meth:`_walk`, which steps the path until one of them measures 1,
+        and the rest are compared again. The row's last block takes the
+        step that gives the path its end, which the survivors stand on."""
         known, stop = depth, depth + draws.shape[1]
         while True:
             seen, known = known, min(self.length, stop)
             running &= ~(draws[:, seen - depth:known - depth] < self.p_one[seen:known]).any(axis=1)
             if known == stop or self.end is not None or not running.any():
                 break
-            for u in draws[running.argmax(), known - depth:].tolist():
-                if not self._grow() or u < self.p_one[self.length - 1]:
-                    break
+            self._walk(draws[running.argmax(), known - depth:].tolist())
         if self.end is None and stop == self.cycles and running.any():
             self._grow()
         return running if self.end is None or not self.end.detected else np.zeros_like(running)
 
     def _grow(self) -> bool:
         """Step the no-error path, not yet ended, a cycle deeper; True if it still runs."""
-        depth = self.length
-        prob, amps = self._no_error(self.x, self.gathered, depth - 1)
-        if prob < _MIN_BRANCH_PROB or depth == self.cycles:
-            self.end = self._end(amps, prob < _MIN_BRANCH_PROB)
-            return False
-        if depth == len(self.p_one):  # the entries past length are written before read
-            self.p_one = np.resize(self.p_one, min(2 * depth, self.cycles))
-        self.x, self.gathered, self.p_one[depth] = self._noisy(amps, depth)
-        self.length = depth + 1
-        return True
+        self._walk((math.inf,))
+        return self.end is None
+
+    def _walk(self, draws, replay=False):
+        """Step the no-error path, not yet ended, a cycle deeper for each of
+        the uniforms ``draws`` of cycles length + 1 on, until the path ends
+        or a draw is below its cycle's Born probability of 1, which is then
+        the last of ``p_one``. Each step is :meth:`_no_error` then
+        :meth:`_noisy`, inline. A replay takes no Born probability of 1, so
+        leaves ``p_one`` as it is, and returns the product of the cycles'
+        Born probabilities of 0, each at most 1, and the sum of their logs."""
+        slices, half, count, cycles = self.slices, self.half, self.aux_count, self.cycles
+        keeps = [table.keep_at for table in self.tables]
+        gathered, depth, p_one = self.gathered, self.length, self.p_one
+        survival, log_survival, vdot, zeros, sqrt = 1.0, 0.0, np.vdot, np.zeros, math.sqrt
+        for u in draws:
+            branch = gathered[half:]
+            prob = float(vdot(branch, branch).real)
+            if prob < _MIN_BRANCH_PROB:
+                self.end = self._end(self._ungathered(gathered, depth - 1), True)
+                break
+            if replay:
+                survival *= min(prob, 1.0)
+                log_survival += math.log(min(prob, 1.0))
+            amps = zeros(2 * half, dtype=complex)
+            amps[keeps[(depth - 1) % count]] = branch / sqrt(prob)
+            if depth == cycles:
+                self.end = self._end(amps, False)
+                break
+            gathered = slices[depth % count].dot(amps)
+            depth += 1
+            if not replay:
+                branch = gathered[:half]
+                prob = float(vdot(branch, branch).real)
+                if depth > len(p_one):  # doubled; the entries past length are written before read
+                    p_one = np.empty(min(2 * len(p_one), cycles))
+                    p_one[:depth - 1] = self.p_one
+                    self.p_one = p_one
+                p_one[depth - 1] = prob
+                if u < prob:
+                    break
+        self.gathered, self.length = gathered, depth
+        return survival, log_survival
 
     def _noisy(self, amps, depth):
-        """``x``, ``amps`` after cycle depth + 1's noise slice; ``x`` gathered
-        into its outcome-1 then its outcome-0 branch; the Born probability of 1."""
-        x = self.step.dot(amps)
-        gathered = x[self.tables[depth % self.aux_count].order]
+        """``amps`` after cycle depth + 1's noise slice, gathered into its
+        outcome-1 then its outcome-0 branch, and the Born probability of 1."""
+        gathered = self.slices[depth % self.aux_count].dot(amps)
         branch = gathered[:self.half]
-        return x, gathered, float(np.vdot(branch, branch).real)
+        return gathered, float(np.vdot(branch, branch).real)
 
-    def _no_error(self, x, gathered, depth):
-        """Cycle depth + 1 measuring 0 on ``x`` and its ``gathered``: its Born
-        probability and the register after it, or ``x`` where detection is certain."""
+    def _no_error(self, gathered, depth):
+        """Cycle depth + 1 measuring 0 on ``gathered``: its Born probability
+        and the register after it, or before it where detection is certain."""
         branch = gathered[self.half:]
         prob = float(np.vdot(branch, branch).real)
         if prob < _MIN_BRANCH_PROB:
-            return prob, x  # undisentangled: the CNOT is its own inverse
-        amps = np.zeros(x.size, dtype=complex)
+            return prob, self._ungathered(gathered, depth)
+        amps = np.zeros(gathered.size, dtype=complex)
         amps[self.tables[depth % self.aux_count].keep_at] = branch / math.sqrt(prob)
         return prob, amps
+
+    def _ungathered(self, gathered, depth):
+        """The register cycle depth + 1's noise slice left, undisentangled
+        (the CNOT is its own inverse): ``gathered`` scattered back."""
+        x = np.empty_like(gathered)
+        x[self.tables[depth % self.aux_count].order] = gathered
+        return x
 
     def _end(self, amps, detected) -> _End:
         """The end at the register ``amps``, made read-only."""
@@ -561,22 +609,16 @@ class _OutcomeTree:
 
 def _row_result(data, noise, schedule, n) -> PostSelectedRow:
     """``schedule`` run for ``n`` cycles on the outcome tree's no-error path,
-    as the per-cycle circuit does. Its survival is the product of the
-    cycles' probabilities while that is a normal float, else the exp of
-    their summed logs: 0.0 where it underflows, with ``detected`` False."""
+    as the per-cycle circuit does, walked as a replay. Its survival is the
+    product of the cycles' probabilities while that is a normal float, else
+    the exp of their summed logs: 0.0 where it underflows, with
+    ``detected`` False."""
     if n > MAX_REPLAY_CYCLES:
         raise ValueError(f"{n} cycles need a cycle-by-cycle replay of the no-error "
                          f"branch, longer than MAX_REPLAY_CYCLES = {MAX_REPLAY_CYCLES}")
     tree = _OutcomeTree(data, noise, replace(schedule, cycles=n))
-    survival, log_survival = 1.0, 0.0
-    for depth in range(n):
-        x, gathered, _ = tree._noisy(amps, depth) if depth else tree.first
-        prob, amps = tree._no_error(x, gathered, depth)
-        if prob < _MIN_BRANCH_PROB:
-            break
-        survival *= min(prob, 1.0)
-        log_survival += math.log(min(prob, 1.0))
-    end = tree._end(amps, prob < _MIN_BRANCH_PROB)
+    survival, log_survival = tree._walk(repeat(math.inf, n), replay=True)
+    end = tree.end
     if end.detected or survival < sys.float_info.min:  # nothing survives a certain detection
         survival = 0.0 if end.detected else math.exp(log_survival)
     return PostSelectedRow(survival, 1.0 - survival, end.final_fidelity, end.detected, end.amps)

@@ -170,14 +170,27 @@ def _finite_amplitudes(amplitudes) -> np.ndarray:
     return amps
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, but an int of more than 64 bits,
+    alone or in a list, as its bit length: it may have more digits than an
+    int converts to str."""
+    if isinstance(value, list):
+        return f"[{', '.join(map(_shown, value))}]"
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+    return repr(value)
+
+
 def _check_num_qubits(num_qubits: int) -> None:
     if not isinstance(num_qubits, (int, np.integer)) or not 1 <= num_qubits <= MAX_QUBITS:
-        raise ValueError(f"num_qubits must be an integer in 1..{MAX_QUBITS}, got {num_qubits!r}")
+        raise ValueError(f"num_qubits must be an integer in 1..{MAX_QUBITS}, "
+                         f"got {_shown(num_qubits)}")
 
 
 def _check_target(state: StateVector, target: int, name: str = "target") -> None:
     if not isinstance(target, (int, np.integer)) or not 0 <= target < state.num_qubits:
-        raise ValueError(f"{name} qubit {target!r} out of range for {state.num_qubits} qubit(s)")
+        raise ValueError(f"{name} qubit {_shown(target)} out of range for "
+                         f"{state.num_qubits} qubit(s)")
 
 
 def _bit_mask(num_qubits: int, qubit: int) -> int:
@@ -239,7 +252,7 @@ def project_qubit(state: StateVector, target: int, outcome: int) -> tuple[float,
     """
     _check_target(state, target)
     if outcome not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
+        raise ValueError(f"outcome must be 0 or 1, got {_shown(outcome)}")
     n = state.num_qubits
     sel = _outcome_indices(n, int(target), int(outcome))
     branch = state.amplitudes[sel]
@@ -282,7 +295,7 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 def append_aux(state: StateVector, count: int) -> StateVector:
     """Tensor |0>^(x count) onto the register as the highest-index qubits."""
     if not isinstance(count, (int, np.integer)) or count < 0:
-        raise ValueError(f"count must be a non-negative integer, got {count!r}")
+        raise ValueError(f"count must be a non-negative integer, got {_shown(count)}")
     total = state.num_qubits + count
     if total > MAX_QUBITS:
         raise ValueError(f"register capacity exceeded: {total} > {MAX_QUBITS} qubits")

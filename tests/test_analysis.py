@@ -139,6 +139,13 @@ class TestFitInverseN:
 
 
 class TestConvergencePoint:
+    def test_counts_past_int64_are_fitted(self):
+        # numpy holds no integer past 2**64, so the fit reads each n as a
+        # float; the loss halves each time n grows by 2**10
+        points = [ConvergencePoint(2**k, 1 - 2.0**(6 - k // 10), 1.0) for k in (70, 80, 90, 100)]
+        slope, quality = fit_inverse_n(points)
+        assert slope == pytest.approx(-0.1, abs=1e-12) and quality == pytest.approx(1.0)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="n must be"):
             ConvergencePoint(0, 0.5, 0.5)
@@ -154,6 +161,22 @@ class TestConvergencePoint:
     pytest.param(lambda: single_qubit_survival(0.1, 1.0, 2**1100),
                  "n must be at most 8.98847e+307, so that 2n is a float, got an integer of "
                  "1101 bits", id="single_qubit_survival-n-past-float-range"),
+    pytest.param(lambda: zeno_limit_formula(0.1, 2**600),
+                 "n must be at most 1.34078e+154, so that n^2 is a float, got an integer of "
+                 "601 bits", id="zeno_limit_formula-n-past-float-range"),
+    pytest.param(lambda: ConvergencePoint(2**1100, 0.5, 0.5),
+                 "n must be at most 1.79769e+308, the float range, got an integer of 1101 bits",
+                 id="ConvergencePoint-n-past-float-range"),
+    # an int past 4300 digits has no str: its bit length is printed
+    pytest.param(lambda: zeno_limit_formula(0.1, -10**5000),
+                 "n must be a positive integer, got a negative integer of 16610 bits",
+                 id="zeno_limit_formula-n-past-str"),
+    pytest.param(lambda: single_qubit_survival(0.1, 1.0, -10**5000),
+                 "n must be a positive integer, got a negative integer of 16610 bits",
+                 id="single_qubit_survival-n-past-str"),
+    pytest.param(lambda: ConvergencePoint(-10**5000, 0.5, 0.5),
+                 "n must be a positive integer, got a negative integer of 16610 bits",
+                 id="ConvergencePoint-n-past-str"),
 ])
 def test_bad_input_raises_value_error(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -420,26 +420,20 @@ class TestFusedPostSelectedEngine:
         assert np.array_equal(result.final_state.amplitudes, state.amplitudes)
 
     def test_a_replay_steps_a_noise_slice_a_cycle(self, monkeypatch):
-        # a whole replay of n cycles steps the slices before cycles 1 to n;
-        # one that detects with certainty in cycle d + 1 stops at its slice
-        depths = []
-        real = protocol_module._OutcomeTree._noisy
-
-        def spy(tree, amps, depth):
-            depths.append(depth)
-            return real(tree, amps, depth)
-
-        monkeypatch.setattr(protocol_module._OutcomeTree, "_noisy", spy)
+        # a whole replay of n cycles steps cycles 1 to n, the tree the slice
+        # before cycle 1 and the walk each later one once; one that detects
+        # with certainty in cycle d + 1 stops at its slice
+        depths = count_path_steps(monkeypatch)
         data, schedule = new_state(1, [0.6, 0.8]), ZenoSchedule(1.0, 5)
         whole = protocol_module._row_result(data, NoiseSpec.flip(0.3, 2), schedule, 5)
-        assert not whole.detected and depths == [0, 1, 2, 3, 4]
+        assert not whole.detected and depths == [1, 2, 3, 4, 5]
         # an eighth flip rotation of auxiliary 2 a slice: cycle 1 reads
         # auxiliary 1, which it leaves alone, and cycle 2 reads auxiliary 2
         # after a quarter rotation, which it detects for certain
         depths.clear()
         dual = dataclasses.replace(schedule, aux_strategy=AUX_DUAL_ALTERNATING)
         certain = protocol_module._row_result(data, NoiseSpec((0.0, 0.0, 1.25 * np.pi)), dual, 5)
-        assert certain.detected and certain.survival_probability == 0.0 and depths == [0, 1]
+        assert certain.detected and certain.survival_probability == 0.0 and depths == [1, 2]
 
     def test_large_n_loss_and_inverse_n_law(self):
         start = time.perf_counter()
@@ -760,20 +754,41 @@ def assert_trials_are_walked_alone(survived, leaf, walked):
             assert leaf.amps.tobytes() == end.amps.tobytes()
 
 
-def count_path_steps(monkeypatch) -> list:
-    """The depth each no-error path step (_OutcomeTree._no_error) reaches from
-    now on; a trial stepped on its own, by _OutcomeTree.trial, fails."""
-    steps = []
-    real = protocol_module._OutcomeTree._no_error
+class CountedSlice:
+    """A tree's noise slice whose products are listed in ``products``."""
 
-    def spy(tree, x, gathered, depth):
-        steps.append(depth + 1)
-        return real(tree, x, gathered, depth)
+    def __init__(self, array, products):
+        self.array, self.products = array, products
+
+    def dot(self, amps):
+        self.products.append(self)
+        return self.array.dot(amps)
+
+
+def count_path_steps(monkeypatch) -> list:
+    """The depth each no-error path step reaches from now on, read off each
+    walk of the path (_OutcomeTree._walk): it steps cycles length to the new
+    length - 1, each multiplying the next depth's slice of its auxiliary
+    once, and one more if it ends the path; a trial stepped on its own, by
+    _OutcomeTree.trial, fails."""
+    steps = []
+    real = protocol_module._OutcomeTree._walk
+
+    def spy(tree, *args, **kwargs):
+        start, slices, products = tree.length, tree.slices, []
+        tree.slices = [CountedSlice(array, products) for array in slices]
+        try:
+            walked = real(tree, *args, **kwargs)
+        finally:
+            counted, tree.slices = tree.slices, slices
+        assert products == [counted[depth % tree.aux_count] for depth in range(start, tree.length)]
+        steps.extend(range(start, tree.length + (tree.end is not None)))
+        return walked
 
     def refuse(*args):
         raise AssertionError("a trial was stepped on its own")
 
-    monkeypatch.setattr(protocol_module._OutcomeTree, "_no_error", spy)
+    monkeypatch.setattr(protocol_module._OutcomeTree, "_walk", spy)
     monkeypatch.setattr(protocol_module._OutcomeTree, "trial", refuse)
     return steps
 
@@ -797,12 +812,12 @@ def assert_path_is_an_all_zero_trial(data, noise, schedule):
         pass
     # the tree steps the first noise slice; the trial, on the grown tree,
     # steps the others from it
-    p_one, noisy = [tree.first[2]], tree._noisy
+    p_one, noisy = [tree.first[1]], tree._noisy
 
     def spy(amps, depth):
-        x, gathered, prob = noisy(amps, depth)
+        gathered, prob = noisy(amps, depth)
         p_one.append(prob)
-        return x, gathered, prob
+        return gathered, prob
 
     tree._noisy = spy
     steps, walked = tree.trial(ScriptedGenerator([math.inf] * schedule.cycles))
@@ -1374,7 +1389,7 @@ class TestSharedTreeEngine:
         def refuse(*args):
             raise AssertionError("a trial on a whole path stepped it, walked alone or drew")
 
-        for name in ("_grow", "trial"):
+        for name in ("_walk", "trial"):
             monkeypatch.setattr(protocol_module._OutcomeTree, name, refuse)
         assert protocol_module._batch_trials(whole, schedule.seed, 0, 40).tolist() == want
         for name in ("PCG64", "Generator"):
@@ -1495,7 +1510,7 @@ class TestSharedTreeEngine:
         def refuse(*args):
             raise AssertionError("the path was stepped or a trial walked alone")
 
-        for name in ("_grow", "trial"):
+        for name in ("_walk", "trial"):
             monkeypatch.setattr(protocol_module._OutcomeTree, name, refuse)
         batch = protocol_module.SEED_BATCH
         assert sample_masks(data, noise, schedule, batch) == ([False] * batch, None)
@@ -1790,6 +1805,30 @@ class TestInvariantsComputedOnce:
                 reset = apply_cnot(apply_single(state, PAULI_X, aux_q), 0, aux_q)
                 assert np.array_equal(amps[table.reset], reset.amplitudes)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        num_qubits=st.sampled_from([2, 3]),
+        lam=st.tuples(*[st.floats(-20.0, 20.0)] * 3),
+        mu=st.tuples(*[st.floats(-20.0, 20.0)] * 3),
+        interval=st.floats(0.0, 4.0),
+        parts=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+    )
+    def test_a_slice_in_gather_order_is_its_gathered_product(self, num_qubits, lam, mu, interval,
+                                                              parts):
+        # the outcome tree keeps each auxiliary's noise slice with its rows in
+        # the gather order of its cycle: one gemv gives each row as the
+        # slice's own product does, bit for bit, on every register a cycle
+        # reaches, which is zero outside some auxiliary's kept entries
+        step = propagator(NoiseSpec(lam[:num_qubits], mu[:num_qubits]), num_qubits, interval)
+        tables = protocol_module._cycle_tables(num_qubits)
+        for kept in tables:
+            amps = np.zeros(1 << num_qubits, dtype=complex)
+            amps[kept.keep_at] = np.array(parts[:len(kept.keep_at)]) + 1j * np.array(
+                parts[len(kept.keep_at):2 * len(kept.keep_at)])
+            for table in tables:
+                gathered = step.dot(amps)[table.order]
+                assert step[table.order].dot(amps).tobytes() == gathered.tobytes()
+
     @pytest.mark.parametrize(
         "strategy, mode, n",
         [
@@ -1858,6 +1897,28 @@ def _unnormalized():
                  "cycles must be at most 1.79769e+308, the float range, got an integer of "
                  "1101 bits",
                  id="ZenoSchedule-cycles-past-float-range"),
+    # an int past 4300 digits has no str: its bit length is printed
+    pytest.param(lambda: ZenoSchedule(1.0, -10**5000),
+                 "cycles must be a positive integer, got a negative integer of 16610 bits",
+                 id="ZenoSchedule-cycles-past-str"),
+    pytest.param(lambda: ZenoSchedule(1.0, 2, seed=10**5000),
+                 "requires one, got an integer of 16610 bits", id="ZenoSchedule-seed-past-str"),
+    pytest.param(lambda: ZenoSchedule(1.0, 2, aux_strategy=10**5000),
+                 "aux_strategy must be one of ('single', 'dual-alternating'), got an integer of "
+                 "16610 bits", id="ZenoSchedule-aux_strategy-past-str"),
+    pytest.param(lambda: encode(new_state(1), -10**5000),
+                 "aux_count must be 1 or 2, got a negative integer of 16610 bits",
+                 id="encode-aux_count-past-str"),
+    pytest.param(lambda: run_post_selected(new_state(1), NoiseSpec.flip(0.1, 2),
+                                           ZenoSchedule(1.0, 1), [4, -10**5000, 0]),
+                 "cycles must be a non-empty list of positive integers, "
+                 "got [4, a negative integer of 16610 bits, 0]",
+                 id="run_post_selected-cycles-past-str"),
+    pytest.param(lambda: sample_trials(new_state(1), NoiseSpec.flip(0.1, 2),
+                                       ZenoSchedule(1.0, 2, measurement_mode=MODE_STOCHASTIC,
+                                                    seed=0), -10**5000),
+                 "trials must be a non-negative integer, got a negative integer of 16610 bits",
+                 id="sample_trials-trials-past-str"),
 ])
 def test_bad_input_raises_value_error(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -270,6 +270,19 @@ class TestAppendAux:
                  id="gate-shape"),
     pytest.param(lambda: measure_qubit(new_state(1), 0, None),
                  "measure_qubit requires an rng, got None", id="measure_qubit-rng"),
+    # an int past 4300 digits has no str: its bit length is printed
+    pytest.param(lambda: append_aux(new_state(1), -10**5000),
+                 "count must be a non-negative integer, got a negative integer of 16610 bits",
+                 id="append_aux-count-past-str"),
+    pytest.param(lambda: new_state(10**5000),
+                 "num_qubits must be an integer in 1..4, got an integer of 16610 bits",
+                 id="new_state-num_qubits-past-str"),
+    pytest.param(lambda: project_qubit(new_state(1), -2**70, 0),
+                 "target qubit a negative integer of 71 bits out of range for 1 qubit(s)",
+                 id="project_qubit-target-past-64-bits"),
+    pytest.param(lambda: project_qubit(new_state(1), 0, 10**5000),
+                 "outcome must be 0 or 1, got an integer of 16610 bits",
+                 id="project_qubit-outcome-past-str"),
 ])
 def test_bad_input_raises_value_error(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
